@@ -11,10 +11,12 @@
  *                 (malformed env knobs, bad CLI flags); exits.
  *   - SimError  — per-job / per-resource failures inside library code
  *                 that a batched caller may want to survive: a trace
- *                 build that dies, store I/O that fails, an injected
- *                 test fault. These *throw* so SweepRunner can isolate
- *                 the failing job, retry it, and record the outcome
- *                 instead of the whole sweep dying with it.
+ *                 build that dies, a quarantined key, an injected test
+ *                 fault. These *throw* so SweepRunner can isolate the
+ *                 failing job, retry it, and record the outcome
+ *                 instead of the whole sweep dying with it. (Store I/O
+ *                 failures do not throw: the stores are caches, and a
+ *                 failed publish or read-back is a miss.)
  *
  * Every SimError carries a `site` — the failing component in the same
  * dotted naming scheme the fault-injection registry uses (e.g.
@@ -45,13 +47,6 @@ class SimError : public std::runtime_error
 
   private:
     std::string site_;
-};
-
-/** Store / cache I/O failure that survived its bounded retries. */
-class StoreError : public SimError
-{
-  public:
-    using SimError::SimError;
 };
 
 /**

@@ -3,7 +3,6 @@
 #include <cerrno>
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 namespace noreba {
 
@@ -25,14 +24,6 @@ ensureDir(const std::string &dir)
     }
     struct stat st;
     return ::stat(dir.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
-
-bool
-dirWritable(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode) &&
-           ::access(path.c_str(), W_OK | X_OK) == 0;
 }
 
 } // namespace noreba

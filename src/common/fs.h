@@ -19,9 +19,6 @@ namespace noreba {
  */
 bool ensureDir(const std::string &dir);
 
-/** Whether @p path names a writable directory (access(2) W_OK). */
-bool dirWritable(const std::string &path);
-
 } // namespace noreba
 
 #endif // NOREBA_COMMON_FS_H

@@ -1,0 +1,378 @@
+#include "sim/blob_store.h"
+
+#include <cctype>
+#include <cerrno>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <thread>
+#include <type_traits>
+
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include "common/fault.h"
+#include "common/fs.h"
+#include "common/hash.h"
+#include "common/logging.h"
+
+namespace noreba {
+
+namespace {
+
+constexpr char MAGIC[8] = {'N', 'O', 'R', 'B', 'B', 'L', 'O', 'B'};
+
+/**
+ * On-disk header. Everything after it is validated against these
+ * fields before a single key or payload byte is interpreted.
+ */
+struct BlobHeader
+{
+    char magic[8];
+    uint32_t formatVersion;
+    uint32_t headerBytes;      //!< sizeof(BlobHeader) at write time
+    uint64_t versionHash;      //!< hash of the caller's version tuple
+    uint64_t keyBytes;         //!< stored key text length
+    uint64_t headerChecksum;   //!< FNV over header, this field zeroed
+    uint64_t payloadChecksum;  //!< FNV over [sizeof(header), fileBytes)
+    uint64_t fileBytes;
+};
+static_assert(sizeof(BlobHeader) % 8 == 0,
+              "key section must stay 8-byte aligned");
+static_assert(std::is_trivially_copyable_v<BlobHeader>);
+
+uint64_t
+headerChecksumOf(const BlobHeader &h)
+{
+    BlobHeader copy = h;
+    copy.headerChecksum = 0;
+    return fnv1a(&copy, sizeof(copy));
+}
+
+uint64_t
+hashVersions(const char *name, uint32_t format,
+             std::initializer_list<uint64_t> versions)
+{
+    uint64_t h = fnv1a(name, std::strlen(name));
+    h = fnv1a(&format, sizeof(format), h);
+    return fnv1a(versions.begin(), versions.size() * sizeof(uint64_t), h);
+}
+
+} // namespace
+
+void
+storeBackoff(int attempt, const std::string &what)
+{
+    const uint64_t n = static_cast<uint64_t>(attempt);
+    const uint64_t h = fnv1a(&n, sizeof(n), fnv1a(what));
+    std::this_thread::sleep_for(std::chrono::milliseconds(attempt) +
+                                std::chrono::microseconds(h % 1000));
+}
+
+BlobStore::BlobStore(const char *name, const char *dirEnv, const char *ext,
+                     uint32_t format,
+                     std::initializer_list<uint64_t> versions)
+    : name_(name), dirEnv_(dirEnv), ext_(ext), format_(format),
+      versionHash_(hashVersions(name, format, versions)),
+      readSite_(name_ + ".read"), writeSite_(name_ + ".write"),
+      fsyncSite_(name_ + ".fsync"), renameSite_(name_ + ".rename")
+{
+}
+
+std::string
+BlobStore::dir() const
+{
+    const char *env = std::getenv(dirEnv_);
+    return env && *env ? std::string(env) : std::string();
+}
+
+std::string
+BlobStore::path(const std::string &workload, const std::string &key) const
+{
+    std::string d = dir();
+    if (d.empty())
+        return {};
+    std::string base;
+    for (char c : workload)
+        base.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c
+                                                                   : '_');
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a(key, versionHash_)));
+    return d + "/" + base + "-" + hex + ".v" + std::to_string(format_) +
+           "." + ext_;
+}
+
+bool
+BlobStore::validate(const uint8_t *file, size_t size,
+                    std::span<const uint8_t> &key,
+                    std::span<const uint8_t> &payload) const
+{
+    if (size < sizeof(BlobHeader))
+        return false;
+    BlobHeader h;
+    std::memcpy(&h, file, sizeof(h));
+    // Bound keyBytes before doing arithmetic on it so a corrupt header
+    // cannot overflow the offset computation.
+    if (std::memcmp(h.magic, MAGIC, sizeof(MAGIC)) != 0 ||
+        h.headerChecksum != headerChecksumOf(h) ||
+        h.formatVersion != format_ ||
+        h.headerBytes != sizeof(BlobHeader) ||
+        h.versionHash != versionHash_ || h.fileBytes != size ||
+        h.keyBytes > size)
+        return false;
+    const size_t payloadOff =
+        pad8(sizeof(BlobHeader) + static_cast<size_t>(h.keyBytes));
+    if (payloadOff > size ||
+        h.payloadChecksum != fnv1a(file + sizeof(BlobHeader),
+                                   size - sizeof(BlobHeader)))
+        return false;
+    key = {file + sizeof(BlobHeader), static_cast<size_t>(h.keyBytes)};
+    payload = {file + payloadOff, size - payloadOff};
+    return true;
+}
+
+BlobStore::Mapping::~Mapping()
+{
+    if (map_)
+        ::munmap(map_, fileBytes_);
+}
+
+std::unique_ptr<const BlobStore::Mapping>
+BlobStore::map(const std::string &path) const
+{
+    int faultErrno = 0;
+    if (ioFaultAt(readSite_.c_str(), &faultErrno)) {
+        errno = faultErrno;
+        return nullptr; // read-back failure == cache miss: rebuild
+    }
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return nullptr;
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || st.st_size < 0 ||
+        static_cast<size_t>(st.st_size) < sizeof(BlobHeader)) {
+        ::close(fd);
+        return nullptr;
+    }
+    const size_t size = static_cast<size_t>(st.st_size);
+    void *map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    if (map == MAP_FAILED)
+        return nullptr;
+
+    // From here on the mapping is owned: returning nullptr unmaps it.
+    std::unique_ptr<Mapping> m(new Mapping);
+    m->map_ = map;
+    m->fileBytes_ = size;
+    if (!validate(static_cast<const uint8_t *>(map), size, m->key_,
+                  m->payload_))
+        return nullptr;
+    return m;
+}
+
+std::span<const uint8_t>
+BlobStore::read(const std::string &path, const std::string &key,
+                std::vector<uint8_t> &buf) const
+{
+    int faultErrno = 0;
+    if (ioFaultAt(readSite_.c_str(), &faultErrno)) {
+        errno = faultErrno;
+        return {}; // read-back failure == cache miss
+    }
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return {};
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || st.st_size < 0 ||
+        static_cast<size_t>(st.st_size) < sizeof(BlobHeader)) {
+        ::close(fd);
+        return {};
+    }
+    buf.resize(static_cast<size_t>(st.st_size));
+    size_t got = 0;
+    while (got < buf.size()) {
+        ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
+        if (n <= 0)
+            break;
+        got += static_cast<size_t>(n);
+    }
+    ::close(fd);
+
+    std::span<const uint8_t> stored, payload;
+    if (got != buf.size() ||
+        !validate(buf.data(), buf.size(), stored, payload) ||
+        stored.size() != key.size() ||
+        std::memcmp(stored.data(), key.data(), key.size()) != 0)
+        return {};
+    return payload;
+}
+
+size_t
+BlobStore::put(const std::string &path, const std::string &key,
+               std::initializer_list<std::span<const uint8_t>> parts)
+{
+    if (bypassed())
+        return 0;
+
+    const size_t payloadOff = pad8(sizeof(BlobHeader) + key.size());
+    size_t fileBytes = payloadOff;
+    for (std::span<const uint8_t> part : parts)
+        fileBytes += part.size();
+
+    std::vector<uint8_t> buf(fileBytes, 0);
+    std::memcpy(buf.data() + sizeof(BlobHeader), key.data(), key.size());
+    uint8_t *out = buf.data() + payloadOff;
+    for (std::span<const uint8_t> part : parts) {
+        if (!part.empty())
+            std::memcpy(out, part.data(), part.size());
+        out += part.size();
+    }
+
+    BlobHeader h{};
+    std::memcpy(h.magic, MAGIC, sizeof(MAGIC));
+    h.formatVersion = format_;
+    h.headerBytes = sizeof(BlobHeader);
+    h.versionHash = versionHash_;
+    h.keyBytes = key.size();
+    h.fileBytes = fileBytes;
+    h.payloadChecksum = fnv1a(buf.data() + sizeof(BlobHeader),
+                              fileBytes - sizeof(BlobHeader));
+    h.headerChecksum = headerChecksumOf(h);
+    std::memcpy(buf.data(), &h, sizeof(h));
+
+    const size_t slash = path.rfind('/');
+    if (slash != std::string::npos && !ensureDir(path.substr(0, slash))) {
+        warn("%s: cannot create directory for %s", name_.c_str(),
+             path.c_str());
+        recordFailure();
+        return 0;
+    }
+    if (!publish(path, buf)) {
+        recordFailure();
+        return 0;
+    }
+    streak_.store(0, std::memory_order_relaxed);
+    return fileBytes;
+}
+
+bool
+BlobStore::publish(const std::string &path, const std::vector<uint8_t> &buf)
+{
+    // Unique temp name per writer: concurrent same-key writers each
+    // publish a complete file; rename() makes the last one win. A
+    // failed attempt always unlinks its temp file (the rename is the
+    // only publication point) and retries with backoff.
+    static std::atomic<uint64_t> seq{0};
+    for (int attempt = 1;; ++attempt) {
+        const std::string tmp = path + ".tmp." +
+                                std::to_string(::getpid()) + "." +
+                                std::to_string(seq++);
+        int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+        if (fd < 0) {
+            warn("%s: cannot create %s", name_.c_str(), tmp.c_str());
+            return false;
+        }
+
+        const char *failedStep = nullptr;
+        int failedErrno = 0;
+        try {
+            size_t written = 0;
+            while (written < buf.size()) {
+                ssize_t n;
+                int ferr = 0;
+                if (ioFaultAt(writeSite_.c_str(), &ferr)) {
+                    // short-write (ENOSPC): land part of the payload
+                    // first so the temp file really is truncated.
+                    if (ferr == ENOSPC) {
+                        const size_t half = (buf.size() - written) / 2;
+                        if (half > 0 &&
+                            ::write(fd, buf.data() + written, half) < 0) {
+                            // already failing; keep the injected errno
+                        }
+                    }
+                    errno = ferr;
+                    n = -1;
+                } else {
+                    n = ::write(fd, buf.data() + written,
+                                buf.size() - written);
+                }
+                if (n <= 0) {
+                    failedStep = "write";
+                    failedErrno = errno;
+                    break;
+                }
+                written += static_cast<size_t>(n);
+            }
+            if (!failedStep) {
+                int ferr = 0;
+                const int rc = ioFaultAt(fsyncSite_.c_str(), &ferr)
+                                   ? (errno = ferr, -1)
+                                   : ::fsync(fd);
+                if (rc != 0 || ::close(fd) != 0) {
+                    failedStep = "fsync";
+                    failedErrno = errno;
+                } else {
+                    fd = -1;
+                }
+            }
+            if (!failedStep) {
+                int ferr = 0;
+                const int rc = ioFaultAt(renameSite_.c_str(), &ferr)
+                                   ? (errno = ferr, -1)
+                                   : ::rename(tmp.c_str(), path.c_str());
+                if (rc != 0) {
+                    failedStep = "rename";
+                    failedErrno = errno;
+                }
+            }
+        } catch (...) {
+            // Injected `throw` at a store site: clean up the temp file
+            // and let the job-level failure propagate to the sweep.
+            if (fd >= 0)
+                ::close(fd);
+            ::unlink(tmp.c_str());
+            throw;
+        }
+
+        if (!failedStep)
+            return true;
+        if (fd >= 0)
+            ::close(fd);
+        ::unlink(tmp.c_str());
+        if (attempt >= STORE_PUBLISH_ATTEMPTS) {
+            warn("%s: %s failed for %s after %d attempts: %s",
+                 name_.c_str(), failedStep, path.c_str(), attempt,
+                 std::strerror(failedErrno));
+            return false;
+        }
+        storeBackoff(attempt, path);
+    }
+}
+
+void
+BlobStore::recordFailure()
+{
+    // The streak counts consecutive *publishes*, each already past its
+    // own retries, so one transient blip never degrades the store.
+    const int streak = streak_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (streak >= STORE_DEGRADE_STREAK &&
+        !bypassed_.exchange(true, std::memory_order_relaxed))
+        warn("%s: %d consecutive publish failures; degrading to "
+             "cache-bypass mode (simulation continues, nothing more is "
+             "written this run)",
+             name_.c_str(), streak);
+}
+
+void
+BlobStore::resetHealth()
+{
+    streak_.store(0, std::memory_order_relaxed);
+    bypassed_.store(false, std::memory_order_relaxed);
+}
+
+} // namespace noreba

@@ -1,0 +1,177 @@
+/**
+ * @file
+ * The on-disk envelope shared by the trace store (sim/trace_store.h)
+ * and the result store (sim/result_store.h). Each is one BlobStore
+ * instance; the stores themselves only serialize payloads.
+ *
+ * File layout (one file per key, little-endian host layout):
+ *
+ *   BlobHeader | key text | pad8 | payload
+ *
+ * The header carries a magic, the store's format version, a hash of
+ * the caller's version tuple (semantic fingerprints, record layouts),
+ * the key length, the file size, and FNV checksums over the header and
+ * over everything after it. Any mismatch makes a load miss, so a
+ * corrupt, truncated or stale file is never half-read. The full key
+ * text is stored in the file, so a file-name hash collision (or a file
+ * copied under another name) misses as well.
+ *
+ * File names are `<workload>-<hash>.v<format>.<ext>`: the hash folds
+ * the key text with the version tuple, so bumping any version simply
+ * misses and re-populates.
+ *
+ * Publishing writes a unique temp file, fsyncs it and renames it over
+ * the final name, so concurrent same-key writers race benignly and a
+ * reader never sees a torn file. A failed attempt unlinks its temp
+ * file and retries with jittered backoff, STORE_PUBLISH_ATTEMPTS times
+ * in all; after that the publish returns 0 (the store is a cache,
+ * losing a publish costs a rebuild). STORE_DEGRADE_STREAK consecutive
+ * failed publishes latch the store into bypass mode: reads still
+ * serve, writes return 0 without touching the disk, and the run warns
+ * once. Fault sites: `<name>.{read,write,fsync,rename}`.
+ *
+ * Two read paths share one validation routine: map() serves large
+ * files (trace bundles) zero-copy from a read-only mapping, read()
+ * copies small files (results) into a buffer, which costs less than
+ * setting up and tearing down a mapping per file.
+ */
+
+#ifndef NOREBA_SIM_BLOB_STORE_H
+#define NOREBA_SIM_BLOB_STORE_H
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+namespace noreba {
+
+/** Publish attempts per file (1 initial + bounded retries). */
+constexpr int STORE_PUBLISH_ATTEMPTS = 3;
+
+/** Consecutive failed publishes before a store degrades to bypass. */
+constexpr int STORE_DEGRADE_STREAK = 3;
+
+/**
+ * Sleep before retry @p attempt of the operation named @p what: linear
+ * backoff plus a deterministic jitter derived from the name and the
+ * attempt, so concurrent writers to a struggling disk de-synchronize
+ * without introducing nondeterminism into any simulated result.
+ */
+void storeBackoff(int attempt, const std::string &what);
+
+/** @p n rounded up to a multiple of 8 (section alignment). */
+inline size_t
+pad8(size_t n)
+{
+    return (n + 7) & ~size_t{7};
+}
+
+class BlobStore
+{
+  public:
+    /**
+     * @param name     fault-site prefix and warning label
+     *                 ("trace_store")
+     * @param dirEnv   environment variable naming the store directory
+     * @param ext      file extension
+     * @param format   on-disk format version (also in the file name)
+     * @param versions the caller's version tuple; any change misses
+     */
+    BlobStore(const char *name, const char *dirEnv, const char *ext,
+              uint32_t format, std::initializer_list<uint64_t> versions);
+
+    BlobStore(const BlobStore &) = delete;
+    BlobStore &operator=(const BlobStore &) = delete;
+
+    /** The store directory, or empty when the store is disabled. */
+    std::string dir() const;
+
+    /**
+     * Full path of the file for @p key, or empty when the store is
+     * disabled. @p workload only makes the name readable.
+     */
+    std::string path(const std::string &workload,
+                     const std::string &key) const;
+
+    /** A validated file, mapped read-only; unmapped on destruction. */
+    class Mapping
+    {
+      public:
+        ~Mapping();
+        Mapping(const Mapping &) = delete;
+        Mapping &operator=(const Mapping &) = delete;
+
+        std::span<const uint8_t> key() const { return key_; }
+        std::span<const uint8_t> payload() const { return payload_; }
+        size_t fileBytes() const { return fileBytes_; }
+
+      private:
+        friend class BlobStore;
+        Mapping() = default;
+
+        void *map_ = nullptr;
+        size_t fileBytes_ = 0;
+        std::span<const uint8_t> key_;
+        std::span<const uint8_t> payload_;
+    };
+
+    /**
+     * Map and validate the file at @p path. Returns nullptr on any
+     * failure; the caller compares Mapping::key() itself. The payload
+     * is 8-byte aligned.
+     */
+    std::unique_ptr<const Mapping> map(const std::string &path) const;
+
+    /**
+     * Read the file at @p path into @p buf and validate it, including
+     * that its stored key equals @p key. Returns the payload inside
+     * @p buf, or a span with a null data() on any failure.
+     */
+    std::span<const uint8_t> read(const std::string &path,
+                                  const std::string &key,
+                                  std::vector<uint8_t> &buf) const;
+
+    /**
+     * Publish @p parts, concatenated, as the payload for @p key at
+     * @p path. Creates the store directory if needed. Returns the file
+     * size, or 0 on failure or when the store is bypassed. An injected
+     * `throw` fault propagates after the temp file is removed.
+     */
+    size_t put(const std::string &path, const std::string &key,
+               std::initializer_list<std::span<const uint8_t>> parts);
+
+    /** True once repeated publish failures degraded the store. */
+    bool
+    bypassed() const
+    {
+        return bypassed_.load(std::memory_order_relaxed);
+    }
+
+    /** Clear the failure streak and bypass latch (tests). */
+    void resetHealth();
+
+  private:
+    bool validate(const uint8_t *file, size_t size,
+                  std::span<const uint8_t> &key,
+                  std::span<const uint8_t> &payload) const;
+    bool publish(const std::string &path, const std::vector<uint8_t> &buf);
+    void recordFailure();
+
+    const std::string name_;
+    const char *const dirEnv_;
+    const std::string ext_;
+    const uint32_t format_;
+    const uint64_t versionHash_;
+    const std::string readSite_, writeSite_, fsyncSite_, renameSite_;
+    std::atomic<int> streak_{0};
+    std::atomic<bool> bypassed_{false};
+};
+
+} // namespace noreba
+
+#endif // NOREBA_SIM_BLOB_STORE_H

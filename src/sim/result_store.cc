@@ -1,75 +1,18 @@
 #include "sim/result_store.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <type_traits>
 #include <vector>
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include "common/fault.h"
-#include "common/fs.h"
 #include "common/hash.h"
-#include "common/logging.h"
-#include "sim/store_health.h"
 #include "sim/trace_store.h"
 
 namespace noreba {
 
 namespace {
 
-/** Publish-failure streak / degradation state for this store. */
-StoreHealth &
-resultHealth()
-{
-    static StoreHealth health("result store");
-    return health;
-}
-
-constexpr char MAGIC[8] = {'N', 'O', 'R', 'B', 'R', 'E', 'S', '\0'};
-
-/**
- * On-disk header. Everything after it is validated against these
- * fields before a single payload byte is interpreted.
- */
-struct ResultHeader
-{
-    char magic[8];
-    uint32_t formatVersion;
-    uint32_t numCounters;       //!< CORE_STATS_FIELDS counters at write
-    uint64_t modelVersion;      //!< RESULT_STORE_MODEL_VERSION
-    uint64_t passFingerprint;   //!< TRACE_STORE_PASS_FINGERPRINT
-    uint64_t statsFingerprint;  //!< coreStatsLayoutFingerprint()
-    uint64_t headerChecksum;    //!< FNV over header, this field zeroed
-    uint64_t payloadChecksum;   //!< FNV over [sizeof(header), fileBytes)
-    uint64_t fileBytes;
-    uint64_t keyBytes;          //!< canonical key text length
-    uint64_t numBranchStalls;   //!< per-branch stall map entries
-};
-static_assert(sizeof(ResultHeader) % 8 == 0,
-              "counter section must stay 8-byte aligned");
-static_assert(std::is_trivially_copyable_v<ResultHeader>);
-
-size_t
-pad8(size_t n)
-{
-    return (n + 7) & ~size_t{7};
-}
-
-uint64_t
-headerChecksumOf(const ResultHeader &h)
-{
-    ResultHeader copy = h;
-    copy.headerChecksum = 0;
-    return fnv1a(&copy, sizeof(copy));
-}
+/** Quad per branch-stall entry: pc, stallCycles, instances, dependents. */
+constexpr size_t STALL_BYTES = 4 * sizeof(uint64_t);
 
 size_t
 numCounters()
@@ -81,20 +24,11 @@ numCounters()
     return n;
 }
 
-} // namespace
-
-bool
-resultStoreBypassed()
-{
-    return resultHealth().bypassed();
-}
-
-void
-resetResultStoreHealth()
-{
-    resultHealth().reset();
-}
-
+/**
+ * Fingerprint of the CoreStats counter set (names, in declaration
+ * order), part of the store's version tuple: results written with a
+ * different stats schema are rejected.
+ */
 uint64_t
 coreStatsLayoutFingerprint()
 {
@@ -108,58 +42,31 @@ coreStatsLayoutFingerprint()
     return h;
 }
 
-std::string
-resultStoreDir()
+} // namespace
+
+BlobStore &
+resultStore()
 {
-    const char *env = std::getenv("NOREBA_RESULT_DIR");
-    return env && *env ? std::string(env) : std::string();
+    static BlobStore store("result_store", "NOREBA_RESULT_DIR", "nrs",
+                           RESULT_STORE_FORMAT_VERSION,
+                           {RESULT_STORE_MODEL_VERSION,
+                            TRACE_STORE_PASS_FINGERPRINT,
+                            coreStatsLayoutFingerprint()});
+    return store;
 }
 
 std::string
 resultKey(const std::string &workload, const CoreConfig &cfg,
           const TraceOptions &opts)
 {
-    // The scale double is keyed by its bit pattern, printed as hex, so
-    // the key text is exact and locale-independent.
-    uint64_t scaleBits;
-    std::memcpy(&scaleBits, &opts.params.scale, sizeof(scaleBits));
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "seed=%llu\nscaleBits=%016llx\nmaxDynInsts=%llu\n"
-                  "annotate=%d\nstripSetups=%d\n",
-                  static_cast<unsigned long long>(opts.params.seed),
-                  static_cast<unsigned long long>(scaleBits),
-                  static_cast<unsigned long long>(opts.maxDynInsts),
-                  opts.annotate ? 1 : 0, opts.stripSetups ? 1 : 0);
-    return "workload=" + workload + "\n" + buf + serializeConfig(cfg);
+    return traceKey(workload, opts) + serializeConfig(cfg);
 }
 
 std::string
 resultPath(const std::string &workload, const CoreConfig &cfg,
            const TraceOptions &opts)
 {
-    std::string dir = resultStoreDir();
-    if (dir.empty())
-        return {};
-
-    uint64_t h = fnv1a(resultKey(workload, cfg, opts));
-    const uint64_t versions[] = {
-        RESULT_STORE_FORMAT_VERSION,
-        RESULT_STORE_MODEL_VERSION,
-        TRACE_STORE_PASS_FINGERPRINT,
-        coreStatsLayoutFingerprint(),
-    };
-    h = fnv1a(versions, sizeof(versions), h);
-
-    std::string base;
-    for (char c : workload)
-        base.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c
-                                                                   : '_');
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return dir + "/" + base + "-" + hex + ".v" +
-           std::to_string(RESULT_STORE_FORMAT_VERSION) + ".nrs";
+    return resultStore().path(workload, resultKey(workload, cfg, opts));
 }
 
 bool
@@ -172,73 +79,16 @@ resultStoreEligible(const CoreConfig &cfg)
 bool
 loadResult(const std::string &path, const std::string &key, CoreStats &out)
 {
-    int faultErrno = 0;
-    if (ioFaultAt("result_store.read", &faultErrno)) {
-        errno = faultErrno;
-        return false; // read-back failure == cache miss: re-simulate
-    }
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return false;
-    struct stat st;
-    if (::fstat(fd, &st) != 0 || st.st_size < 0 ||
-        static_cast<size_t>(st.st_size) < sizeof(ResultHeader)) {
-        ::close(fd);
-        return false;
-    }
-    std::vector<uint8_t> buf(static_cast<size_t>(st.st_size));
-    size_t got = 0;
-    while (got < buf.size()) {
-        ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
-        if (n <= 0)
-            break;
-        got += static_cast<size_t>(n);
-    }
-    ::close(fd);
-    if (got != buf.size())
-        return false;
-
-    ResultHeader h;
-    std::memcpy(&h, buf.data(), sizeof(h));
-    if (std::memcmp(h.magic, MAGIC, sizeof(MAGIC)) != 0 ||
-        h.headerChecksum != headerChecksumOf(h) ||
-        h.formatVersion != RESULT_STORE_FORMAT_VERSION ||
-        h.modelVersion != RESULT_STORE_MODEL_VERSION ||
-        h.passFingerprint != TRACE_STORE_PASS_FINGERPRINT ||
-        h.statsFingerprint != coreStatsLayoutFingerprint() ||
-        h.numCounters != numCounters() || h.fileBytes != buf.size())
-        return false;
-
-    // Section sizes: bound each field before doing arithmetic on it so
-    // a corrupt header cannot overflow the offset computation.
-    if (h.keyBytes > buf.size() ||
-        h.numBranchStalls > buf.size() / (4 * sizeof(uint64_t)))
-        return false;
-    const size_t countersOff =
-        pad8(sizeof(ResultHeader) + static_cast<size_t>(h.keyBytes));
-    const size_t counterBytes = h.numCounters * sizeof(uint64_t);
-    if (countersOff > buf.size() ||
-        counterBytes > buf.size() - countersOff)
-        return false;
-    const size_t stallsOff = countersOff + counterBytes;
-    const size_t stallBytes =
-        static_cast<size_t>(h.numBranchStalls) * 4 * sizeof(uint64_t);
-    if (stallsOff + stallBytes != buf.size())
-        return false;
-
-    if (h.payloadChecksum != fnv1a(buf.data() + sizeof(ResultHeader),
-                                   buf.size() - sizeof(ResultHeader)))
-        return false;
-
-    // Content check: the stored key must be byte-identical to the
-    // requested one, so a file-name hash collision misses cleanly.
-    if (key.size() != h.keyBytes ||
-        std::memcmp(buf.data() + sizeof(ResultHeader), key.data(),
-                    key.size()) != 0)
+    std::vector<uint8_t> buf;
+    const std::span<const uint8_t> payload =
+        resultStore().read(path, key, buf);
+    const size_t counterBytes = numCounters() * sizeof(uint64_t);
+    if (!payload.data() || payload.size() < counterBytes ||
+        (payload.size() - counterBytes) % STALL_BYTES != 0)
         return false;
 
     out = CoreStats{};
-    const uint8_t *p = buf.data() + countersOff;
+    const uint8_t *p = payload.data();
     for (const CoreStatsField &f : CORE_STATS_FIELDS) {
         if (!f.counter)
             continue;
@@ -247,11 +97,10 @@ loadResult(const std::string &path, const std::string &key, CoreStats &out)
         p += sizeof(v);
         out.*f.counter = v;
     }
-    p = buf.data() + stallsOff;
-    for (uint64_t i = 0; i < h.numBranchStalls; ++i) {
+    for (const uint8_t *end = payload.data() + payload.size(); p < end;
+         p += STALL_BYTES) {
         uint64_t rec[4];
         std::memcpy(rec, p, sizeof(rec));
-        p += sizeof(rec);
         out.branchStalls[rec[0]] = BranchStall{rec[1], rec[2], rec[3]};
     }
     return true;
@@ -261,149 +110,24 @@ size_t
 saveResult(const std::string &path, const std::string &key,
            const CoreStats &stats)
 {
-    if (resultHealth().bypassed())
-        return 0;
-
-    const size_t countersOff = pad8(sizeof(ResultHeader) + key.size());
-    const size_t counterBytes = numCounters() * sizeof(uint64_t);
     // Sorted by pc so equal stats always serialize to equal bytes.
     std::vector<std::pair<uint64_t, BranchStall>> stalls(
         stats.branchStalls.begin(), stats.branchStalls.end());
     std::sort(stalls.begin(), stalls.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
-    const size_t stallsOff = countersOff + counterBytes;
-    const size_t fileBytes = stallsOff + stalls.size() * 4 * sizeof(uint64_t);
 
-    std::vector<uint8_t> buf(fileBytes, 0);
-    std::memcpy(buf.data() + sizeof(ResultHeader), key.data(), key.size());
-    uint8_t *p = buf.data() + countersOff;
-    for (const CoreStatsField &f : CORE_STATS_FIELDS) {
-        if (!f.counter)
-            continue;
-        const uint64_t v = stats.*f.counter;
-        std::memcpy(p, &v, sizeof(v));
-        p += sizeof(v);
-    }
-    p = buf.data() + stallsOff;
-    for (const auto &[pc, s] : stalls) {
-        const uint64_t rec[4] = {pc, s.stallCycles, s.instances,
-                                 s.dependents};
-        std::memcpy(p, rec, sizeof(rec));
-        p += sizeof(rec);
-    }
-
-    ResultHeader h{};
-    std::memcpy(h.magic, MAGIC, sizeof(MAGIC));
-    h.formatVersion = RESULT_STORE_FORMAT_VERSION;
-    h.numCounters = static_cast<uint32_t>(numCounters());
-    h.modelVersion = RESULT_STORE_MODEL_VERSION;
-    h.passFingerprint = TRACE_STORE_PASS_FINGERPRINT;
-    h.statsFingerprint = coreStatsLayoutFingerprint();
-    h.fileBytes = fileBytes;
-    h.keyBytes = key.size();
-    h.numBranchStalls = stalls.size();
-    h.payloadChecksum = fnv1a(buf.data() + sizeof(ResultHeader),
-                              fileBytes - sizeof(ResultHeader));
-    h.headerChecksum = headerChecksumOf(h);
-    std::memcpy(buf.data(), &h, sizeof(h));
-
-    const size_t slash = path.rfind('/');
-    if (slash != std::string::npos && !ensureDir(path.substr(0, slash))) {
-        warn("result store: cannot create directory for %s", path.c_str());
-        resultHealth().recordFailure();
-        return 0;
-    }
-
-    // Unique temp name per writer: concurrent same-key writers each
-    // publish a complete file; rename() makes the last one win. Same
-    // retry/cleanup discipline as saveTraceBundle: a failed attempt
-    // unlinks its temp file, retries with backoff, then gives up as a
-    // cache miss feeding the degradation streak.
-    static std::atomic<uint64_t> seq{0};
-    for (int attempt = 1;; ++attempt) {
-        const std::string tmp = path + ".tmp." +
-                                std::to_string(::getpid()) + "." +
-                                std::to_string(seq++);
-        int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-        if (fd < 0) {
-            warn("result store: cannot create %s", tmp.c_str());
-            resultHealth().recordFailure();
-            return 0;
-        }
-
-        const char *failedStep = nullptr;
-        int failedErrno = 0;
-        try {
-            size_t written = 0;
-            while (written < fileBytes) {
-                ssize_t n;
-                int ferr = 0;
-                if (ioFaultAt("result_store.write", &ferr)) {
-                    if (ferr == ENOSPC) {
-                        const size_t half = (fileBytes - written) / 2;
-                        if (half > 0 &&
-                            ::write(fd, buf.data() + written, half) < 0) {
-                            // already failing; keep the injected errno
-                        }
-                    }
-                    errno = ferr;
-                    n = -1;
-                } else {
-                    n = ::write(fd, buf.data() + written,
-                                fileBytes - written);
-                }
-                if (n <= 0) {
-                    failedStep = "write";
-                    failedErrno = errno;
-                    break;
-                }
-                written += static_cast<size_t>(n);
-            }
-            if (!failedStep) {
-                int ferr = 0;
-                const int rc = ioFaultAt("result_store.fsync", &ferr)
-                                   ? (errno = ferr, -1)
-                                   : ::fsync(fd);
-                if (rc != 0 || ::close(fd) != 0) {
-                    failedStep = "fsync";
-                    failedErrno = errno;
-                } else {
-                    fd = -1;
-                }
-            }
-            if (!failedStep) {
-                int ferr = 0;
-                const int rc = ioFaultAt("result_store.rename", &ferr)
-                                   ? (errno = ferr, -1)
-                                   : ::rename(tmp.c_str(), path.c_str());
-                if (rc != 0) {
-                    failedStep = "rename";
-                    failedErrno = errno;
-                }
-            }
-        } catch (...) {
-            if (fd >= 0)
-                ::close(fd);
-            ::unlink(tmp.c_str());
-            throw;
-        }
-
-        if (!failedStep) {
-            resultHealth().recordSuccess();
-            return fileBytes;
-        }
-        if (fd >= 0)
-            ::close(fd);
-        ::unlink(tmp.c_str());
-        if (attempt >= STORE_PUBLISH_ATTEMPTS) {
-            warn("result store: %s failed for %s after %d attempts: %s",
-                 failedStep, path.c_str(), attempt,
-                 std::strerror(failedErrno));
-            resultHealth().recordFailure();
-            return 0;
-        }
-        storeBackoff(attempt, path);
-    }
+    std::vector<uint64_t> words;
+    words.reserve(numCounters() + 4 * stalls.size());
+    for (const CoreStatsField &f : CORE_STATS_FIELDS)
+        if (f.counter)
+            words.push_back(stats.*f.counter);
+    for (const auto &[pc, s] : stalls)
+        words.insert(words.end(),
+                     {pc, s.stallCycles, s.instances, s.dependents});
+    return resultStore().put(
+        path, key,
+        {{reinterpret_cast<const uint8_t *>(words.data()),
+          words.size() * sizeof(uint64_t)}});
 }
 
 } // namespace noreba

@@ -5,22 +5,21 @@
  * core config) simulation once per *machine*: a cold `noreba-bench
  * --run all` publishes every CoreStats under NOREBA_RESULT_DIR and a
  * warm rerun replays the whole figure set from disk without simulating
- * (simBuilds == 0), the same shape as result caching in a serving
- * stack.
+ * (simBuilds == 0). Rerunning a killed run against the same directory
+ * resumes it job by job.
  *
- * Keying is content-addressed: the key *text* is the workload name,
- * the canonical TraceOptions serialization, and the canonical
- * CoreConfig serialization (uarch/config.h field table), so any knob
- * that shapes the simulation is part of the identity. The file name
- * hashes that text together with the format version, the result model
- * version, the trace pass fingerprint, and the CoreStats layout
- * fingerprint; the full key text is stored in the file and compared on
- * load, so a hash collision misses instead of serving a wrong result.
+ * Keying is content-addressed: the key *text* is traceKey() (workload
+ * and every TraceOptions field) followed by the canonical CoreConfig
+ * serialization (uarch/config.h field table), so any knob that shapes
+ * the simulation is part of the identity. Version tuple: the result
+ * model version, the trace pass fingerprint, and the CoreStats layout
+ * fingerprint.
  *
- * Discipline matches sim/trace_store.h: atomic write-then-rename
- * publishing, header + payload checksums, and any mismatch — magic,
- * version, fingerprint, size, checksum, key text — makes load fail and
- * the caller re-simulate; a corrupt or stale file is never half-read.
+ * The envelope (header, checksums, stored key compared on load, file
+ * naming, atomic publish, retries, bypass) is the shared BlobStore
+ * (sim/blob_store.h); this file serializes the payload: every CoreStats
+ * counter as a u64, then the branch-stall map sorted by pc as
+ * {pc, stallCycles, instances, dependents} u64 quads.
  */
 
 #ifndef NOREBA_SIM_RESULT_STORE_H
@@ -29,14 +28,15 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/blob_store.h"
 #include "sim/runner.h"
 #include "uarch/config.h"
 #include "uarch/stats.h"
 
 namespace noreba {
 
-/** Bump on any change to the on-disk result layout. */
-constexpr uint32_t RESULT_STORE_FORMAT_VERSION = 1;
+/** Bump on any change to the on-disk result payload layout. */
+constexpr uint32_t RESULT_STORE_FORMAT_VERSION = 2;
 
 /**
  * Fingerprint of the simulation semantics: bump whenever Core, a
@@ -44,25 +44,17 @@ constexpr uint32_t RESULT_STORE_FORMAT_VERSION = 1;
  * else that shapes CoreStats changes behaviour, so stale results miss
  * instead of silently reporting an old simulator's numbers. (Trace
  * semantics are covered separately by TRACE_STORE_PASS_FINGERPRINT,
- * which is folded into the key.)
+ * which is folded into the version tuple.)
  */
 constexpr uint64_t RESULT_STORE_MODEL_VERSION = 1;
 
-/**
- * Fingerprint of the CoreStats counter set (names, in declaration
- * order). Changes whenever NOREBA_CORE_STATS_FIELDS gains, loses, or
- * reorders a counter, so results written with a different stats schema
- * are rejected.
- */
-uint64_t coreStatsLayoutFingerprint();
-
-/** NOREBA_RESULT_DIR, or empty when the store is disabled. */
-std::string resultStoreDir();
+/** The result store (fault sites result_store.*; NOREBA_RESULT_DIR). */
+BlobStore &resultStore();
 
 /**
- * The content-addressed identity of one simulation: workload, trace
- * options, and the full canonical config serialization. Equal keys
- * mean bit-identical CoreStats (the simulator is deterministic).
+ * The content-addressed identity of one simulation: traceKey() plus
+ * the full canonical config serialization. Equal keys mean
+ * bit-identical CoreStats (the simulator is deterministic).
  */
 std::string resultKey(const std::string &workload, const CoreConfig &cfg,
                       const TraceOptions &opts);
@@ -93,26 +85,12 @@ bool loadResult(const std::string &path, const std::string &key,
                 CoreStats &out);
 
 /**
- * Serialize @p stats to @p path with atomic write-then-rename
- * publishing. Creates the store directory if needed. Transient I/O
- * failures are retried up to STORE_PUBLISH_ATTEMPTS times with
- * deterministic jittered backoff. Returns the bytes written, or 0 on
- * failure (warns, never aborts — the store is a cache, losing it costs
- * a re-simulation). Fault sites: result_store.{write,fsync,rename};
- * reads go through result_store.read in loadResult().
+ * Publish @p stats to @p path under @p key through resultStore().put().
+ * Returns the bytes written, or 0 on failure (warns, never aborts —
+ * losing a publish costs a re-simulation).
  */
 size_t saveResult(const std::string &path, const std::string &key,
                   const CoreStats &stats);
-
-/**
- * True once repeated publish failures degraded the store to
- * cache-bypass mode: loads still serve, saveResult() returns 0 without
- * touching the disk, and the run warned exactly once.
- */
-bool resultStoreBypassed();
-
-/** Clear the failure streak and bypass latch (tests). */
-void resetResultStoreHealth();
 
 } // namespace noreba
 

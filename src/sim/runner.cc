@@ -58,6 +58,7 @@ prepareTrace(const std::string &workload, const TraceOptions &opts)
 {
     TraceBundle bundle;
     bundle.workload = workload;
+    bundle.opts = opts;
 
     Program prog = buildWorkload(workload, opts.params);
     if (opts.annotate)

@@ -25,26 +25,6 @@ namespace noreba {
 
 class MappedTraceBundle;
 
-/**
- * A prepared, simulate-ready trace. Backed either by the in-memory
- * `trace` it was built into, or — when it came out of the on-disk
- * trace store — by a memory-mapped bundle file (`mapped`); view()
- * hides the difference from every consumer.
- */
-struct TraceBundle
-{
-    std::string workload;
-    DynamicTrace trace;        //!< owning storage when built in-process
-    /** Owning mapping when loaded from the store (trace stays empty). */
-    std::shared_ptr<const MappedTraceBundle> mapped;
-    std::vector<uint8_t> misp; //!< per-record misprediction verdicts
-    PassResult pass;           //!< compiler pass report
-    uint64_t checksum = 0;     //!< architectural result checksum
-
-    /** Read interface over whichever backing this bundle has. */
-    TraceView view() const;
-};
-
 /** Trace-preparation options. */
 struct TraceOptions
 {
@@ -58,6 +38,27 @@ struct TraceOptions
      * of setup instructions" of Figure 11.
      */
     bool stripSetups = false;
+};
+
+/**
+ * A prepared, simulate-ready trace. Backed either by the in-memory
+ * `trace` it was built into, or — when it came out of the on-disk
+ * trace store — by a memory-mapped bundle file (`mapped`); view()
+ * hides the difference from every consumer.
+ */
+struct TraceBundle
+{
+    std::string workload;
+    TraceOptions opts;         //!< what it was prepared with (store key)
+    DynamicTrace trace;        //!< owning storage when built in-process
+    /** Owning mapping when loaded from the store (trace stays empty). */
+    std::shared_ptr<const MappedTraceBundle> mapped;
+    std::vector<uint8_t> misp; //!< per-record misprediction verdicts
+    PassResult pass;           //!< compiler pass report
+    uint64_t checksum = 0;     //!< architectural result checksum
+
+    /** Read interface over whichever backing this bundle has. */
+    TraceView view() const;
 };
 
 /** Build (workload -> pass -> interpret -> predict) one bundle. */

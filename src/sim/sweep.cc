@@ -10,8 +10,8 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "sim/blob_store.h"
 #include "sim/result_store.h"
-#include "sim/store_health.h"
 #include "sim/trace_store.h"
 
 namespace noreba {
@@ -56,8 +56,7 @@ BundleCache::quarantineAfterFromEnv()
 std::shared_ptr<const TraceBundle>
 BundleCache::get(const std::string &workload, const TraceOptions &opts)
 {
-    Key key{workload,     opts.params.seed, opts.params.scale,
-            opts.maxDynInsts, opts.annotate,    opts.stripSetups};
+    const Key key = traceKey(workload, opts);
     std::shared_ptr<Entry> entry;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -98,11 +97,15 @@ BundleCache::get(const std::string &workload, const TraceOptions &opts)
             // Injected builders produce synthetic bundles: never read
             // or publish the on-disk store for them.
             const std::string path =
-                builder_ ? std::string() : traceBundlePath(workload, opts);
+                builder_ ? std::string() : traceStore().path(workload, key);
             if (!path.empty()) {
-                if (auto mapped = MappedTraceBundle::open(path)) {
+                // A file published under another key (a hash collision,
+                // a copied file) is a miss, not a wrong trace.
+                auto mapped = MappedTraceBundle::open(path);
+                if (mapped && mapped->key() == key) {
                     auto bundle = std::make_shared<TraceBundle>();
                     bundle->workload = workload;
+                    bundle->opts = opts;
                     bundle->misp = mapped->misp();
                     bundle->pass = mapped->pass();
                     bundle->checksum = mapped->archChecksum();

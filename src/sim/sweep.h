@@ -24,7 +24,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/json.h"
@@ -153,24 +152,8 @@ class BundleCache
     static int quarantineAfterFromEnv();
 
   private:
-    struct Key
-    {
-        std::string workload;
-        uint64_t seed;
-        double scale;
-        uint64_t maxDynInsts;
-        bool annotate;
-        bool stripSetups;
-
-        bool
-        operator<(const Key &o) const
-        {
-            return std::tie(workload, seed, scale, maxDynInsts, annotate,
-                            stripSetups) <
-                   std::tie(o.workload, o.seed, o.scale, o.maxDynInsts,
-                            o.annotate, o.stripSetups);
-        }
-    };
+    /** traceKey(): the workload and every TraceOptions field. */
+    using Key = std::string;
 
     struct Entry
     {

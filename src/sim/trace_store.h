@@ -1,31 +1,26 @@
 /**
  * @file
- * Versioned, checksummed on-disk store for prepared trace bundles, so
- * the compile -> annotate -> interpret -> predictor-replay pipeline
- * runs once per (workload, options) across *processes*: a cold bench
- * run publishes each bundle under NOREBA_TRACE_DIR and every later
- * bench (or sweep worker) starts from an mmap in milliseconds, with
- * memory bounded by the page cache instead of one heap vector per
- * process.
+ * On-disk store for prepared trace bundles, so the compile -> annotate
+ * -> interpret -> predictor-replay pipeline runs once per (workload,
+ * options) across *processes*: a cold bench run publishes each bundle
+ * under NOREBA_TRACE_DIR and every later bench (or sweep worker) starts
+ * from an mmap in milliseconds, with memory bounded by the page cache
+ * instead of one heap vector per process.
  *
- * Format (one file per bundle, little-endian host layout):
+ * The envelope (header, checksums, key text, file naming, atomic
+ * publish, retries, bypass) is the shared BlobStore (sim/blob_store.h);
+ * this file serializes the payload:
  *
- *   BundleHeader | workload | trace name | pad8 | TraceRecord[] |
+ *   BundleMeta | workload | trace name | pad8 | TraceRecord[] |
  *   misprediction bitmap | PassResult blob
  *
  * The record section is the in-memory TraceRecord layout verbatim —
  * fixed-width fields, trivially copyable, layout-fingerprinted — so a
- * mapped file serves records zero-copy through a TraceView. Files are
- * published atomically (write to a unique temp file, fsync, rename), so
- * concurrent same-key writers race benignly and a reader never sees a
- * half-written bundle. Any mismatch — magic, format version, record
- * layout, pass fingerprint, size, header or payload checksum — makes
- * open() return nullptr and the caller rebuild; a corrupted, truncated
- * or stale file is never half-read.
+ * mapped file serves records zero-copy through a TraceView.
  *
- * Cache key: a bundle file name encodes (workload, TraceOptions, format
- * version, pass fingerprint, record layout), so changing any of them
- * simply misses and re-populates rather than serving stale data.
+ * Key: traceKey(), the workload and every TraceOptions field. Version
+ * tuple: the pass fingerprint and the TraceRecord layout fingerprint,
+ * so a semantic or ABI change misses instead of serving stale data.
  */
 
 #ifndef NOREBA_SIM_TRACE_STORE_H
@@ -36,12 +31,13 @@
 #include <string>
 #include <vector>
 
+#include "sim/blob_store.h"
 #include "sim/runner.h"
 
 namespace noreba {
 
-/** Bump on any change to the on-disk bundle layout. */
-constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 1;
+/** Bump on any change to the on-disk bundle payload layout. */
+constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 2;
 
 /**
  * Fingerprint of the trace-producing semantics: bump whenever the
@@ -51,20 +47,18 @@ constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 1;
  */
 constexpr uint64_t TRACE_STORE_PASS_FINGERPRINT = 1;
 
-/**
- * Compile-time fingerprint of the TraceRecord memory layout (size,
- * field offsets, endianness tag). Part of both the file name and the
- * header, so a bundle written by an ABI-incompatible build is rejected.
- */
-uint64_t traceRecordLayoutFingerprint();
+/** The trace store (fault sites trace_store.*; NOREBA_TRACE_DIR). */
+BlobStore &traceStore();
 
-/** NOREBA_TRACE_DIR, or empty when the store is disabled. */
-std::string traceStoreDir();
+/**
+ * The identity of one prepared trace: the workload name and every
+ * TraceOptions field, as canonical text. resultKey() extends it.
+ */
+std::string traceKey(const std::string &workload, const TraceOptions &opts);
 
 /**
  * Full path of the bundle file for one cache key, or empty when the
- * store is disabled. The file name is
- * `<workload>-<key hash>.v<format version>.ntb`.
+ * store is disabled: `<workload>-<key hash>.v<format version>.ntb`.
  */
 std::string traceBundlePath(const std::string &workload,
                             const TraceOptions &opts);
@@ -80,18 +74,18 @@ class MappedTraceBundle
     /**
      * Map and validate `path`. Returns nullptr on any failure — missing
      * file, wrong magic/version/fingerprint, truncation, checksum
-     * mismatch, malformed pass blob — never a partially valid bundle.
+     * mismatch, malformed payload — never a partially valid bundle.
+     * The stored key is not checked here: compare key() against the
+     * traceKey() you asked for.
      */
     static std::shared_ptr<const MappedTraceBundle>
     open(const std::string &path);
 
-    ~MappedTraceBundle();
-    MappedTraceBundle(const MappedTraceBundle &) = delete;
-    MappedTraceBundle &operator=(const MappedTraceBundle &) = delete;
-
     /** Zero-copy view of the record section. */
     TraceView view() const;
 
+    /** The traceKey() the bundle was published under. */
+    const std::string &key() const { return key_; }
     const std::string &workload() const { return workload_; }
     /** Misprediction verdicts, expanded from the on-disk bitmap. */
     const std::vector<uint8_t> &misp() const { return misp_; }
@@ -99,16 +93,16 @@ class MappedTraceBundle
     /** Architectural result checksum (Interpreter::regChecksum). */
     uint64_t archChecksum() const { return archChecksum_; }
     /** Total mapped file size in bytes. */
-    size_t fileBytes() const { return mapBytes_; }
+    size_t fileBytes() const { return map_->fileBytes(); }
 
   private:
     MappedTraceBundle() = default;
 
-    const void *map_ = nullptr;
-    size_t mapBytes_ = 0;
+    std::unique_ptr<const BlobStore::Mapping> map_;
     const TraceRecord *records_ = nullptr;
     size_t numRecords_ = 0;
     TraceSummary summary_;
+    std::string key_;
     std::string name_;
     std::string workload_;
     std::vector<uint8_t> misp_;
@@ -117,26 +111,12 @@ class MappedTraceBundle
 };
 
 /**
- * Serialize `bundle` to `path` with atomic write-then-rename
- * publishing. Creates the store directory if needed. Transient I/O
- * failures are retried up to STORE_PUBLISH_ATTEMPTS times with
- * deterministic jittered backoff. Returns the bytes written, or 0 on
- * failure (warns, never aborts — the store is a cache, losing it costs
- * a rebuild). Fault sites: trace_store.{write,fsync,rename}; reads go
- * through trace_store.read in MappedTraceBundle::open.
+ * Publish `bundle` to `path` under traceKey(bundle.workload,
+ * bundle.opts) through traceStore().put(). Returns the bytes written,
+ * or 0 on failure (warns, never aborts — losing a publish costs a
+ * rebuild).
  */
 size_t saveTraceBundle(const std::string &path, const TraceBundle &bundle);
-
-/**
- * True once repeated publish failures (STORE_DEGRADE_STREAK
- * consecutive, each past its own retries) degraded the store to
- * cache-bypass mode: reads still serve, saveTraceBundle() returns 0
- * without touching the disk, and the run warned exactly once.
- */
-bool traceStoreBypassed();
-
-/** Clear the failure streak and bypass latch (tests). */
-void resetTraceStoreHealth();
 
 } // namespace noreba
 

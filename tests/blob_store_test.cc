@@ -1,0 +1,276 @@
+/**
+ * @file
+ * Failure paths of the shared BlobStore envelope, run over both of its
+ * instances (the trace store and the result store) through their
+ * public save/load functions. Every way a publish or read-back can
+ * fail must leave either no file or the complete new one — never a
+ * torn file or a leftover temp file — and corrupt, truncated or
+ * version-mismatched files must miss. Faults are injected at the sites
+ * each store declares, `<store>.{read,write,fsync,rename}`.
+ */
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/error.h"
+#include "common/fault.h"
+#include "sim/result_store.h"
+#include "sim/trace_store.h"
+#include "store_test_util.h"
+
+using namespace noreba;
+using namespace noreba::test;
+
+namespace {
+
+TraceOptions
+shortTrace()
+{
+    TraceOptions opts;
+    opts.maxDynInsts = 20000;
+    return opts;
+}
+
+/** One store, publishing and loading a fixed sample. */
+class StoreUnderTest
+{
+  public:
+    virtual ~StoreUnderTest() = default;
+    /** The variable naming the store directory. */
+    virtual const char *dirEnv() const = 0;
+    virtual BlobStore &store() = 0;
+    /** Where the sample lives (the store directory must be set). */
+    virtual std::string path() const = 0;
+    /** Publish the sample; the bytes written, or 0. */
+    virtual size_t save(const std::string &path) = 0;
+    /** Whether the file at @p path loads back as the sample. */
+    virtual bool load(const std::string &path) = 0;
+};
+
+class TraceStoreUnderTest : public StoreUnderTest
+{
+  public:
+    const char *dirEnv() const override { return "NOREBA_TRACE_DIR"; }
+    BlobStore &store() override { return traceStore(); }
+
+    std::string
+    path() const override
+    {
+        return traceBundlePath("CRC32", shortTrace());
+    }
+
+    size_t
+    save(const std::string &path) override
+    {
+        return saveTraceBundle(path, bundle_);
+    }
+
+    bool
+    load(const std::string &path) override
+    {
+        auto mapped = MappedTraceBundle::open(path);
+        return mapped && mapped->key() == traceKey("CRC32", shortTrace()) &&
+               mapped->view().size() == bundle_.view().size() &&
+               mapped->misp() == bundle_.misp;
+    }
+
+  private:
+    TraceBundle bundle_ = prepareTrace("CRC32", shortTrace());
+};
+
+class ResultStoreUnderTest : public StoreUnderTest
+{
+  public:
+    const char *dirEnv() const override { return "NOREBA_RESULT_DIR"; }
+    BlobStore &store() override { return resultStore(); }
+
+    std::string
+    path() const override
+    {
+        return resultPath("CRC32", cfg_, shortTrace());
+    }
+
+    size_t
+    save(const std::string &path) override
+    {
+        return saveResult(path, key_, stats_);
+    }
+
+    bool
+    load(const std::string &path) override
+    {
+        CoreStats loaded;
+        return loadResult(path, key_, loaded) && statsEqual(stats_, loaded);
+    }
+
+  private:
+    CoreConfig cfg_ = skylakeConfig();
+    std::string key_ = resultKey("CRC32", cfg_, shortTrace());
+    CoreStats stats_ = syntheticStats();
+};
+
+std::unique_ptr<StoreUnderTest>
+makeStore(const std::string &name)
+{
+    if (name == "trace_store")
+        return std::make_unique<TraceStoreUnderTest>();
+    return std::make_unique<ResultStoreUnderTest>();
+}
+
+/** Parameterized by the store's name, its fault-site prefix. */
+class StoreFaults : public ::testing::TestWithParam<std::string>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        sut_->store().resetHealth();
+        path_ = sut_->path();
+        ASSERT_FALSE(path_.empty());
+    }
+
+    /** The fault site `<store>.<step>`. */
+    std::string
+    site(const char *step) const
+    {
+        return GetParam() + "." + step;
+    }
+
+    /** Arm @p plan, expect the publish to fail without leaving any
+     *  file, then confirm a clean retry publishes a loadable one. */
+    void
+    expectFailedThenCleanPublish(const std::string &plan)
+    {
+        FaultGuard guard;
+        FaultRegistry::instance().arm(plan);
+        EXPECT_EQ(sut_->save(path_), 0u);
+        EXPECT_FALSE(fileExists(path_)) << "partial file published";
+        EXPECT_EQ(tmpFilesIn(dir_.path), 0) << "temp file left behind";
+
+        FaultRegistry::instance().disarm();
+        sut_->store().resetHealth();
+        EXPECT_GT(sut_->save(path_), 0u);
+        EXPECT_TRUE(sut_->load(path_));
+    }
+
+    std::unique_ptr<StoreUnderTest> sut_ = makeStore(GetParam());
+    TempDir dir_{sut_->dirEnv()};
+    std::string path_;
+};
+
+TEST_P(StoreFaults, ShortWriteLeavesNoPartialFile)
+{
+    // x3 defeats all three publish attempts.
+    expectFailedThenCleanPublish(site("write") + "=short-write@1x3");
+}
+
+TEST_P(StoreFaults, FailedFsyncLeavesNoPartialFile)
+{
+    expectFailedThenCleanPublish(site("fsync") + "=eio@1x3");
+}
+
+TEST_P(StoreFaults, FailedRenameLeavesNoPartialFile)
+{
+    expectFailedThenCleanPublish(site("rename") + "=eio@1x3");
+}
+
+TEST_P(StoreFaults, TransientWriteFaultIsRetriedToSuccess)
+{
+    FaultGuard guard;
+    // Only the first attempt's write fails; the bounded retry must
+    // publish a fully valid file on attempt two.
+    FaultRegistry::instance().arm(site("write") + "=eio@1");
+    EXPECT_GT(sut_->save(path_), 0u);
+    EXPECT_GE(FaultRegistry::instance().hitCount(site("write")), 2u);
+    EXPECT_EQ(tmpFilesIn(dir_.path), 0);
+    EXPECT_TRUE(sut_->load(path_));
+}
+
+TEST_P(StoreFaults, ReadBackEioIsACacheMissNotACrash)
+{
+    FaultGuard guard;
+    ASSERT_GT(sut_->save(path_), 0u);
+    FaultRegistry::instance().arm(site("read") + "=eio@1");
+    EXPECT_FALSE(sut_->load(path_));
+    // The fault was one-shot: the intact file serves the next load.
+    EXPECT_TRUE(sut_->load(path_));
+}
+
+TEST_P(StoreFaults, RepeatedPublishFailuresDegradeToBypass)
+{
+    FaultGuard guard;
+    FaultRegistry::instance().arm(site("write") + "=eio@1x*");
+    for (int i = 0; i < STORE_DEGRADE_STREAK; ++i)
+        EXPECT_EQ(sut_->save(path_), 0u);
+    EXPECT_TRUE(sut_->store().bypassed());
+
+    // Degraded: no disk activity even with the fault gone.
+    FaultRegistry::instance().disarm();
+    EXPECT_EQ(sut_->save(path_), 0u);
+    EXPECT_FALSE(fileExists(path_));
+
+    // Reset re-arms the store.
+    sut_->store().resetHealth();
+    EXPECT_GT(sut_->save(path_), 0u);
+    EXPECT_TRUE(sut_->load(path_));
+}
+
+TEST_P(StoreFaults, InjectedThrowAtStoreSitePropagatesAndCleansUp)
+{
+    FaultGuard guard;
+    FaultRegistry::instance().arm(site("fsync") + "=throw@1");
+    EXPECT_THROW(sut_->save(path_), InjectedFault);
+    EXPECT_FALSE(fileExists(path_));
+    EXPECT_EQ(tmpFilesIn(dir_.path), 0);
+}
+
+TEST_P(StoreFaults, RejectsTruncatedBitFlippedAndVersionMismatchedFiles)
+{
+    ASSERT_GT(sut_->save(path_), 0u);
+    const std::vector<uint8_t> good = readFile(path_);
+    ASSERT_TRUE(sut_->load(path_));
+
+    // Truncated: the trailing bytes are gone.
+    std::vector<uint8_t> bad(good.begin(), good.end() - 5);
+    writeFile(path_, bad);
+    EXPECT_FALSE(sut_->load(path_));
+
+    // Truncated below even the header.
+    bad.assign(good.begin(), good.begin() + 16);
+    writeFile(path_, bad);
+    EXPECT_FALSE(sut_->load(path_));
+
+    // A single flipped payload bit must fail the checksum.
+    bad = good;
+    bad[good.size() / 2] ^= 0x10;
+    writeFile(path_, bad);
+    EXPECT_FALSE(sut_->load(path_));
+
+    // A format-version bump (byte 8, right after the magic) must be
+    // rejected, not half-read with the old layout.
+    bad = good;
+    bad[8] ^= 0xff;
+    writeFile(path_, bad);
+    EXPECT_FALSE(sut_->load(path_));
+
+    // A missing file is a miss, not a crash.
+    EXPECT_FALSE(sut_->load(path_ + ".nope"));
+
+    // Pristine bytes restore a loadable file.
+    writeFile(path_, good);
+    EXPECT_TRUE(sut_->load(path_));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothStores, StoreFaults,
+    ::testing::Values(std::string("trace_store"),
+                      std::string("result_store")),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+} // namespace

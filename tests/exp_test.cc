@@ -9,10 +9,7 @@
  * unknown name.
  */
 
-#include <unistd.h>
-
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -22,17 +19,18 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
-#include "exp/checkpoint.h"
 #include "exp/driver.h"
 #include "exp/env.h"
 #include "exp/experiment.h"
 #include "experiments.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
+#include "store_test_util.h"
 #include "uarch/config.h"
 
 using namespace noreba;
 using namespace noreba::bench;
+using namespace noreba::test;
 
 namespace {
 
@@ -213,32 +211,7 @@ TEST(Env, JobCarriesTraceLenAndEventTraceKnobs)
     unsetenv("NOREBA_TRACE_LEN");
 }
 
-// Checkpoint journal + driver resilience (--keep-going/--checkpoint).
-
-/** mkdtemp'd scratch directory, removed recursively on scope exit. */
-struct TempDir
-{
-    TempDir()
-    {
-        char tmpl[] = "/tmp/noreba_exp_test_XXXXXX";
-        path = mkdtemp(tmpl);
-    }
-
-    ~TempDir()
-    {
-        std::string cmd = "rm -rf '" + path + "'";
-        if (std::system(cmd.c_str()) != 0)
-            std::fprintf(stderr, "cleanup of %s failed\n", path.c_str());
-    }
-
-    std::string path;
-};
-
-/** Disarm the fault registry on scope exit, pass or fail. */
-struct FaultGuard
-{
-    ~FaultGuard() { FaultRegistry::instance().disarm(); }
-};
+// Driver resilience (--keep-going).
 
 std::string
 slurp(const std::string &path)
@@ -249,140 +222,11 @@ slurp(const std::string &path)
     return out.str();
 }
 
-CoreStats
-checkpointStats(uint64_t seedValue)
-{
-    CoreStats s;
-    uint64_t v = seedValue;
-    for (const CoreStatsField &f : CORE_STATS_FIELDS)
-        if (f.counter)
-            s.*f.counter = v++;
-    s.branchStalls[0x400 + seedValue] = BranchStall{seedValue, 2, 3};
-    return s;
-}
-
-TEST(Checkpoint, RoundTripsResultsAndValidatesFingerprint)
-{
-    TempDir dir;
-    ExperimentSpec spec;
-    spec.name = "exp_test_ckpt";
-
-    ExperimentPlan plan;
-    plan.add("mcf", "InO-C", testJob("mcf", CommitMode::InOrder));
-    plan.add("mcf", "Noreba", testJob("mcf", CommitMode::Noreba));
-
-    std::vector<SweepResult> results(2);
-    for (size_t i = 0; i < results.size(); ++i) {
-        results[i].job = plan.planned()[i].job;
-        results[i].stats = checkpointStats(10 * (i + 1));
-    }
-    saveCheckpoint(dir.path, spec, plan.planned(), results);
-
-    std::vector<SweepResult> loaded;
-    ASSERT_TRUE(
-        loadCheckpoint(dir.path, spec, plan.planned(), loaded));
-    ASSERT_EQ(loaded.size(), 2u);
-    for (size_t i = 0; i < loaded.size(); ++i) {
-        EXPECT_TRUE(loaded[i].ok);
-        EXPECT_EQ(loaded[i].job.workload, "mcf");
-        for (const CoreStatsField &f : CORE_STATS_FIELDS) {
-            if (f.counter)
-                EXPECT_EQ(loaded[i].stats.*f.counter,
-                          results[i].stats.*f.counter)
-                    << f.name << " of result " << i;
-        }
-        ASSERT_EQ(loaded[i].stats.branchStalls.size(),
-                  results[i].stats.branchStalls.size());
-        for (const auto &[pc, stall] : results[i].stats.branchStalls) {
-            auto it = loaded[i].stats.branchStalls.find(pc);
-            ASSERT_NE(it, loaded[i].stats.branchStalls.end());
-            EXPECT_EQ(it->second.stallCycles, stall.stallCycles);
-            EXPECT_EQ(it->second.instances, stall.instances);
-            EXPECT_EQ(it->second.dependents, stall.dependents);
-        }
-    }
-
-    // A plan that would simulate anything different must miss.
-    ExperimentPlan grown;
-    grown.add("mcf", "InO-C", testJob("mcf", CommitMode::InOrder));
-    grown.add("mcf", "Noreba", testJob("mcf", CommitMode::Noreba));
-    grown.add("CRC32", "InO-C", testJob("CRC32", CommitMode::InOrder));
-    EXPECT_NE(planFingerprint(plan.planned()),
-              planFingerprint(grown.planned()));
-    std::vector<SweepResult> missed;
-    EXPECT_FALSE(
-        loadCheckpoint(dir.path, spec, grown.planned(), missed));
-}
-
-TEST(Checkpoint, NeverJournalsFailedOrEmptyRuns)
-{
-    TempDir dir;
-    ExperimentSpec spec;
-    spec.name = "exp_test_ckpt_failed";
-
-    ExperimentPlan plan;
-    plan.add("mcf", "InO-C", testJob("mcf", CommitMode::InOrder));
-    std::vector<SweepResult> results(1);
-    results[0].job = plan.planned()[0].job;
-    results[0].ok = false;
-    saveCheckpoint(dir.path, spec, plan.planned(), results);
-    std::vector<SweepResult> loaded;
-    EXPECT_FALSE(
-        loadCheckpoint(dir.path, spec, plan.planned(), loaded));
-
-    ExperimentPlan empty;
-    std::vector<SweepResult> none;
-    saveCheckpoint(dir.path, spec, empty.planned(), none);
-    EXPECT_FALSE(loadCheckpoint(dir.path, spec, empty.planned(), none));
-}
-
-TEST(Driver, ResumesFromCheckpointWithoutSimulating)
-{
-    setenv("NOREBA_TRACE_LEN", "20000", 1);
-    unsetenv("NOREBA_JSON_DIR");
-    unsetenv("NOREBA_EVENT_TRACE");
-    TempDir dir;
-    FaultGuard guard;
-
-    ExperimentSpec spec;
-    spec.name = "exp_test_resume";
-    spec.title = "Checkpoint resume";
-    spec.description = "one workload, two modes";
-    spec.plan = [](ExperimentPlan &plan) {
-        plan.add("CRC32", "InO-C", testJob("CRC32", CommitMode::InOrder));
-        plan.add("CRC32", "Noreba", testJob("CRC32", CommitMode::Noreba));
-    };
-    int reported = 0;
-    uint64_t firstRunCycles = 0;
-    spec.report = [&](const ExperimentResults &r) {
-        ++reported;
-        if (firstRunCycles == 0)
-            firstRunCycles = r.at("CRC32", "InO-C").cycles;
-        else
-            EXPECT_EQ(r.at("CRC32", "InO-C").cycles, firstRunCycles);
-    };
-
-    RunOptions opts;
-    opts.checkpointDir = dir.path;
-    EXPECT_EQ(runExperiment(spec, opts), 0u);
-    EXPECT_EQ(reported, 1);
-    EXPECT_FALSE(
-        slurp(checkpointPath(dir.path, spec.name)).empty());
-
-    // Any attempt to run a sweep job now would throw: the resumed run
-    // must serve every result from the journal without simulating.
-    FaultRegistry::instance().arm("sweep.job=throw@1x*");
-    EXPECT_EQ(runExperiment(spec, opts), 0u);
-    EXPECT_EQ(reported, 2);
-    unsetenv("NOREBA_TRACE_LEN");
-}
-
 TEST(Driver, KeepGoingRecordsFailuresAndSkipsReport)
 {
     setenv("NOREBA_TRACE_LEN", "20000", 1);
     unsetenv("NOREBA_EVENT_TRACE");
-    TempDir dir;
-    setenv("NOREBA_JSON_DIR", dir.path.c_str(), 1);
+    TempDir dir("NOREBA_JSON_DIR");
     FaultGuard guard;
 
     ExperimentSpec spec;
@@ -411,7 +255,6 @@ TEST(Driver, KeepGoingRecordsFailuresAndSkipsReport)
 
     // Without --keep-going the same failure propagates (exit-1 path).
     EXPECT_THROW(runExperiment(spec, RunOptions{}), std::exception);
-    unsetenv("NOREBA_JSON_DIR");
     unsetenv("NOREBA_TRACE_LEN");
 }
 

@@ -14,16 +14,12 @@
 
 #include "common/error.h"
 #include "common/fault.h"
+#include "store_test_util.h"
 
 using namespace noreba;
+using namespace noreba::test;
 
 namespace {
-
-/** Disarm the process-global registry on scope exit, pass or fail. */
-struct FaultGuard
-{
-    ~FaultGuard() { FaultRegistry::instance().disarm(); }
-};
 
 TEST(FaultRegistry, UnarmedSitesNeverFire)
 {

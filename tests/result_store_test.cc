@@ -5,31 +5,30 @@
  * store: per-field round-trips and fingerprint sensitivity, strict
  * deserialization, key coverage of every simulation-shaping knob,
  * save/load round-trips including branch-stall attribution, rejection
- * of truncated / bit-flipped / version-mismatched / wrong-key files,
- * and the in-process ResultCache + SweepRunner integration that the
- * warm `noreba-bench --run all` acceptance check rests on.
+ * of wrong-key files, and the in-process ResultCache + SweepRunner
+ * integration that the warm `noreba-bench --run all` acceptance check
+ * rests on. The envelope's corruption and fault paths are covered for
+ * both stores in blob_store_test.cc.
  */
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
-#include "common/fault.h"
 #include "sim/result_store.h"
 #include "sim/sweep.h"
+#include "sim/trace_store.h"
+#include "store_test_util.h"
 #include "uarch/config.h"
 #include "uarch/stats.h"
 
 using namespace noreba;
+using namespace noreba::test;
 
 namespace {
 
@@ -41,66 +40,6 @@ shortTrace()
     TraceOptions opts;
     opts.maxDynInsts = TEST_TRACE_LEN;
     return opts;
-}
-
-/**
- * A result-store directory under the build tree, exported as
- * NOREBA_RESULT_DIR for the test's duration.
- */
-struct TempResultDir
-{
-    std::string path;
-
-    TempResultDir()
-    {
-        char tmpl[] = "noreba_result_test_XXXXXX";
-        char *made = mkdtemp(tmpl);
-        EXPECT_NE(made, nullptr);
-        path = made ? made : "";
-        setenv("NOREBA_RESULT_DIR", path.c_str(), 1);
-    }
-
-    ~TempResultDir()
-    {
-        unsetenv("NOREBA_RESULT_DIR");
-        if (path.empty())
-            return;
-        if (DIR *d = opendir(path.c_str())) {
-            while (dirent *e = readdir(d)) {
-                std::string name = e->d_name;
-                if (name != "." && name != "..")
-                    unlink((path + "/" + name).c_str());
-            }
-            closedir(d);
-        }
-        rmdir(path.c_str());
-    }
-};
-
-std::vector<uint8_t>
-readFile(const std::string &path)
-{
-    std::vector<uint8_t> bytes;
-    FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    if (!f)
-        return bytes;
-    std::fseek(f, 0, SEEK_END);
-    bytes.resize(static_cast<size_t>(std::ftell(f)));
-    std::fseek(f, 0, SEEK_SET);
-    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-    std::fclose(f);
-    return bytes;
-}
-
-void
-writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
-{
-    FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-              bytes.size());
-    std::fclose(f);
 }
 
 /** Mutate one field through its table entry; returns a description. */
@@ -133,39 +72,6 @@ bool
 configsEqual(const CoreConfig &a, const CoreConfig &b)
 {
     return serializeConfig(a) == serializeConfig(b);
-}
-
-/** A synthetic CoreStats with every counter distinct and non-zero. */
-CoreStats
-syntheticStats()
-{
-    CoreStats stats;
-    uint64_t next = 1;
-    for (const CoreStatsField &f : CORE_STATS_FIELDS)
-        if (f.counter)
-            stats.*(f.counter) = next++ * 7919;
-    stats.branchStalls[0x400100] = BranchStall{123, 45, 6};
-    stats.branchStalls[0x400200] = BranchStall{7, 8, 9};
-    return stats;
-}
-
-bool
-statsEqual(const CoreStats &a, const CoreStats &b)
-{
-    for (const CoreStatsField &f : CORE_STATS_FIELDS)
-        if (f.counter && a.*(f.counter) != b.*(f.counter))
-            return false;
-    if (a.branchStalls.size() != b.branchStalls.size())
-        return false;
-    for (const auto &kv : a.branchStalls) {
-        auto it = b.branchStalls.find(kv.first);
-        if (it == b.branchStalls.end() ||
-            it->second.stallCycles != kv.second.stallCycles ||
-            it->second.instances != kv.second.instances ||
-            it->second.dependents != kv.second.dependents)
-            return false;
-    }
-    return true;
 }
 
 TEST(ConfigSerialization, RoundTripsEveryFactoryAndCommitMode)
@@ -309,20 +215,20 @@ TEST(ResultStore, KeyCoversEverySimulationShapingKnob)
     stripped.stripSetups = true;
     EXPECT_NE(resultKey("CRC32", cfg, stripped), base);
 
-    // The full canonical config serialization is embedded in the key,
-    // so every table field is covered by construction.
-    EXPECT_NE(base.find(serializeConfig(cfg)), std::string::npos);
+    // The key is the trace key plus the full canonical config
+    // serialization, so every table field is covered by construction.
+    EXPECT_EQ(base, traceKey("CRC32", opts) + serializeConfig(cfg));
 }
 
 TEST(ResultStore, PathIsEmptyWhenTheStoreIsDisabled)
 {
     unsetenv("NOREBA_RESULT_DIR");
-    EXPECT_TRUE(resultStoreDir().empty());
+    EXPECT_TRUE(resultStore().dir().empty());
     EXPECT_TRUE(
         resultPath("CRC32", skylakeConfig(), shortTrace()).empty());
 
-    TempResultDir dir;
-    EXPECT_EQ(resultStoreDir(), dir.path);
+    TempDir dir("NOREBA_RESULT_DIR");
+    EXPECT_EQ(resultStore().dir(), dir.path);
     EXPECT_FALSE(
         resultPath("CRC32", skylakeConfig(), shortTrace()).empty());
 }
@@ -351,7 +257,7 @@ TEST(ResultStore, EligibilityExcludesVerificationAndEventTraceRuns)
 
 TEST(ResultStore, RoundTripsEveryCounterAndBranchStalls)
 {
-    TempResultDir dir;
+    TempDir dir("NOREBA_RESULT_DIR");
     CoreConfig cfg = skylakeConfig();
     cfg.attributeStalls = true;
     const std::string key = resultKey("CRC32", cfg, shortTrace());
@@ -370,49 +276,6 @@ TEST(ResultStore, RoundTripsEveryCounterAndBranchStalls)
     CoreStats miss;
     EXPECT_FALSE(
         loadResult(path, resultKey("mcf", cfg, shortTrace()), miss));
-}
-
-TEST(ResultStore, RejectsTruncatedBitFlippedAndVersionMismatchedFiles)
-{
-    TempResultDir dir;
-    CoreConfig cfg = skylakeConfig();
-    const std::string key = resultKey("CRC32", cfg, shortTrace());
-    const std::string path = resultPath("CRC32", cfg, shortTrace());
-    ASSERT_GT(saveResult(path, key, syntheticStats()), 0u);
-
-    const std::vector<uint8_t> good = readFile(path);
-    CoreStats out;
-    ASSERT_TRUE(loadResult(path, key, out));
-
-    // Truncated: the trailing bytes are gone.
-    std::vector<uint8_t> bad(good.begin(), good.end() - 5);
-    writeFile(path, bad);
-    EXPECT_FALSE(loadResult(path, key, out));
-
-    // Truncated below even the header.
-    bad.assign(good.begin(), good.begin() + 16);
-    writeFile(path, bad);
-    EXPECT_FALSE(loadResult(path, key, out));
-
-    // A single flipped payload bit must fail the checksum.
-    bad = good;
-    bad[good.size() - 3] ^= 0x08;
-    writeFile(path, bad);
-    EXPECT_FALSE(loadResult(path, key, out));
-
-    // A format-version bump (byte 8, right after the magic) must be
-    // rejected, not half-read with the old layout.
-    bad = good;
-    bad[8] ^= 0xff;
-    writeFile(path, bad);
-    EXPECT_FALSE(loadResult(path, key, out));
-
-    // A missing file is a miss, not a crash.
-    EXPECT_FALSE(loadResult(path + ".nope", key, out));
-
-    // Pristine bytes restore a loadable result.
-    writeFile(path, good);
-    EXPECT_TRUE(loadResult(path, key, out));
 }
 
 TEST(ResultCache, DedupsInProcessAndCountsMemoryHits)
@@ -453,7 +316,7 @@ TEST(ResultCache, DedupsInProcessAndCountsMemoryHits)
 
 TEST(ResultCache, ServesDiskHitsAcrossCacheInstances)
 {
-    TempResultDir dir;
+    TempDir dir("NOREBA_RESULT_DIR");
     SweepJob job{"CRC32", skylakeConfig(), shortTrace()};
 
     int simulations = 0;
@@ -520,7 +383,7 @@ TEST(ResultCache, SimulationFailuresAreNotCached)
 
 TEST(SweepRunner, WarmRunReplaysBitIdenticalResultsWithoutSimulating)
 {
-    TempResultDir dir;
+    TempDir dir("NOREBA_RESULT_DIR");
     const CommitMode modes[] = {CommitMode::InOrder, CommitMode::Noreba,
                                 CommitMode::NonSpecOoO};
     std::vector<SweepJob> jobs;
@@ -561,138 +424,9 @@ TEST(SweepRunner, WarmRunReplaysBitIdenticalResultsWithoutSimulating)
     }
 }
 
-// Fault-injected failure paths, mirroring the trace-store suite: a
-// failed publish or read-back must be a clean cache miss, never a
-// torn file or a leftover temp file.
-
-/** Disarm + clear store degradation on scope exit, pass or fail. */
-struct FaultGuard
-{
-    ~FaultGuard()
-    {
-        FaultRegistry::instance().disarm();
-        resetResultStoreHealth();
-    }
-};
-
-int
-tmpFilesIn(const std::string &dir)
-{
-    int n = 0;
-    if (DIR *d = opendir(dir.c_str())) {
-        while (dirent *e = readdir(d)) {
-            if (std::string(e->d_name).find(".tmp.") != std::string::npos)
-                ++n;
-        }
-        closedir(d);
-    }
-    return n;
-}
-
-bool
-fileExists(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-class ResultStoreFaults : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        resetResultStoreHealth();
-        cfg_ = skylakeConfig();
-        key_ = resultKey("CRC32", cfg_, shortTrace());
-        path_ = resultPath("CRC32", cfg_, shortTrace());
-        ASSERT_FALSE(path_.empty());
-        stats_ = syntheticStats();
-    }
-
-    void
-    expectFailedThenCleanPublish(const std::string &plan)
-    {
-        FaultGuard guard;
-        FaultRegistry::instance().arm(plan);
-        EXPECT_EQ(saveResult(path_, key_, stats_), 0u);
-        EXPECT_FALSE(fileExists(path_)) << "partial file published";
-        EXPECT_EQ(tmpFilesIn(dir_.path), 0) << "temp file left behind";
-
-        FaultRegistry::instance().disarm();
-        resetResultStoreHealth();
-        EXPECT_GT(saveResult(path_, key_, stats_), 0u);
-        CoreStats loaded;
-        EXPECT_TRUE(loadResult(path_, key_, loaded));
-        EXPECT_TRUE(statsEqual(stats_, loaded));
-    }
-
-    TempResultDir dir_;
-    CoreConfig cfg_;
-    std::string key_;
-    std::string path_;
-    CoreStats stats_;
-};
-
-TEST_F(ResultStoreFaults, ShortWriteLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("result_store.write=short-write@1x3");
-}
-
-TEST_F(ResultStoreFaults, FailedFsyncLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("result_store.fsync=eio@1x3");
-}
-
-TEST_F(ResultStoreFaults, FailedRenameLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("result_store.rename=eio@1x3");
-}
-
-TEST_F(ResultStoreFaults, TransientWriteFaultIsRetriedToSuccess)
-{
-    FaultGuard guard;
-    FaultRegistry::instance().arm("result_store.write=eio@1");
-    EXPECT_GT(saveResult(path_, key_, stats_), 0u);
-    EXPECT_GE(FaultRegistry::instance().hitCount("result_store.write"),
-              2u);
-    EXPECT_EQ(tmpFilesIn(dir_.path), 0);
-    CoreStats loaded;
-    EXPECT_TRUE(loadResult(path_, key_, loaded));
-    EXPECT_TRUE(statsEqual(stats_, loaded));
-}
-
-TEST_F(ResultStoreFaults, ReadBackEioIsACacheMissNotACrash)
-{
-    FaultGuard guard;
-    ASSERT_GT(saveResult(path_, key_, stats_), 0u);
-    FaultRegistry::instance().arm("result_store.read=eio@1");
-    CoreStats loaded;
-    EXPECT_FALSE(loadResult(path_, key_, loaded));
-    // The fault was one-shot: the intact file serves the next load.
-    EXPECT_TRUE(loadResult(path_, key_, loaded));
-    EXPECT_TRUE(statsEqual(stats_, loaded));
-}
-
-TEST_F(ResultStoreFaults, RepeatedPublishFailuresDegradeToBypass)
-{
-    FaultGuard guard;
-    FaultRegistry::instance().arm("result_store.write=eio@1x*");
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(saveResult(path_, key_, stats_), 0u);
-    EXPECT_TRUE(resultStoreBypassed());
-
-    FaultRegistry::instance().disarm();
-    EXPECT_EQ(saveResult(path_, key_, stats_), 0u);
-    EXPECT_FALSE(fileExists(path_));
-
-    resetResultStoreHealth();
-    EXPECT_GT(saveResult(path_, key_, stats_), 0u);
-}
-
 TEST(SweepRunner, CustomBundleCacheAloneDisablesResultCaching)
 {
-    TempResultDir dir;
+    TempDir dir("NOREBA_RESULT_DIR");
     CoreConfig cfg = skylakeConfig();
     std::vector<SweepJob> jobs{SweepJob{"CRC32", cfg, shortTrace()}};
 

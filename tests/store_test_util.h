@@ -1,0 +1,170 @@
+/**
+ * @file
+ * Helpers shared by the test suites that touch the on-disk stores or
+ * arm faults: a temporary directory, whole-file reads and writes,
+ * temp-file counting, a guard that disarms the fault registry and
+ * re-arms both stores, and a synthetic CoreStats sample.
+ */
+
+#ifndef NOREBA_TESTS_STORE_TEST_UTIL_H
+#define NOREBA_TESTS_STORE_TEST_UTIL_H
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include <dirent.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
+#include "common/fault.h"
+#include "sim/result_store.h"
+#include "sim/trace_store.h"
+#include "uarch/stats.h"
+
+namespace noreba::test {
+
+/**
+ * A temporary directory under the working directory (tests must not
+ * litter /tmp), removed with its files on scope exit. When @p env is
+ * non-null, the directory is exported as that variable for the scope.
+ */
+class TempDir
+{
+  public:
+    explicit TempDir(const char *env = nullptr) : env_(env)
+    {
+        char tmpl[] = "noreba_test_XXXXXX";
+        const char *made = mkdtemp(tmpl);
+        EXPECT_NE(made, nullptr);
+        path = made ? made : "";
+        if (env_)
+            setenv(env_, path.c_str(), 1);
+    }
+
+    ~TempDir()
+    {
+        if (env_)
+            unsetenv(env_);
+        if (path.empty())
+            return;
+        if (DIR *d = opendir(path.c_str())) {
+            while (dirent *e = readdir(d)) {
+                const std::string name = e->d_name;
+                if (name != "." && name != "..")
+                    unlink((path + "/" + name).c_str());
+            }
+            closedir(d);
+        }
+        rmdir(path.c_str());
+    }
+
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+
+    std::string path;
+
+  private:
+    const char *env_;
+};
+
+/** Disarm the fault registry and re-arm both stores on scope exit. */
+struct FaultGuard
+{
+    ~FaultGuard()
+    {
+        FaultRegistry::instance().disarm();
+        traceStore().resetHealth();
+        resultStore().resetHealth();
+    }
+};
+
+inline std::vector<uint8_t>
+readFile(const std::string &path)
+{
+    std::vector<uint8_t> bytes;
+    FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    if (!f)
+        return bytes;
+    std::fseek(f, 0, SEEK_END);
+    bytes.resize(static_cast<size_t>(std::ftell(f)));
+    std::fseek(f, 0, SEEK_SET);
+    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    return bytes;
+}
+
+inline void
+writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
+{
+    FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+              bytes.size());
+    std::fclose(f);
+}
+
+/** Publish temp files (`*.tmp.*`) left in @p dir. */
+inline int
+tmpFilesIn(const std::string &dir)
+{
+    int n = 0;
+    if (DIR *d = opendir(dir.c_str())) {
+        while (dirent *e = readdir(d))
+            if (std::strstr(e->d_name, ".tmp."))
+                ++n;
+        closedir(d);
+    }
+    return n;
+}
+
+inline bool
+fileExists(const std::string &path)
+{
+    struct stat st;
+    return ::stat(path.c_str(), &st) == 0;
+}
+
+/** A CoreStats with every counter distinct and non-zero, and stalls. */
+inline CoreStats
+syntheticStats()
+{
+    CoreStats stats;
+    uint64_t next = 1;
+    for (const CoreStatsField &f : CORE_STATS_FIELDS)
+        if (f.counter)
+            stats.*(f.counter) = next++ * 7919;
+    stats.branchStalls[0x400100] = BranchStall{123, 45, 6};
+    stats.branchStalls[0x400200] = BranchStall{7, 8, 9};
+    return stats;
+}
+
+/** Every counter and every branch-stall entry equal. */
+inline bool
+statsEqual(const CoreStats &a, const CoreStats &b)
+{
+    for (const CoreStatsField &f : CORE_STATS_FIELDS)
+        if (f.counter && a.*(f.counter) != b.*(f.counter))
+            return false;
+    if (a.branchStalls.size() != b.branchStalls.size())
+        return false;
+    for (const auto &kv : a.branchStalls) {
+        auto it = b.branchStalls.find(kv.first);
+        if (it == b.branchStalls.end() ||
+            it->second.stallCycles != kv.second.stallCycles ||
+            it->second.instances != kv.second.instances ||
+            it->second.dependents != kv.second.dependents)
+            return false;
+    }
+    return true;
+}
+
+} // namespace noreba::test
+
+#endif // NOREBA_TESTS_STORE_TEST_UTIL_H

@@ -18,9 +18,11 @@
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "sim/sweep.h"
+#include "store_test_util.h"
 #include "test_util.h"
 
 using namespace noreba;
+using namespace noreba::test;
 
 namespace {
 
@@ -364,12 +366,6 @@ TEST(NorebaCommit, MoreThanSixteenBrCqsSimulate)
 // Failure-isolation layer: in-flight build failures are observed by
 // every joiner, repeated failures quarantine the key, and the runner
 // retries / isolates per the FailurePolicy.
-
-/** Disarm any armed fault plan on scope exit, pass or fail. */
-struct FaultGuard
-{
-    ~FaultGuard() { FaultRegistry::instance().disarm(); }
-};
 
 TEST(BundleCache, EveryJoinerOfAFailingBuildObservesTheFailure)
 {

@@ -2,36 +2,31 @@
  * @file
  * Tests for the on-disk trace-bundle store and the two-tier bundle
  * cache: full serialize/deserialize round-trips, rejection of
- * truncated / bit-flipped / version-mismatched files, atomic publish
- * under concurrent same-key writers, mmap-vs-in-memory replay
- * bit-identity across every commit mode, LRU bounding of the memory
- * tier, and the fail-fast guards on TraceIdx overflow and zero-cycle
- * speedups. The TraceStoreFaults suite drives every publish/read
- * failure path through NOREBA_FAULTS-style injected faults and checks
- * that no partially-published file is ever observable.
+ * truncated / bit-flipped / version-mismatched bundle files by the
+ * mmap loader, atomic publish under concurrent same-key writers,
+ * mmap-vs-in-memory replay bit-identity across every commit mode, the
+ * stored-key check that refuses a bundle filed under another key, LRU
+ * bounding of the memory tier, and the fail-fast guards on TraceIdx
+ * overflow and zero-cycle speedups. The envelope's fault paths are
+ * covered for both stores in blob_store_test.cc.
  */
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
-
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/fault.h"
 #include "common/thread_pool.h"
 #include "sim/sweep.h"
 #include "sim/trace_store.h"
+#include "store_test_util.h"
 
 using namespace noreba;
+using namespace noreba::test;
 
 namespace {
 
@@ -66,66 +61,6 @@ statsFingerprint(const CoreStats &s)
             s.cqtOps,         s.citOps,          s.cqOps};
 }
 
-/**
- * A store directory under the build tree (tests must not litter /tmp),
- * exported as NOREBA_TRACE_DIR for the test's duration.
- */
-struct TempStoreDir
-{
-    std::string path;
-
-    TempStoreDir()
-    {
-        char tmpl[] = "noreba_store_test_XXXXXX";
-        char *made = mkdtemp(tmpl);
-        EXPECT_NE(made, nullptr);
-        path = made ? made : "";
-        setenv("NOREBA_TRACE_DIR", path.c_str(), 1);
-    }
-
-    ~TempStoreDir()
-    {
-        unsetenv("NOREBA_TRACE_DIR");
-        if (path.empty())
-            return;
-        if (DIR *d = opendir(path.c_str())) {
-            while (dirent *e = readdir(d)) {
-                std::string name = e->d_name;
-                if (name != "." && name != "..")
-                    unlink((path + "/" + name).c_str());
-            }
-            closedir(d);
-        }
-        rmdir(path.c_str());
-    }
-};
-
-std::vector<uint8_t>
-readFile(const std::string &path)
-{
-    std::vector<uint8_t> bytes;
-    FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    if (!f)
-        return bytes;
-    std::fseek(f, 0, SEEK_END);
-    bytes.resize(static_cast<size_t>(std::ftell(f)));
-    std::fseek(f, 0, SEEK_SET);
-    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-    std::fclose(f);
-    return bytes;
-}
-
-void
-writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
-{
-    FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-              bytes.size());
-    std::fclose(f);
-}
-
 bool
 recordsEqual(const TraceRecord &a, const TraceRecord &b)
 {
@@ -141,7 +76,7 @@ recordsEqual(const TraceRecord &a, const TraceRecord &b)
 
 TEST(TraceStore, RoundTripsEveryBundleField)
 {
-    TempStoreDir dir;
+    TempDir dir("NOREBA_TRACE_DIR");
     TraceBundle bundle = prepareTrace("CRC32", shortTrace());
     const std::string path = traceBundlePath("CRC32", shortTrace());
     ASSERT_FALSE(path.empty());
@@ -150,6 +85,7 @@ TEST(TraceStore, RoundTripsEveryBundleField)
     auto mapped = MappedTraceBundle::open(path);
     ASSERT_NE(mapped, nullptr);
     EXPECT_EQ(mapped->workload(), "CRC32");
+    EXPECT_EQ(mapped->key(), traceKey("CRC32", shortTrace()));
     EXPECT_EQ(mapped->archChecksum(), bundle.checksum);
 
     TraceView disk = mapped->view();
@@ -199,14 +135,14 @@ TEST(TraceStore, RoundTripsEveryBundleField)
 
 TEST(TraceStore, RejectsTruncatedBitFlippedAndVersionMismatchedFiles)
 {
-    TempStoreDir dir;
+    TempDir dir("NOREBA_TRACE_DIR");
     TraceBundle bundle = prepareTrace("CRC32", shortTrace());
     const std::string path = traceBundlePath("CRC32", shortTrace());
     ASSERT_GT(saveTraceBundle(path, bundle), 0u);
     const std::vector<uint8_t> good = readFile(path);
     ASSERT_NE(MappedTraceBundle::open(path), nullptr);
 
-    // Truncated: the trailing bytes are gone.
+    // Truncated: the trailing records are gone.
     std::vector<uint8_t> bad(good.begin(), good.end() - 7);
     writeFile(path, bad);
     EXPECT_EQ(MappedTraceBundle::open(path), nullptr);
@@ -229,14 +165,20 @@ TEST(TraceStore, RejectsTruncatedBitFlippedAndVersionMismatchedFiles)
     writeFile(path, bad);
     EXPECT_EQ(MappedTraceBundle::open(path), nullptr);
 
-    // Pristine bytes restore a loadable bundle.
+    // Pristine bytes restore a bundle that replays the same records.
     writeFile(path, good);
-    EXPECT_NE(MappedTraceBundle::open(path), nullptr);
+    auto mapped = MappedTraceBundle::open(path);
+    ASSERT_NE(mapped, nullptr);
+    TraceView disk = mapped->view();
+    TraceView mem = bundle.view();
+    ASSERT_EQ(disk.size(), mem.size());
+    for (size_t i = 0; i < mem.size(); ++i)
+        ASSERT_TRUE(recordsEqual(disk[i], mem[i])) << "record " << i;
 }
 
 TEST(TraceStore, ConcurrentSameKeyWritersPublishAtomically)
 {
-    TempStoreDir dir;
+    TempDir dir("NOREBA_TRACE_DIR");
     TraceBundle bundle = prepareTrace("CRC32", shortTrace());
     const std::string path = traceBundlePath("CRC32", shortTrace());
 
@@ -249,9 +191,7 @@ TEST(TraceStore, ConcurrentSameKeyWritersPublishAtomically)
         pool.submit([&] {
             if (saveTraceBundle(path, bundle) > 0)
                 ++published;
-            struct stat st;
-            if (::stat(path.c_str(), &st) == 0 &&
-                MappedTraceBundle::open(path) == nullptr)
+            if (fileExists(path) && MappedTraceBundle::open(path) == nullptr)
                 sawInvalid = true;
         });
     }
@@ -263,14 +203,7 @@ TEST(TraceStore, ConcurrentSameKeyWritersPublishAtomically)
     EXPECT_EQ(mapped->view().size(), bundle.view().size());
 
     // No temp files left behind by the racing writers.
-    int leftover = 0;
-    if (DIR *d = opendir(dir.path.c_str())) {
-        while (dirent *e = readdir(d))
-            if (std::strstr(e->d_name, ".tmp."))
-                ++leftover;
-        closedir(d);
-    }
-    EXPECT_EQ(leftover, 0);
+    EXPECT_EQ(tmpFilesIn(dir.path), 0);
 }
 
 TEST(TraceStore, MmapReplayBitIdenticalForEveryCommitMode)
@@ -294,7 +227,7 @@ TEST(TraceStore, MmapReplayBitIdenticalForEveryCommitMode)
     auto memResults = SweepRunner(2, &memCache).run(jobs);
     EXPECT_EQ(memCache.stats().diskHits, 0u);
 
-    TempStoreDir dir;
+    TempDir dir("NOREBA_TRACE_DIR");
 
     // Cold: builds and publishes the bundle.
     BundleCache coldCache;
@@ -327,7 +260,7 @@ TEST(TraceStore, MmapReplayBitIdenticalForEveryCommitMode)
 
 TEST(TraceStore, StrippedBundlesRoundTripThroughTheStore)
 {
-    TempStoreDir dir;
+    TempDir dir("NOREBA_TRACE_DIR");
     TraceOptions stripped = shortTrace();
     stripped.stripSetups = true;
 
@@ -343,6 +276,34 @@ TEST(TraceStore, StrippedBundlesRoundTripThroughTheStore)
     EXPECT_EQ(b.summary().setupInsts, 0u);
     for (size_t i = 0; i < a.size(); ++i)
         ASSERT_TRUE(recordsEqual(a[i], b[i])) << "record " << i;
+}
+
+TEST(BundleCache, RebuildsWhenTheStoredKeyDiffers)
+{
+    TempDir dir("NOREBA_TRACE_DIR");
+    const TraceOptions mine = shortTrace();
+    TraceOptions other = shortTrace();
+    other.params.seed += 1;
+    const std::string minePath = traceBundlePath("CRC32", mine);
+    const std::string otherPath = traceBundlePath("CRC32", other);
+    ASSERT_NE(minePath, otherPath);
+    ASSERT_GT(saveTraceBundle(minePath, prepareTrace("CRC32", mine)), 0u);
+
+    // A valid bundle filed under another key's name (a hash collision,
+    // a copied file) must be rebuilt, not replayed as that key's trace.
+    writeFile(otherPath, readFile(minePath));
+    BundleCache cache;
+    auto bundle = cache.get("CRC32", other);
+    EXPECT_EQ(cache.stats().builds, 1u);
+    EXPECT_EQ(cache.stats().diskHits, 0u);
+    EXPECT_EQ(bundle->opts.params.seed, other.params.seed);
+
+    // The rebuild republished the slot under its own key.
+    BundleCache warm;
+    warm.get("CRC32", other);
+    EXPECT_EQ(warm.stats().diskHits, 1u);
+    EXPECT_EQ(MappedTraceBundle::open(otherPath)->key(),
+              traceKey("CRC32", other));
 }
 
 TEST(BundleCache, LruTierEvictsButSharedOwnersKeepBundlesAlive)
@@ -399,140 +360,6 @@ TEST(TraceLimits, SpeedupPanicsOnZeroCycleRuns)
     candidate.cycles = 0;
     EXPECT_DEATH(speedup(baseline, candidate), "zero-cycle");
     EXPECT_DEATH(speedup(candidate, baseline), "zero-cycle");
-}
-
-// Fault-injected failure paths: every way a publish or read-back can
-// fail must leave the store with either the old state or the complete
-// new file — never a torn one — and clean up its temp files.
-
-/** Disarm + clear store degradation on scope exit, pass or fail. */
-struct FaultGuard
-{
-    ~FaultGuard()
-    {
-        FaultRegistry::instance().disarm();
-        resetTraceStoreHealth();
-    }
-};
-
-int
-tmpFilesIn(const std::string &dir)
-{
-    int n = 0;
-    if (DIR *d = opendir(dir.c_str())) {
-        while (dirent *e = readdir(d))
-            if (std::strstr(e->d_name, ".tmp."))
-                ++n;
-        closedir(d);
-    }
-    return n;
-}
-
-bool
-fileExists(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-class TraceStoreFaults : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        resetTraceStoreHealth();
-        bundle_ = prepareTrace("CRC32", shortTrace());
-        path_ = traceBundlePath("CRC32", shortTrace());
-        ASSERT_FALSE(path_.empty());
-    }
-
-    /** Arm @p plan, expect the publish to fail without leaving any
-     *  file, then confirm a clean retry publishes a valid bundle. */
-    void
-    expectFailedThenCleanPublish(const std::string &plan)
-    {
-        FaultGuard guard;
-        FaultRegistry::instance().arm(plan);
-        EXPECT_EQ(saveTraceBundle(path_, bundle_), 0u);
-        EXPECT_FALSE(fileExists(path_)) << "partial file published";
-        EXPECT_EQ(tmpFilesIn(dir_.path), 0) << "temp file left behind";
-
-        FaultRegistry::instance().disarm();
-        resetTraceStoreHealth();
-        EXPECT_GT(saveTraceBundle(path_, bundle_), 0u);
-        EXPECT_NE(MappedTraceBundle::open(path_), nullptr);
-    }
-
-    TempStoreDir dir_;
-    TraceBundle bundle_;
-    std::string path_;
-};
-
-TEST_F(TraceStoreFaults, ShortWriteLeavesNoPartialFile)
-{
-    // x3 defeats all three publish attempts.
-    expectFailedThenCleanPublish("trace_store.write=short-write@1x3");
-}
-
-TEST_F(TraceStoreFaults, FailedFsyncLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("trace_store.fsync=eio@1x3");
-}
-
-TEST_F(TraceStoreFaults, FailedRenameLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("trace_store.rename=eio@1x3");
-}
-
-TEST_F(TraceStoreFaults, TransientWriteFaultIsRetriedToSuccess)
-{
-    FaultGuard guard;
-    // Only the first attempt's write fails; the bounded retry must
-    // publish a fully valid bundle on attempt two.
-    FaultRegistry::instance().arm("trace_store.write=eio@1");
-    EXPECT_GT(saveTraceBundle(path_, bundle_), 0u);
-    EXPECT_GE(FaultRegistry::instance().hitCount("trace_store.write"), 2u);
-    EXPECT_EQ(tmpFilesIn(dir_.path), 0);
-    EXPECT_NE(MappedTraceBundle::open(path_), nullptr);
-}
-
-TEST_F(TraceStoreFaults, ReadBackEioIsACacheMissNotACrash)
-{
-    FaultGuard guard;
-    ASSERT_GT(saveTraceBundle(path_, bundle_), 0u);
-    FaultRegistry::instance().arm("trace_store.read=eio@1");
-    EXPECT_EQ(MappedTraceBundle::open(path_), nullptr);
-    // The fault was one-shot: the intact file serves the next open.
-    EXPECT_NE(MappedTraceBundle::open(path_), nullptr);
-}
-
-TEST_F(TraceStoreFaults, RepeatedPublishFailuresDegradeToBypass)
-{
-    FaultGuard guard;
-    FaultRegistry::instance().arm("trace_store.write=eio@1x*");
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(saveTraceBundle(path_, bundle_), 0u);
-    EXPECT_TRUE(traceStoreBypassed());
-
-    // Degraded: no disk activity even with the fault gone.
-    FaultRegistry::instance().disarm();
-    EXPECT_EQ(saveTraceBundle(path_, bundle_), 0u);
-    EXPECT_FALSE(fileExists(path_));
-
-    // Reset re-arms the store.
-    resetTraceStoreHealth();
-    EXPECT_GT(saveTraceBundle(path_, bundle_), 0u);
-    EXPECT_NE(MappedTraceBundle::open(path_), nullptr);
-}
-
-TEST_F(TraceStoreFaults, InjectedThrowAtStoreSitePropagatesAndCleansUp)
-{
-    FaultGuard guard;
-    FaultRegistry::instance().arm("trace_store.fsync=throw@1");
-    EXPECT_THROW(saveTraceBundle(path_, bundle_), InjectedFault);
-    EXPECT_FALSE(fileExists(path_));
-    EXPECT_EQ(tmpFilesIn(dir_.path), 0);
 }
 
 } // namespace
