@@ -11,17 +11,17 @@
  *                 (malformed env knobs, bad CLI flags); exits.
  *   - SimError  — per-job / per-resource failures inside library code
  *                 that a batched caller may want to survive: a trace
- *                 build that dies, a quarantined key, an injected test
- *                 fault. These *throw* so SweepRunner can isolate the
- *                 failing job, retry it, and record the outcome
- *                 instead of the whole sweep dying with it. (Store I/O
- *                 failures do not throw: the stores are caches, and a
- *                 failed publish or read-back is a miss.)
+ *                 too long to index, an injected test fault. These
+ *                 *throw* so SweepRunner can isolate the failing job
+ *                 and record the outcome instead of the whole sweep
+ *                 dying with it. (Store I/O failures do not throw: the
+ *                 stores are caches, and a failed publish or read-back
+ *                 is a miss.)
  *
  * Every SimError carries a `site` — the failing component in the same
  * dotted naming scheme the fault-injection registry uses (e.g.
- * "trace_store.write", "bundle_cache.quarantine") — so failure records
- * in BENCH_*.json name where a job died, not just why.
+ * "trace_store.write", "bundle_cache.build") — so failure records in
+ * BENCH_*.json name where a job died, not just why.
  */
 
 #ifndef NOREBA_COMMON_ERROR_H
@@ -47,17 +47,6 @@ class SimError : public std::runtime_error
 
   private:
     std::string site_;
-};
-
-/**
- * A key refused service because repeated failures quarantined it: the
- * poisoned resource stops consuming retry budget while other keys
- * proceed (see BundleCache).
- */
-class QuarantineError : public SimError
-{
-  public:
-    using SimError::SimError;
 };
 
 /** A deterministic fault fired by the NOREBA_FAULTS plan. */

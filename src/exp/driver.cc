@@ -81,8 +81,7 @@ maybeWriteJson(const ExperimentSpec &spec,
             f.set("workload", r.job.workload)
                 .set("config", r.job.cfg.name)
                 .set("site", r.failure.site)
-                .set("what", r.failure.what)
-                .set("attempts", r.failure.attempts);
+                .set("what", r.failure.what);
             failures.push(std::move(f));
         }
         doc.set("failures", std::move(failures));

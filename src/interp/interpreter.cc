@@ -193,10 +193,15 @@ Interpreter::run(const InterpOptions &opts)
           case Opcode::REM: {
             int64_t a = intSrc(inst.rs1);
             int64_t b = inst.rs2 == REG_NONE ? inst.imm : intSrc(inst.rs2);
+            // Overflow wraps as RISC-V does: ADD/SUB/MUL compute in
+            // uint64_t, where it is defined, and convert back (modular
+            // since C++20); INT64_MIN / -1 yields INT64_MIN, remainder 0.
+            const uint64_t ua = static_cast<uint64_t>(a);
+            const uint64_t ub = static_cast<uint64_t>(b);
             int64_t r = 0;
             switch (inst.op) {
-              case Opcode::ADD: r = a + b; break;
-              case Opcode::SUB: r = a - b; break;
+              case Opcode::ADD: r = static_cast<int64_t>(ua + ub); break;
+              case Opcode::SUB: r = static_cast<int64_t>(ua - ub); break;
               case Opcode::AND: r = a & b; break;
               case Opcode::OR: r = a | b; break;
               case Opcode::XOR: r = a ^ b; break;
@@ -210,13 +215,19 @@ Interpreter::run(const InterpOptions &opts)
               case Opcode::SLTU:
                 r = static_cast<uint64_t>(a) < static_cast<uint64_t>(b);
                 break;
-              case Opcode::MUL: r = a * b; break;
+              case Opcode::MUL: r = static_cast<int64_t>(ua * ub); break;
               case Opcode::MULH:
                 r = static_cast<int64_t>(
                     (static_cast<__int128>(a) * b) >> 64);
                 break;
-              case Opcode::DIV: r = b == 0 ? -1 : a / b; break;
-              case Opcode::REM: r = b == 0 ? a : a % b; break;
+              case Opcode::DIV:
+                r = b == 0    ? -1
+                    : b == -1 ? static_cast<int64_t>(-ua)
+                              : a / b;
+                break;
+              case Opcode::REM:
+                r = b == 0 ? a : b == -1 ? 0 : a % b;
+                break;
               default: break;
             }
             writeInt(inst.rd, r);

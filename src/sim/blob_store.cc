@@ -61,8 +61,12 @@ hashVersions(const char *name, uint32_t format,
     return fnv1a(versions.begin(), versions.size() * sizeof(uint64_t), h);
 }
 
-} // namespace
-
+/**
+ * Sleep before retry @p attempt of the operation named @p what: linear
+ * backoff plus a deterministic jitter derived from the name and the
+ * attempt, so concurrent writers to a struggling disk de-synchronize
+ * without introducing nondeterminism into any simulated result.
+ */
 void
 storeBackoff(int attempt, const std::string &what)
 {
@@ -71,6 +75,8 @@ storeBackoff(int attempt, const std::string &what)
     std::this_thread::sleep_for(std::chrono::milliseconds(attempt) +
                                 std::chrono::microseconds(h % 1000));
 }
+
+} // namespace
 
 BlobStore::BlobStore(const char *name, const char *dirEnv, const char *ext,
                      uint32_t format,

@@ -56,14 +56,6 @@ constexpr int STORE_PUBLISH_ATTEMPTS = 3;
 /** Consecutive failed publishes before a store degrades to bypass. */
 constexpr int STORE_DEGRADE_STREAK = 3;
 
-/**
- * Sleep before retry @p attempt of the operation named @p what: linear
- * backoff plus a deterministic jitter derived from the name and the
- * attempt, so concurrent writers to a struggling disk de-synchronize
- * without introducing nondeterminism into any simulated result.
- */
-void storeBackoff(int attempt, const std::string &what);
-
 /** @p n rounded up to a multiple of 8 (section alignment). */
 inline size_t
 pad8(size_t n)

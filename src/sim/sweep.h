@@ -4,22 +4,30 @@
  * of (workload x config) simulations; they are mutually independent and
  * share nothing but the per-workload TraceBundle, which Core reads by
  * const reference. SweepRunner exploits that shape: it builds each
- * bundle exactly once in a shared, mutex-guarded cache, fans the jobs
- * out across a fixed-size thread pool (NOREBA_JOBS threads), and
- * returns the results in deterministic submission order — a parallel
- * sweep is bit-identical to the serial one, just faster.
+ * bundle exactly once in a shared cache, fans the jobs out across a
+ * fixed-size thread pool (NOREBA_JOBS threads), and returns the results
+ * in deterministic submission order — a parallel sweep is bit-identical
+ * to the serial one, just faster.
  *
- * Failure handling (DESIGN.md §14): a job that throws SimError is
- * retried with backoff, then either fails the sweep (Propagate, the
- * historical behaviour, made deterministic by rethrowing in submission
- * order) or is recorded on its own SweepResult while the rest of the
- * sweep completes (Isolate, the `noreba-bench --keep-going` path).
+ * Both in-process caches (BundleCache, ResultCache) sit on one
+ * OnceMemo: every job is a pure function of its key, so each key is
+ * produced once and its outcome — value or exception — is kept.
+ *
+ * Failure handling (DESIGN.md §14): a job that throws either fails the
+ * sweep (Propagate, rethrown in submission order so the outcome is
+ * deterministic) or is recorded on its own SweepResult while the rest
+ * of the sweep completes (Isolate, the `noreba-bench --keep-going`
+ * path). Failed jobs are not retried: nothing on the job path fails
+ * transiently, so a retry would fail the same way again.
  */
 
 #ifndef NOREBA_SIM_SWEEP_H
 #define NOREBA_SIM_SWEEP_H
 
+#include <chrono>
+#include <exception>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,8 +51,7 @@ struct SweepJob
 struct SweepFailure
 {
     std::string site; //!< error site, e.g. "result_cache.sim"
-    std::string what; //!< exception message of the last attempt
-    int attempts = 0; //!< attempts consumed (1 = failed without retry)
+    std::string what; //!< exception message
 };
 
 /** The job echoed back with its simulation outcome. */
@@ -56,7 +63,7 @@ struct SweepResult
     SweepFailure failure; //!< set when !ok (FailurePolicy::Isolate)
 };
 
-/** What SweepRunner::run does with a job that fails all its attempts. */
+/** What SweepRunner::run does with a job that throws. */
 enum class FailurePolicy
 {
     /**
@@ -73,6 +80,80 @@ enum class FailurePolicy
     Isolate,
 };
 
+/**
+ * A thread-safe once-per-key memo. The first caller of a key runs the
+ * producer; callers that arrive while it runs wait for it; the outcome
+ * is kept and served to every later caller — a value, or the exception
+ * the producer threw, rethrown. Entries are never dropped, so a key
+ * whose producer failed fails fast from then on.
+ */
+template <typename V>
+class OnceMemo
+{
+  public:
+    /** How the get() calls that did not produce were served. */
+    struct Counts
+    {
+        uint64_t resident = 0; //!< the outcome was already kept
+        uint64_t joined = 0;   //!< waited for another caller's producer
+    };
+
+    /**
+     * The outcome for @p key, running @p produce (a callable returning
+     * V) only if no caller has yet. The caller is counted *before* it
+     * produces or waits, so counts().joined is up to date while the
+     * producer still runs.
+     */
+    template <typename Produce>
+    V get(const std::string &key, Produce &&produce)
+    {
+        std::promise<V> promise;
+        std::shared_future<V> outcome;
+        bool producer = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            auto [it, inserted] = entries_.try_emplace(key);
+            producer = inserted;
+            if (producer)
+                it->second = promise.get_future().share();
+            else if (it->second.wait_for(std::chrono::seconds(0)) ==
+                     std::future_status::ready)
+                ++counts_.resident;
+            else
+                ++counts_.joined;
+            outcome = it->second;
+        }
+        // Produce outside the lock so unrelated keys run in parallel.
+        if (producer) {
+            try {
+                promise.set_value(produce());
+            } catch (...) {
+                promise.set_exception(std::current_exception());
+            }
+        }
+        return outcome.get();
+    }
+
+    /** Number of keys seen (resident, in flight or failed). */
+    size_t size() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return entries_.size();
+    }
+
+    /** Snapshot of how non-producing callers were served. */
+    Counts counts() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return counts_;
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::map<std::string, std::shared_future<V>> entries_;
+    Counts counts_;
+};
+
 /** Counters for the two-tier (memory over disk) bundle cache. */
 struct BundleCacheStats
 {
@@ -82,22 +163,17 @@ struct BundleCacheStats
     uint64_t builds = 0;       //!< cold: full prepareTrace() pipeline
     uint64_t bytesMapped = 0;  //!< total bytes of mmap'd bundle files
     uint64_t bytesWritten = 0; //!< bytes published to the disk store
-    uint64_t evictions = 0;    //!< in-memory LRU evictions
 };
 
 /**
- * Shared two-tier trace-bundle cache: an in-memory LRU tier over the
+ * Shared two-tier trace-bundle cache: an in-process OnceMemo over the
  * on-disk bundle store (sim/trace_store.h). Bundles are keyed by
  * everything that shapes the trace (workload, generation params,
  * length, annotation, setup stripping); each is materialized exactly
  * once per process even when many threads request it concurrently —
  * first by mmap'ing a valid store file when NOREBA_TRACE_DIR is set,
  * else by building it and publishing to the store for the next
- * process.
- *
- * get() hands out shared ownership: the bundle stays alive while any
- * caller holds the pointer, even after the LRU tier (bounded by
- * NOREBA_BUNDLE_CACHE_CAP resident bundles; 0 = unbounded) evicts it.
+ * process. Every bundle stays resident for the life of the cache.
  */
 class BundleCache
 {
@@ -111,78 +187,33 @@ class BundleCache
     using Builder =
         std::function<TraceBundle(const std::string &, const TraceOptions &)>;
 
-    explicit BundleCache(size_t capacity = capacityFromEnv(),
-                         Builder builder = {},
-                         int quarantineAfter = quarantineAfterFromEnv());
+    explicit BundleCache(Builder builder = {});
 
     /**
-     * Fetch (building at most once per key, even across threads). A
-     * build that throws evicts the never-materialized entry — later
-     * calls retry instead of hitting a poisoned pin — and the
-     * exception propagates to the caller(s) of the failed attempt.
-     *
-     * Keys whose builds failed `quarantineAfter` consecutive times are
-     * quarantined: get() throws QuarantineError immediately without
-     * consuming another build, so a workload that can never prepare
-     * (bad generator, corrupt input) fails each remaining job fast
-     * instead of re-running the whole pipeline per job. A successful
-     * build clears the key's streak.
+     * Fetch, materializing at most once per key even across threads. A
+     * build that throws is kept: this and every later get() of the key
+     * rethrows it, so a workload that cannot prepare fails each of its
+     * jobs fast instead of rebuilding per job.
      */
     std::shared_ptr<const TraceBundle> get(const std::string &workload,
                                            const TraceOptions &opts = {});
 
-    /** Number of bundles currently resident in the memory tier. */
-    size_t size() const;
+    /** Number of keys the cache has seen. */
+    size_t size() const { return memo_.size(); }
 
     /** Snapshot of the hit/miss/byte counters. */
     BundleCacheStats stats() const;
 
-    /**
-     * Memory-tier capacity from NOREBA_BUNDLE_CACHE_CAP: unset or
-     * empty means unbounded (0); anything that is not a non-negative
-     * integer is fatal().
-     */
-    static size_t capacityFromEnv();
-
-    /**
-     * Quarantine threshold from NOREBA_QUARANTINE_AFTER: consecutive
-     * build failures per key before get() stops retrying (default 2);
-     * 0 disables quarantine. Anything else non-numeric is fatal().
-     */
-    static int quarantineAfterFromEnv();
-
   private:
-    /** traceKey(): the workload and every TraceOptions field. */
-    using Key = std::string;
+    /** Map @p key from the store, else build (and publish) it. */
+    std::shared_ptr<const TraceBundle>
+    materialize(const std::string &workload, const TraceOptions &opts,
+                const std::string &key);
 
-    struct Entry
-    {
-        Key key;
-        std::once_flag once;
-        /** Written only under mutex_; non-null once materialized. */
-        std::shared_ptr<const TraceBundle> bundle;
-        /** Recency stamp, doubling as the key into lru_ (0 = absent). */
-        uint64_t lastUse = 0;
-    };
-
-    /** Refresh @p entry's recency stamp and its lru_ position. */
-    void touchLocked(Entry *entry);
-    /** Evict least-recent evictable entries down to capacity_. */
-    void evictLocked(const Entry *keep);
-    /** Drop a never-materialized entry after its build failed. */
-    void removeFailedLocked(const std::shared_ptr<Entry> &entry);
-
-    mutable std::mutex mutex_;
-    std::map<Key, std::shared_ptr<Entry>> entries_;
-    /** Recency index: lastUse -> entry; stamps are unique, so eviction
-     *  pops from begin() in O(log n) instead of scanning entries_. */
-    std::map<uint64_t, std::shared_ptr<Entry>> lru_;
-    /** Consecutive build failures per key (cleared on success). */
-    std::map<Key, int> failStreak_;
-    uint64_t useClock_ = 0;
-    size_t capacity_;
     Builder builder_;
-    int quarantineAfter_;
+    OnceMemo<std::shared_ptr<const TraceBundle>> memo_;
+    /** Guards stats_; memHits and sharedBuilds come from memo_. */
+    mutable std::mutex mutex_;
     BundleCacheStats stats_;
 };
 
@@ -201,9 +232,9 @@ struct SimCacheStats
 };
 
 /**
- * Shared simulation-result cache: an in-memory tier over the on-disk
- * result store (sim/result_store.h). Results are keyed by the full
- * content-addressed identity (workload, trace options, canonical
+ * Shared simulation-result cache: an in-process OnceMemo over the
+ * on-disk result store (sim/result_store.h). Results are keyed by the
+ * full content-addressed identity (workload, trace options, canonical
  * config); each distinct simulation runs exactly once per process even
  * when many threads — or many experiments in one driver run — request
  * it concurrently, and once per *machine* when NOREBA_RESULT_DIR is
@@ -223,9 +254,8 @@ class ResultCache
      * Fetch the result for @p job, calling @p sim at most once per key
      * even across threads. Disk is consulted (and published) only when
      * NOREBA_RESULT_DIR is set and resultStoreEligible(job.cfg); the
-     * in-memory dedup tier applies to every config. A @p sim that
-     * throws evicts the never-completed entry — later calls retry —
-     * and the exception propagates.
+     * in-memory tier applies to every config. A @p sim that throws is
+     * kept like a result: every get() of the key rethrows it.
      */
     CoreStats get(const SweepJob &job, const Simulate &sim);
 
@@ -236,28 +266,17 @@ class ResultCache
      */
     void recordExternalSim();
 
-    /** Number of results currently resident in the memory tier. */
-    size_t size() const;
+    /** Number of keys the cache has seen. */
+    size_t size() const { return memo_.size(); }
 
     /** Snapshot of the hit/miss/byte counters. */
     SimCacheStats stats() const;
 
   private:
-    struct Entry
-    {
-        std::once_flag once;
-        /** Written only under mutex_; valid once done. */
-        CoreStats stats;
-        bool done = false;
-    };
-
-    /** Drop a never-completed entry after its simulation failed. */
-    void removeFailedLocked(const std::string &key,
-                            const std::shared_ptr<Entry> &entry);
-
-    mutable std::mutex mutex_;
     /** Keyed by resultKey() — the content-addressed identity. */
-    std::map<std::string, std::shared_ptr<Entry>> entries_;
+    OnceMemo<CoreStats> memo_;
+    /** Guards stats_; memHits and sharedSims come from memo_. */
+    mutable std::mutex mutex_;
     SimCacheStats stats_;
 };
 
@@ -289,13 +308,10 @@ class SweepRunner
      * result is always at index i regardless of which thread ran it or
      * when it finished.
      *
-     * Each job gets 1 + NOREBA_SWEEP_RETRIES attempts (default: one
-     * retry), with deterministic jittered backoff between attempts;
-     * QuarantineError is never retried (it would throw again
-     * immediately). A job that exhausts its attempts is handled per
-     * @p policy: Propagate (the default) rethrows the first failed
-     * job's exception in submission order; Isolate records the failure
-     * on that job's SweepResult and finishes the rest of the sweep.
+     * A job that throws is handled per @p policy: Propagate (the
+     * default) rethrows the first failed job's exception in submission
+     * order; Isolate records the failure on that job's SweepResult and
+     * finishes the rest of the sweep.
      */
     std::vector<SweepResult>
     run(const std::vector<SweepJob> &jobs,
@@ -321,13 +337,6 @@ class SweepRunner
      * fatal().
      */
     static unsigned jobsFromEnv();
-
-    /**
-     * Retry budget from NOREBA_SWEEP_RETRIES: extra attempts per job
-     * after the first (default 1); 0 disables retry. Anything else
-     * non-numeric is fatal().
-     */
-    static int retriesFromEnv();
 
   private:
     unsigned numThreads_;

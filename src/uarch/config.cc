@@ -1,8 +1,5 @@
 #include "uarch/config.h"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "common/hash.h"
 #include "common/logging.h"
 
@@ -21,21 +18,6 @@ commitModeName(CommitMode mode)
       case CommitMode::ValidationBuffer: return "ValidationBuffer";
       default: return "?";
     }
-}
-
-bool
-commitModeFromName(const std::string &name, CommitMode &out)
-{
-    for (CommitMode mode :
-         {CommitMode::InOrder, CommitMode::NonSpecOoO, CommitMode::Noreba,
-          CommitMode::IdealReconv, CommitMode::SpeculativeBR,
-          CommitMode::SpeculativeFull, CommitMode::ValidationBuffer}) {
-        if (name == commitModeName(mode)) {
-            out = mode;
-            return true;
-        }
-    }
-    return false;
 }
 
 /**
@@ -117,80 +99,6 @@ serializeConfig(const CoreConfig &cfg)
         out += '\n';
     }
     return out;
-}
-
-bool
-deserializeConfig(const std::string &text, CoreConfig &out)
-{
-    CoreConfig cfg;
-    std::vector<ConfigFieldRef> fields = configFieldRefs(cfg);
-    std::vector<bool> seen(fields.size(), false);
-
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            return false; // canonical form is newline-terminated
-        size_t eq = text.find('=', pos);
-        if (eq == std::string::npos || eq > eol)
-            return false;
-        const std::string key = text.substr(pos, eq - pos);
-        const std::string value = text.substr(eq + 1, eol - eq - 1);
-        pos = eol + 1;
-
-        size_t idx = fields.size();
-        for (size_t i = 0; i < fields.size(); ++i) {
-            if (key == fields[i].name) {
-                idx = i;
-                break;
-            }
-        }
-        if (idx == fields.size() || seen[idx])
-            return false;
-        seen[idx] = true;
-
-        ConfigFieldRef &f = fields[idx];
-        errno = 0;
-        char *end = nullptr;
-        switch (f.kind) {
-          case ConfigFieldRef::Kind::Str:
-            *f.str = value;
-            break;
-          case ConfigFieldRef::Kind::Int: {
-            long v = std::strtol(value.c_str(), &end, 10);
-            if (errno != 0 || end != value.c_str() + value.size() ||
-                value.empty())
-                return false;
-            *f.i = static_cast<int>(v);
-            break;
-          }
-          case ConfigFieldRef::Kind::Bool:
-            if (value == "1")
-                *f.b = true;
-            else if (value == "0")
-                *f.b = false;
-            else
-                return false;
-            break;
-          case ConfigFieldRef::Kind::U64: {
-            unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-            if (errno != 0 || end != value.c_str() + value.size() ||
-                value.empty())
-                return false;
-            *f.u = static_cast<size_t>(v);
-            break;
-          }
-          case ConfigFieldRef::Kind::Mode:
-            if (!commitModeFromName(value, *f.mode))
-                return false;
-            break;
-        }
-    }
-    for (bool s : seen)
-        if (!s)
-            return false;
-    out = cfg;
-    return true;
 }
 
 uint64_t

@@ -215,7 +215,7 @@ struct CoreConfig
 
 /**
  * One CoreConfig field bound to a live struct, for generic
- * serialization, parsing, and per-field mutation in tests. Exactly the
+ * serialization and per-field mutation in tests. Exactly the
  * pointer matching `kind` is non-null.
  */
 struct ConfigFieldRef
@@ -240,18 +240,8 @@ std::vector<ConfigFieldRef> configFieldRefs(CoreConfig &cfg);
  */
 std::string serializeConfig(const CoreConfig &cfg);
 
-/**
- * Parse a canonical serialization. Strict: every field must appear
- * exactly once, in any order, with nothing unknown; returns false
- * (leaving @p out unspecified) otherwise.
- */
-bool deserializeConfig(const std::string &text, CoreConfig &out);
-
 /** FNV-1a fingerprint of serializeConfig(cfg). */
 uint64_t configFingerprint(const CoreConfig &cfg);
-
-/** Reverse of commitModeName(); false on an unknown name. */
-bool commitModeFromName(const std::string &name, CommitMode &out);
 
 /** Skylake-like core (Table 3: ROB 224, IQ 68, LQ/SQ 72/56, RF 168). */
 CoreConfig skylakeConfig();

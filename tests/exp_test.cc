@@ -291,4 +291,28 @@ TEST(Registrants, AllFifteenPaperExperimentsRegisterUniquely)
     }
 }
 
+TEST(Registrants, Fig11ReportRunsOnOneWorkload)
+{
+    // The report re-fetches each bundle's trace summary after the
+    // sweep; running it end to end lets the sanitizer builds check
+    // that lookup as well as the sweep.
+    setenv("NOREBA_TRACE_LEN", "20000", 1);
+    setenv("NOREBA_WORKLOADS", "CRC32", 1);
+    unsetenv("NOREBA_JSON_DIR");
+    unsetenv("NOREBA_EVENT_TRACE");
+    // Registrants.* may have registered every experiment already.
+    if (!findExperiment("fig11_setup_overhead"))
+        registerAllExperiments();
+    const ExperimentSpec *spec = findExperiment("fig11_setup_overhead");
+    ASSERT_NE(spec, nullptr);
+    testing::internal::CaptureStdout();
+    runExperiment(*spec);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("CRC32"), std::string::npos) << out;
+    EXPECT_NE(out.find("geomean performance overhead"), std::string::npos)
+        << out;
+    unsetenv("NOREBA_WORKLOADS");
+    unsetenv("NOREBA_TRACE_LEN");
+}
+
 } // namespace

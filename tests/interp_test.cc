@@ -5,6 +5,8 @@
  * Table 1.
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "interp/interpreter.h"
@@ -67,6 +69,28 @@ TEST(Interp, DivideByZeroFollowsRiscv)
     });
     EXPECT_EQ(i.intReg(T2), -1); // RISC-V: div by zero -> -1
     EXPECT_EQ(i.intReg(T3), 42); // rem by zero -> dividend
+}
+
+TEST(Interp, IntegerOverflowWrapsLikeRiscv)
+{
+    auto i = runStraight([](IRBuilder &b) {
+        b.li(T0, INT64_MAX)
+            .li(T1, INT64_MIN)
+            .li(T2, 1)
+            .li(S2, -1)
+            .add(T3, T0, T2)
+            .sub(T4, T1, T2)
+            .addi(T5, T0, 1)
+            .mul(T6, T0, T0)
+            .div(S3, T1, S2)
+            .rem(S4, T1, S2);
+    });
+    EXPECT_EQ(i.intReg(T3), INT64_MIN); // INT64_MAX + 1
+    EXPECT_EQ(i.intReg(T4), INT64_MAX); // INT64_MIN - 1
+    EXPECT_EQ(i.intReg(T5), INT64_MIN); // addi wraps too
+    EXPECT_EQ(i.intReg(T6), 1);         // (2^63 - 1)^2 mod 2^64
+    EXPECT_EQ(i.intReg(S3), INT64_MIN); // RISC-V: overflowing div
+    EXPECT_EQ(i.intReg(S4), 0);         // ... and its remainder
 }
 
 TEST(Interp, X0IsHardwiredZero)

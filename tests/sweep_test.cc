@@ -52,17 +52,6 @@ statsFingerprint(const CoreStats &s)
     return out;
 }
 
-/** Builder producing cheap synthetic bundles (never simulated). */
-BundleCache::Builder
-syntheticBuilder()
-{
-    return [](const std::string &workload, const TraceOptions &) {
-        TraceBundle b;
-        b.workload = workload;
-        return b;
-    };
-}
-
 TEST(ThreadPool, RunsEverySubmittedTask)
 {
     ThreadPool pool(4);
@@ -113,7 +102,7 @@ TEST(ThreadPool, WaitRethrowsFirstTaskException)
 TEST(BundleCache, FailedBuildEvictsEntryAndPropagates)
 {
     std::atomic<int> calls{0};
-    BundleCache cache(0, [&](const std::string &w, const TraceOptions &) {
+    BundleCache cache([&](const std::string &w, const TraceOptions &) {
         if (calls++ == 0)
             throw std::runtime_error("injected build failure");
         TraceBundle b;
@@ -121,16 +110,23 @@ TEST(BundleCache, FailedBuildEvictsEntryAndPropagates)
         return b;
     });
     EXPECT_THROW(cache.get("synthetic", {}), std::runtime_error);
-    // The never-materialized entry must not stay pinned in the cache.
-    EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.stats().builds, 0u);
 
-    // A retry on the same key builds fresh instead of hitting a
-    // poisoned entry.
-    auto bundle = cache.get("synthetic", {});
+    // The failure is kept: a second get() rethrows it without
+    // building again.
+    try {
+        cache.get("synthetic", {});
+        FAIL() << "expected the stored build failure";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "injected build failure");
+    }
+    EXPECT_EQ(calls.load(), 1);
+
+    // Other keys are unaffected by a failed neighbour.
+    auto bundle = cache.get("other", {});
     ASSERT_NE(bundle, nullptr);
-    EXPECT_EQ(bundle->workload, "synthetic");
-    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(bundle->workload, "other");
+    EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.stats().builds, 1u);
     EXPECT_EQ(calls.load(), 2);
 }
@@ -138,7 +134,7 @@ TEST(BundleCache, FailedBuildEvictsEntryAndPropagates)
 TEST(BundleCache, ConcurrentWaitersCountAsSharedBuildsNotHits)
 {
     std::atomic<bool> release{false};
-    BundleCache cache(0, [&](const std::string &w, const TraceOptions &) {
+    BundleCache cache([&](const std::string &w, const TraceOptions &) {
         while (!release.load())
             std::this_thread::yield();
         TraceBundle b;
@@ -167,28 +163,6 @@ TEST(BundleCache, ConcurrentWaitersCountAsSharedBuildsNotHits)
     cache.get("shared", {});
     EXPECT_EQ(cache.stats().memHits, 1u);
     EXPECT_EQ(cache.stats().sharedBuilds, N - 1);
-}
-
-TEST(BundleCache, CapacityEvictsLeastRecentlyUsed)
-{
-    BundleCache cache(2, syntheticBuilder());
-    cache.get("a", {});
-    cache.get("b", {});
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-
-    cache.get("a", {}); // refresh: b becomes least recent
-    cache.get("c", {}); // evicts b
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-
-    cache.get("b", {}); // rebuild b, evicting a (oldest after refresh)
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 2u);
-    cache.get("c", {}); // c survived both evictions
-    BundleCacheStats s = cache.stats();
-    EXPECT_EQ(s.builds, 4u);
-    EXPECT_EQ(s.memHits, 2u);
 }
 
 TEST(Json, ScalarsAndEscaping)
@@ -363,33 +337,24 @@ TEST(NorebaCommit, MoreThanSixteenBrCqsSimulate)
     EXPECT_GT(wide.cycles, 0u);
 }
 
-// Failure-isolation layer: in-flight build failures are observed by
-// every joiner, repeated failures quarantine the key, and the runner
-// retries / isolates per the FailurePolicy.
+// Failure-isolation layer: a failed build is kept and observed by
+// every joiner, and the runner isolates or propagates per the
+// FailurePolicy.
 
 TEST(BundleCache, EveryJoinerOfAFailingBuildObservesTheFailure)
 {
     std::atomic<int> entered{0};
-    std::atomic<bool> failing{true};
     std::atomic<int> builds{0};
     constexpr int N = 6;
-    // quarantineAfter = 0: this test exercises pure joiner semantics,
-    // not the quarantine threshold.
     BundleCache cache(
-        0,
-        [&](const std::string &w, const TraceOptions &) {
+        [&](const std::string &, const TraceOptions &) -> TraceBundle {
             ++builds;
-            // Hold the first build until every thread is in flight, so
-            // all N callers genuinely join one failing entry.
+            // Hold the build until every thread is in flight, so all N
+            // callers genuinely join one failing entry.
             while (entered.load() < N)
                 std::this_thread::yield();
-            if (failing.load())
-                throw std::runtime_error("injected build failure");
-            TraceBundle b;
-            b.workload = w;
-            return b;
-        },
-        /*quarantineAfter=*/0);
+            throw std::runtime_error("injected build failure");
+        });
 
     std::atomic<int> sawFailure{0};
     std::vector<std::thread> threads;
@@ -406,101 +371,18 @@ TEST(BundleCache, EveryJoinerOfAFailingBuildObservesTheFailure)
     for (auto &t : threads)
         t.join();
 
-    // call_once re-runs the callable for each waiter when it throws:
-    // nobody silently gets a null bundle.
+    // Nobody silently gets a null bundle, and the one failed build is
+    // shared rather than re-run per joiner.
     EXPECT_EQ(sawFailure.load(), N);
-    EXPECT_EQ(cache.size(), 0u);
-
-    // The failure was not sticky: the next get() retries and succeeds.
-    failing = false;
-    auto bundle = cache.get("shared", {});
-    ASSERT_NE(bundle, nullptr);
-    EXPECT_EQ(bundle->workload, "shared");
-    EXPECT_EQ(builds.load(), N + 1);
-}
-
-TEST(BundleCache, RepeatedBuildFailuresQuarantineTheKey)
-{
-    std::atomic<int> calls{0};
-    BundleCache cache(
-        0,
-        [&](const std::string &, const TraceOptions &) -> TraceBundle {
-            ++calls;
-            throw std::runtime_error("injected build failure");
-        },
-        /*quarantineAfter=*/2);
-
-    EXPECT_THROW(cache.get("flaky", {}), std::runtime_error);
-    EXPECT_THROW(cache.get("flaky", {}), std::runtime_error);
-    EXPECT_EQ(calls.load(), 2);
-
-    // The third get is refused without invoking the builder.
-    try {
-        cache.get("flaky", {});
-        FAIL() << "expected QuarantineError";
-    } catch (const QuarantineError &e) {
-        EXPECT_EQ(e.site(), std::string("bundle_cache.quarantine"));
-        EXPECT_NE(std::string(e.what()).find("flaky"), std::string::npos);
-    }
-    EXPECT_EQ(calls.load(), 2);
-
-    // Other keys are unaffected by a quarantined neighbour.
-    EXPECT_THROW(cache.get("other", {}), std::runtime_error);
-    EXPECT_EQ(calls.load(), 3);
-}
-
-TEST(BundleCache, BuildSuccessClearsTheQuarantineStreak)
-{
-    std::atomic<bool> failing{true};
-    // Capacity 1 so fetching another key evicts "flaky", forcing a
-    // real rebuild (and another shot at the streak) later.
-    BundleCache cache(
-        1,
-        [&](const std::string &w, const TraceOptions &) {
-            if (failing.load())
-                throw std::runtime_error("injected build failure");
-            TraceBundle b;
-            b.workload = w;
-            return b;
-        },
-        /*quarantineAfter=*/2);
-
-    EXPECT_THROW(cache.get("flaky", {}), std::runtime_error);
-    failing = false;
-    EXPECT_NE(cache.get("flaky", {}), nullptr);
-
-    cache.get("other", {}); // evicts "flaky"
-    failing = true;
-    EXPECT_THROW(cache.get("flaky", {}), std::runtime_error);
-
-    // Without the reset-on-success this second single failure would
-    // have been streak #2 and the next get() would throw
-    // QuarantineError instead of building.
-    failing = false;
-    EXPECT_NE(cache.get("flaky", {}), nullptr);
-}
-
-TEST(SweepRunner, TransientJobFaultIsRetriedToSuccess)
-{
-    FaultGuard guard;
-    FaultRegistry::instance().arm("sweep.job=throw@1");
-    CoreConfig cfg = skylakeConfig();
-    cfg.commitMode = CommitMode::InOrder;
-    BundleCache cache;
-    auto results = SweepRunner(1, &cache).run(
-        {SweepJob{"CRC32", cfg, shortTrace()}});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].ok);
-    EXPECT_GT(results[0].stats.cycles, 0u);
-    EXPECT_EQ(FaultRegistry::instance().hitCount("sweep.job"), 2u);
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(cache.stats().builds, 0u);
 }
 
 TEST(SweepRunner, IsolatePolicyRecordsFailureAndRunsRemainingJobs)
 {
     FaultGuard guard;
-    // Serial runner, default one retry: hits are j0a1, j1a1, j1a2,
-    // j2a1 — so @2x2 defeats exactly job 1's both attempts.
-    FaultRegistry::instance().arm("sweep.job=throw@2x2");
+    // Serial runner: the second hit is job 1.
+    FaultRegistry::instance().arm("sweep.job=throw@2");
     CoreConfig cfg = skylakeConfig();
     cfg.commitMode = CommitMode::InOrder;
     std::vector<SweepJob> jobs(3, SweepJob{"CRC32", cfg, shortTrace()});
@@ -512,7 +394,6 @@ TEST(SweepRunner, IsolatePolicyRecordsFailureAndRunsRemainingJobs)
     EXPECT_FALSE(results[1].ok);
     EXPECT_TRUE(results[2].ok);
     EXPECT_EQ(results[1].failure.site, "sweep.job");
-    EXPECT_EQ(results[1].failure.attempts, 2);
     EXPECT_NE(results[1].failure.what.find("injected"),
               std::string::npos);
     EXPECT_GT(results[2].stats.cycles, 0u);
@@ -526,30 +407,13 @@ TEST(SweepRunner, IsolatePolicyRecordsFailureAndRunsRemainingJobs)
 TEST(SweepRunner, PropagatePolicyRethrowsAfterRetriesExhausted)
 {
     FaultGuard guard;
-    FaultRegistry::instance().arm("sweep.job=throw@1x*");
+    FaultRegistry::instance().arm("sweep.job=throw@1");
     CoreConfig cfg = skylakeConfig();
     cfg.commitMode = CommitMode::InOrder;
     BundleCache cache;
     EXPECT_THROW(SweepRunner(1, &cache)
                      .run({SweepJob{"CRC32", cfg, shortTrace()}}),
                  InjectedFault);
-}
-
-TEST(SweepRunner, RetriesFromEnvControlsAttemptBudget)
-{
-    FaultGuard guard;
-    ASSERT_EQ(setenv("NOREBA_SWEEP_RETRIES", "0", 1), 0);
-    FaultRegistry::instance().arm("sweep.job=throw@1");
-    CoreConfig cfg = skylakeConfig();
-    cfg.commitMode = CommitMode::InOrder;
-    BundleCache cache;
-    // With zero retries the one-shot fault is fatal to the job.
-    auto results = SweepRunner(1, &cache).run(
-        {SweepJob{"CRC32", cfg, shortTrace()}}, FailurePolicy::Isolate);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_FALSE(results[0].ok);
-    EXPECT_EQ(results[0].failure.attempts, 1);
-    ASSERT_EQ(unsetenv("NOREBA_SWEEP_RETRIES"), 0);
 }
 
 TEST(StripSetupRecords, RemapsGuardIndices)

@@ -5,9 +5,8 @@
  * truncated / bit-flipped / version-mismatched bundle files by the
  * mmap loader, atomic publish under concurrent same-key writers,
  * mmap-vs-in-memory replay bit-identity across every commit mode, the
- * stored-key check that refuses a bundle filed under another key, LRU
- * bounding of the memory tier, and the fail-fast guards on TraceIdx
- * overflow and zero-cycle speedups. The envelope's fault paths are
+ * stored-key check that refuses a bundle filed under another key, and
+ * the fail-fast guards on TraceIdx overflow and zero-cycle speedups. The envelope's fault paths are
  * covered for both stores in blob_store_test.cc.
  */
 
@@ -304,34 +303,6 @@ TEST(BundleCache, RebuildsWhenTheStoredKeyDiffers)
     EXPECT_EQ(warm.stats().diskHits, 1u);
     EXPECT_EQ(MappedTraceBundle::open(otherPath)->key(),
               traceKey("CRC32", other));
-}
-
-TEST(BundleCache, LruTierEvictsButSharedOwnersKeepBundlesAlive)
-{
-    TraceOptions tiny;
-    tiny.maxDynInsts = 2000;
-    BundleCache cache(1);
-    auto first = cache.get("CRC32", tiny);
-    auto second = cache.get("mcf", tiny);
-    EXPECT_LE(cache.size(), 1u);
-    EXPECT_GE(cache.stats().evictions, 1u);
-    // The evicted bundle is still fully usable through its shared_ptr.
-    EXPECT_GT(first->view().size(), 0u);
-    EXPECT_GT(second->view().size(), 0u);
-
-    // Re-requesting the evicted key rebuilds rather than crashing.
-    auto again = cache.get("CRC32", tiny);
-    EXPECT_EQ(again->view().size(), first->view().size());
-}
-
-TEST(BundleCache, CapacityFromEnvRejectsGarbage)
-{
-    ASSERT_EQ(setenv("NOREBA_BUNDLE_CACHE_CAP", "many", 1), 0);
-    EXPECT_EXIT(BundleCache::capacityFromEnv(),
-                ::testing::ExitedWithCode(1), "not a non-negative");
-    ASSERT_EQ(setenv("NOREBA_BUNDLE_CACHE_CAP", "4", 1), 0);
-    EXPECT_EQ(BundleCache::capacityFromEnv(), 4u);
-    ASSERT_EQ(unsetenv("NOREBA_BUNDLE_CACHE_CAP"), 0);
 }
 
 // Satellite guards: overlong traces and zero-cycle speedups fail fast
