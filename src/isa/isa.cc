@@ -72,48 +72,6 @@ opcodeName(Opcode op)
 }
 
 bool
-isLoad(Opcode op)
-{
-    switch (op) {
-      case Opcode::LB: case Opcode::LH: case Opcode::LW: case Opcode::LD:
-      case Opcode::FLW: case Opcode::FLD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isStore(Opcode op)
-{
-    switch (op) {
-      case Opcode::SB: case Opcode::SH: case Opcode::SW: case Opcode::SD:
-      case Opcode::FSW: case Opcode::FSD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isCondBranch(Opcode op)
-{
-    switch (op) {
-      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
-      case Opcode::BGE: case Opcode::BLTU: case Opcode::BGEU:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isJump(Opcode op)
-{
-    return op == Opcode::JAL || op == Opcode::JALR;
-}
-
-bool
 isFloat(Opcode op)
 {
     switch (op) {
@@ -128,12 +86,6 @@ isFloat(Opcode op)
       default:
         return false;
     }
-}
-
-bool
-isSetup(Opcode op)
-{
-    return op == Opcode::SET_BRANCH_ID || op == Opcode::SET_DEPENDENCY;
 }
 
 bool

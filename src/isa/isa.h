@@ -71,15 +71,63 @@ struct Instruction
     std::string toString() const;
 };
 
-/** @name Opcode class queries @{ */
-bool isLoad(Opcode op);
-bool isStore(Opcode op);
+/** @name Opcode class queries
+ *  The core asks these several times per simulated instruction, so the
+ *  hot ones are inline. @{ */
+inline bool
+isLoad(Opcode op)
+{
+    switch (op) {
+      case Opcode::LB: case Opcode::LH: case Opcode::LW: case Opcode::LD:
+      case Opcode::FLW: case Opcode::FLD:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+isStore(Opcode op)
+{
+    switch (op) {
+      case Opcode::SB: case Opcode::SH: case Opcode::SW: case Opcode::SD:
+      case Opcode::FSW: case Opcode::FSD:
+        return true;
+      default:
+        return false;
+    }
+}
+
 inline bool isMem(Opcode op) { return isLoad(op) || isStore(op); }
-bool isCondBranch(Opcode op);
-bool isJump(Opcode op);
+
+inline bool
+isCondBranch(Opcode op)
+{
+    switch (op) {
+      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
+      case Opcode::BGE: case Opcode::BLTU: case Opcode::BGEU:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+isJump(Opcode op)
+{
+    return op == Opcode::JAL || op == Opcode::JALR;
+}
+
 inline bool isControl(Opcode op) { return isCondBranch(op) || isJump(op); }
 bool isFloat(Opcode op);
-bool isSetup(Opcode op);   //!< setBranchId / setDependency
+
+/** setBranchId / setDependency */
+inline bool
+isSetup(Opcode op)
+{
+    return op == Opcode::SET_BRANCH_ID || op == Opcode::SET_DEPENDENCY;
+}
+
 bool isCitOp(Opcode op);   //!< getCITEntry / setCITEntry
 
 /**

@@ -25,16 +25,71 @@
  */
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/ring.h"
 #include "uarch/commit/commit_policy.h"
 #include "uarch/pipeline_view.h"
 
 namespace noreba {
+
+namespace {
+
+/**
+ * Trace index -> int table as a sorted vector: the CQT and the CIT
+ * guard groups hold at most a few dozen live entries, so a binary
+ * search plus a short memmove beats a tree node allocation per insert.
+ */
+class FlatIdxMap
+{
+  public:
+    using Entry = std::pair<TraceIdx, int>;
+
+    size_t size() const { return v_.size(); }
+    std::vector<Entry>::iterator end() { return v_.end(); }
+
+    std::vector<Entry>::iterator
+    find(TraceIdx k)
+    {
+        auto it = lowerBound(k);
+        return it != v_.end() && it->first == k ? it : v_.end();
+    }
+
+    /** The value at @p k, value-initialised on first use. */
+    int &
+    operator[](TraceIdx k)
+    {
+        auto it = lowerBound(k);
+        if (it == v_.end() || it->first != k)
+            it = v_.insert(it, Entry{k, 0});
+        return it->second;
+    }
+
+    void erase(std::vector<Entry>::iterator it) { v_.erase(it); }
+
+    /** Drop every entry for which @p pred holds, keeping order. */
+    template <typename Pred>
+    void
+    eraseIf(Pred &&pred)
+    {
+        v_.erase(std::remove_if(v_.begin(), v_.end(), pred), v_.end());
+    }
+
+  private:
+    std::vector<Entry>::iterator
+    lowerBound(TraceIdx k)
+    {
+        return std::lower_bound(
+            v_.begin(), v_.end(), k,
+            [](const Entry &e, TraceIdx key) { return e.first < key; });
+    }
+
+    std::vector<Entry> v_;
+};
+
+} // namespace
 
 class NorebaCommit : public CommitPolicy
 {
@@ -76,7 +131,7 @@ class NorebaCommit : public CommitPolicy
     onSquash(PipelineView &view, TraceIdx after) override
     {
         (void)view;
-        auto purge = [after](std::deque<InFlight *> &q) {
+        auto purge = [after](Ring<InFlight *> &q) {
             while (!q.empty() && q.back()->idx > after)
                 q.pop_back();
         };
@@ -85,12 +140,9 @@ class NorebaCommit : public CommitPolicy
         for (auto &q : brCqs_)
             purge(q);
         // Live CQT entries of squashed branches disappear with them.
-        for (auto it = cqt_.begin(); it != cqt_.end();) {
-            if (it->first > after)
-                it = cqt_.erase(it);
-            else
-                ++it;
-        }
+        cqt_.eraseIf([after](const FlatIdxMap::Entry &e) {
+            return e.first > after;
+        });
     }
 
     const char *name() const override { return "Noreba"; }
@@ -128,7 +180,7 @@ class NorebaCommit : public CommitPolicy
         Cqt,
         CqFull,
     };
-    std::deque<InFlight *> &
+    Ring<InFlight *> &
     queueOf(int cq)
     {
         return cq < 0 ? prCq_ : brCqs_[static_cast<size_t>(cq)];
@@ -354,28 +406,22 @@ class NorebaCommit : public CommitPolicy
         // Guard branches that resolved correctly and committed free
         // their groups in commitFromQueues; groups whose guard vanished
         // in a squash are reclaimed here.
-        for (auto it = citByGuard_.begin(); it != citByGuard_.end();) {
-            TraceIdx g = it->first;
-            if (!view.isCommitted(g) && view.findInFlight(g) == nullptr) {
-                citLive_ -= it->second;
-                view.stats().citOps += static_cast<uint64_t>(it->second);
-                it = citByGuard_.erase(it);
-            } else if (view.isCommitted(g)) {
-                citLive_ -= it->second;
-                view.stats().citOps += static_cast<uint64_t>(it->second);
-                it = citByGuard_.erase(it);
-            } else {
-                ++it;
-            }
-        }
+        citByGuard_.eraseIf([&](const FlatIdxMap::Entry &e) {
+            TraceIdx g = e.first;
+            if (!view.isCommitted(g) && view.findInFlight(g) != nullptr)
+                return false;
+            citLive_ -= e.second;
+            view.stats().citOps += static_cast<uint64_t>(e.second);
+            return true;
+        });
     }
 
     const SelectiveRobConfig srob_;
-    std::deque<InFlight *> robPrime_;
-    std::deque<InFlight *> prCq_;
-    std::vector<std::deque<InFlight *>> brCqs_;
-    std::map<TraceIdx, int> cqt_;      //!< live branch -> commit queue
-    std::map<TraceIdx, int> citByGuard_; //!< CIT entries per guard branch
+    Ring<InFlight *> robPrime_;
+    Ring<InFlight *> prCq_;
+    std::vector<Ring<InFlight *>> brCqs_;
+    FlatIdxMap cqt_;        //!< live branch -> commit queue
+    FlatIdxMap citByGuard_; //!< CIT entries per guard branch
     int citLive_ = 0;
     /** Per-cycle CIT-stall block flags, [0] = PR-CQ, [1+i] = BR-CQ i. */
     std::vector<char> blocked_;

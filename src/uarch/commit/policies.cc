@@ -205,16 +205,16 @@ class ValidationBufferCommit : public CommitPolicy
                 break;
             if (p->idx >= memBar)
                 break;
+            // The closing initiator (and everything older) resolved?
+            // `needed` never decreases along the frontier, so once it
+            // reaches the barrier no younger entry can retire either.
+            TraceIdx closer = nextBranch_[static_cast<size_t>(p->idx)];
+            TraceIdx needed = closer == TRACE_NONE ? p->idx : closer;
+            if (needed >= brBar)
+                break;
             if (view.commitEligibleBasic(p)) {
-                // The closing initiator (and everything older)
-                // resolved?
-                TraceIdx closer =
-                    nextBranch_[static_cast<size_t>(p->idx)];
-                TraceIdx needed = closer == TRACE_NONE ? p->idx : closer;
-                if (needed < brBar) {
-                    view.commit(p);
-                    --budget;
-                }
+                view.commit(p);
+                --budget;
             }
             p = next;
         }

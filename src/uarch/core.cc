@@ -39,6 +39,11 @@ memOverlap(const TraceRecord &a, const TraceRecord &b)
     return aLo < bHi && bLo < aHi;
 }
 
+/** A fresh pool slot. Copying it resets a recycled slot with plain
+ *  loads and stores; building a temporary in place each time costs a
+ *  block fill plus store-forwarding stalls on every fetch. */
+const InFlight BLANK_INFLIGHT{};
+
 /** SQ address-index granularity: one bucket per 64-byte chunk. */
 constexpr int SQ_CHUNK_SHIFT = 6;
 
@@ -90,13 +95,6 @@ Core::Core(const CoreConfig &cfg, TraceView trace,
     view_.windowUsed_ = &windowUsed_;
     view_.index_ = &index_;
     view_.core_ = this;
-    // All policies — oracles included — pay the front-end cost of
-    // re-fetching instructions that already committed out-of-order
-    // (they are dropped at decode). The paper's "no misspeculation
-    // penalty" for the speculative oracles refers to the architectural
-    // rollback, which a trace-driven model does not need; the pipeline
-    // flush and refetch are real in every design.
-    freeCommittedSkip_ = false;
 #ifndef NOREBA_NO_EVENT_TRACE
     if (cfg_.eventTrace) {
         ownedLog_ = std::make_unique<EventLog>(cfg_.eventTraceCapacity);
@@ -116,23 +114,19 @@ PipelineView::commit(InFlight *p)
 InFlight *
 Core::alloc()
 {
-    InFlight *p;
-    if (!freeList_.empty()) {
-        p = freeList_.back();
-        freeList_.pop_back();
-    } else {
-        storage_.emplace_back();
-        p = &storage_.back();
+    if (freeList_.empty()) {
+        storage_.push_back(std::make_unique<InFlight[]>(POOL_CHUNK));
+        InFlight *chunk = storage_.back().get();
+        for (size_t i = POOL_CHUNK; i-- > 0;)
+            freeList_.push_back(&chunk[i]);
     }
+    InFlight *p = freeList_.back();
+    freeList_.pop_back();
+    panic_if(p->waitHead >= 0, "recycling trace idx %d with parked waiters",
+             p->idx);
     uint64_t gen = p->gen;
-    // Keep the waiter vector's capacity across recycles: the slot is
-    // reset field-by-value, but re-heating the allocation every time
-    // would put malloc on the dispatch path.
-    std::vector<InFlight::Waiter> waiters = std::move(p->waiters);
-    waiters.clear();
-    *p = InFlight{};
+    *p = BLANK_INFLIGHT;
     p->gen = gen + 1;
-    p->waiters = std::move(waiters);
     return p;
 }
 
@@ -200,7 +194,7 @@ Core::commit(InFlight *p)
         ++stats_.dcacheAccesses;
         auto it = std::find(sq_.begin(), sq_.end(), p);
         if (it != sq_.end()) {
-            sq_.erase(it);
+            sq_.erase(it.pos());
             sqIndexErase(p);
         }
     }
@@ -269,7 +263,7 @@ Core::squashAfter(InFlight *b)
     // Remove younger instructions from the window. Committed ones stay
     // committed (their re-fetch is CIT-dropped at decode); uncommitted
     // ones release their resources and vanish.
-    std::vector<InFlight *> squashed;
+    squashed_.clear();
     while (!rob_.empty() && rob_.back()->idx > b->idx) {
         InFlight *p = rob_.back();
         rob_.pop_back();
@@ -285,7 +279,7 @@ Core::squashAfter(InFlight *b)
             }
         } else {
             releaseResources(p);
-            squashed.push_back(p);
+            squashed_.push_back(p);
             ++stats_.squashedInsts;
         }
     }
@@ -331,7 +325,7 @@ Core::squashAfter(InFlight *b)
 
     policy_->onSquash(view_, b->idx);
 
-    for (InFlight *p : squashed)
+    for (InFlight *p : squashed_)
         free(p);
 
     rebuildRenameTable();
@@ -508,10 +502,10 @@ Core::loadLatency(InFlight *p, bool &blocked)
         const uint64_t chunkLo = lo >> SQ_CHUNK_SHIFT;
         const uint64_t chunkHi = (lo + rec.memSize - 1) >> SQ_CHUNK_SHIFT;
         for (uint64_t c = chunkLo; c <= chunkHi && !blocked; ++c) {
-            auto it = sqIndex_.find(c);
-            if (it == sqIndex_.end())
+            size_t b = sqBucketLowerBound(c);
+            if (b == sqBucketsUsed_ || sqBuckets_[b].chunk != c)
                 continue;
-            for (InFlight *s : it->second) {
+            for (InFlight *s : sqBuckets_[b].stores) {
                 ++stats_.sqProbes;
                 if (s->idx >= p->idx || !memOverlap(*s->rec, rec))
                     continue;
@@ -551,7 +545,19 @@ Core::registerSrcWaiters(InFlight *p)
         if (s.ready())
             continue;
         ++p->pendingSrcs;
-        s.p->waiters.push_back({p, p->gen});
+        int32_t n = waiterFree_;
+        if (n >= 0) {
+            waiterFree_ = waiterNodes_[static_cast<size_t>(n)].next;
+        } else {
+            n = static_cast<int32_t>(waiterNodes_.size());
+            waiterNodes_.emplace_back();
+        }
+        waiterNodes_[static_cast<size_t>(n)] = WaiterNode{p, p->gen, -1};
+        if (s.p->waitTail >= 0)
+            waiterNodes_[static_cast<size_t>(s.p->waitTail)].next = n;
+        else
+            s.p->waitHead = n;
+        s.p->waitTail = n;
     }
     if (p->pendingSrcs == 0)
         readyInsert(p);
@@ -560,9 +566,11 @@ Core::registerSrcWaiters(InFlight *p)
 void
 Core::wakeWaiters(InFlight *p)
 {
-    if (p->waiters.empty())
-        return;
-    for (const InFlight::Waiter &w : p->waiters) {
+    for (int32_t n = p->waitHead; n >= 0;) {
+        const WaiterNode w = waiterNodes_[static_cast<size_t>(n)];
+        waiterNodes_[static_cast<size_t>(n)].next = waiterFree_;
+        waiterFree_ = n;
+        n = w.next;
         InFlight *c = w.p;
         if (c->gen != w.gen)
             continue; // consumer squashed since it parked here
@@ -575,7 +583,8 @@ Core::wakeWaiters(InFlight *p)
             isStore(c->rec->op) && c->addrReady())
             addrPendingInsert(c);
     }
-    p->waiters.clear();
+    p->waitHead = -1;
+    p->waitTail = -1;
 }
 
 void
@@ -594,6 +603,17 @@ Core::addrPendingInsert(InFlight *p)
     insertBySeq(addrPending_, p);
 }
 
+size_t
+Core::sqBucketLowerBound(uint64_t chunk) const
+{
+    auto it = std::lower_bound(
+        sqBuckets_.begin(),
+        sqBuckets_.begin() + static_cast<std::ptrdiff_t>(sqBucketsUsed_),
+        chunk,
+        [](const SqBucket &b, uint64_t c) { return b.chunk < c; });
+    return static_cast<size_t>(it - sqBuckets_.begin());
+}
+
 void
 Core::sqIndexInsert(InFlight *p)
 {
@@ -603,8 +623,22 @@ Core::sqIndexInsert(InFlight *p)
     const uint64_t chunkLo = rec.addrOrImm >> SQ_CHUNK_SHIFT;
     const uint64_t chunkHi =
         (rec.addrOrImm + rec.memSize - 1) >> SQ_CHUNK_SHIFT;
-    for (uint64_t c = chunkLo; c <= chunkHi; ++c)
-        sqIndex_[c].push_back(p);
+    for (uint64_t c = chunkLo; c <= chunkHi; ++c) {
+        size_t b = sqBucketLowerBound(c);
+        if (b == sqBucketsUsed_ || sqBuckets_[b].chunk != c) {
+            // Open a bucket: rotate the first spare into sorted place.
+            if (sqBucketsUsed_ == sqBuckets_.size())
+                sqBuckets_.emplace_back();
+            auto first = sqBuckets_.begin();
+            std::rotate(first + static_cast<std::ptrdiff_t>(b),
+                        first + static_cast<std::ptrdiff_t>(sqBucketsUsed_),
+                        first + static_cast<std::ptrdiff_t>(sqBucketsUsed_ +
+                                                            1));
+            ++sqBucketsUsed_;
+            sqBuckets_[b].chunk = c;
+        }
+        sqBuckets_[b].stores.push_back(p);
+    }
 }
 
 void
@@ -617,19 +651,26 @@ Core::sqIndexErase(InFlight *p)
     const uint64_t chunkHi =
         (rec.addrOrImm + rec.memSize - 1) >> SQ_CHUNK_SHIFT;
     for (uint64_t c = chunkLo; c <= chunkHi; ++c) {
-        auto it = sqIndex_.find(c);
-        panic_if(it == sqIndex_.end(),
+        size_t b = sqBucketLowerBound(c);
+        panic_if(b == sqBucketsUsed_ || sqBuckets_[b].chunk != c,
                  "SQ index lost the bucket for trace idx %d", p->idx);
-        std::vector<InFlight *> &bucket = it->second;
+        std::vector<InFlight *> &bucket = sqBuckets_[b].stores;
         auto e = std::find(bucket.begin(), bucket.end(), p);
         panic_if(e == bucket.end(),
                  "SQ index lost the entry for trace idx %d", p->idx);
-        // The forwarding probe is order-independent, so swap-and-pop
-        // (still deterministic) beats an order-preserving erase.
+        // Swap-and-pop (deterministic, but not order-preserving). The
+        // load probe stops at the first incomplete overlapping store,
+        // so sqProbes depends on this exact bucket order.
         *e = bucket.back();
         bucket.pop_back();
-        if (bucket.empty())
-            sqIndex_.erase(it);
+        if (bucket.empty()) {
+            // Close the bucket: rotate it out to the spares.
+            auto first = sqBuckets_.begin();
+            std::rotate(first + static_cast<std::ptrdiff_t>(b),
+                        first + static_cast<std::ptrdiff_t>(b + 1),
+                        first + static_cast<std::ptrdiff_t>(sqBucketsUsed_));
+            --sqBucketsUsed_;
+        }
     }
 }
 
@@ -688,19 +729,25 @@ Core::shadowSchedulerVerify() const
     // The SQ address index must cover sq_ exactly: every in-flight
     // store in every chunk its byte range touches, and nothing else.
     size_t indexed = 0;
-    for (const auto &kv : sqIndex_) {
-        panic_if(kv.second.empty(),
-                 "shadow scheduler: empty SQ-index bucket survived");
-        for (InFlight *s : kv.second) {
+    for (size_t b = 0; b < sqBuckets_.size(); ++b) {
+        const SqBucket &bucket = sqBuckets_[b];
+        panic_if((b < sqBucketsUsed_) == bucket.stores.empty(),
+                 "shadow scheduler: SQ-index bucket %zu is %s", b,
+                 b < sqBucketsUsed_ ? "live but empty" : "a spare in use");
+        panic_if(b > 0 && b < sqBucketsUsed_ &&
+                     sqBuckets_[b - 1].chunk >= bucket.chunk,
+                 "shadow scheduler: SQ-index buckets out of chunk order");
+        for (InFlight *s : bucket.stores) {
             ++indexed;
             const TraceRecord &rec = *s->rec;
             panic_if(std::find(sq_.begin(), sq_.end(), s) == sq_.end(),
                      "shadow scheduler: SQ index holds trace idx %d "
                      "which is not in the SQ", s->idx);
             panic_if(rec.memSize == 0 ||
-                         kv.first < (rec.addrOrImm >> SQ_CHUNK_SHIFT) ||
-                         kv.first > ((rec.addrOrImm + rec.memSize - 1) >>
-                                     SQ_CHUNK_SHIFT),
+                         bucket.chunk <
+                             (rec.addrOrImm >> SQ_CHUNK_SHIFT) ||
+                         bucket.chunk > ((rec.addrOrImm + rec.memSize - 1) >>
+                                         SQ_CHUNK_SHIFT),
                      "shadow scheduler: trace idx %d indexed under a "
                      "chunk outside its byte range", s->idx);
         }
@@ -955,6 +1002,11 @@ Core::decodeStage()
         if (committed_[static_cast<size_t>(p->idx)]) {
             // Re-fetch of an instruction that already committed
             // out-of-order: CIT hit, dropped at decode (Section 4.3).
+            // Every policy, the speculative oracles included, pays this
+            // fetch slot: their "no misspeculation penalty" is the
+            // architectural rollback a trace-driven model never needs,
+            // while the pipeline flush and refetch are real in every
+            // design.
             ++stats_.citDrops;
             ++stats_.citOps;
             free(p);
@@ -974,13 +1026,6 @@ Core::fetchStage()
     int budget = cfg_.fetchWidth;
     while (budget > 0 && fetchIdx_ < static_cast<TraceIdx>(trace_.size()) &&
            ifq_.size() < static_cast<size_t>(cfg_.ifqEntries)) {
-        if (freeCommittedSkip_ &&
-            committed_[static_cast<size_t>(fetchIdx_)]) {
-            // Oracle policies (ideal ROB, no misspeculation cost) do
-            // not pay fetch slots to re-skip already-committed work.
-            ++fetchIdx_;
-            continue;
-        }
         const TraceRecord &rec = trace_[static_cast<size_t>(
             fetchIdx_)];
         uint64_t line = rec.pc >> 6;

@@ -37,13 +37,12 @@
 #ifndef NOREBA_UARCH_CORE_H
 #define NOREBA_UARCH_CORE_H
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
+#include "common/ring.h"
 #include "trace/event_log.h"
 #include "uarch/branch_predictor.h"
 #include "uarch/cache.h"
@@ -148,6 +147,10 @@ class Core
     void sqIndexInsert(InFlight *p);
     void sqIndexErase(InFlight *p);
 
+    /** Position of the first live SQ-index bucket whose chunk is not
+     *  below @p chunk (sqBucketsUsed_ if none). */
+    size_t sqBucketLowerBound(uint64_t chunk) const;
+
     /** Differential check: recompute ready/pending/forwarding state
      *  from the naive IQ/SQ scans and panic on divergence
      *  (CoreConfig::shadowSchedulerCheck). */
@@ -166,7 +169,11 @@ class Core
     Tlb tlb_;
 
     /** @name Object pool @{ */
-    std::deque<InFlight> storage_;
+
+    /** Slots per pool chunk; the pool grows a chunk at a time and
+     *  never shrinks, so slot addresses stay stable. */
+    static constexpr size_t POOL_CHUNK = 128;
+    std::vector<std::unique_ptr<InFlight[]>> storage_;
     std::vector<InFlight *> freeList_;
     /** @} */
 
@@ -174,16 +181,16 @@ class Core
     TraceIdx fetchIdx_ = 0;
     Cycle fetchResumeAt_ = 0;
     uint64_t lastFetchLine_ = ~0ull;
-    std::deque<InFlight *> ifq_;
-    std::deque<InFlight *> decodedQ_;
+    Ring<InFlight *> ifq_;
+    Ring<InFlight *> decodedQ_;
     /** @} */
 
     /** @name Window @{ */
-    std::deque<InFlight *> rob_; //!< master order; may hold committed
+    Ring<InFlight *> rob_; //!< master order; may hold committed
     /** Issue-queue residents, UNORDERED (O(1) swap-pop removal via
      *  InFlight::iqPos); age order lives in readyQ_. */
     std::vector<InFlight *> iq_;
-    std::deque<InFlight *> sq_; //!< in-flight stores (forwarding)
+    Ring<InFlight *> sq_; //!< in-flight stores (forwarding)
     int windowUsed_ = 0;
     int iqUsed_ = 0;
     int lqUsed_ = 0;
@@ -221,17 +228,42 @@ class Core
      *  would have issued from, discovered by wakeup instead. */
     std::vector<InFlight *> readyQ_;
 
+    /** A consumer parked on a producer until it writes back. */
+    struct WaiterNode
+    {
+        InFlight *p = nullptr;
+        uint64_t gen = 0; //!< consumer incarnation (stale after squash)
+        int32_t next = -1;
+    };
+
+    /** Every producer's waiter chain (InFlight::waitHead) lives here;
+     *  drained nodes go on a free chain, so the arena is sized by the
+     *  most waiters ever parked at once. */
+    std::vector<WaiterNode> waiterNodes_;
+    int32_t waiterFree_ = -1;
+
     /** Address-ready stores awaiting their decoupled address-gen TLB
      *  kickoff, in dispatch order (replaces the full-IQ pre-scan). */
     std::vector<InFlight *> addrPending_;
+
+    /** In-flight stores whose byte range touches one address chunk. */
+    struct SqBucket
+    {
+        uint64_t chunk = 0;
+        std::vector<InFlight *> stores;
+    };
 
     /**
      * In-flight (uncommitted) stores bucketed by address chunk
      * (SQ_CHUNK_BYTES-aligned ranges), so a load probes only stores
      * that can possibly overlap it instead of walking the whole SQ.
      * Mirrors sq_ exactly: insert at dispatch, erase at commit/squash.
+     * Buckets [0, sqBucketsUsed_) are live, sorted by chunk; the rest
+     * are emptied spares that keep their vectors' capacity, so a new
+     * chunk reuses storage instead of allocating.
      */
-    std::unordered_map<uint64_t, std::vector<InFlight *>> sqIndex_;
+    std::vector<SqBucket> sqBuckets_;
+    size_t sqBucketsUsed_ = 0;
     /** @} */
 
     /** @name Commit tracking @{ */
@@ -246,8 +278,10 @@ class Core
 
     Cycle cycle_ = 0;
     CoreStats stats_;
-    /** Oracle policies skip re-fetch of committed records for free. */
-    bool freeCommittedSkip_ = false;
+
+    /** squashAfter's list of squashed instructions, kept for its
+     *  capacity. */
+    std::vector<InFlight *> squashed_;
 
     /** @name Event tracing (null/empty unless enabled) @{ */
     std::unique_ptr<EventLog> ownedLog_;

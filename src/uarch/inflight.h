@@ -8,7 +8,6 @@
 #define NOREBA_UARCH_INFLIGHT_H
 
 #include <cstdint>
-#include <vector>
 
 #include "interp/trace.h"
 
@@ -87,16 +86,10 @@ struct InFlight
 
     /** @name Wakeup-scheduler bookkeeping (Core-internal) @{ */
 
-    /** A consumer parked on this producer until it writes back. */
-    struct Waiter
-    {
-        InFlight *p = nullptr;
-        uint64_t gen = 0; //!< consumer incarnation (stale after squash)
-    };
-
-    /** Consumers to wake when this instruction completes. The pool
-     *  preserves the vector's capacity across recycles (Core::alloc). */
-    std::vector<Waiter> waiters;
+    /** Consumers to wake when this instruction completes: a FIFO
+     *  chain of nodes in the core's waiter arena (-1 = empty). */
+    int32_t waitHead = -1;
+    int32_t waitTail = -1;
     int pendingSrcs = 0;   //!< not-yet-ready sources; 0 == issuable
     int iqPos = -1;        //!< slot in the (unordered) IQ vector
     bool inReadyQ = false; //!< member of the age-ordered ready queue

@@ -1,17 +1,36 @@
 #include "uarch/pipeline_index.h"
 
+#include <set>
+
 #include "common/logging.h"
 
 namespace noreba {
+
+namespace {
+
+/** The queue's live indices are exactly @p naive, in order. */
+bool
+sameIndices(const IndexQueue<> &q, const std::set<TraceIdx> &naive)
+{
+    if (q.size() != naive.size())
+        return false;
+    auto it = naive.begin();
+    for (const auto &e : q)
+        if (e.idx != *it++)
+            return false;
+    return true;
+}
+
+} // namespace
 
 void
 PipelineIndex::onDispatch(InFlight *p)
 {
     frontier_.pushBack(p);
-    inflightByIdx_[p->idx] = p;
+    inflightByIdx_.put(p);
     const TraceRecord &rec = *p->rec;
     if (p->isBranch) {
-        unresolved_.emplace(p->idx, rec.pc);
+        unresolved_.insert(p->idx, rec.pc);
         unresolvedUncommitted_.insert(p->idx);
         unresolvedByPc_[rec.pc].insert(p->idx);
     }
@@ -26,21 +45,18 @@ PipelineIndex::eraseUnresolved(TraceIdx idx, uint64_t pc)
 {
     unresolvedUncommitted_.erase(idx);
     auto it = unresolvedByPc_.find(pc);
-    if (it != unresolvedByPc_.end()) {
+    if (it != unresolvedByPc_.end())
         it->second.erase(idx);
-        if (it->second.empty())
-            unresolvedByPc_.erase(it);
-    }
 }
 
 void
 PipelineIndex::onResolve(InFlight *p)
 {
-    auto it = unresolved_.find(p->idx);
-    if (it == unresolved_.end())
+    const auto *e = unresolved_.find(p->idx);
+    if (!e)
         return;
-    eraseUnresolved(it->first, it->second);
-    unresolved_.erase(it);
+    eraseUnresolved(e->idx, e->payload);
+    unresolved_.erase(p->idx);
 }
 
 void
@@ -87,14 +103,15 @@ PipelineIndex::onSquash(TraceIdx after)
     while (frontier_.tail() && frontier_.tail()->idx > after)
         frontier_.erase(frontier_.tail());
 
-    for (auto it = unresolved_.upper_bound(after);
-         it != unresolved_.end();) {
-        eraseUnresolved(it->first, it->second);
-        it = unresolved_.erase(it);
-    }
-    uncheckedMem_.erase(uncheckedMem_.upper_bound(after),
-                        uncheckedMem_.end());
-    fences_.erase(fences_.upper_bound(after), fences_.end());
+    // Every ordered index loses its suffix. A per-PC bucket is cut only
+    // where a squashed branch still lives in it; dead leftovers in the
+    // others are popped by their next insert.
+    unresolved_.truncateAfter(after, [&](const auto &e) {
+        unresolvedByPc_[e.payload].truncateAfter(after);
+    });
+    unresolvedUncommitted_.truncateAfter(after);
+    uncheckedMem_.truncateAfter(after);
+    fences_.truncateAfter(after);
     // tlbPending_ keeps stale entries; drainTlbPending's generation
     // check discards them. inflightByIdx_ entries die with onFree.
 }
@@ -106,13 +123,11 @@ PipelineIndex::onFree(InFlight *p)
              "freeing trace idx %d while still on the uncommitted "
              "frontier",
              p->idx);
-    auto it = inflightByIdx_.find(p->idx);
-    if (it != inflightByIdx_.end() && it->second == p)
-        inflightByIdx_.erase(it);
+    inflightByIdx_.drop(p);
 }
 
 void
-PipelineIndex::shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
+PipelineIndex::shadowVerify(const Ring<InFlight *> &rob, Cycle now,
                             const TraceView &trace)
 {
     // Frontier == the uncommitted subsequence of the master ROB.
@@ -150,11 +165,11 @@ PipelineIndex::shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
         if (p->rec->op == Opcode::FENCE)
             naiveFences.insert(p->idx);
         if (p->isBranch && !p->resolved) {
-            panic_if(!unresolvedUncommitted_.count(p->idx),
+            panic_if(!unresolvedUncommitted_.find(p->idx),
                      "unresolved branch %d missing from the barrier "
                      "index",
                      p->idx);
-            panic_if(!unresolved_.count(p->idx),
+            panic_if(!unresolved_.find(p->idx),
                      "unresolved branch %d missing from unresolved_",
                      p->idx);
         }
@@ -167,10 +182,10 @@ PipelineIndex::shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
     panic_if(oldestUncheckedMem(now) != naiveMem,
              "oldestUncheckedMem: index %d vs naive %d",
              oldestUncheckedMem(now), naiveMem);
-    panic_if(uncheckedMem_ != naiveUnchecked,
+    panic_if(!sameIndices(uncheckedMem_, naiveUnchecked),
              "unchecked-memory index diverged (%zu vs %zu entries)",
              uncheckedMem_.size(), naiveUnchecked.size());
-    panic_if(fences_ != naiveFences,
+    panic_if(!sameIndices(fences_, naiveFences),
              "fence index diverged (%zu vs %zu entries)",
              fences_.size(), naiveFences.size());
 
@@ -186,17 +201,15 @@ PipelineIndex::shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
 
     // Per-PC instance index is an exact partition of unresolved_.
     size_t byPcTotal = 0;
-    for (const auto &[pc, set] : unresolvedByPc_) {
-        panic_if(set.empty(), "empty per-PC bucket for pc %llx",
-                 static_cast<unsigned long long>(pc));
-        byPcTotal += set.size();
-        for (TraceIdx idx : set) {
-            auto it = unresolved_.find(idx);
-            panic_if(it == unresolved_.end() || it->second != pc,
+    for (const auto &[pc, bucket] : unresolvedByPc_) {
+        byPcTotal += bucket.size();
+        for (const auto &e : bucket) {
+            const auto *u = unresolved_.find(e.idx);
+            panic_if(!u || u->payload != pc,
                      "per-PC bucket %llx holds idx %d not unresolved "
                      "at that site",
-                     static_cast<unsigned long long>(pc), idx);
-            panic_if(trace[static_cast<size_t>(idx)].pc != pc,
+                     static_cast<unsigned long long>(pc), e.idx);
+            panic_if(trace[static_cast<size_t>(e.idx)].pc != pc,
                      "per-PC bucket key %llx mismatches trace pc",
                      static_cast<unsigned long long>(pc));
         }

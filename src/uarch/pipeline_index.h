@@ -15,21 +15,25 @@
  * re-derives every answer from the naive ROB scan and panics on any
  * divergence, which is how the differential test pins the index to the
  * pre-index semantics bit for bit.
+ *
+ * Storage is window-bounded and allocation-free once warm: the ordered
+ * sets are IndexQueues (sorted vectors with lazy erase and squash by
+ * suffix truncation) and the idx -> InFlight map is an IdxSlotRing
+ * (uarch/index_queue.h).
  */
 
 #ifndef NOREBA_UARCH_PIPELINE_INDEX_H
 #define NOREBA_UARCH_PIPELINE_INDEX_H
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <queue>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "common/intrusive_list.h"
+#include "common/ring.h"
 #include "interp/trace.h"
+#include "uarch/index_queue.h"
 #include "uarch/inflight.h"
 
 namespace noreba {
@@ -60,15 +64,17 @@ class PipelineIndex
 
     /** @name Queries @{ */
 
+    /** Dispatched unresolved branches: trace idx -> static site PC. */
+    using UnresolvedQueue = IndexQueue<uint64_t>;
+
     /**
      * Oldest in-flight (uncommitted) unresolved branch, or INT32_MAX.
      */
     TraceIdx
-    oldestUnresolvedBranch() const
+    oldestUnresolvedBranch()
     {
-        return unresolvedUncommitted_.empty()
-                   ? INT32_MAX
-                   : *unresolvedUncommitted_.begin();
+        const auto *e = unresolvedUncommitted_.oldest();
+        return e ? e->idx : INT32_MAX;
     }
 
     /**
@@ -79,16 +85,17 @@ class PipelineIndex
     oldestUncheckedMem(Cycle now)
     {
         drainTlbPending(now);
-        return uncheckedMem_.empty() ? INT32_MAX
-                                     : *uncheckedMem_.begin();
+        const auto *e = uncheckedMem_.oldest();
+        return e ? e->idx : INT32_MAX;
     }
 
     /**
      * All dispatched, still-unresolved branches (committed-early ones
-     * included, matching the historical set semantics), keyed by trace
-     * index with the static site PC as the value.
+     * included, matching the historical set semantics), oldest first;
+     * each live entry holds the trace index and, as its payload, the
+     * static site PC.
      */
-    const std::map<TraceIdx, uint64_t> &
+    const UnresolvedQueue &
     unresolvedBranches() const
     {
         return unresolved_;
@@ -96,40 +103,44 @@ class PipelineIndex
 
     /** Oldest dispatched unresolved branch, or TRACE_NONE. */
     TraceIdx
-    oldestUnresolved() const
+    oldestUnresolved()
     {
-        return unresolved_.empty() ? TRACE_NONE
-                                   : unresolved_.begin()->first;
+        const auto *e = unresolved_.oldest();
+        return e ? e->idx : TRACE_NONE;
     }
 
     /** Youngest unresolved branch older than `idx`, or TRACE_NONE. */
     TraceIdx
     youngestUnresolvedBefore(TraceIdx idx) const
     {
-        auto it = unresolved_.lower_bound(idx);
-        if (it == unresolved_.begin())
-            return TRACE_NONE;
-        return std::prev(it)->first;
+        const auto *e = unresolved_.predecessor(idx);
+        return e ? e->idx : TRACE_NONE;
     }
 
     /** An unresolved instance of static site `pc` older than `before`. */
     bool
-    olderSitePcUnresolved(uint64_t pc, TraceIdx before) const
+    olderSitePcUnresolved(uint64_t pc, TraceIdx before)
     {
         auto it = unresolvedByPc_.find(pc);
-        return it != unresolvedByPc_.end() &&
-               *it->second.begin() < before;
+        if (it == unresolvedByPc_.end())
+            return false;
+        const auto *e = it->second.oldest();
+        return e && e->idx < before;
     }
 
-    /** Dispatched-but-uncommitted FENCE instructions, ordered. */
-    const std::set<TraceIdx> &fences() const { return fences_; }
+    /** Oldest dispatched-but-uncommitted FENCE, or INT32_MAX. */
+    TraceIdx
+    oldestFence()
+    {
+        const auto *e = fences_.oldest();
+        return e ? e->idx : INT32_MAX;
+    }
 
     /** In-flight instruction by trace index (nullptr if none). */
     InFlight *
     findInFlight(TraceIdx idx) const
     {
-        auto it = inflightByIdx_.find(idx);
-        return it == inflightByIdx_.end() ? nullptr : it->second;
+        return inflightByIdx_.get(idx);
     }
 
     /** @name Uncommitted frontier, program order @{ */
@@ -148,7 +159,7 @@ class PipelineIndex
      * cycle by CoreConfig::shadowIndexCheck; this is the oracle the
      * pipeline_index differential test drives.
      */
-    void shadowVerify(const std::deque<InFlight *> &rob, Cycle now,
+    void shadowVerify(const Ring<InFlight *> &rob, Cycle now,
                       const TraceView &trace);
 
   private:
@@ -171,20 +182,20 @@ class PipelineIndex
         }
     };
 
-    /** Dispatched unresolved branches: trace idx -> static site PC. */
-    std::map<TraceIdx, uint64_t> unresolved_;
+    UnresolvedQueue unresolved_;
     /** The uncommitted subset of unresolved_ (commit barrier). */
-    std::set<TraceIdx> unresolvedUncommitted_;
-    /** Static site PC -> unresolved dynamic instances (never empty). */
-    std::unordered_map<uint64_t, std::set<TraceIdx>> unresolvedByPc_;
+    IndexQueue<> unresolvedUncommitted_;
+    /** Static site PC -> its unresolved dynamic instances. A bucket is
+     *  kept when it empties, so a site allocates once per run. */
+    std::unordered_map<uint64_t, IndexQueue<>> unresolvedByPc_;
     /** Uncommitted memory ops not yet past their TLB check. */
-    std::set<TraceIdx> uncheckedMem_;
+    IndexQueue<> uncheckedMem_;
     /** Checks in flight, keyed by completion time. */
     std::priority_queue<TlbPending, std::vector<TlbPending>,
                         std::greater<TlbPending>>
         tlbPending_;
-    std::set<TraceIdx> fences_;
-    std::unordered_map<TraceIdx, InFlight *> inflightByIdx_;
+    IndexQueue<> fences_;
+    IdxSlotRing<InFlight> inflightByIdx_;
     Frontier frontier_;
 };
 

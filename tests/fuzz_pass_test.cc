@@ -304,7 +304,8 @@ oracleViolations(const Program &prog, const Prepared &p,
     Core core(cfg, p.trace, p.misp);
     int violations = 0;
     core.commitHook = [&](const PipelineView &c, const InFlight &inst) {
-        for (const auto &[u, pc] : c.unresolvedBranches()) {
+        for (const auto &e : c.unresolvedBranches()) {
+            const TraceIdx u = e.idx;
             if (u >= inst.idx)
                 break;
             int b = instanceOf[static_cast<size_t>(u)];

@@ -184,7 +184,8 @@ violationsFor(const Program &prog, const Prepared &p, CommitMode mode)
 
     int violations = 0;
     core.commitHook = [&](const PipelineView &c, const InFlight &inst) {
-        for (const auto &[u, pc] : c.unresolvedBranches()) {
+        for (const auto &e : c.unresolvedBranches()) {
+            const TraceIdx u = e.idx;
             if (u >= inst.idx)
                 break;
             if (oracle.dependsOn(inst.idx, u))
