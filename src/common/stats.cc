@@ -11,27 +11,4 @@ geomean(const std::vector<double> &values)
     return g.value();
 }
 
-Counter &
-StatGroup::counter(const std::string &name)
-{
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        it = counters_.emplace(name, Counter(name)).first;
-    return it->second;
-}
-
-uint64_t
-StatGroup::value(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto &kv : counters_)
-        kv.second.reset();
-}
-
 } // namespace noreba

@@ -1,8 +1,6 @@
 /**
  * @file
- * Lightweight statistics primitives used throughout the simulator:
- * scalar counters, distributions, and the geometric-mean helper the
- * paper uses for all reported averages.
+ * The geometric-mean helpers the paper uses for all reported averages.
  */
 
 #ifndef NOREBA_COMMON_STATS_H
@@ -10,71 +8,9 @@
 
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace noreba {
-
-/** A named 64-bit event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-    explicit Counter(std::string name) : name_(std::move(name)) {}
-
-    void inc(uint64_t n = 1) { value_ += n; }
-    void reset() { value_ = 0; }
-    uint64_t value() const { return value_; }
-    const std::string &name() const { return name_; }
-
-    Counter &operator+=(uint64_t n) { value_ += n; return *this; }
-    Counter &operator++() { ++value_; return *this; }
-
-  private:
-    std::string name_;
-    uint64_t value_ = 0;
-};
-
-/**
- * A streaming distribution: tracks count, sum, min, max and enough state
- * to report mean. Used for per-branch stall statistics (Figure 7).
- */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        if (count_ == 0 || v < min_)
-            min_ = v;
-        if (count_ == 0 || v > max_)
-            max_ = v;
-        sum_ += v;
-        ++count_;
-    }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = 0.0;
-        min_ = 0.0;
-        max_ = 0.0;
-    }
-
-    uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-
-  private:
-    uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Geometric mean accumulator. The paper reports all suite-level averages
@@ -109,29 +45,6 @@ class Geomean
 
 /** Geometric mean of a vector of positive values. */
 double geomean(const std::vector<double> &values);
-
-/**
- * A registry of counters keyed by name; structures register their event
- * counts here so that the power model can consume activity factors
- * without each structure knowing about power.
- */
-class StatGroup
-{
-  public:
-    /** Get-or-create the counter with the given name. */
-    Counter &counter(const std::string &name);
-
-    /** Value of a counter, or 0 if it was never created. */
-    uint64_t value(const std::string &name) const;
-
-    /** All counters in name order. */
-    const std::map<std::string, Counter> &all() const { return counters_; }
-
-    void resetAll();
-
-  private:
-    std::map<std::string, Counter> counters_;
-};
 
 } // namespace noreba
 

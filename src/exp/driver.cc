@@ -1,6 +1,5 @@
 #include "exp/driver.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,13 +21,11 @@ namespace {
 /**
  * If NOREBA_JSON_DIR is set, dump the experiment's machine-readable
  * record as <dir>/BENCH_<name>.json: {"bench", "traceLen",
- * "traceCache", "simCache", "perf", "results": [...]} with one entry
- * per job in sweep order (see sweepResultToJson). "traceCache" and
- * "simCache" snapshot the global cache counters — a warm
- * NOREBA_RESULT_DIR run shows simBuilds == 0 (nothing simulated).
- * "perf" records wall seconds since this experiment started, total
- * simulated kilocycles across its results, and their ratio (the CI
- * perf-smoke metric).
+ * "traceCache", "simCache", "results": [...]} with one entry per job
+ * in sweep order (see sweepResultToJson). "traceCache" and "simCache"
+ * snapshot the global cache counters — a warm NOREBA_RESULT_DIR run
+ * shows simBuilds == 0 (nothing simulated). Timing lives in perf/,
+ * not here, so a record depends only on what was simulated.
  *
  * With event tracing on, @p events is the first job's live log from
  * the sweep itself, exported as TRACE_<name>.json — the old
@@ -38,7 +35,7 @@ namespace {
 void
 maybeWriteJson(const ExperimentSpec &spec,
                const std::vector<SweepResult> &results,
-               const EventLog *events, double wallSeconds)
+               const EventLog *events)
 {
     const char *dir = std::getenv("NOREBA_JSON_DIR");
     if (!dir || !*dir)
@@ -48,22 +45,12 @@ maybeWriteJson(const ExperimentSpec &spec,
     // `noreba-stats-diff --expect-equal` in CI.
     if (results.empty())
         return;
-    uint64_t simCycles = 0;
-    for (const SweepResult &r : results)
-        simCycles += r.stats.cycles;
-    const double simKilocycles = static_cast<double>(simCycles) / 1e3;
-    JsonValue perf = JsonValue::object();
-    perf.set("wallSeconds", wallSeconds)
-        .set("simKilocycles", simKilocycles)
-        .set("simKCyclesPerWallSec",
-             wallSeconds > 0.0 ? simKilocycles / wallSeconds : 0.0);
     JsonValue doc = JsonValue::object();
     doc.set("bench", spec.name)
         .set("traceLen", benchutil::traceLen())
         .set("traceCache",
              bundleCacheStatsToJson(globalBundleCache().stats()))
         .set("simCache", simCacheStatsToJson(globalResultCache().stats()))
-        .set("perf", std::move(perf))
         .set("results", sweepToJson(results));
     // The extra keys appear only on runs that had failures, so a clean
     // run's JSON stays byte-identical to what it was before this
@@ -89,10 +76,6 @@ maybeWriteJson(const ExperimentSpec &spec,
     std::string path = std::string(dir) + "/BENCH_" + spec.name + ".json";
     writeJsonFile(path, doc);
     std::printf("wrote %s (%zu records)\n", path.c_str(), results.size());
-    std::printf("perf: %.2f s wall, %.0f simulated kilocycles, "
-                "%.1f kcycles/s\n",
-                wallSeconds, simKilocycles,
-                wallSeconds > 0.0 ? simKilocycles / wallSeconds : 0.0);
 
     if (events && !results.empty()) {
         const SweepJob &first = results.front().job;
@@ -162,7 +145,6 @@ splitCommas(const std::string &arg)
 size_t
 runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
 {
-    const auto start = std::chrono::steady_clock::now();
     printHeader(spec);
 
     ExperimentPlan plan;
@@ -197,11 +179,7 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
         spec.report(expResults);
     }
 
-    const double wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    maybeWriteJson(spec, results, capture ? &log : nullptr, wallSeconds);
+    maybeWriteJson(spec, results, capture ? &log : nullptr);
     return numFailed;
 }
 

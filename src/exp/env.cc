@@ -105,11 +105,7 @@ SweepJob
 job(const std::string &workload, const CoreConfig &cfg, bool annotate,
     bool stripSetups)
 {
-    SweepJob j{workload, cfg, traceOptions(annotate, stripSetups)};
-    // Tracing never touches CoreStats, so flipping this in no way
-    // perturbs the sweep's numbers (tests/trace_test.cc pins that).
-    j.cfg.eventTrace = eventTraceEnabled();
-    return j;
+    return SweepJob{workload, cfg, traceOptions(annotate, stripSetups)};
 }
 
 } // namespace noreba::benchutil

@@ -12,11 +12,11 @@
  *   NOREBA_RESULT_DIR  when set, simulation results are served from /
  *                      published to the content-addressed store
  *                      (sim/result_store.h)
- *   NOREBA_EVENT_TRACE when set (and not "0"), every sweep job runs
- *                      with the pipeline EventLog enabled (stats stay
- *                      bit-identical), and the driver additionally
- *                      exports a Chrome-trace timeline of the first
- *                      job as TRACE_<name>.json in NOREBA_JSON_DIR
+ *   NOREBA_EVENT_TRACE when set (and not "0"), the driver attaches
+ *                      an EventLog to each experiment's first job
+ *                      (stats stay bit-identical) and exports its
+ *                      Chrome-trace timeline as TRACE_<name>.json in
+ *                      NOREBA_JSON_DIR; every other job runs untraced
  */
 
 #ifndef NOREBA_EXP_ENV_H

@@ -72,8 +72,7 @@ resultPath(const std::string &workload, const CoreConfig &cfg,
 bool
 resultStoreEligible(const CoreConfig &cfg)
 {
-    return !cfg.eventTrace && !cfg.safetyChecks &&
-           !cfg.shadowIndexCheck && !cfg.shadowSchedulerCheck;
+    return !cfg.shadowIndexCheck && !cfg.shadowSchedulerCheck;
 }
 
 bool

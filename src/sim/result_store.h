@@ -68,11 +68,11 @@ std::string resultPath(const std::string &workload, const CoreConfig &cfg,
 
 /**
  * Whether results for @p cfg may be served from / published to the
- * disk store. Event-traced runs need a live EventLog and the
- * verification modes (safetyChecks, shadowIndexCheck) exist to *run*
- * their checks, so caching them would defeat the point; all are
- * simulated for real. attributeStalls runs are eligible — the
- * per-branch stall map is serialized alongside the counters.
+ * disk store. The verification modes (shadowIndexCheck,
+ * shadowSchedulerCheck) exist to *run* their checks, so caching them
+ * would defeat the point; they are simulated for real. attributeStalls
+ * runs are eligible — the per-branch stall map is serialized alongside
+ * the counters.
  */
 bool resultStoreEligible(const CoreConfig &cfg);
 

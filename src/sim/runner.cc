@@ -89,9 +89,7 @@ simulate(const CoreConfig &cfg, const TraceBundle &bundle,
          EventLog *events)
 {
     panic_if(!events, "simulate(..., EventLog*) needs a log");
-    CoreConfig traced = cfg;
-    traced.eventTrace = true;
-    Core core(traced, bundle.view(), bundle.misp);
+    Core core(cfg, bundle.view(), bundle.misp);
     core.attachEventLog(events);
     return core.run();
 }

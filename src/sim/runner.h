@@ -79,9 +79,9 @@ class EventLog;
 
 /**
  * Simulate with pipeline-event tracing into @p events (must be
- * non-null; cleared by the caller if reuse is intended). Forces
- * CoreConfig::eventTrace on for the run; stats are bit-identical to
- * the untraced overload.
+ * non-null; cleared by the caller if reuse is intended), attached to
+ * the core for the run; stats are bit-identical to the untraced
+ * overload.
  */
 CoreStats simulate(const CoreConfig &cfg, const TraceBundle &bundle,
                    EventLog *events);

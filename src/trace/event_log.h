@@ -6,10 +6,10 @@
  * emit) and counts what it had to drop, so tracing a multi-million
  * cycle run costs a fixed memory budget.
  *
- * Tracing is off by default: a core only emits when
- * CoreConfig::eventTrace is set (the emission site is a single
- * null-pointer test when disabled), and builds configured with
- * -DNOREBA_EVENT_TRACE=OFF compile the emission sites out entirely.
+ * Tracing is off unless a caller attaches a log: a core only emits
+ * into the log passed to Core::attachEventLog (or
+ * simulate(cfg, bundle, EventLog *)); without one, each emission site
+ * is a single null-pointer test.
  */
 
 #ifndef NOREBA_TRACE_EVENT_LOG_H

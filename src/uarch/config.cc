@@ -31,8 +31,8 @@ commitModeName(CommitMode mode)
 static_assert(sizeof(CoreConfig) ==
                   sizeof(std::string) + 4 * sizeof(CacheConfig) +
                       sizeof(SelectiveRobConfig) + 27 * sizeof(int) +
-                      sizeof(CommitMode) + 7 * sizeof(bool) +
-                      sizeof(size_t) + /* padding */ 5,
+                      sizeof(CommitMode) + 5 * sizeof(bool) +
+                      /* padding */ 7,
               "CoreConfig changed: update NOREBA_CORE_CONFIG_FIELDS "
               "(uarch/config.h) and this tripwire together");
 #endif
@@ -43,25 +43,21 @@ configFieldRefs(CoreConfig &c)
     std::vector<ConfigFieldRef> out;
 #define NOREBA_CFG_S(f)                                                   \
     out.push_back({#f, ConfigFieldRef::Kind::Str, &c.f, nullptr,          \
-                   nullptr, nullptr, nullptr});
+                   nullptr, nullptr});
 #define NOREBA_CFG_I(f)                                                   \
     out.push_back({#f, ConfigFieldRef::Kind::Int, nullptr, &c.f,          \
-                   nullptr, nullptr, nullptr});
+                   nullptr, nullptr});
 #define NOREBA_CFG_B(f)                                                   \
     out.push_back({#f, ConfigFieldRef::Kind::Bool, nullptr, nullptr,      \
-                   &c.f, nullptr, nullptr});
-#define NOREBA_CFG_U(f)                                                   \
-    out.push_back({#f, ConfigFieldRef::Kind::U64, nullptr, nullptr,       \
-                   nullptr, &c.f, nullptr});
+                   &c.f, nullptr});
 #define NOREBA_CFG_M(f)                                                   \
     out.push_back({#f, ConfigFieldRef::Kind::Mode, nullptr, nullptr,      \
-                   nullptr, nullptr, &c.f});
+                   nullptr, &c.f});
     NOREBA_CORE_CONFIG_FIELDS(NOREBA_CFG_S, NOREBA_CFG_I, NOREBA_CFG_B,
-                              NOREBA_CFG_U, NOREBA_CFG_M)
+                              NOREBA_CFG_M)
 #undef NOREBA_CFG_S
 #undef NOREBA_CFG_I
 #undef NOREBA_CFG_B
-#undef NOREBA_CFG_U
 #undef NOREBA_CFG_M
     return out;
 }
@@ -88,9 +84,6 @@ serializeConfig(const CoreConfig &cfg)
             break;
           case ConfigFieldRef::Kind::Bool:
             out += *f.b ? '1' : '0';
-            break;
-          case ConfigFieldRef::Kind::U64:
-            out += std::to_string(static_cast<unsigned long long>(*f.u));
             break;
           case ConfigFieldRef::Kind::Mode:
             out += commitModeName(*f.mode);

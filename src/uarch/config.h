@@ -118,7 +118,6 @@ struct CoreConfig
 
     /** @name Instrumentation @{ */
     bool attributeStalls = false; //!< per-branch ROB-stall stats (Fig 7)
-    bool safetyChecks = false;    //!< enable commit-order assertions
     /** Re-derive every PipelineIndex answer from a naive ROB scan each
      *  cycle and panic on divergence (differential testing only). */
     bool shadowIndexCheck = false;
@@ -128,13 +127,6 @@ struct CoreConfig
      *  blocked/forwarding verdict — from the naive IQ/SQ scans each
      *  cycle and panic on divergence (differential testing only). */
     bool shadowSchedulerCheck = false;
-    /** Record pipeline events into an in-core EventLog ring. Emission
-     *  never touches CoreStats, so enabling this leaves every counter
-     *  bit-identical. Compiled out entirely under NOREBA_NO_EVENT_TRACE
-     *  (CMake -DNOREBA_EVENT_TRACE=OFF). */
-    bool eventTrace = false;
-    /** Ring capacity (retained events) when eventTrace is on. */
-    size_t eventTraceCapacity = 1u << 16;
     /** @} */
 };
 
@@ -143,7 +135,7 @@ struct CoreConfig
  * canonical serialization, the config fingerprint, and the per-field
  * tests. Each entry names one scalar field by its dotted path (which
  * is also the member access on a CoreConfig), tagged by type:
- * S = std::string, I = int, B = bool, U = size_t, M = CommitMode.
+ * S = std::string, I = int, B = bool, M = CommitMode.
  *
  * Adding a field to CoreConfig means adding it here (and, when it
  * changes simulation results, bumping RESULT_STORE_MODEL_VERSION in
@@ -151,7 +143,7 @@ struct CoreConfig
  * silently left out; tests/result_store_test.cc additionally asserts
  * that mutating any listed field changes the fingerprint.
  */
-#define NOREBA_CORE_CONFIG_FIELDS(S, I, B, U, M)                          \
+#define NOREBA_CORE_CONFIG_FIELDS(S, I, B, M)                             \
     S(name)                                                               \
     I(fetchWidth)                                                         \
     I(decodeWidth)                                                        \
@@ -207,11 +199,8 @@ struct CoreConfig
     B(srob.enforceInstanceOrder)                                          \
     B(earlyCommitLoads)                                                   \
     B(attributeStalls)                                                    \
-    B(safetyChecks)                                                       \
     B(shadowIndexCheck)                                                   \
-    B(shadowSchedulerCheck)                                               \
-    B(eventTrace)                                                         \
-    U(eventTraceCapacity)
+    B(shadowSchedulerCheck)
 
 /**
  * One CoreConfig field bound to a live struct, for generic
@@ -221,11 +210,10 @@ struct CoreConfig
 struct ConfigFieldRef
 {
     const char *name; //!< dotted path, e.g. "srob.numBrCqs"
-    enum class Kind { Str, Int, Bool, U64, Mode } kind;
+    enum class Kind { Str, Int, Bool, Mode } kind;
     std::string *str = nullptr;
     int *i = nullptr;
     bool *b = nullptr;
-    size_t *u = nullptr;
     CommitMode *mode = nullptr;
 };
 

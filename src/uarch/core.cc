@@ -6,19 +6,15 @@
 #include "common/logging.h"
 
 /**
- * Pipeline-event emission. A single null test when tracing is
- * configured off; removed entirely under -DNOREBA_EVENT_TRACE=OFF.
- * Emission never touches CoreStats, so tracing cannot perturb results.
+ * Pipeline-event emission: a single null test unless an EventLog is
+ * attached. Emission never touches CoreStats, so tracing cannot
+ * perturb results.
  */
-#ifndef NOREBA_NO_EVENT_TRACE
 #define NOREBA_EMIT(type, idx, pc, cause)                                 \
     do {                                                                  \
         if (eventLog_)                                                    \
             eventLog_->emit(cycle_, (type), (idx), (pc), (cause));        \
     } while (0)
-#else
-#define NOREBA_EMIT(type, idx, pc, cause) ((void)0)
-#endif
 
 namespace noreba {
 
@@ -95,12 +91,6 @@ Core::Core(const CoreConfig &cfg, TraceView trace,
     view_.windowUsed_ = &windowUsed_;
     view_.index_ = &index_;
     view_.core_ = this;
-#ifndef NOREBA_NO_EVENT_TRACE
-    if (cfg_.eventTrace) {
-        ownedLog_ = std::make_unique<EventLog>(cfg_.eventTraceCapacity);
-        eventLog_ = ownedLog_.get();
-    }
-#endif
 }
 
 Core::~Core() = default;

@@ -82,14 +82,11 @@ class Core
         commitHook;
 
     /**
-     * Record pipeline events into an externally owned log (replaces
-     * the config-owned one, if any). Emission never touches CoreStats;
-     * pass nullptr to detach.
+     * Record pipeline events into an externally owned log — the only
+     * way to trace a run. Emission never touches CoreStats; pass
+     * nullptr to detach.
      */
     void attachEventLog(EventLog *log) { eventLog_ = log; }
-
-    /** The active event log, or nullptr when tracing is off. */
-    EventLog *eventLog() const { return eventLog_; }
 
   private:
     friend class PipelineView; // commit() forwarding only
@@ -283,10 +280,8 @@ class Core
      *  capacity. */
     std::vector<InFlight *> squashed_;
 
-    /** @name Event tracing (null/empty unless enabled) @{ */
-    std::unique_ptr<EventLog> ownedLog_;
+    /** Attached event log; null unless a caller is tracing. */
     EventLog *eventLog_ = nullptr;
-    /** @} */
 };
 
 } // namespace noreba

@@ -81,31 +81,6 @@ TEST(Rng, ChanceMatchesProbability)
     EXPECT_NEAR(hits / 20000.0, 0.25, 0.02);
 }
 
-TEST(Stats, CounterBasics)
-{
-    Counter c("events");
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(5);
-    ++c;
-    EXPECT_EQ(c.value(), 7u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(c.name(), "events");
-}
-
-TEST(Stats, DistributionTracksMinMaxMean)
-{
-    Distribution d;
-    d.sample(2.0);
-    d.sample(8.0);
-    d.sample(5.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 8.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-}
-
 TEST(Stats, GeomeanOfPowers)
 {
     Geomean g;
@@ -128,17 +103,6 @@ TEST(Stats, GeomeanHelper)
 {
     EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-9);
     EXPECT_EQ(geomean({}), 0.0);
-}
-
-TEST(Stats, StatGroupGetOrCreate)
-{
-    StatGroup g;
-    g.counter("a").inc(3);
-    g.counter("a").inc(2);
-    EXPECT_EQ(g.value("a"), 5u);
-    EXPECT_EQ(g.value("missing"), 0u);
-    g.resetAll();
-    EXPECT_EQ(g.value("a"), 0u);
 }
 
 TEST(Table, AlignsColumns)

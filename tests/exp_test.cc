@@ -23,6 +23,7 @@
 #include "exp/env.h"
 #include "exp/experiment.h"
 #include "experiments.h"
+#include "sim/result_store.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
 #include "store_test_util.h"
@@ -197,13 +198,20 @@ TEST(Env, JobCarriesTraceLenAndEventTraceKnobs)
     EXPECT_EQ(off.workload, "CRC32");
     EXPECT_EQ(off.trace.maxDynInsts, 20000u);
     EXPECT_TRUE(off.trace.annotate);
-    EXPECT_FALSE(off.cfg.eventTrace);
+    EXPECT_TRUE(resultStoreEligible(off.cfg));
 
+    // Event tracing is an EventLog the driver attaches to the first
+    // job, not part of the job: a traced sweep's jobs have the same
+    // result-store identity as untraced ones and stay store-eligible.
+    EXPECT_FALSE(benchutil::eventTraceEnabled());
     setenv("NOREBA_EVENT_TRACE", "1", 1);
-    EXPECT_TRUE(benchutil::job("CRC32", skylakeConfig()).cfg.eventTrace);
+    EXPECT_TRUE(benchutil::eventTraceEnabled());
+    SweepJob traced = benchutil::job("CRC32", skylakeConfig());
+    EXPECT_EQ(resultKey(traced.workload, traced.cfg, traced.trace),
+              resultKey(off.workload, off.cfg, off.trace));
+    EXPECT_TRUE(resultStoreEligible(traced.cfg));
     setenv("NOREBA_EVENT_TRACE", "0", 1);
-    EXPECT_FALSE(
-        benchutil::job("CRC32", skylakeConfig()).cfg.eventTrace);
+    EXPECT_FALSE(benchutil::eventTraceEnabled());
     unsetenv("NOREBA_EVENT_TRACE");
 
     SweepJob stripped = benchutil::job("mcf", skylakeConfig(), true, true);

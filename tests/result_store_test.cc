@@ -59,9 +59,6 @@ mutateField(const ConfigFieldRef &ref)
     case ConfigFieldRef::Kind::Bool:
         *ref.b = !*ref.b;
         return "bool";
-    case ConfigFieldRef::Kind::U64:
-        *ref.u += 1;
-        return "u64";
     case ConfigFieldRef::Kind::Mode:
         *ref.mode = *ref.mode == CommitMode::InOrder
                         ? CommitMode::Noreba
@@ -202,17 +199,13 @@ TEST(ResultStore, EligibilityExcludesVerificationAndEventTraceRuns)
     stalls.attributeStalls = true;
     EXPECT_TRUE(resultStoreEligible(stalls));
 
-    CoreConfig events = cfg;
-    events.eventTrace = true;
-    EXPECT_FALSE(resultStoreEligible(events));
-
-    CoreConfig safety = cfg;
-    safety.safetyChecks = true;
-    EXPECT_FALSE(resultStoreEligible(safety));
-
     CoreConfig shadow = cfg;
     shadow.shadowIndexCheck = true;
     EXPECT_FALSE(resultStoreEligible(shadow));
+
+    CoreConfig scheduler = cfg;
+    scheduler.shadowSchedulerCheck = true;
+    EXPECT_FALSE(resultStoreEligible(scheduler));
 }
 
 TEST(ResultStore, RoundTripsEveryCounterAndBranchStalls)
@@ -304,13 +297,13 @@ TEST(ResultCache, ServesDiskHitsAcrossCacheInstances)
     EXPECT_TRUE(statsEqual(built, replayed));
 
     // Ineligible configs bypass the disk store entirely.
-    SweepJob traced = job;
-    traced.cfg.eventTrace = true;
+    SweepJob shadow = job;
+    shadow.cfg.shadowIndexCheck = true;
     ResultCache bypass;
-    bypass.get(traced, sim);
+    bypass.get(shadow, sim);
     EXPECT_EQ(simulations, 2);
     ResultCache bypass2;
-    bypass2.get(traced, sim);
+    bypass2.get(shadow, sim);
     EXPECT_EQ(simulations, 3);
     EXPECT_EQ(bypass2.stats().diskHits, 0u);
 }
