@@ -72,7 +72,7 @@ resultPath(const std::string &workload, const CoreConfig &cfg,
 bool
 resultStoreEligible(const CoreConfig &cfg)
 {
-    return !cfg.shadowIndexCheck && !cfg.shadowSchedulerCheck;
+    return !cfg.shadowChecks;
 }
 
 bool

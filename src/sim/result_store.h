@@ -13,7 +13,8 @@
  * serialization (uarch/config.h field table), so any knob that shapes
  * the simulation is part of the identity. Version tuple: the result
  * model version, the trace pass fingerprint, and the CoreStats layout
- * fingerprint.
+ * fingerprint (a hash of the counter names, so adding or deleting a
+ * counter retires old results without a model-version bump).
  *
  * The envelope (header, checksums, stored key compared on load, file
  * naming, atomic publish, retries, bypass) is the shared BlobStore
@@ -68,11 +69,10 @@ std::string resultPath(const std::string &workload, const CoreConfig &cfg,
 
 /**
  * Whether results for @p cfg may be served from / published to the
- * disk store. The verification modes (shadowIndexCheck,
- * shadowSchedulerCheck) exist to *run* their checks, so caching them
- * would defeat the point; they are simulated for real. attributeStalls
- * runs are eligible — the per-branch stall map is serialized alongside
- * the counters.
+ * disk store. A shadowChecks run exists to *run* its checks, so
+ * caching it would defeat the point; it is simulated for real.
+ * attributeStalls runs are eligible — the per-branch stall map is
+ * serialized alongside the counters.
  */
 bool resultStoreEligible(const CoreConfig &cfg);
 

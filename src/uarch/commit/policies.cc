@@ -186,7 +186,10 @@ class IdealReconvCommit : public CommitPolicy
  *
  * Model: instruction I retires once it has completed, its memory
  * condition holds, and the next branch after I (the initiator closing
- * I's epoch) plus every older branch have resolved.
+ * I's epoch) plus every older branch have resolved. With brBar the
+ * oldest unresolved branch, that holds exactly when some branch site
+ * lies strictly between I and brBar, i.e. when I is older than the
+ * youngest branch site older than brBar (epochBarrier).
  */
 class ValidationBufferCommit : public CommitPolicy
 {
@@ -194,23 +197,15 @@ class ValidationBufferCommit : public CommitPolicy
     void
     commitCycle(PipelineView &view) override
     {
-        if (nextBranch_.empty())
-            buildEpochs(view);
         int budget = view.config().commitWidth;
-        TraceIdx brBar = view.oldestUnresolvedBranch();
+        TraceIdx epochBar = epochBarrier(view);
         TraceIdx memBar = view.oldestUncheckedMem();
         for (InFlight *p = view.uncommittedHead(); p;) {
             InFlight *next = PipelineView::uncommittedNext(p);
             if (budget == 0)
                 break;
-            if (p->idx >= memBar)
-                break;
-            // The closing initiator (and everything older) resolved?
-            // `needed` never decreases along the frontier, so once it
-            // reaches the barrier no younger entry can retire either.
-            TraceIdx closer = nextBranch_[static_cast<size_t>(p->idx)];
-            TraceIdx needed = closer == TRACE_NONE ? p->idx : closer;
-            if (needed >= brBar)
+            // Past either barrier no younger entry can retire either.
+            if (p->idx >= memBar || p->idx >= epochBar)
                 break;
             if (view.commitEligibleBasic(p)) {
                 view.commit(p);
@@ -227,32 +222,33 @@ class ValidationBufferCommit : public CommitPolicy
                   const InFlight *head) const override
     {
         StallCause base = CommitPolicy::classifyStall(view, head);
-        if (base != StallCause::Structural || nextBranch_.empty())
-            return base;
         // A completed head waiting for its epoch to close is stalled on
         // the initiator branch, not on buffer capacity.
-        TraceIdx closer = nextBranch_[static_cast<size_t>(head->idx)];
-        TraceIdx needed = closer == TRACE_NONE ? head->idx : closer;
-        if (needed >= view.oldestUnresolvedBranch())
+        if (base == StallCause::Structural &&
+            head->idx >= epochBarrier(view))
             return StallCause::HeadBranch;
         return base;
     }
 
   private:
-    void
-    buildEpochs(const PipelineView &view)
+    /**
+     * The youngest branch site older than the oldest unresolved branch
+     * (INT32_MAX when no branch is unresolved, TRACE_NONE when no
+     * branch site precedes it): every instruction older than it sits in
+     * a closed epoch.
+     */
+    static TraceIdx
+    epochBarrier(const PipelineView &view)
     {
+        TraceIdx brBar = view.oldestUnresolvedBranch();
+        if (brBar == INT32_MAX)
+            return INT32_MAX;
         const TraceView &trace = view.trace();
-        nextBranch_.assign(trace.size(), TRACE_NONE);
-        TraceIdx next = TRACE_NONE;
-        for (size_t i = trace.size(); i-- > 0;) {
-            nextBranch_[i] = next;
-            if (trace[i].isBranchSite())
-                next = static_cast<TraceIdx>(i);
-        }
+        TraceIdx i = brBar - 1;
+        while (i >= 0 && !trace[static_cast<size_t>(i)].isBranchSite())
+            --i;
+        return i; // TRACE_NONE (-1) when the scan runs off the trace
     }
-
-    std::vector<TraceIdx> nextBranch_;
 };
 
 bool

@@ -31,8 +31,8 @@ commitModeName(CommitMode mode)
 static_assert(sizeof(CoreConfig) ==
                   sizeof(std::string) + 4 * sizeof(CacheConfig) +
                       sizeof(SelectiveRobConfig) + 27 * sizeof(int) +
-                      sizeof(CommitMode) + 5 * sizeof(bool) +
-                      /* padding */ 7,
+                      sizeof(CommitMode) + 4 * sizeof(bool) +
+                      /* padding */ 8,
               "CoreConfig changed: update NOREBA_CORE_CONFIG_FIELDS "
               "(uarch/config.h) and this tripwire together");
 #endif

@@ -118,15 +118,11 @@ struct CoreConfig
 
     /** @name Instrumentation @{ */
     bool attributeStalls = false; //!< per-branch ROB-stall stats (Fig 7)
-    /** Re-derive every PipelineIndex answer from a naive ROB scan each
-     *  cycle and panic on divergence (differential testing only). */
-    bool shadowIndexCheck = false;
-    /** Re-derive every wakeup-scheduler answer — ready-queue contents
-     *  and order, per-entry pending-source counts, the pending store
-     *  address-gen list, the SQ address index and each load's
-     *  blocked/forwarding verdict — from the naive IQ/SQ scans each
-     *  cycle and panic on divergence (differential testing only). */
-    bool shadowSchedulerCheck = false;
+    /** Re-derive every PipelineIndex answer from a naive ROB scan and
+     *  the wakeup scheduler's ready queue and pending store address-gen
+     *  list from a naive IQ scan, each cycle, and panic on divergence
+     *  (differential testing only). */
+    bool shadowChecks = false;
     /** @} */
 };
 
@@ -199,8 +195,7 @@ struct CoreConfig
     B(srob.enforceInstanceOrder)                                          \
     B(earlyCommitLoads)                                                   \
     B(attributeStalls)                                                    \
-    B(shadowIndexCheck)                                                   \
-    B(shadowSchedulerCheck)
+    B(shadowChecks)
 
 /**
  * One CoreConfig field bound to a live struct, for generic

@@ -40,9 +40,6 @@ memOverlap(const TraceRecord &a, const TraceRecord &b)
  *  block fill plus store-forwarding stalls on every fetch. */
 const InFlight BLANK_INFLIGHT{};
 
-/** SQ address-index granularity: one bucket per 64-byte chunk. */
-constexpr int SQ_CHUNK_SHIFT = 6;
-
 /** Insert into a dispatch-ordered vector, keeping it sorted by seq. */
 void
 insertBySeq(std::vector<InFlight *> &v, InFlight *p)
@@ -88,7 +85,6 @@ Core::Core(const CoreConfig &cfg, TraceView trace,
     view_.stats_ = &stats_;
     view_.committed_ = &committed_;
     view_.cursor_ = &cursor_;
-    view_.windowUsed_ = &windowUsed_;
     view_.index_ = &index_;
     view_.core_ = this;
 }
@@ -144,7 +140,7 @@ Core::startTlbCheck(InFlight *p)
     int tlbLat = tlb_.access(p->rec->addrOrImm);
     p->tlbChecked = true;
     p->tlbDoneAt = cycle_ + static_cast<Cycle>(tlbLat);
-    index_.onTlbCheck(p);
+    index_.onTlbCheck(p, cycle_);
 }
 
 void
@@ -168,7 +164,6 @@ Core::commit(InFlight *p)
         ++stats_.committedAhead;
     index_.onCommit(p);
 
-    --windowUsed_;
     ++stats_.robReads;
     const TraceRecord &rec = *p->rec;
     if (recHasDest(rec))
@@ -177,16 +172,13 @@ Core::commit(InFlight *p)
         --lqUsed_;
         ++stats_.lsqOps;
     } else if (isStore(rec.op)) {
-        --sqUsed_;
         ++stats_.lsqOps;
         // Retire the store into the memory system.
         mem_.access(rec.addrOrImm, true);
         ++stats_.dcacheAccesses;
         auto it = std::find(sq_.begin(), sq_.end(), p);
-        if (it != sq_.end()) {
+        if (it != sq_.end())
             sq_.erase(it.pos());
-            sqIndexErase(p);
-        }
     }
     // Advance eagerly so "out of order" means "older work still
     // pending at the moment of commit", and so CIT reclamation and
@@ -206,16 +198,11 @@ Core::advanceCursor()
 void
 Core::releaseResources(InFlight *p)
 {
-    --windowUsed_;
     const TraceRecord &rec = *p->rec;
     if (recHasDest(rec))
         --physUsed_;
     if (isLoad(rec.op))
         --lqUsed_;
-    else if (isStore(rec.op))
-        --sqUsed_;
-    if (p->inIq)
-        --iqUsed_;
 }
 
 void
@@ -287,9 +274,8 @@ Core::squashAfter(InFlight *b)
     }
     // Scheduler rollback by suffix: the ready queue and the pending
     // address-gen list mirror the IQ (committed-early zombies stay and
-    // still issue), the SQ index mirrors sq_ — which holds only
-    // uncommitted stores in ascending trace order, so the squashed
-    // entries are exactly its tail.
+    // still issue); sq_ holds only uncommitted stores in ascending
+    // trace order, so the squashed entries are exactly its tail.
     readyQ_.erase(std::remove_if(readyQ_.begin(), readyQ_.end(),
                                  [&](InFlight *p) {
                                      if (p->committed || !isSquashed(p))
@@ -308,10 +294,8 @@ Core::squashAfter(InFlight *b)
                                           return true;
                                       }),
                        addrPending_.end());
-    while (!sq_.empty() && isSquashed(sq_.back())) {
-        sqIndexErase(sq_.back());
+    while (!sq_.empty() && isSquashed(sq_.back()))
         sq_.pop_back();
-    }
 
     policy_->onSquash(view_, b->idx);
 
@@ -482,35 +466,20 @@ Core::loadLatency(InFlight *p, bool &blocked)
 {
     const TraceRecord &rec = *p->rec;
     bool forward = false;
-    // Probe only the SQ-index buckets the load's byte range can touch
-    // (O(overlap candidates), not O(|SQ|)). Bucket membership is
-    // necessary but not sufficient: each candidate still takes the
-    // exact age and byte-overlap tests the historical full-SQ walk
-    // applied.
-    if (rec.memSize > 0) {
-        const uint64_t lo = rec.addrOrImm;
-        const uint64_t chunkLo = lo >> SQ_CHUNK_SHIFT;
-        const uint64_t chunkHi = (lo + rec.memSize - 1) >> SQ_CHUNK_SHIFT;
-        for (uint64_t c = chunkLo; c <= chunkHi && !blocked; ++c) {
-            size_t b = sqBucketLowerBound(c);
-            if (b == sqBucketsUsed_ || sqBuckets_[b].chunk != c)
-                continue;
-            for (InFlight *s : sqBuckets_[b].stores) {
-                ++stats_.sqProbes;
-                if (s->idx >= p->idx || !memOverlap(*s->rec, rec))
-                    continue;
-                if (!s->completed) {
-                    blocked = true; // wait for the producing store's data
-                    break;
-                }
-                forward = true;
-            }
+    // Walk the older in-flight stores: any overlapping one whose data
+    // has not written back blocks the load; otherwise an overlapping
+    // completed one forwards.
+    for (InFlight *s : sq_) {
+        if (s->idx >= p->idx)
+            break; // sq_ is ascending in trace order
+        if (!memOverlap(*s->rec, rec))
+            continue;
+        if (!s->completed) {
+            blocked = true; // wait for the producing store's data
+            return 0;
         }
+        forward = true;
     }
-    if (cfg_.shadowSchedulerCheck)
-        shadowVerifyForwarding(p, blocked, forward);
-    if (blocked)
-        return 0;
     startTlbCheck(p);
     int tlbLat = static_cast<int>(p->tlbDoneAt - cycle_);
     if (forward)
@@ -564,7 +533,6 @@ Core::wakeWaiters(InFlight *p)
         InFlight *c = w.p;
         if (c->gen != w.gen)
             continue; // consumer squashed since it parked here
-        ++stats_.wakeups;
         if (--c->pendingSrcs == 0)
             readyInsert(c);
         // Store address generation waits only for the address operand,
@@ -591,77 +559,6 @@ Core::addrPendingInsert(InFlight *p)
 {
     p->inAddrPending = true;
     insertBySeq(addrPending_, p);
-}
-
-size_t
-Core::sqBucketLowerBound(uint64_t chunk) const
-{
-    auto it = std::lower_bound(
-        sqBuckets_.begin(),
-        sqBuckets_.begin() + static_cast<std::ptrdiff_t>(sqBucketsUsed_),
-        chunk,
-        [](const SqBucket &b, uint64_t c) { return b.chunk < c; });
-    return static_cast<size_t>(it - sqBuckets_.begin());
-}
-
-void
-Core::sqIndexInsert(InFlight *p)
-{
-    const TraceRecord &rec = *p->rec;
-    if (rec.memSize == 0)
-        return; // an empty byte range can never overlap a load
-    const uint64_t chunkLo = rec.addrOrImm >> SQ_CHUNK_SHIFT;
-    const uint64_t chunkHi =
-        (rec.addrOrImm + rec.memSize - 1) >> SQ_CHUNK_SHIFT;
-    for (uint64_t c = chunkLo; c <= chunkHi; ++c) {
-        size_t b = sqBucketLowerBound(c);
-        if (b == sqBucketsUsed_ || sqBuckets_[b].chunk != c) {
-            // Open a bucket: rotate the first spare into sorted place.
-            if (sqBucketsUsed_ == sqBuckets_.size())
-                sqBuckets_.emplace_back();
-            auto first = sqBuckets_.begin();
-            std::rotate(first + static_cast<std::ptrdiff_t>(b),
-                        first + static_cast<std::ptrdiff_t>(sqBucketsUsed_),
-                        first + static_cast<std::ptrdiff_t>(sqBucketsUsed_ +
-                                                            1));
-            ++sqBucketsUsed_;
-            sqBuckets_[b].chunk = c;
-        }
-        sqBuckets_[b].stores.push_back(p);
-    }
-}
-
-void
-Core::sqIndexErase(InFlight *p)
-{
-    const TraceRecord &rec = *p->rec;
-    if (rec.memSize == 0)
-        return;
-    const uint64_t chunkLo = rec.addrOrImm >> SQ_CHUNK_SHIFT;
-    const uint64_t chunkHi =
-        (rec.addrOrImm + rec.memSize - 1) >> SQ_CHUNK_SHIFT;
-    for (uint64_t c = chunkLo; c <= chunkHi; ++c) {
-        size_t b = sqBucketLowerBound(c);
-        panic_if(b == sqBucketsUsed_ || sqBuckets_[b].chunk != c,
-                 "SQ index lost the bucket for trace idx %d", p->idx);
-        std::vector<InFlight *> &bucket = sqBuckets_[b].stores;
-        auto e = std::find(bucket.begin(), bucket.end(), p);
-        panic_if(e == bucket.end(),
-                 "SQ index lost the entry for trace idx %d", p->idx);
-        // Swap-and-pop (deterministic, but not order-preserving). The
-        // load probe stops at the first incomplete overlapping store,
-        // so sqProbes depends on this exact bucket order.
-        *e = bucket.back();
-        bucket.pop_back();
-        if (bucket.empty()) {
-            // Close the bucket: rotate it out to the spares.
-            auto first = sqBuckets_.begin();
-            std::rotate(first + static_cast<std::ptrdiff_t>(b),
-                        first + static_cast<std::ptrdiff_t>(b + 1),
-                        first + static_cast<std::ptrdiff_t>(sqBucketsUsed_));
-            --sqBucketsUsed_;
-        }
-    }
 }
 
 void
@@ -715,73 +612,6 @@ Core::shadowSchedulerVerify() const
              "naive scan found %zu (cycle %llu)",
              addrPending_.size(), nPend,
              static_cast<unsigned long long>(cycle_));
-
-    // The SQ address index must cover sq_ exactly: every in-flight
-    // store in every chunk its byte range touches, and nothing else.
-    size_t indexed = 0;
-    for (size_t b = 0; b < sqBuckets_.size(); ++b) {
-        const SqBucket &bucket = sqBuckets_[b];
-        panic_if((b < sqBucketsUsed_) == bucket.stores.empty(),
-                 "shadow scheduler: SQ-index bucket %zu is %s", b,
-                 b < sqBucketsUsed_ ? "live but empty" : "a spare in use");
-        panic_if(b > 0 && b < sqBucketsUsed_ &&
-                     sqBuckets_[b - 1].chunk >= bucket.chunk,
-                 "shadow scheduler: SQ-index buckets out of chunk order");
-        for (InFlight *s : bucket.stores) {
-            ++indexed;
-            const TraceRecord &rec = *s->rec;
-            panic_if(std::find(sq_.begin(), sq_.end(), s) == sq_.end(),
-                     "shadow scheduler: SQ index holds trace idx %d "
-                     "which is not in the SQ", s->idx);
-            panic_if(rec.memSize == 0 ||
-                         bucket.chunk <
-                             (rec.addrOrImm >> SQ_CHUNK_SHIFT) ||
-                         bucket.chunk > ((rec.addrOrImm + rec.memSize - 1) >>
-                                         SQ_CHUNK_SHIFT),
-                     "shadow scheduler: trace idx %d indexed under a "
-                     "chunk outside its byte range", s->idx);
-        }
-    }
-    size_t expected = 0;
-    for (InFlight *s : sq_) {
-        const TraceRecord &rec = *s->rec;
-        if (rec.memSize == 0)
-            continue;
-        expected += static_cast<size_t>(
-            ((rec.addrOrImm + rec.memSize - 1) >> SQ_CHUNK_SHIFT) -
-            (rec.addrOrImm >> SQ_CHUNK_SHIFT) + 1);
-    }
-    panic_if(indexed != expected,
-             "shadow scheduler: SQ index holds %zu entries, expected "
-             "%zu (cycle %llu)",
-             indexed, expected, static_cast<unsigned long long>(cycle_));
-}
-
-void
-Core::shadowVerifyForwarding(const InFlight *p, bool blocked,
-                             bool forward) const
-{
-    // Replay the historical full-SQ walk and compare its verdict with
-    // the chunk-index probe's.
-    bool naiveBlocked = false, naiveForward = false;
-    for (InFlight *s : sq_) {
-        if (s->idx >= p->idx)
-            break; // sq_ is ascending in trace order
-        if (!memOverlap(*s->rec, *p->rec))
-            continue;
-        if (!s->completed) {
-            naiveBlocked = true;
-            break;
-        }
-        naiveForward = true;
-    }
-    panic_if(naiveBlocked != blocked ||
-                 (!blocked && naiveForward != forward),
-             "shadow scheduler: load trace idx %d forwarding verdict "
-             "diverged (index blocked=%d forward=%d, naive blocked=%d "
-             "forward=%d)",
-             p->idx, blocked ? 1 : 0, forward ? 1 : 0,
-             naiveBlocked ? 1 : 0, naiveForward ? 1 : 0);
 }
 
 void
@@ -802,9 +632,6 @@ Core::issueStage()
             startTlbCheck(p);
     }
     addrPending_.clear();
-
-    stats_.readyQueueOccupancy += readyQ_.size();
-    stats_.iqScansAvoided += iq_.size() - readyQ_.size();
 
     // Pop ready entries in age order. Entries that stay — FU busy,
     // issue width exhausted, or a load blocked on an incomplete older
@@ -832,9 +659,6 @@ Core::issueStage()
                     NOREBA_EMIT(TraceEventType::Issue, p->idx, rec.pc,
                                 StallCause::None);
                     consumeFu(cls, latency);
-                    p->issued = true;
-                    p->inIq = false;
-                    --iqUsed_;
                     ++stats_.issued;
                     switch (cls) {
                       case FuClass::IntAlu:
@@ -892,17 +716,18 @@ Core::dispatchStage()
             }
             break;
         }
-        if (cls != FuClass::None && iqUsed_ >= cfg_.iqEntries)
+        if (cls != FuClass::None &&
+            iq_.size() >= static_cast<size_t>(cfg_.iqEntries))
             break;
         if (isLoad(rec.op) && lqUsed_ >= cfg_.lqEntries)
             break;
-        if (isStore(rec.op) && sqUsed_ >= cfg_.sqEntries)
+        if (isStore(rec.op) &&
+            sq_.size() >= static_cast<size_t>(cfg_.sqEntries))
             break;
         if (recHasDest(rec) && physUsed_ >= cfg_.rfEntries)
             break;
 
         decodedQ_.pop_front();
-        p->dispatched = true;
         p->seq = nextSeq_++;
         p->isBranch = rec.isBranchSite();
 
@@ -925,7 +750,6 @@ Core::dispatchStage()
 
         rob_.push_back(p);
         p->inRob = true;
-        ++windowUsed_;
         index_.onDispatch(p);
 
         if (cls == FuClass::None) {
@@ -933,17 +757,13 @@ Core::dispatchStage()
         } else {
             iq_.push_back(p);
             p->iqPos = static_cast<int>(iq_.size()) - 1;
-            p->inIq = true;
-            ++iqUsed_;
             ++stats_.iqWrites;
             registerSrcWaiters(p);
         }
         if (isLoad(rec.op))
             ++lqUsed_;
         else if (isStore(rec.op)) {
-            ++sqUsed_;
             sq_.push_back(p);
-            sqIndexInsert(p);
             if (p->addrReady())
                 addrPendingInsert(p);
         }
@@ -1066,18 +886,19 @@ Core::run()
         decodeStage();
         fetchStage();
 
-        if (cfg_.shadowIndexCheck)
+        if (cfg_.shadowChecks) {
             index_.shadowVerify(rob_, cycle_, trace_);
-        if (cfg_.shadowSchedulerCheck)
             shadowSchedulerVerify();
+        }
 
         if (cursor_ != lastCursor) {
             lastCursor = cursor_;
             lastProgress = cycle_;
         } else if (cycle_ - lastProgress > 500000) {
             panic("no forward progress for 500k cycles at trace idx %d "
-                  "(policy %s, rob %zu, windowUsed %d)",
-                  cursor_, policy_->name(), rob_.size(), windowUsed_);
+                  "(policy %s, rob %zu, window %zu)",
+                  cursor_, policy_->name(), rob_.size(),
+                  index_.frontierSize());
         }
         ++cycle_;
     }

@@ -12,11 +12,12 @@
  * the producer's writeback delivers the wakeups and the instruction
  * enters an age-ordered ready queue exactly when its last operand
  * arrives. issueStage pops ready entries instead of re-checking
- * srcsReady() on the whole IQ, store address-gen TLB kickoffs come off
- * a pending list instead of a full-IQ sweep, and loads probe an
- * address-chunked SQ index instead of walking every in-flight store.
- * CoreConfig::shadowSchedulerCheck re-derives all of it from the naive
- * scans each cycle and panics on divergence.
+ * srcsReady() on the whole IQ, and store address-gen TLB kickoffs come
+ * off a pending list instead of a full-IQ sweep. A load finds its
+ * forwarding store by walking the in-flight stores older than it.
+ * CoreConfig::shadowChecks re-derives the ready queue and the pending
+ * list from the naive IQ scan each cycle (and every PipelineIndex
+ * answer from the naive ROB scan) and panics on divergence.
  *
  * Commit policies never touch the Core class: they consume a
  * PipelineView (uarch/pipeline_view.h), a narrow facade whose ordering
@@ -140,20 +141,10 @@ class Core
     /** The store became address-ready: queue its TLB kickoff. */
     void addrPendingInsert(InFlight *p);
 
-    /** Index / unindex an in-flight store by address chunk. */
-    void sqIndexInsert(InFlight *p);
-    void sqIndexErase(InFlight *p);
-
-    /** Position of the first live SQ-index bucket whose chunk is not
-     *  below @p chunk (sqBucketsUsed_ if none). */
-    size_t sqBucketLowerBound(uint64_t chunk) const;
-
-    /** Differential check: recompute ready/pending/forwarding state
-     *  from the naive IQ/SQ scans and panic on divergence
-     *  (CoreConfig::shadowSchedulerCheck). */
+    /** Differential check: recompute the ready queue and the pending
+     *  address-gen list from the naive IQ scan and panic on divergence
+     *  (CoreConfig::shadowChecks). */
     void shadowSchedulerVerify() const;
-    void shadowVerifyForwarding(const InFlight *p, bool blocked,
-                                bool forward) const;
     /** @} */
 
     const CoreConfig cfg_;
@@ -187,11 +178,10 @@ class Core
     /** Issue-queue residents, UNORDERED (O(1) swap-pop removal via
      *  InFlight::iqPos); age order lives in readyQ_. */
     std::vector<InFlight *> iq_;
-    Ring<InFlight *> sq_; //!< in-flight stores (forwarding)
-    int windowUsed_ = 0;
-    int iqUsed_ = 0;
+    /** In-flight (uncommitted) stores in ascending trace order; loads
+     *  walk it for store-to-load forwarding. */
+    Ring<InFlight *> sq_;
     int lqUsed_ = 0;
-    int sqUsed_ = 0;
     int physUsed_ = 0;
     InFlight::SrcRef renameTable_[NUM_ARCH_REGS];
     uint64_t nextSeq_ = 1;
@@ -242,25 +232,6 @@ class Core
     /** Address-ready stores awaiting their decoupled address-gen TLB
      *  kickoff, in dispatch order (replaces the full-IQ pre-scan). */
     std::vector<InFlight *> addrPending_;
-
-    /** In-flight stores whose byte range touches one address chunk. */
-    struct SqBucket
-    {
-        uint64_t chunk = 0;
-        std::vector<InFlight *> stores;
-    };
-
-    /**
-     * In-flight (uncommitted) stores bucketed by address chunk
-     * (SQ_CHUNK_BYTES-aligned ranges), so a load probes only stores
-     * that can possibly overlap it instead of walking the whole SQ.
-     * Mirrors sq_ exactly: insert at dispatch, erase at commit/squash.
-     * Buckets [0, sqBucketsUsed_) are live, sorted by chunk; the rest
-     * are emptied spares that keep their vectors' capacity, so a new
-     * chunk reuses storage instead of allocating.
-     */
-    std::vector<SqBucket> sqBuckets_;
-    size_t sqBucketsUsed_ = 0;
     /** @} */
 
     /** @name Commit tracking @{ */

@@ -28,12 +28,8 @@ struct InFlight
     /** @name Stage progress @{ */
     Cycle fetchAt = 0;
     Cycle decodeReadyAt = 0;
-    bool dispatched = false;
-    bool inIq = false;
-    bool issued = false;
     bool completed = false;
     bool committed = false;
-    Cycle completeAt = 0;
     /** @} */
 
     /** @name Memory state @{ */
@@ -73,8 +69,6 @@ struct InFlight
     /** @name Commit-policy scratch @{ */
     int cq = -1;          //!< Noreba: commit queue id (-1 = not steered)
     bool steered = false; //!< Noreba: left the ROB'
-    bool guardOk = false; //!< per-cycle memo for chain checks
-    Cycle guardOkCycle = 0;
     /** @} */
 
     /** @name PipelineIndex bookkeeping (Core-internal) @{ */
@@ -91,7 +85,7 @@ struct InFlight
     int32_t waitHead = -1;
     int32_t waitTail = -1;
     int pendingSrcs = 0;   //!< not-yet-ready sources; 0 == issuable
-    int iqPos = -1;        //!< slot in the (unordered) IQ vector
+    int iqPos = -1;        //!< IQ vector slot (-1: not in the IQ)
     bool inReadyQ = false; //!< member of the age-ordered ready queue
     bool inAddrPending = false; //!< store awaiting its addr-gen TLB kick
     /** @} */

@@ -60,8 +60,12 @@ PipelineIndex::onResolve(InFlight *p)
 }
 
 void
-PipelineIndex::onTlbCheck(InFlight *p)
+PipelineIndex::onTlbCheck(InFlight *p, Cycle now)
 {
+    // Later queries this cycle drain with the same `now`, so draining
+    // here changes no answer; it only keeps the heap window-bounded
+    // under policies that never ask for oldestUncheckedMem.
+    drainTlbPending(now);
     tlbPending_.push(TlbPending{p->tlbDoneAt, p, p->gen});
 }
 

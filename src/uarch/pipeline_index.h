@@ -13,13 +13,15 @@
  * and how squash recovery restores them — are documented in DESIGN.md
  * ("PipelineView and the pipeline-state indices"); shadowVerify()
  * re-derives every answer from the naive ROB scan and panics on any
- * divergence, which is how the differential test pins the index to the
- * pre-index semantics bit for bit.
+ * divergence, which is how the shadow differential test
+ * (tests/shadow_test.cc, CoreConfig::shadowChecks) pins the index to
+ * the pre-index semantics bit for bit.
  *
  * Storage is window-bounded and allocation-free once warm: the ordered
  * sets are IndexQueues (sorted vectors with lazy erase and squash by
- * suffix truncation) and the idx -> InFlight map is an IdxSlotRing
- * (uarch/index_queue.h).
+ * suffix truncation), the idx -> InFlight map is an IdxSlotRing
+ * (uarch/index_queue.h), and the TLB-completion heap is drained on
+ * every push, so it holds only the checks still in flight.
  */
 
 #ifndef NOREBA_UARCH_PIPELINE_INDEX_H
@@ -49,8 +51,10 @@ class PipelineIndex
     /** A dispatched branch resolved in writeback. */
     void onResolve(InFlight *p);
 
-    /** The instruction started (or finished) its page-table check. */
-    void onTlbCheck(InFlight *p);
+    /** The instruction started its page-table check at @p now (it
+     *  completes at p->tlbDoneAt). Drains the checks already done by
+     *  @p now first, so the pending heap holds only checks in flight. */
+    void onTlbCheck(InFlight *p, Cycle now);
 
     /** The instruction retired (before resources are released). */
     void onCommit(InFlight *p);
@@ -156,8 +160,8 @@ class PipelineIndex
     /**
      * Differential check: recompute every query from a naive scan of
      * the master ROB and panic on the first divergence. Enabled per
-     * cycle by CoreConfig::shadowIndexCheck; this is the oracle the
-     * pipeline_index differential test drives.
+     * cycle by CoreConfig::shadowChecks; this is one of the two oracles
+     * the shadow differential test drives.
      */
     void shadowVerify(const Ring<InFlight *> &rob, Cycle now,
                       const TraceView &trace);

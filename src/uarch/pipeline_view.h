@@ -39,7 +39,11 @@ class PipelineView
     const CoreStats &stats() const { return *stats_; }
 
     /** Dispatched-but-uncommitted instruction count (ROB occupancy). */
-    int windowUsed() const { return *windowUsed_; }
+    int
+    windowUsed() const
+    {
+        return static_cast<int>(index_->frontierSize());
+    }
 
     /** Oldest not-yet-committed trace index (== size() when done). */
     TraceIdx oldestUncommitted() const { return *cursor_; }
@@ -213,7 +217,6 @@ class PipelineView
     CoreStats *stats_ = nullptr;
     const std::vector<uint8_t> *committed_ = nullptr;
     const TraceIdx *cursor_ = nullptr;
-    const int *windowUsed_ = nullptr;
     PipelineIndex *index_ = nullptr;
     Core *core_ = nullptr;
 };

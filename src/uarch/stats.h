@@ -75,7 +75,6 @@ struct BranchStall
     C(rfReads, "register file reads")                                     \
     C(rfWrites, "register file writes")                                   \
     C(iqWrites, "issue queue insertions")                                 \
-    C(iqWakeups, "issue queue wakeup broadcasts")                         \
     C(robWrites, "ROB allocations")                                       \
     C(robReads, "ROB commit reads")                                       \
     C(lsqOps, "load/store queue operations")                              \
@@ -93,14 +92,7 @@ struct BranchStall
     C(dctOps, "Dependents Counter Table ops")                             \
     C(cqtOps, "Commit Queue Table ops")                                   \
     C(citOps, "CIT allocations + lookups + frees")                        \
-    C(cqOps, "commit queue pushes + pops")                                \
-    /* wakeup-driven scheduler internals (deterministic, but absent      \
-       from pre-scheduler JSON: noreba-stats-diff --ignore them for      \
-       cross-version comparisons) */                                     \
-    C(wakeups, "producer-completion wakeup deliveries")                   \
-    C(readyQueueOccupancy, "ready-queue entries summed per cycle")        \
-    C(sqProbes, "SQ address-index entries probed by loads")               \
-    C(iqScansAvoided, "IQ entries never rescanned thanks to wakeup")
+    C(cqOps, "commit queue pushes + pops")
 
 struct CoreStats
 {

@@ -7,6 +7,11 @@
  * committed instruction under every commit mode. Before the index
  * queues and rings replaced the node-based containers this was about
  * 2.1 per instruction.
+ *
+ * Memory must also stay window-bounded: no single allocation inside
+ * Core::run may exceed 64 KiB, so nothing the loop grows may scale
+ * with the trace (a one-entry-per-instruction table or a heap nothing
+ * drains would cross it well before 20k instructions).
  */
 
 #include <atomic>
@@ -21,11 +26,22 @@
 namespace {
 
 std::atomic<uint64_t> g_allocs{0};
+std::atomic<std::size_t> g_maxAlloc{0};
+
+void
+countAlloc(std::size_t n)
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    std::size_t seen = g_maxAlloc.load(std::memory_order_relaxed);
+    while (n > seen && !g_maxAlloc.compare_exchange_weak(
+                           seen, n, std::memory_order_relaxed)) {
+    }
+}
 
 void *
 countedAlloc(std::size_t n)
 {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    countAlloc(n);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -34,7 +50,7 @@ countedAlloc(std::size_t n)
 void *
 countedAlignedAlloc(std::size_t n, std::align_val_t al)
 {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    countAlloc(n);
     std::size_t a = static_cast<std::size_t>(al);
     std::size_t rounded = (n + a - 1) / a * a;
     if (void *p = std::aligned_alloc(a, rounded ? rounded : a))
@@ -49,13 +65,13 @@ void *operator new[](std::size_t n) { return countedAlloc(n); }
 void *
 operator new(std::size_t n, const std::nothrow_t &) noexcept
 {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    countAlloc(n);
     return std::malloc(n ? n : 1);
 }
 void *
 operator new[](std::size_t n, const std::nothrow_t &) noexcept
 {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    countAlloc(n);
     return std::malloc(n ? n : 1);
 }
 void *
@@ -96,6 +112,7 @@ constexpr CommitMode ALL_MODES[] = {
 };
 
 constexpr double MAX_ALLOCS_PER_INST = 0.05;
+constexpr std::size_t MAX_SINGLE_ALLOC_BYTES = 64 * 1024;
 
 class SimulateLoopAllocations : public ::testing::TestWithParam<const char *>
 {
@@ -111,8 +128,10 @@ TEST_P(SimulateLoopAllocations, WithinBudgetForEveryCommitMode)
         cfg.commitMode = mode;
         Core core(cfg, bundle.view(), bundle.misp);
         const uint64_t before = g_allocs.load();
+        g_maxAlloc.store(0);
         CoreStats stats = core.run();
         const uint64_t allocs = g_allocs.load() - before;
+        const std::size_t largest = g_maxAlloc.load();
         ASSERT_GT(stats.committedInsts, 0u);
         const double perInst = static_cast<double>(allocs) /
                                static_cast<double>(stats.committedInsts);
@@ -120,6 +139,9 @@ TEST_P(SimulateLoopAllocations, WithinBudgetForEveryCommitMode)
             << GetParam() << "/" << commitModeName(mode) << ": " << allocs
             << " allocations for " << stats.committedInsts
             << " committed instructions";
+        EXPECT_LE(largest, MAX_SINGLE_ALLOC_BYTES)
+            << GetParam() << "/" << commitModeName(mode)
+            << ": largest single allocation inside Core::run";
     }
 }
 

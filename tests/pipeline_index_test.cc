@@ -1,26 +1,16 @@
 /**
  * @file
- * Differential tests for the incrementally maintained pipeline-state
- * indices (uarch/pipeline_index.h) and the intrusive list they build
- * on. The shadow mode (CoreConfig::shadowIndexCheck) re-derives every
- * index answer from a naive scan of the master ROB each cycle and
- * panics on the first divergence; these tests drive it through all
- * seven commit modes, the full workload registry, and randomized
- * high-misprediction programs whose squash storms stress the rollback
- * path. Every shadowed run must also produce bit-identical CoreStats
- * to its unshadowed twin (observation must not perturb).
+ * Unit tests for the intrusive list behind the PipelineIndex's
+ * uncommitted frontier. The index itself is pinned to the naive ROB
+ * scan by the shadow differential suite (tests/shadow_test.cc).
  */
 
 #include <gtest/gtest.h>
 
 #include "common/intrusive_list.h"
-#include "test_util.h"
 
 namespace noreba {
 namespace {
-
-using testutil::Prepared;
-using testutil::prepare;
 
 /** @name IntrusiveList unit tests @{ */
 
@@ -92,197 +82,6 @@ TEST(IntrusiveList, ClearUnlinksAll)
         EXPECT_FALSE(List::linked(&node));
 }
 /** @} */
-
-constexpr CommitMode ALL_MODES[] = {
-    CommitMode::InOrder,       CommitMode::NonSpecOoO,
-    CommitMode::Noreba,        CommitMode::IdealReconv,
-    CommitMode::SpeculativeBR, CommitMode::SpeculativeFull,
-    CommitMode::ValidationBuffer,
-};
-
-/** Every counter equal, field by field (via the declarative table). */
-void
-expectStatsEqual(const CoreStats &a, const CoreStats &b,
-                 const std::string &label)
-{
-    for (const CoreStatsField &f : CORE_STATS_FIELDS) {
-        if (f.counter)
-            EXPECT_EQ(a.*f.counter, b.*f.counter)
-                << label << ": " << f.name;
-    }
-}
-
-/**
- * Run one prepared trace with and without the shadow check. The
- * shadowed run panics (aborting the test) on any index divergence; the
- * pair must otherwise be bit-identical.
- */
-CoreStats
-runShadowPair(const Prepared &p, CommitMode mode, CoreConfig cfg,
-              const std::string &label)
-{
-    cfg.commitMode = mode;
-    cfg.shadowIndexCheck = false;
-    Core plain(cfg, p.trace, p.misp);
-    CoreStats base = plain.run();
-
-    cfg.shadowIndexCheck = true;
-    Core shadowed(cfg, p.trace, p.misp);
-    CoreStats shadow = shadowed.run();
-
-    expectStatsEqual(base, shadow,
-                     label + "/" + commitModeName(mode));
-    return base;
-}
-
-/**
- * A randomized squash-storm program: a loop with three ~50%-taken
- * data-dependent branches per iteration (hash-indexed loads from a
- * random table), a branch-guarded store, and a rare FENCE, so every
- * pipeline event the index tracks — dispatch, resolve, TLB check,
- * commit, squash, free — fires constantly under heavy misprediction.
- */
-Program
-stormProgram(uint64_t seed, int64_t iters)
-{
-    Program prog("storm" + std::to_string(seed));
-    Rng rng(seed);
-    const int64_t tableLen = 1 << 12;
-    uint64_t table = prog.allocGlobal(tableLen * 8);
-    for (int64_t i = 0; i < tableLen; ++i)
-        prog.poke64(table + static_cast<uint64_t>(i) * 8, rng.next());
-
-    IRBuilder b(prog);
-    int entry = b.newBlock("entry");
-    int loop = b.newBlock("loop");
-    int a1 = b.newBlock("a1");
-    int j1 = b.newBlock("j1");
-    int a2 = b.newBlock("a2");
-    int j2 = b.newBlock("j2");
-    int a3 = b.newBlock("a3");
-    int j3 = b.newBlock("j3");
-    int fb = b.newBlock("fence");
-    int next = b.newBlock("next");
-    int exit = b.newBlock("exit");
-    const AliasRegion R = 1;
-
-    b.at(entry)
-        .li(S2, static_cast<int64_t>(table))
-        .li(S3, 0)
-        .li(S4, iters)
-        .li(S5, 0)
-        .li(S7, tableLen - 1)
-        .li(S8, 0x9e3779b9)
-        .fallthrough(loop);
-    b.at(loop)
-        .mul(T0, S3, S8)
-        .srli(T0, T0, 11)
-        .and_(T0, T0, S7)
-        .slli(T0, T0, 3)
-        .add(T0, S2, T0)
-        .ld(T1, T0, 0, R)
-        .andi(T2, T1, 1)
-        .beq(T2, ZERO, a1, j1); // ~50% data-dependent branch
-    b.at(a1).add(S5, S5, T1).jump(j1);
-    b.at(j1).andi(T2, T1, 2).bne(T2, ZERO, a2, j2); // ~50%
-    b.at(a2).sd(S5, T0, 0, R).jump(j2); // branch-guarded store
-    b.at(j2).andi(T2, T1, 4).beq(T2, ZERO, a3, j3); // ~50%
-    b.at(a3).ld(T3, T0, 0, R).add(S5, S5, T3).jump(j3);
-    b.at(j3).andi(T2, T1, 255).beq(T2, ZERO, fb, next);
-    b.at(fb).fence().jump(next); // rare (~1/256) memory barrier
-    b.at(next).addi(S3, S3, 1).blt(S3, S4, loop, exit);
-    b.at(exit).halt();
-    prog.finalize();
-    runBranchDependencePass(prog);
-    return prog;
-}
-
-/** A small window magnifies squash/reclaim edge interleavings. */
-CoreConfig
-tinyConfig()
-{
-    CoreConfig cfg = skylakeConfig();
-    cfg.name = "tiny";
-    cfg.robEntries = 32;
-    cfg.iqEntries = 16;
-    cfg.lqEntries = 12;
-    cfg.sqEntries = 10;
-    cfg.rfEntries = 48;
-    cfg.srob.numBrCqs = 2;
-    cfg.srob.brCqEntries = 8;
-    cfg.srob.prCqEntries = 16;
-    cfg.srob.citEntries = 8;
-    cfg.srob.cqtEntries = 8;
-    return cfg;
-}
-
-TEST(PipelineIndexShadow, WorkloadRegistryAllModes)
-{
-    TraceOptions opts;
-    opts.maxDynInsts = 6000;
-    for (const std::string &name : workloadNames()) {
-        TraceBundle bundle = prepareTrace(name, opts);
-        for (CommitMode mode : ALL_MODES) {
-            CoreConfig cfg = skylakeConfig();
-            cfg.commitMode = mode;
-            cfg.shadowIndexCheck = false;
-            Core plain(cfg, bundle.view(), bundle.misp);
-            CoreStats base = plain.run();
-
-            cfg.shadowIndexCheck = true;
-            Core shadowed(cfg, bundle.view(), bundle.misp);
-            CoreStats shadow = shadowed.run();
-
-            expectStatsEqual(base, shadow,
-                             name + "/" + commitModeName(mode));
-        }
-    }
-}
-
-TEST(PipelineIndexShadow, SquashStormsAllModes)
-{
-    for (uint64_t seed : {11u, 23u}) {
-        Program prog = stormProgram(seed, 1100);
-        Prepared p = prepare(prog, 60000);
-        for (CommitMode mode : ALL_MODES) {
-            std::string label = "storm" + std::to_string(seed);
-            CoreStats s = runShadowPair(p, mode, skylakeConfig(), label);
-            // The storm must actually storm, or this test has no
-            // teeth: ~50%-taken data-dependent branches should squash
-            // hundreds of times in 1100 iterations.
-            EXPECT_GT(s.squashes, 100u) << label;
-            runShadowPair(p, mode, tinyConfig(), label + "/tiny");
-        }
-    }
-}
-
-TEST(PipelineIndexShadow, EarlyCommitLoadZombies)
-{
-    // ECL retires loads before their data returns, so committed-
-    // incomplete zombies cross squashes — the nastiest case for the
-    // frontier and the unchecked-memory index.
-    Program prog = stormProgram(7, 900);
-    Prepared p = prepare(prog, 50000);
-    for (CommitMode mode : ALL_MODES) {
-        CoreConfig cfg = skylakeConfig();
-        cfg.earlyCommitLoads = true;
-        runShadowPair(p, mode, cfg, "ecl");
-        CoreConfig tiny = tinyConfig();
-        tiny.earlyCommitLoads = true;
-        tiny.attributeStalls = true;
-        runShadowPair(p, mode, tiny, "ecl/tiny");
-    }
-}
-
-TEST(PipelineIndexShadow, DelinquentLoopMatchesOracle)
-{
-    // The canonical NOREBA workload: deep unresolved-branch chains with
-    // real guard annotations from the compiler pass.
-    Program prog = testutil::delinquentLoop(800);
-    Prepared p = prepare(prog);
-    for (CommitMode mode : ALL_MODES)
-        runShadowPair(p, mode, skylakeConfig(), "delinquent");
-}
 
 } // namespace
 } // namespace noreba

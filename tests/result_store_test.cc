@@ -200,12 +200,8 @@ TEST(ResultStore, EligibilityExcludesVerificationAndEventTraceRuns)
     EXPECT_TRUE(resultStoreEligible(stalls));
 
     CoreConfig shadow = cfg;
-    shadow.shadowIndexCheck = true;
+    shadow.shadowChecks = true;
     EXPECT_FALSE(resultStoreEligible(shadow));
-
-    CoreConfig scheduler = cfg;
-    scheduler.shadowSchedulerCheck = true;
-    EXPECT_FALSE(resultStoreEligible(scheduler));
 }
 
 TEST(ResultStore, RoundTripsEveryCounterAndBranchStalls)
@@ -298,7 +294,7 @@ TEST(ResultCache, ServesDiskHitsAcrossCacheInstances)
 
     // Ineligible configs bypass the disk store entirely.
     SweepJob shadow = job;
-    shadow.cfg.shadowIndexCheck = true;
+    shadow.cfg.shadowChecks = true;
     ResultCache bypass;
     bypass.get(shadow, sim);
     EXPECT_EQ(simulations, 2);

@@ -1,15 +1,10 @@
 /**
  * @file
- * Differential tests for the wakeup-driven scheduler (uarch/core.cc):
- * the dependency-indexed ready queue, the pending store address-gen
- * list, and the chunk-indexed store queue that replaced the per-cycle
- * IQ/SQ scans. The shadow mode (CoreConfig::shadowSchedulerCheck)
- * re-derives every scheduler answer from the naive scans each cycle
- * and panics on the first divergence; these tests drive it through all
- * seven commit modes, the full workload registry, randomized
- * squash-storm/misprediction programs, and targeted store-to-load
- * forwarding edge cases. Every shadowed run must also be bit-identical
- * in CoreStats to its unshadowed twin.
+ * Targeted scheduler tests (uarch/core.cc): store-to-load forwarding
+ * edge cases for the loads' store-queue walk, and overlapping divides
+ * across unpipelined divider units. Each runs as a shadow pair
+ * (CoreConfig::shadowChecks); the registry-wide and squash-storm
+ * differential runs live in tests/shadow_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -21,195 +16,15 @@ namespace {
 
 using testutil::Prepared;
 using testutil::prepare;
+using testutil::runShadowPair;
 
-constexpr CommitMode ALL_MODES[] = {
-    CommitMode::InOrder,       CommitMode::NonSpecOoO,
-    CommitMode::Noreba,        CommitMode::IdealReconv,
-    CommitMode::SpeculativeBR, CommitMode::SpeculativeFull,
-    CommitMode::ValidationBuffer,
-};
-
-/** Every counter equal, field by field (via the declarative table). */
-void
-expectStatsEqual(const CoreStats &a, const CoreStats &b,
-                 const std::string &label)
-{
-    for (const CoreStatsField &f : CORE_STATS_FIELDS) {
-        if (f.counter) {
-            EXPECT_EQ(a.*f.counter, b.*f.counter)
-                << label << ": " << f.name;
-        }
-    }
-}
+/** @name Store-to-load forwarding through the store-queue walk @{ */
 
 /**
- * Run one prepared trace with and without the scheduler shadow check.
- * The shadowed run panics (aborting the test) on any divergence from
- * the naive scans; the pair must otherwise be bit-identical.
- */
-CoreStats
-runShadowPair(const Prepared &p, CommitMode mode, CoreConfig cfg,
-              const std::string &label)
-{
-    cfg.commitMode = mode;
-    cfg.shadowSchedulerCheck = false;
-    Core plain(cfg, p.trace, p.misp);
-    CoreStats base = plain.run();
-
-    cfg.shadowSchedulerCheck = true;
-    Core shadowed(cfg, p.trace, p.misp);
-    CoreStats shadow = shadowed.run();
-
-    expectStatsEqual(base, shadow, label + "/" + commitModeName(mode));
-    return base;
-}
-
-/**
- * A randomized squash-storm program (same shape as the pipeline-index
- * storm): three ~50%-taken data-dependent branches per iteration, a
- * branch-guarded store, and a rare FENCE, so wakeup registration,
- * ready-queue suffix rollback, and SQ-index erase all fire constantly
- * under heavy misprediction.
- */
-Program
-stormProgram(uint64_t seed, int64_t iters)
-{
-    Program prog("schedstorm" + std::to_string(seed));
-    Rng rng(seed);
-    const int64_t tableLen = 1 << 12;
-    uint64_t table = prog.allocGlobal(tableLen * 8);
-    for (int64_t i = 0; i < tableLen; ++i)
-        prog.poke64(table + static_cast<uint64_t>(i) * 8, rng.next());
-
-    IRBuilder b(prog);
-    int entry = b.newBlock("entry");
-    int loop = b.newBlock("loop");
-    int a1 = b.newBlock("a1");
-    int j1 = b.newBlock("j1");
-    int a2 = b.newBlock("a2");
-    int j2 = b.newBlock("j2");
-    int a3 = b.newBlock("a3");
-    int j3 = b.newBlock("j3");
-    int fb = b.newBlock("fence");
-    int next = b.newBlock("next");
-    int exit = b.newBlock("exit");
-    const AliasRegion R = 1;
-
-    b.at(entry)
-        .li(S2, static_cast<int64_t>(table))
-        .li(S3, 0)
-        .li(S4, iters)
-        .li(S5, 0)
-        .li(S7, tableLen - 1)
-        .li(S8, 0x9e3779b9)
-        .fallthrough(loop);
-    b.at(loop)
-        .mul(T0, S3, S8)
-        .srli(T0, T0, 11)
-        .and_(T0, T0, S7)
-        .slli(T0, T0, 3)
-        .add(T0, S2, T0)
-        .ld(T1, T0, 0, R)
-        .andi(T2, T1, 1)
-        .beq(T2, ZERO, a1, j1); // ~50% data-dependent branch
-    b.at(a1).add(S5, S5, T1).jump(j1);
-    b.at(j1).andi(T2, T1, 2).bne(T2, ZERO, a2, j2); // ~50%
-    b.at(a2).sd(S5, T0, 0, R).jump(j2); // branch-guarded store
-    b.at(j2).andi(T2, T1, 4).beq(T2, ZERO, a3, j3); // ~50%
-    b.at(a3).ld(T3, T0, 0, R).add(S5, S5, T3).jump(j3);
-    b.at(j3).andi(T2, T1, 255).beq(T2, ZERO, fb, next);
-    b.at(fb).fence().jump(next); // rare (~1/256) memory barrier
-    b.at(next).addi(S3, S3, 1).blt(S3, S4, loop, exit);
-    b.at(exit).halt();
-    prog.finalize();
-    runBranchDependencePass(prog);
-    return prog;
-}
-
-/** A small window magnifies squash/reclaim edge interleavings. */
-CoreConfig
-tinyConfig()
-{
-    CoreConfig cfg = skylakeConfig();
-    cfg.name = "tiny";
-    cfg.robEntries = 32;
-    cfg.iqEntries = 16;
-    cfg.lqEntries = 12;
-    cfg.sqEntries = 10;
-    cfg.rfEntries = 48;
-    cfg.srob.numBrCqs = 2;
-    cfg.srob.brCqEntries = 8;
-    cfg.srob.prCqEntries = 16;
-    cfg.srob.citEntries = 8;
-    cfg.srob.cqtEntries = 8;
-    return cfg;
-}
-
-TEST(SchedulerShadow, WorkloadRegistryAllModes)
-{
-    TraceOptions opts;
-    opts.maxDynInsts = 6000;
-    for (const std::string &name : workloadNames()) {
-        TraceBundle bundle = prepareTrace(name, opts);
-        for (CommitMode mode : ALL_MODES) {
-            CoreConfig cfg = skylakeConfig();
-            cfg.commitMode = mode;
-            cfg.shadowSchedulerCheck = false;
-            Core plain(cfg, bundle.view(), bundle.misp);
-            CoreStats base = plain.run();
-
-            cfg.shadowSchedulerCheck = true;
-            Core shadowed(cfg, bundle.view(), bundle.misp);
-            CoreStats shadow = shadowed.run();
-
-            expectStatsEqual(base, shadow,
-                             name + "/" + commitModeName(mode));
-        }
-    }
-}
-
-TEST(SchedulerShadow, SquashStormsAllModes)
-{
-    for (uint64_t seed : {5u, 31u}) {
-        Program prog = stormProgram(seed, 1100);
-        Prepared p = prepare(prog, 60000);
-        for (CommitMode mode : ALL_MODES) {
-            std::string label = "storm" + std::to_string(seed);
-            CoreStats s = runShadowPair(p, mode, skylakeConfig(), label);
-            // The storm must actually storm, or the rollback path goes
-            // untested: ~50%-taken data-dependent branches should
-            // squash hundreds of times in 1100 iterations.
-            EXPECT_GT(s.squashes, 100u) << label;
-            runShadowPair(p, mode, tinyConfig(), label + "/tiny");
-        }
-    }
-}
-
-TEST(SchedulerShadow, EarlyCommitLoadZombies)
-{
-    // ECL retires loads before their data returns. A committed-early
-    // zombie stays in the IQ across squashes, and when a squash frees
-    // its (uncommitted) producer, the gen bump — not a completion —
-    // must deliver the zombie's wakeup.
-    Program prog = stormProgram(17, 900);
-    Prepared p = prepare(prog, 50000);
-    for (CommitMode mode : ALL_MODES) {
-        CoreConfig cfg = skylakeConfig();
-        cfg.earlyCommitLoads = true;
-        runShadowPair(p, mode, cfg, "ecl");
-        CoreConfig tiny = tinyConfig();
-        tiny.earlyCommitLoads = true;
-        runShadowPair(p, mode, tiny, "ecl/tiny");
-    }
-}
-
-/** @name Store-to-load forwarding through the chunked SQ index @{ */
-
-/**
- * A store whose byte range straddles a 64-byte index-chunk boundary,
+ * A store whose byte range straddles a 64-byte (cache-line) boundary,
  * partially overlapped by a narrower load on the far side of the
- * boundary. The load's probe only visits its own chunks; the store
- * must still be found there or forwarding silently disappears.
+ * boundary. The walk's byte-overlap test must still match the store,
+ * or forwarding silently disappears.
  */
 TEST(SchedulerForwarding, PartialOverlapAcrossChunkBoundary)
 {
@@ -232,22 +47,23 @@ TEST(SchedulerForwarding, PartialOverlapAcrossChunkBoundary)
                 b.li(S6, 3);
                 b.li(S7, 1000003);
             }
-            // 8-byte store at +60 covers bytes 60..67: chunks c and
-            // c+1. The 4-byte load at +64 overlaps only its tail.
+            // 8-byte store at +60 covers bytes 60..67, across the
+            // line boundary. The 4-byte load at +64 overlaps only its
+            // tail.
             b.div(T4, S7, S6)          // commit anchor (12 cycles)
                 .addi(S7, T4, 1000003) // ...chained across iterations
                 .sd(S5, S2, 60, R)
                 .lw(T1, S2, 64, R)
                 .add(S5, S5, T1);
         },
-        "chunk-straddle");
+        "line-straddle");
 
     Prepared p = prepare(prog);
     CoreStats s = runShadowPair(p, CommitMode::InOrder,
                                 skylakeConfig(), "straddle");
     // Forwarded loads never touch the D-cache: of the 800 memory ops,
     // only the 400 retiring stores (plus noise) may access it. If the
-    // cross-chunk store were missed, 400 load accesses join them.
+    // straddling store were missed, 400 load accesses join them.
     EXPECT_LT(s.dcacheAccesses, 600u) << "forwarding never happened";
 }
 

@@ -7,6 +7,10 @@
 #ifndef NOREBA_TESTS_TEST_UTIL_H
 #define NOREBA_TESTS_TEST_UTIL_H
 
+#include <string>
+
+#include <gtest/gtest.h>
+
 #include "common/rng.h"
 #include "compiler/branch_dep.h"
 #include "interp/interpreter.h"
@@ -44,6 +48,49 @@ run(const Prepared &p, CommitMode mode,
     cfg.commitMode = mode;
     Core core(cfg, p.trace, p.misp);
     return core.run();
+}
+
+/** Every counter equal, field by field (via the declarative table). */
+inline void
+expectStatsEqual(const CoreStats &a, const CoreStats &b,
+                 const std::string &label)
+{
+    for (const CoreStatsField &f : CORE_STATS_FIELDS) {
+        if (f.counter) {
+            EXPECT_EQ(a.*f.counter, b.*f.counter)
+                << label << ": " << f.name;
+        }
+    }
+}
+
+/**
+ * Run one trace under @p mode with and without CoreConfig::shadowChecks.
+ * The shadowed run panics (aborting the test) on any divergence from
+ * the naive ROB and IQ scans; the pair must otherwise be bit-identical
+ * (observation must not perturb). Returns the unshadowed stats.
+ */
+inline CoreStats
+runShadowPair(TraceView trace, const std::vector<uint8_t> &misp,
+              CommitMode mode, CoreConfig cfg, const std::string &label)
+{
+    cfg.commitMode = mode;
+    cfg.shadowChecks = false;
+    Core plain(cfg, trace, misp);
+    CoreStats base = plain.run();
+
+    cfg.shadowChecks = true;
+    Core shadowed(cfg, trace, misp);
+    CoreStats shadow = shadowed.run();
+
+    expectStatsEqual(base, shadow, label + "/" + commitModeName(mode));
+    return base;
+}
+
+inline CoreStats
+runShadowPair(const Prepared &p, CommitMode mode, const CoreConfig &cfg,
+              const std::string &label)
+{
+    return runShadowPair(p.trace, p.misp, mode, cfg, label);
 }
 
 /**

@@ -51,8 +51,8 @@ statsFingerprint(const CoreStats &s)
             s.commitHeadBranchStall, s.commitHeadLoadStall,
             s.steerStallCycles, s.steerStallTlb, s.steerStallCqt,
             s.steerStallCqFull, s.citFullStalls, s.rfReads,
-            s.rfWrites,       s.iqWrites,        s.iqWakeups,
-            s.robWrites,      s.robReads,        s.lsqOps,
+            s.rfWrites,       s.iqWrites,        s.robWrites,
+            s.robReads,       s.lsqOps,
             s.bpredLookups,   s.icacheAccesses,  s.dcacheAccesses,
             s.l2Accesses,     s.l3Accesses,      s.intAluOps,
             s.fpAluOps,       s.cmplxAluOps,     s.renameOps,
