@@ -11,6 +11,7 @@
 
 #include "common/table.h"
 #include "experiments.h"
+#include "isa/setup_encoding.h"
 
 namespace noreba::bench {
 
@@ -31,17 +32,17 @@ registerTab0203Configs()
         auto kb = [](int bytes) {
             return std::to_string(bytes / 1024) + "KB";
         };
-        t2.addRow({"L1d", kb(skl.l1d.sizeBytes) + ", " +
-                              std::to_string(skl.l1d.latency) + "clk"});
-        t2.addRow({"L1i", kb(skl.l1i.sizeBytes) + ", " +
-                              std::to_string(skl.l1i.latency) + "clk"});
-        t2.addRow({"L2", kb(skl.l2.sizeBytes) + ", " +
-                             std::to_string(skl.l2.latency) + "clk"});
-        t2.addRow({"L3", kb(skl.l3.sizeBytes) + ", " +
-                             std::to_string(skl.l3.latency) + "clk"});
+        auto cache = [&kb](const CacheConfig &c) {
+            return kb(c.sizeBytes) + ", " + std::to_string(c.latency) +
+                   "clk";
+        };
+        t2.addRow({"L1d", cache(L1D_CACHE)});
+        t2.addRow({"L1i", cache(L1I_CACHE)});
+        t2.addRow({"L2", cache(L2_CACHE)});
+        t2.addRow({"L3", cache(L3_CACHE)});
         t2.addRow({"Dispatch/Issue/Commit width",
-                   std::to_string(skl.dispatchWidth) + "/" +
-                       std::to_string(skl.issueWidth) + "/" +
+                   std::to_string(DISPATCH_WIDTH) + "/" +
+                       std::to_string(ISSUE_WIDTH) + "/" +
                        std::to_string(skl.commitWidth)});
         t2.addRow({"Branch predictor",
                    "TAGE (4 tagged tables, scaled-down TAGE-SC-L-8KB)"});
@@ -56,7 +57,7 @@ registerTab0203Configs()
         t2.addRow({"PR-CQ entries",
                    std::to_string(skl.srob.prCqEntries) + "-entries"});
         t2.addRow({"BIT/CQT entries",
-                   std::to_string(skl.srob.bitEntries)});
+                   std::to_string(NUM_BRANCH_IDS)});
         t2.addRow({"CIT entries", std::to_string(skl.srob.citEntries)});
         std::printf("%s\n", t2.render().c_str());
 

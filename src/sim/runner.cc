@@ -80,6 +80,7 @@ prepareTrace(const std::string &workload, const TraceOptions &opts)
 CoreStats
 simulate(const CoreConfig &cfg, const TraceBundle &bundle)
 {
+    validateConfig(cfg);
     Core core(cfg, bundle.view(), bundle.misp);
     return core.run();
 }
@@ -89,6 +90,7 @@ simulate(const CoreConfig &cfg, const TraceBundle &bundle,
          EventLog *events)
 {
     panic_if(!events, "simulate(..., EventLog*) needs a log");
+    validateConfig(cfg);
     Core core(cfg, bundle.view(), bundle.misp);
     core.attachEventLog(events);
     return core.run();

@@ -238,33 +238,19 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
 JsonValue
 configToJson(const CoreConfig &cfg)
 {
-    JsonValue srob = JsonValue::object();
-    srob.set("numBrCqs", cfg.srob.numBrCqs)
-        .set("brCqEntries", cfg.srob.brCqEntries)
-        .set("prCqEntries", cfg.srob.prCqEntries)
-        .set("bitEntries", cfg.srob.bitEntries)
-        .set("cqtEntries", cfg.srob.cqtEntries)
-        .set("citEntries", cfg.srob.citEntries)
-        .set("enforceInstanceOrder", cfg.srob.enforceInstanceOrder);
-
+    // The field refs mutate nothing here; the copy keeps the API const.
+    CoreConfig copy = cfg;
     JsonValue out = JsonValue::object();
-    out.set("name", cfg.name)
-        .set("commitMode", commitModeName(cfg.commitMode))
-        .set("fetchWidth", cfg.fetchWidth)
-        .set("decodeWidth", cfg.decodeWidth)
-        .set("dispatchWidth", cfg.dispatchWidth)
-        .set("issueWidth", cfg.issueWidth)
-        .set("commitWidth", cfg.commitWidth)
-        .set("steerWidth", cfg.steerWidth)
-        .set("robEntries", cfg.robEntries)
-        .set("iqEntries", cfg.iqEntries)
-        .set("lqEntries", cfg.lqEntries)
-        .set("sqEntries", cfg.sqEntries)
-        .set("rfEntries", cfg.rfEntries)
-        .set("dramLatency", cfg.dramLatency)
-        .set("prefetcher", cfg.prefetcher)
-        .set("earlyCommitLoads", cfg.earlyCommitLoads)
-        .set("srob", std::move(srob));
+    for (const ConfigFieldRef &f : configFieldRefs(copy)) {
+        switch (f.kind) {
+          case ConfigFieldRef::Kind::Str: out.set(f.name, *f.str); break;
+          case ConfigFieldRef::Kind::Int: out.set(f.name, *f.i); break;
+          case ConfigFieldRef::Kind::Bool: out.set(f.name, *f.b); break;
+          case ConfigFieldRef::Kind::Mode:
+            out.set(f.name, commitModeName(*f.mode));
+            break;
+        }
+    }
     return out;
 }
 

@@ -345,6 +345,7 @@ class SweepRunner
 };
 
 /** @name JSON records (BENCH_*.json emission) @{ */
+/** One key per NOREBA_CORE_CONFIG_FIELDS entry, under its dotted name. */
 JsonValue configToJson(const CoreConfig &cfg);
 JsonValue statsToJson(const CoreStats &stats);
 JsonValue bundleCacheStatsToJson(const BundleCacheStats &stats);

@@ -65,9 +65,9 @@ Cache::fill(uint64_t addr)
     victim->lru = ++tick_;
 }
 
-MemoryHierarchy::MemoryHierarchy(const CoreConfig &cfg)
-    : l1i_(cfg.l1i, "l1i"), l1d_(cfg.l1d, "l1d"), l2_(cfg.l2, "l2"),
-      l3_(cfg.l3, "l3"), dramLatency_(cfg.dramLatency)
+MemoryHierarchy::MemoryHierarchy()
+    : l1i_(L1I_CACHE, "l1i"), l1d_(L1D_CACHE, "l1d"), l2_(L2_CACHE, "l2"),
+      l3_(L3_CACHE, "l3")
 {
 }
 
@@ -90,7 +90,7 @@ MemoryHierarchy::access(uint64_t addr, bool write)
     l3_.fill(addr);
     l2_.fill(addr);
     l1d_.fill(addr);
-    return l3_.latency() + dramLatency_;
+    return l3_.latency() + DRAM_LATENCY;
 }
 
 int
@@ -108,7 +108,7 @@ MemoryHierarchy::fetchAccess(uint64_t pc)
         ++dramAccesses_;
         l3_.fill(pc);
         l2_.fill(pc);
-        latency = l3_.latency() + dramLatency_;
+        latency = l3_.latency() + DRAM_LATENCY;
     }
     l1i_.fill(pc);
     return latency;

@@ -68,13 +68,14 @@ class Cache
 };
 
 /**
- * The full hierarchy. access() returns the total latency of a demand
+ * The full hierarchy, built from the Table 2 constants in
+ * uarch/config.h. access() returns the total latency of a demand
  * access and performs the fills; prefetch() installs lines quietly.
  */
 class MemoryHierarchy
 {
   public:
-    explicit MemoryHierarchy(const CoreConfig &cfg);
+    MemoryHierarchy();
 
     /** Demand data access (load or store-at-commit). */
     int access(uint64_t addr, bool write);
@@ -99,7 +100,6 @@ class MemoryHierarchy
     Cache l1d_;
     Cache l2_;
     Cache l3_;
-    int dramLatency_;
     uint64_t dramAccesses_ = 0;
 };
 

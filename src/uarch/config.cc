@@ -1,5 +1,6 @@
 #include "uarch/config.h"
 
+#include "common/error.h"
 #include "common/hash.h"
 #include "common/logging.h"
 
@@ -29,13 +30,27 @@ commitModeName(CommitMode mode)
  */
 #if defined(__GLIBCXX__) && defined(__x86_64__)
 static_assert(sizeof(CoreConfig) ==
-                  sizeof(std::string) + 4 * sizeof(CacheConfig) +
-                      sizeof(SelectiveRobConfig) + 27 * sizeof(int) +
-                      sizeof(CommitMode) + 4 * sizeof(bool) +
-                      /* padding */ 8,
+                  sizeof(std::string) + sizeof(SelectiveRobConfig) +
+                      8 * sizeof(int) + sizeof(CommitMode) +
+                      4 * sizeof(bool) + /* padding */ 8,
               "CoreConfig changed: update NOREBA_CORE_CONFIG_FIELDS "
               "(uarch/config.h) and this tripwire together");
 #endif
+
+void
+validateConfig(const CoreConfig &c)
+{
+#define NOREBA_CFG_NONE(f)
+#define NOREBA_CFG_I(f, min)                                              \
+    if (c.f < (min))                                                      \
+        throw SimError("config.validate",                                 \
+                       "config field " #f " = " + std::to_string(c.f) +   \
+                           " is below its minimum " #min);
+    NOREBA_CORE_CONFIG_FIELDS(NOREBA_CFG_NONE, NOREBA_CFG_I,
+                              NOREBA_CFG_NONE, NOREBA_CFG_NONE)
+#undef NOREBA_CFG_NONE
+#undef NOREBA_CFG_I
+}
 
 std::vector<ConfigFieldRef>
 configFieldRefs(CoreConfig &c)
@@ -44,7 +59,7 @@ configFieldRefs(CoreConfig &c)
 #define NOREBA_CFG_S(f)                                                   \
     out.push_back({#f, ConfigFieldRef::Kind::Str, &c.f, nullptr,          \
                    nullptr, nullptr});
-#define NOREBA_CFG_I(f)                                                   \
+#define NOREBA_CFG_I(f, min)                                              \
     out.push_back({#f, ConfigFieldRef::Kind::Int, nullptr, &c.f,          \
                    nullptr, nullptr});
 #define NOREBA_CFG_B(f)                                                   \

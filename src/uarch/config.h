@@ -38,13 +38,46 @@ struct CacheConfig
     int latency = 4; //!< total hit latency in cycles
 };
 
-/** Selective ROB parameters (Table 2). */
+/**
+ * @name Fixed system parameters (Table 2)
+ * Table 2 fixes the pipeline widths, functional units, caches and TLB
+ * for every experiment in the paper, so they are constants rather
+ * than CoreConfig fields. @{
+ */
+constexpr int FETCH_WIDTH = 4;
+constexpr int DECODE_WIDTH = 4;
+constexpr int DISPATCH_WIDTH = 4;
+constexpr int ISSUE_WIDTH = 4;
+constexpr int IFQ_ENTRIES = 32;    //!< instruction fetch queue
+constexpr int FETCH_TO_DECODE = 3; //!< front-end depth before decode
+constexpr int DECODE_TO_DISPATCH = 2;
+constexpr int REDIRECT_PENALTY = 2; //!< extra redirect cycles after resolve
+
+constexpr int NUM_INT_ALU = 4;
+constexpr int NUM_INT_MUL = 1;
+constexpr int NUM_FP_ALU = 2;
+constexpr int NUM_FP_MUL = 2;
+constexpr int NUM_FP_DIV = 1;
+constexpr int NUM_LOAD_PORTS = 2;
+constexpr int NUM_STORE_PORTS = 1;
+constexpr int NUM_BRANCH_UNITS = 2;
+
+constexpr CacheConfig L1I_CACHE{32 * 1024, 8, 64, 4};
+constexpr CacheConfig L1D_CACHE{32 * 1024, 8, 64, 4};
+constexpr CacheConfig L2_CACHE{256 * 1024, 8, 64, 12};
+constexpr CacheConfig L3_CACHE{1024 * 1024, 16, 64, 36};
+constexpr int DRAM_LATENCY = 200;
+constexpr int TLB_ENTRIES = 1536; //!< STLB-class reach (Skylake ~1.5K)
+constexpr int TLB_MISS_PENALTY = 30;
+/** @} */
+
+/** Selective ROB parameters (Table 2). The BIT has NUM_BRANCH_IDS
+ *  entries, fixed by the ISA's 3-bit BranchID field. */
 struct SelectiveRobConfig
 {
     int numBrCqs = 2;     //!< number of Branch Commit Queues
     int brCqEntries = 8;  //!< entries per BR-CQ
     int prCqEntries = 8;  //!< Primary Commit Queue entries
-    int bitEntries = 8;   //!< Branch ID Table entries
     int cqtEntries = 8;   //!< Commit Queue Table entries
     int citEntries = 128; //!< Committed Instructions Table entries
 
@@ -61,22 +94,14 @@ struct SelectiveRobConfig
     bool enforceInstanceOrder = true;
 };
 
-/** Full core + memory configuration. */
+/** The core parameters the experiments vary. */
 struct CoreConfig
 {
     std::string name = "SKL";
 
-    /** @name Pipeline widths and depths @{ */
-    int fetchWidth = 4;
-    int decodeWidth = 4;
-    int dispatchWidth = 4;
-    int issueWidth = 4;
+    /** @name Commit and steering bandwidth (Figure 15) @{ */
     int commitWidth = 4;
-    int steerWidth = 4;      //!< ROB' head steering bandwidth (Noreba)
-    int ifqEntries = 32;     //!< instruction fetch queue
-    int fetchToDecode = 3;   //!< front-end depth before decode
-    int decodeToDispatch = 2;
-    int redirectPenalty = 2; //!< extra cycles to redirect after resolve
+    int steerWidth = 4; //!< ROB' head steering bandwidth (Noreba)
     /** @} */
 
     /** @name Window resources (Table 3) @{ */
@@ -87,28 +112,9 @@ struct CoreConfig
     int rfEntries = 168; //!< physical registers available for renaming
     /** @} */
 
-    /** @name Functional units @{ */
-    int numIntAlu = 4;
-    int numIntMul = 1;
-    int numIntDiv = 1;
-    int numFpAlu = 2;
-    int numFpMul = 2;
-    int numFpDiv = 1;
-    int numLoadPorts = 2;
-    int numStorePorts = 1;
-    int numBranchUnits = 2;
-    /** @} */
+    int numIntDiv = 1; //!< unpipelined integer dividers
 
-    /** @name Memory hierarchy (Table 2) @{ */
-    CacheConfig l1i{32 * 1024, 8, 64, 4};
-    CacheConfig l1d{32 * 1024, 8, 64, 4};
-    CacheConfig l2{256 * 1024, 8, 64, 12};
-    CacheConfig l3{1024 * 1024, 16, 64, 36};
-    int dramLatency = 200;
-    int tlbEntries = 1536; //!< STLB-class reach (Skylake ~1.5K entries)
-    int tlbMissPenalty = 30;
-    bool prefetcher = true; //!< DCPT at the L1D (Table 2)
-    /** @} */
+    bool prefetcher = true; //!< DCPT at the L1D (Table 2, Figure 13)
 
     /** @name Commit subsystem @{ */
     CommitMode commitMode = CommitMode::InOrder;
@@ -131,7 +137,8 @@ struct CoreConfig
  * canonical serialization, the config fingerprint, and the per-field
  * tests. Each entry names one scalar field by its dotted path (which
  * is also the member access on a CoreConfig), tagged by type:
- * S = std::string, I = int, B = bool, M = CommitMode.
+ * S = std::string, I = int (with its smallest legal value, which
+ * validateConfig enforces), B = bool, M = CommitMode.
  *
  * Adding a field to CoreConfig means adding it here (and, when it
  * changes simulation results, bumping RESULT_STORE_MODEL_VERSION in
@@ -141,57 +148,21 @@ struct CoreConfig
  */
 #define NOREBA_CORE_CONFIG_FIELDS(S, I, B, M)                             \
     S(name)                                                               \
-    I(fetchWidth)                                                         \
-    I(decodeWidth)                                                        \
-    I(dispatchWidth)                                                      \
-    I(issueWidth)                                                         \
-    I(commitWidth)                                                        \
-    I(steerWidth)                                                         \
-    I(ifqEntries)                                                         \
-    I(fetchToDecode)                                                      \
-    I(decodeToDispatch)                                                   \
-    I(redirectPenalty)                                                    \
-    I(robEntries)                                                         \
-    I(iqEntries)                                                          \
-    I(lqEntries)                                                          \
-    I(sqEntries)                                                          \
-    I(rfEntries)                                                          \
-    I(numIntAlu)                                                          \
-    I(numIntMul)                                                          \
-    I(numIntDiv)                                                          \
-    I(numFpAlu)                                                           \
-    I(numFpMul)                                                           \
-    I(numFpDiv)                                                           \
-    I(numLoadPorts)                                                       \
-    I(numStorePorts)                                                      \
-    I(numBranchUnits)                                                     \
-    I(l1i.sizeBytes)                                                      \
-    I(l1i.ways)                                                           \
-    I(l1i.lineBytes)                                                      \
-    I(l1i.latency)                                                        \
-    I(l1d.sizeBytes)                                                      \
-    I(l1d.ways)                                                           \
-    I(l1d.lineBytes)                                                      \
-    I(l1d.latency)                                                        \
-    I(l2.sizeBytes)                                                       \
-    I(l2.ways)                                                            \
-    I(l2.lineBytes)                                                       \
-    I(l2.latency)                                                         \
-    I(l3.sizeBytes)                                                       \
-    I(l3.ways)                                                            \
-    I(l3.lineBytes)                                                       \
-    I(l3.latency)                                                         \
-    I(dramLatency)                                                        \
-    I(tlbEntries)                                                         \
-    I(tlbMissPenalty)                                                     \
+    I(commitWidth, 1)                                                     \
+    I(steerWidth, 1)                                                      \
+    I(robEntries, 1)                                                      \
+    I(iqEntries, 1)                                                       \
+    I(lqEntries, 1)                                                       \
+    I(sqEntries, 1)                                                       \
+    I(rfEntries, 1)                                                       \
+    I(numIntDiv, 1)                                                       \
     B(prefetcher)                                                         \
     M(commitMode)                                                         \
-    I(srob.numBrCqs)                                                      \
-    I(srob.brCqEntries)                                                   \
-    I(srob.prCqEntries)                                                   \
-    I(srob.bitEntries)                                                    \
-    I(srob.cqtEntries)                                                    \
-    I(srob.citEntries)                                                    \
+    I(srob.numBrCqs, 1)                                                   \
+    I(srob.brCqEntries, 1)                                                \
+    I(srob.prCqEntries, 1)                                                \
+    I(srob.cqtEntries, 1)                                                 \
+    I(srob.citEntries, 1)                                                 \
     B(srob.enforceInstanceOrder)                                          \
     B(earlyCommitLoads)                                                   \
     B(attributeStalls)                                                    \
@@ -211,6 +182,13 @@ struct ConfigFieldRef
     bool *b = nullptr;
     CommitMode *mode = nullptr;
 };
+
+/**
+ * Throw SimError naming the first int field below its table minimum.
+ * simulate() calls this before building a Core, so an illegal config
+ * fails its job instead of stalling until the no-progress panic.
+ */
+void validateConfig(const CoreConfig &cfg);
 
 /** Every field of @p cfg, in NOREBA_CORE_CONFIG_FIELDS order. */
 std::vector<ConfigFieldRef> configFieldRefs(CoreConfig &cfg);

@@ -71,10 +71,9 @@ Core::iqErase(InFlight *p)
 Core::Core(const CoreConfig &cfg, TraceView trace,
            const std::vector<uint8_t> &misp)
     : cfg_(cfg), trace_(std::move(trace)), misp_(misp),
-      policy_(makeCommitPolicy(cfg)), mem_(cfg),
-      tlb_(cfg.tlbEntries, cfg.tlbMissPenalty),
+      policy_(makeCommitPolicy(cfg)), tlb_(TLB_ENTRIES, TLB_MISS_PENALTY),
       divFreeAt_(static_cast<size_t>(std::max(0, cfg.numIntDiv)), 0),
-      fdivFreeAt_(static_cast<size_t>(std::max(0, cfg.numFpDiv)), 0),
+      fdivFreeAt_(NUM_FP_DIV, 0),
       committed_(trace_.size(), 0)
 {
     panic_if(misp.size() != trace_.size(),
@@ -232,9 +231,7 @@ Core::squashAfter(InFlight *b)
         free(p);
     decodedQ_.clear();
     fetchIdx_ = b->idx + 1;
-    fetchResumeAt_ = std::max(fetchResumeAt_,
-                              cycle_ + static_cast<Cycle>(
-                                           cfg_.redirectPenalty));
+    fetchResumeAt_ = std::max(fetchResumeAt_, cycle_ + REDIRECT_PENALTY);
     lastFetchLine_ = ~0ull;
 
     // Remove younger instructions from the window. Committed ones stay
@@ -436,17 +433,17 @@ Core::fuAvailable(FuClass cls)
 {
     int used = fuUsed_[static_cast<int>(cls)];
     switch (cls) {
-      case FuClass::IntAlu: return used < cfg_.numIntAlu;
-      case FuClass::IntMul: return used < cfg_.numIntMul;
+      case FuClass::IntAlu: return used < NUM_INT_ALU;
+      case FuClass::IntMul: return used < NUM_INT_MUL;
       case FuClass::IntDiv:
         return used < cfg_.numIntDiv && divUnitFree(divFreeAt_);
-      case FuClass::FpAlu: return used < cfg_.numFpAlu;
-      case FuClass::FpMul: return used < cfg_.numFpMul;
+      case FuClass::FpAlu: return used < NUM_FP_ALU;
+      case FuClass::FpMul: return used < NUM_FP_MUL;
       case FuClass::FpDiv:
-        return used < cfg_.numFpDiv && divUnitFree(fdivFreeAt_);
-      case FuClass::MemRead: return used < cfg_.numLoadPorts;
-      case FuClass::MemWrite: return used < cfg_.numStorePorts;
-      case FuClass::Branch: return used < cfg_.numBranchUnits;
+        return used < NUM_FP_DIV && divUnitFree(fdivFreeAt_);
+      case FuClass::MemRead: return used < NUM_LOAD_PORTS;
+      case FuClass::MemWrite: return used < NUM_STORE_PORTS;
+      case FuClass::Branch: return used < NUM_BRANCH_UNITS;
       default: return true;
     }
 }
@@ -618,7 +615,7 @@ void
 Core::issueStage()
 {
     std::fill(std::begin(fuUsed_), std::end(fuUsed_), 0);
-    int budget = cfg_.issueWidth;
+    int budget = ISSUE_WIDTH;
 
     // Store address generation is decoupled from store data: the
     // page-table check (which gates NOREBA steering and the C2 memory
@@ -700,7 +697,7 @@ Core::issueStage()
 void
 Core::dispatchStage()
 {
-    int budget = cfg_.dispatchWidth;
+    int budget = DISPATCH_WIDTH;
     bool chargedWindowStall = false;
     while (budget > 0 && !decodedQ_.empty()) {
         InFlight *p = decodedQ_.front();
@@ -786,13 +783,12 @@ Core::dispatchStage()
 void
 Core::decodeStage()
 {
-    int budget = cfg_.decodeWidth;
-    const size_t decodedCap =
-        static_cast<size_t>(4 * cfg_.dispatchWidth);
+    int budget = DECODE_WIDTH;
+    constexpr size_t decodedCap = 4 * DISPATCH_WIDTH;
     while (budget > 0 && !ifq_.empty() &&
            decodedQ_.size() < decodedCap) {
         InFlight *p = ifq_.front();
-        if (p->fetchAt + static_cast<Cycle>(cfg_.fetchToDecode) > cycle_)
+        if (p->fetchAt + FETCH_TO_DECODE > cycle_)
             break;
         ifq_.pop_front();
         --budget;
@@ -822,8 +818,7 @@ Core::decodeStage()
             free(p);
             continue;
         }
-        p->decodeReadyAt = cycle_ + static_cast<Cycle>(
-                                        cfg_.decodeToDispatch);
+        p->decodeReadyAt = cycle_ + DECODE_TO_DISPATCH;
         decodedQ_.push_back(p);
     }
 }
@@ -833,9 +828,9 @@ Core::fetchStage()
 {
     if (cycle_ < fetchResumeAt_)
         return;
-    int budget = cfg_.fetchWidth;
+    int budget = FETCH_WIDTH;
     while (budget > 0 && fetchIdx_ < static_cast<TraceIdx>(trace_.size()) &&
-           ifq_.size() < static_cast<size_t>(cfg_.ifqEntries)) {
+           ifq_.size() < IFQ_ENTRIES) {
         const TraceRecord &rec = trace_[static_cast<size_t>(
             fetchIdx_)];
         uint64_t line = rec.pc >> 6;

@@ -55,45 +55,41 @@ TEST(Cache, ContainsDoesNotTouchStats)
 
 TEST(Hierarchy, LatenciesMatchLevels)
 {
-    CoreConfig cfg;
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     // Cold: full DRAM path.
     EXPECT_EQ(mem.access(0x100000, false),
-              cfg.l3.latency + cfg.dramLatency);
+              L3_CACHE.latency + DRAM_LATENCY);
     // Now resident in L1.
-    EXPECT_EQ(mem.access(0x100000, false), cfg.l1d.latency);
+    EXPECT_EQ(mem.access(0x100000, false), L1D_CACHE.latency);
 }
 
 TEST(Hierarchy, L2HitAfterL1Eviction)
 {
-    CoreConfig cfg;
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     mem.access(0x40000000, false);
     // Blast the L1 set with conflicting lines (same L1 set, different
     // L2 sets are fine).
-    int l1Sets = cfg.l1d.sizeBytes / (cfg.l1d.lineBytes * cfg.l1d.ways);
-    for (int i = 1; i <= cfg.l1d.ways + 2; ++i) {
+    int l1Sets = L1D_CACHE.sizeBytes / (L1D_CACHE.lineBytes * L1D_CACHE.ways);
+    for (int i = 1; i <= L1D_CACHE.ways + 2; ++i) {
         mem.access(0x40000000 +
                        static_cast<uint64_t>(i) * l1Sets * 64,
                    false);
     }
     int lat = mem.access(0x40000000, false);
-    EXPECT_EQ(lat, cfg.l2.latency);
+    EXPECT_EQ(lat, L2_CACHE.latency);
 }
 
 TEST(Hierarchy, PrefetchLandsInL2NotL1)
 {
-    CoreConfig cfg;
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     mem.prefetch(0x7000000);
     EXPECT_FALSE(mem.inL1D(0x7000000));
-    EXPECT_EQ(mem.access(0x7000000, false), cfg.l2.latency);
+    EXPECT_EQ(mem.access(0x7000000, false), L2_CACHE.latency);
 }
 
 TEST(Hierarchy, FetchPathFillsL1I)
 {
-    CoreConfig cfg;
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     int cold = mem.fetchAccess(0x10000);
     EXPECT_GT(cold, 0);
     EXPECT_EQ(mem.fetchAccess(0x10000), 0); // pipelined L1I hit
@@ -118,8 +114,7 @@ TEST(Tlb, ConflictEvicts)
 
 TEST(Dcpt, DetectsConstantStride)
 {
-    CoreConfig cfg;
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     DcptPrefetcher dcpt;
     // Stride of 2 blocks from one PC.
     for (int i = 0; i < 32; ++i)
@@ -128,13 +123,12 @@ TEST(Dcpt, DetectsConstantStride)
     EXPECT_GT(dcpt.issued(), 8u);
     EXPECT_GT(dcpt.patternHits(), 0u);
     // A near-future address of the stream should be L2-resident.
-    EXPECT_EQ(mem.access(0x1000000 + 33 * 128, false), cfg.l2.latency);
+    EXPECT_EQ(mem.access(0x1000000 + 33 * 128, false), L2_CACHE.latency);
 }
 
 TEST(Dcpt, IgnoresSameLineAccesses)
 {
-    CoreConfig cfg;
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     DcptPrefetcher dcpt;
     for (int i = 0; i < 64; ++i)
         dcpt.observe(0x400, 0x2000000 + static_cast<uint64_t>(i % 8),
@@ -144,8 +138,7 @@ TEST(Dcpt, IgnoresSameLineAccesses)
 
 TEST(Dcpt, RandomStreamBarelyPrefetches)
 {
-    CoreConfig cfg;
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     DcptPrefetcher dcpt;
     uint64_t x = 88172645463325252ull;
     for (int i = 0; i < 256; ++i) {
@@ -159,8 +152,7 @@ TEST(Dcpt, RandomStreamBarelyPrefetches)
 
 TEST(Dcpt, AlternatingDeltasReplay)
 {
-    CoreConfig cfg;
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     DcptPrefetcher dcpt;
     // Deltas +1, +3, +1, +3 ... (in blocks).
     uint64_t addr = 0x3000000;
@@ -174,8 +166,7 @@ TEST(Dcpt, AlternatingDeltasReplay)
 
 TEST(Dcpt, SeparatePcsTrainSeparately)
 {
-    CoreConfig cfg;
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     DcptPrefetcher dcpt;
     for (int i = 0; i < 32; ++i) {
         dcpt.observe(0x600, 0x4000000 + static_cast<uint64_t>(i) * 64,

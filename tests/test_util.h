@@ -46,6 +46,7 @@ run(const Prepared &p, CommitMode mode,
 {
     CoreConfig cfg = base;
     cfg.commitMode = mode;
+    validateConfig(cfg);
     Core core(cfg, p.trace, p.misp);
     return core.run();
 }
@@ -75,6 +76,7 @@ runShadowPair(TraceView trace, const std::vector<uint8_t> &misp,
 {
     cfg.commitMode = mode;
     cfg.shadowChecks = false;
+    validateConfig(cfg);
     Core plain(cfg, trace, misp);
     CoreStats base = plain.run();
 
