@@ -11,16 +11,15 @@
  *                 (malformed env knobs, bad CLI flags); exits.
  *   - SimError  — per-job / per-resource failures inside library code
  *                 that a batched caller may want to survive: a trace
- *                 too long to index, an injected test fault. These
+ *                 too long to index, an illegal CoreConfig. These
  *                 *throw* so SweepRunner can isolate the failing job
  *                 and record the outcome instead of the whole sweep
  *                 dying with it. (Store I/O failures do not throw: the
  *                 stores are caches, and a failed publish or read-back
  *                 is a miss.)
  *
- * Every SimError carries a `site` — the failing component in the same
- * dotted naming scheme the fault-injection registry uses (e.g.
- * "trace_store.write", "bundle_cache.build") — so failure records in
+ * Every SimError carries a `site` — the failing component, dotted
+ * (e.g. "config.validate", "interp.trace_limit") — so failure records in
  * BENCH_*.json name where a job died, not just why.
  */
 
@@ -42,18 +41,11 @@ class SimError : public std::runtime_error
     {
     }
 
-    /** The failing component, dotted (e.g. "trace_store.rename"). */
+    /** The failing component, dotted (e.g. "config.validate"). */
     const std::string &site() const { return site_; }
 
   private:
     std::string site_;
-};
-
-/** A deterministic fault fired by the NOREBA_FAULTS plan. */
-class InjectedFault : public SimError
-{
-  public:
-    using SimError::SimError;
 };
 
 /** The site of @p e when it is a SimError, else @p fallback. */

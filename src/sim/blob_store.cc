@@ -14,7 +14,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "common/fault.h"
 #include "common/fs.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -82,9 +81,7 @@ BlobStore::BlobStore(const char *name, const char *dirEnv, const char *ext,
                      uint32_t format,
                      std::initializer_list<uint64_t> versions)
     : name_(name), dirEnv_(dirEnv), ext_(ext), format_(format),
-      versionHash_(hashVersions(name, format, versions)),
-      readSite_(name_ + ".read"), writeSite_(name_ + ".write"),
-      fsyncSite_(name_ + ".fsync"), renameSite_(name_ + ".rename")
+      versionHash_(hashVersions(name, format, versions))
 {
 }
 
@@ -151,9 +148,8 @@ BlobStore::Mapping::~Mapping()
 std::unique_ptr<const BlobStore::Mapping>
 BlobStore::map(const std::string &path) const
 {
-    int faultErrno = 0;
-    if (ioFaultAt(readSite_.c_str(), &faultErrno)) {
-        errno = faultErrno;
+    if (const int err = injected("read")) {
+        errno = err;
         return nullptr; // read-back failure == cache miss: rebuild
     }
     int fd = ::open(path.c_str(), O_RDONLY);
@@ -185,9 +181,8 @@ std::span<const uint8_t>
 BlobStore::read(const std::string &path, const std::string &key,
                 std::vector<uint8_t> &buf) const
 {
-    int faultErrno = 0;
-    if (ioFaultAt(readSite_.c_str(), &faultErrno)) {
-        errno = faultErrno;
+    if (const int err = injected("read")) {
+        errno = err;
         return {}; // read-back failure == cache miss
     }
     int fd = ::open(path.c_str(), O_RDONLY);
@@ -286,63 +281,36 @@ BlobStore::publish(const std::string &path, const std::vector<uint8_t> &buf)
 
         const char *failedStep = nullptr;
         int failedErrno = 0;
-        try {
-            size_t written = 0;
-            while (written < buf.size()) {
-                ssize_t n;
-                int ferr = 0;
-                if (ioFaultAt(writeSite_.c_str(), &ferr)) {
-                    // short-write (ENOSPC): land part of the payload
-                    // first so the temp file really is truncated.
-                    if (ferr == ENOSPC) {
-                        const size_t half = (buf.size() - written) / 2;
-                        if (half > 0 &&
-                            ::write(fd, buf.data() + written, half) < 0) {
-                            // already failing; keep the injected errno
-                        }
-                    }
-                    errno = ferr;
-                    n = -1;
-                } else {
-                    n = ::write(fd, buf.data() + written,
-                                buf.size() - written);
-                }
-                if (n <= 0) {
-                    failedStep = "write";
-                    failedErrno = errno;
-                    break;
-                }
-                written += static_cast<size_t>(n);
+        size_t written = 0;
+        while (written < buf.size()) {
+            const int err = injected("write");
+            const ssize_t n =
+                err ? (errno = err, -1)
+                    : ::write(fd, buf.data() + written, buf.size() - written);
+            if (n <= 0) {
+                failedStep = "write";
+                failedErrno = errno;
+                break;
             }
-            if (!failedStep) {
-                int ferr = 0;
-                const int rc = ioFaultAt(fsyncSite_.c_str(), &ferr)
-                                   ? (errno = ferr, -1)
-                                   : ::fsync(fd);
-                if (rc != 0 || ::close(fd) != 0) {
-                    failedStep = "fsync";
-                    failedErrno = errno;
-                } else {
-                    fd = -1;
-                }
+            written += static_cast<size_t>(n);
+        }
+        if (!failedStep) {
+            const int err = injected("fsync");
+            if ((err ? (errno = err, -1) : ::fsync(fd)) != 0 ||
+                ::close(fd) != 0) {
+                failedStep = "fsync";
+                failedErrno = errno;
+            } else {
+                fd = -1;
             }
-            if (!failedStep) {
-                int ferr = 0;
-                const int rc = ioFaultAt(renameSite_.c_str(), &ferr)
-                                   ? (errno = ferr, -1)
-                                   : ::rename(tmp.c_str(), path.c_str());
-                if (rc != 0) {
-                    failedStep = "rename";
-                    failedErrno = errno;
-                }
+        }
+        if (!failedStep) {
+            const int err = injected("rename");
+            if ((err ? (errno = err, -1)
+                     : ::rename(tmp.c_str(), path.c_str())) != 0) {
+                failedStep = "rename";
+                failedErrno = errno;
             }
-        } catch (...) {
-            // Injected `throw` at a store site: clean up the temp file
-            // and let the job-level failure propagate to the sweep.
-            if (fd >= 0)
-                ::close(fd);
-            ::unlink(tmp.c_str());
-            throw;
         }
 
         if (!failedStep)
@@ -372,6 +340,12 @@ BlobStore::recordFailure()
              "cache-bypass mode (simulation continues, nothing more is "
              "written this run)",
              name_.c_str(), streak);
+}
+
+int
+BlobStore::injected(const char *step) const
+{
+    return failStep ? failStep(step) : 0;
 }
 
 void

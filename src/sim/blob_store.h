@@ -28,7 +28,7 @@
  * losing a publish costs a rebuild). STORE_DEGRADE_STREAK consecutive
  * failed publishes latch the store into bypass mode: reads still
  * serve, writes return 0 without touching the disk, and the run warns
- * once. Fault sites: `<name>.{read,write,fsync,rename}`.
+ * once. Tests fail individual I/O steps through BlobStore::failStep.
  *
  * Two read paths share one validation routine: map() serves large
  * files (trace bundles) zero-copy from a read-only mapping, read()
@@ -42,6 +42,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <span>
@@ -67,8 +68,7 @@ class BlobStore
 {
   public:
     /**
-     * @param name     fault-site prefix and warning label
-     *                 ("trace_store")
+     * @param name     warning label ("trace_store")
      * @param dirEnv   environment variable naming the store directory
      * @param ext      file extension
      * @param format   on-disk format version (also in the file name)
@@ -131,8 +131,7 @@ class BlobStore
     /**
      * Publish @p parts, concatenated, as the payload for @p key at
      * @p path. Creates the store directory if needed. Returns the file
-     * size, or 0 on failure or when the store is bypassed. An injected
-     * `throw` fault propagates after the temp file is removed.
+     * size, or 0 on failure or when the store is bypassed.
      */
     size_t put(const std::string &path, const std::string &key,
                std::initializer_list<std::span<const uint8_t>> parts);
@@ -147,19 +146,26 @@ class BlobStore
     /** Clear the failure streak and bypass latch (tests). */
     void resetHealth();
 
+    /**
+     * Test seam, empty by default: called with "read", "write",
+     * "fsync" or "rename" before that step; a non-zero return fails
+     * the step with that errno.
+     */
+    std::function<int(const char *step)> failStep;
+
   private:
     bool validate(const uint8_t *file, size_t size,
                   std::span<const uint8_t> &key,
                   std::span<const uint8_t> &payload) const;
     bool publish(const std::string &path, const std::vector<uint8_t> &buf);
     void recordFailure();
+    int injected(const char *step) const;
 
     const std::string name_;
     const char *const dirEnv_;
     const std::string ext_;
     const uint32_t format_;
     const uint64_t versionHash_;
-    const std::string readSite_, writeSite_, fsyncSite_, renameSite_;
     std::atomic<int> streak_{0};
     std::atomic<bool> bypassed_{false};
 };

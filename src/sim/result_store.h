@@ -49,7 +49,7 @@ constexpr uint32_t RESULT_STORE_FORMAT_VERSION = 2;
  */
 constexpr uint64_t RESULT_STORE_MODEL_VERSION = 1;
 
-/** The result store (fault sites result_store.*; NOREBA_RESULT_DIR). */
+/** The result store (NOREBA_RESULT_DIR). */
 BlobStore &resultStore();
 
 /**

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/error.h"
-#include "common/fault.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "sim/result_store.h"
@@ -51,7 +50,6 @@ BundleCache::materialize(const std::string &workload,
             return bundle;
         }
     }
-    NOREBA_FAULT_SITE("bundle_cache.build");
     auto bundle = std::make_shared<const TraceBundle>(
         builder_ ? builder_(workload, opts) : prepareTrace(workload, opts));
     const size_t published =
@@ -95,7 +93,6 @@ ResultCache::get(const SweepJob &job, const Simulate &sim)
             ++stats_.diskHits;
             return stats;
         }
-        NOREBA_FAULT_SITE("result_cache.sim");
         stats = sim();
         const size_t published =
             path.empty() ? 0 : saveResult(path, key, stats);
@@ -155,8 +152,10 @@ SweepRunner::jobsFromEnv()
     errno = 0;
     char *end = nullptr;
     long parsed = std::strtol(env, &end, 10);
-    fatal_if(errno != 0 || end == env || *end != '\0' || parsed < 1,
-             "NOREBA_JOBS=\"%s\" is not a positive integer", env);
+    fatal_if(errno != 0 || end == env || *end != '\0' || parsed < 1 ||
+                 parsed > MAX_SWEEP_JOBS,
+             "NOREBA_JOBS=\"%s\" is not a positive integer up to %u", env,
+             MAX_SWEEP_JOBS);
     return static_cast<unsigned>(parsed);
 }
 
@@ -208,7 +207,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
     auto runJob = [&](size_t i) {
         results[i].job = jobs[i];
         try {
-            NOREBA_FAULT_SITE("sweep.job");
             simulateJob(i);
         } catch (const std::exception &e) {
             results[i].ok = false;

@@ -50,7 +50,7 @@ struct SweepJob
 /** How one job failed (meaningful only when SweepResult::ok is false). */
 struct SweepFailure
 {
-    std::string site; //!< error site, e.g. "result_cache.sim"
+    std::string site; //!< error site, e.g. "config.validate"
     std::string what; //!< exception message
 };
 
@@ -283,6 +283,12 @@ class ResultCache
 /** The process-wide result cache every sweep (and bench) shares. */
 ResultCache &globalResultCache();
 
+/**
+ * Most worker threads a sweep may ask for (NOREBA_JOBS, --jobs). A
+ * larger value is a typo, not a machine: each worker is an OS thread.
+ */
+constexpr unsigned MAX_SWEEP_JOBS = 1024;
+
 /** Execute sweeps over a fixed-size thread pool. */
 class SweepRunner
 {
@@ -333,8 +339,8 @@ class SweepRunner
 
     /**
      * Worker count from NOREBA_JOBS: unset or empty means one thread
-     * per hardware core; anything that is not a positive integer is
-     * fatal().
+     * per hardware core; anything that is not an integer in
+     * [1, MAX_SWEEP_JOBS] is fatal().
      */
     static unsigned jobsFromEnv();
 

@@ -47,7 +47,7 @@ constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 2;
  */
 constexpr uint64_t TRACE_STORE_PASS_FINGERPRINT = 1;
 
-/** The trace store (fault sites trace_store.*; NOREBA_TRACE_DIR). */
+/** The trace store (NOREBA_TRACE_DIR). */
 BlobStore &traceStore();
 
 /**

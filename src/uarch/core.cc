@@ -356,11 +356,6 @@ Core::commitStage()
     }
 
     if (commitsThisCycle_ == 0 && !rob_.empty()) {
-        InFlight *head = rob_.front();
-        if (head->isBranch && !head->resolved)
-            ++stats_.commitHeadBranchStall;
-        else if (isMem(head->rec->op) && !head->completed)
-            ++stats_.commitHeadLoadStall;
         TraceIdx b = index_.oldestUnresolved();
         if (cfg_.attributeStalls && b != TRACE_NONE) {
             // Figure 7: charge the stalled cycle to the oldest branch

@@ -55,8 +55,6 @@ struct BranchStall
     C(dispatched, "instructions renamed into the window")                 \
     C(issued, "instructions issued to FUs")                               \
     C(windowFullCycles, "dispatch blocked on ROB/window")                 \
-    C(commitHeadBranchStall, "commit idle, head = branch")                \
-    C(commitHeadLoadStall, "commit idle, head = memory")                  \
     /* commit-stall attribution (one cause per stall cycle) */            \
     C(commitStallCycles, "cycles with unused commit width")               \
     C(stallEmptyCycles, "... window empty (front end starved)")           \

@@ -5,19 +5,20 @@
  * public save/load functions. Every way a publish or read-back can
  * fail must leave either no file or the complete new one — never a
  * torn file or a leftover temp file — and corrupt, truncated or
- * version-mismatched files must miss. Faults are injected at the sites
- * each store declares, `<store>.{read,write,fsync,rename}`.
+ * version-mismatched files must miss. I/O steps fail through each
+ * store's BlobStore::failStep seam, and for real when the store
+ * directory cannot be created.
  */
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
-#include "common/fault.h"
 #include "sim/result_store.h"
 #include "sim/trace_store.h"
 #include "store_test_util.h"
@@ -121,7 +122,7 @@ makeStore(const std::string &name)
     return std::make_unique<ResultStoreUnderTest>();
 }
 
-/** Parameterized by the store's name, its fault-site prefix. */
+/** Parameterized by the store's name. */
 class StoreFaults : public ::testing::TestWithParam<std::string>
 {
   protected:
@@ -133,25 +134,18 @@ class StoreFaults : public ::testing::TestWithParam<std::string>
         ASSERT_FALSE(path_.empty());
     }
 
-    /** The fault site `<store>.<step>`. */
-    std::string
-    site(const char *step) const
-    {
-        return GetParam() + "." + step;
-    }
-
-    /** Arm @p plan, expect the publish to fail without leaving any
-     *  file, then confirm a clean retry publishes a loadable one. */
+    /** Fail @p step with @p err on every publish attempt, expect the
+     *  publish to fail without leaving any file, then confirm a clean
+     *  retry publishes a loadable one. */
     void
-    expectFailedThenCleanPublish(const std::string &plan)
+    expectFailedThenCleanPublish(const char *step, int err)
     {
-        FaultGuard guard;
-        FaultRegistry::instance().arm(plan);
+        StepFault fault(sut_->store(), step, err, STORE_PUBLISH_ATTEMPTS);
         EXPECT_EQ(sut_->save(path_), 0u);
         EXPECT_FALSE(fileExists(path_)) << "partial file published";
         EXPECT_EQ(tmpFilesIn(dir_.path), 0) << "temp file left behind";
 
-        FaultRegistry::instance().disarm();
+        fault.disarm();
         sut_->store().resetHealth();
         EXPECT_GT(sut_->save(path_), 0u);
         EXPECT_TRUE(sut_->load(path_));
@@ -164,37 +158,34 @@ class StoreFaults : public ::testing::TestWithParam<std::string>
 
 TEST_P(StoreFaults, ShortWriteLeavesNoPartialFile)
 {
-    // x3 defeats all three publish attempts.
-    expectFailedThenCleanPublish(site("write") + "=short-write@1x3");
+    expectFailedThenCleanPublish("write", ENOSPC);
 }
 
 TEST_P(StoreFaults, FailedFsyncLeavesNoPartialFile)
 {
-    expectFailedThenCleanPublish(site("fsync") + "=eio@1x3");
+    expectFailedThenCleanPublish("fsync", EIO);
 }
 
 TEST_P(StoreFaults, FailedRenameLeavesNoPartialFile)
 {
-    expectFailedThenCleanPublish(site("rename") + "=eio@1x3");
+    expectFailedThenCleanPublish("rename", EIO);
 }
 
 TEST_P(StoreFaults, TransientWriteFaultIsRetriedToSuccess)
 {
-    FaultGuard guard;
     // Only the first attempt's write fails; the bounded retry must
     // publish a fully valid file on attempt two.
-    FaultRegistry::instance().arm(site("write") + "=eio@1");
+    StepFault fault(sut_->store(), "write", EIO);
     EXPECT_GT(sut_->save(path_), 0u);
-    EXPECT_GE(FaultRegistry::instance().hitCount(site("write")), 2u);
+    EXPECT_GE(fault.hits(), 2u);
     EXPECT_EQ(tmpFilesIn(dir_.path), 0);
     EXPECT_TRUE(sut_->load(path_));
 }
 
 TEST_P(StoreFaults, ReadBackEioIsACacheMissNotACrash)
 {
-    FaultGuard guard;
     ASSERT_GT(sut_->save(path_), 0u);
-    FaultRegistry::instance().arm(site("read") + "=eio@1");
+    StepFault fault(sut_->store(), "read", EIO);
     EXPECT_FALSE(sut_->load(path_));
     // The fault was one-shot: the intact file serves the next load.
     EXPECT_TRUE(sut_->load(path_));
@@ -202,14 +193,13 @@ TEST_P(StoreFaults, ReadBackEioIsACacheMissNotACrash)
 
 TEST_P(StoreFaults, RepeatedPublishFailuresDegradeToBypass)
 {
-    FaultGuard guard;
-    FaultRegistry::instance().arm(site("write") + "=eio@1x*");
+    StepFault fault(sut_->store(), "write", EIO, StepFault::EVERY_HIT);
     for (int i = 0; i < STORE_DEGRADE_STREAK; ++i)
         EXPECT_EQ(sut_->save(path_), 0u);
     EXPECT_TRUE(sut_->store().bypassed());
 
     // Degraded: no disk activity even with the fault gone.
-    FaultRegistry::instance().disarm();
+    fault.disarm();
     EXPECT_EQ(sut_->save(path_), 0u);
     EXPECT_FALSE(fileExists(path_));
 
@@ -219,13 +209,22 @@ TEST_P(StoreFaults, RepeatedPublishFailuresDegradeToBypass)
     EXPECT_TRUE(sut_->load(path_));
 }
 
-TEST_P(StoreFaults, InjectedThrowAtStoreSitePropagatesAndCleansUp)
+TEST_P(StoreFaults, UncreatableDirectoryIsAFailedPublish)
 {
-    FaultGuard guard;
-    FaultRegistry::instance().arm(site("fsync") + "=throw@1");
-    EXPECT_THROW(sut_->save(path_), InjectedFault);
-    EXPECT_FALSE(fileExists(path_));
-    EXPECT_EQ(tmpFilesIn(dir_.path), 0);
+    // A store directory under a regular file: creating it fails with
+    // ENOTDIR, whatever the caller's privileges.
+    writeFile(dir_.path + "/blocker", {0});
+    ASSERT_EQ(setenv(sut_->dirEnv(),
+                     (dir_.path + "/blocker/store").c_str(), 1),
+              0);
+    const std::string path = sut_->path();
+    for (int i = 0; i < STORE_DEGRADE_STREAK; ++i) {
+        EXPECT_FALSE(sut_->store().bypassed());
+        EXPECT_EQ(sut_->save(path), 0u);
+        EXPECT_FALSE(fileExists(path));
+    }
+    // Each failed publish counts toward the bypass streak.
+    EXPECT_TRUE(sut_->store().bypassed());
 }
 
 TEST_P(StoreFaults, RejectsTruncatedBitFlippedAndVersionMismatchedFiles)

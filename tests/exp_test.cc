@@ -12,13 +12,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/fault.h"
 #include "exp/driver.h"
 #include "exp/env.h"
 #include "exp/experiment.h"
@@ -235,34 +235,54 @@ TEST(Driver, KeepGoingRecordsFailuresAndSkipsReport)
     setenv("NOREBA_TRACE_LEN", "20000", 1);
     unsetenv("NOREBA_EVENT_TRACE");
     TempDir dir("NOREBA_JSON_DIR");
-    FaultGuard guard;
 
     ExperimentSpec spec;
     spec.name = "exp_test_keepgoing";
     spec.title = "Failure isolation";
     spec.description = "every job dies, the run survives";
     spec.plan = [](ExperimentPlan &plan) {
-        plan.add("CRC32", "InO-C", testJob("CRC32", CommitMode::InOrder));
-        plan.add("CRC32", "Noreba", testJob("CRC32", CommitMode::Noreba));
+        // An illegal config fails each job at validation.
+        for (CommitMode mode : {CommitMode::InOrder, CommitMode::Noreba}) {
+            SweepJob job = testJob("CRC32", mode);
+            job.cfg.robEntries = 0;
+            plan.add("CRC32", commitModeName(mode), job);
+        }
     };
-    int reported = 0;
-    spec.report = [&](const ExperimentResults &) { ++reported; };
+    // Shared, not captured by reference: the registered copy of the
+    // spec outlives this test's frame.
+    auto reported = std::make_shared<int>(0);
+    spec.report = [reported](const ExperimentResults &) { ++*reported; };
 
-    FaultRegistry::instance().arm("sweep.job=throw@1x*");
     RunOptions opts;
     opts.keepGoing = true;
     EXPECT_EQ(runExperiment(spec, opts), 2u);
     // Reports divide by failed jobs' zeroed stats; they must not run.
-    EXPECT_EQ(reported, 0);
+    EXPECT_EQ(*reported, 0);
 
     const std::string json =
         slurp(dir.path + "/BENCH_exp_test_keepgoing.json");
     EXPECT_NE(json.find("\"failures\":"), std::string::npos);
-    EXPECT_NE(json.find("\"site\": \"sweep.job\""), std::string::npos);
+    EXPECT_NE(json.find("\"site\": \"config.validate\""),
+              std::string::npos);
     EXPECT_NE(json.find("\"failed\": true"), std::string::npos);
 
     // Without --keep-going the same failure propagates (exit-1 path).
     EXPECT_THROW(runExperiment(spec, RunOptions{}), std::exception);
+
+    // The CLI maps both outcomes to exit codes: 3 for a partial
+    // failure under --keep-going, 1 without it.
+    if (!findExperiment(spec.name))
+        registerExperiment(spec);
+    auto bench = [](std::vector<std::string> args) {
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        return benchMain(static_cast<int>(argv.size()), argv.data());
+    };
+    EXPECT_EQ(bench({"noreba-bench", "--run", spec.name, "--keep-going"}),
+              3);
+    EXPECT_EQ(bench({"noreba-bench", "--run", spec.name}), 1);
+    EXPECT_EQ(*reported, 0);
     unsetenv("NOREBA_TRACE_LEN");
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Helpers shared by the test suites that touch the on-disk stores or
- * arm faults: a temporary directory, whole-file reads and writes,
- * temp-file counting, a guard that disarms the fault registry and
- * re-arms both stores, and a synthetic CoreStats sample.
+ * Helpers shared by the test suites that touch the on-disk stores: a
+ * temporary directory, whole-file reads and writes, temp-file
+ * counting, a scoped failing I/O step for one store, and a synthetic
+ * CoreStats sample.
  */
 
 #ifndef NOREBA_TESTS_STORE_TEST_UTIL_H
@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <dirent.h>
@@ -22,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/fault.h"
 #include "sim/result_store.h"
 #include "sim/trace_store.h"
 #include "uarch/stats.h"
@@ -73,15 +73,40 @@ class TempDir
     const char *env_;
 };
 
-/** Disarm the fault registry and re-arm both stores on scope exit. */
-struct FaultGuard
+/**
+ * Fails the first @p count hits of one I/O step ("read", "write",
+ * "fsync" or "rename") of @p store with @p err, through
+ * BlobStore::failStep, and counts every hit of that step while armed.
+ * Disarms on scope exit.
+ */
+class StepFault
 {
-    ~FaultGuard()
+  public:
+    static constexpr unsigned EVERY_HIT = ~0u;
+
+    StepFault(BlobStore &store, std::string step, int err,
+              unsigned count = 1)
+        : store_(store)
     {
-        FaultRegistry::instance().disarm();
-        traceStore().resetHealth();
-        resultStore().resetHealth();
+        store_.failStep = [this, step = std::move(step), err,
+                           count](const char *s) {
+            if (step != s)
+                return 0;
+            return hits_++ < count ? err : 0;
+        };
     }
+
+    ~StepFault() { disarm(); }
+
+    StepFault(const StepFault &) = delete;
+    StepFault &operator=(const StepFault &) = delete;
+
+    void disarm() { store_.failStep = nullptr; }
+    unsigned hits() const { return hits_; }
+
+  private:
+    BlobStore &store_;
+    unsigned hits_ = 0;
 };
 
 inline std::vector<uint8_t>

@@ -8,21 +8,19 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/fault.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "sim/sweep.h"
-#include "store_test_util.h"
 #include "test_util.h"
 
 using namespace noreba;
-using namespace noreba::test;
 
 namespace {
 
@@ -313,6 +311,16 @@ TEST(SweepRunner, JobsFromEnvRejectsGarbage)
     ASSERT_EQ(setenv("NOREBA_JOBS", "-3", 1), 0);
     EXPECT_EXIT(SweepRunner::jobsFromEnv(),
                 ::testing::ExitedWithCode(1), "not a positive integer");
+    // Values past MAX_SWEEP_JOBS, including ones that used to wrap
+    // through unsigned to 1 and 0 threads. Parsing starts no thread.
+    for (const char *huge : {"100000", "4294967296", "4294967297"}) {
+        ASSERT_EQ(setenv("NOREBA_JOBS", huge, 1), 0);
+        EXPECT_EXIT(SweepRunner::jobsFromEnv(),
+                    ::testing::ExitedWithCode(1), "not a positive integer")
+            << huge;
+    }
+    ASSERT_EQ(setenv("NOREBA_JOBS", "1024", 1), 0);
+    EXPECT_EQ(SweepRunner::jobsFromEnv(), MAX_SWEEP_JOBS);
     ASSERT_EQ(setenv("NOREBA_JOBS", "3", 1), 0);
     EXPECT_EQ(SweepRunner::jobsFromEnv(), 3u);
     ASSERT_EQ(unsetenv("NOREBA_JOBS"), 0);
@@ -380,40 +388,66 @@ TEST(BundleCache, EveryJoinerOfAFailingBuildObservesTheFailure)
 
 TEST(SweepRunner, IsolatePolicyRecordsFailureAndRunsRemainingJobs)
 {
-    FaultGuard guard;
-    // Serial runner: the second hit is job 1.
-    FaultRegistry::instance().arm("sweep.job=throw@2");
+    // Two failure paths: an illegal config fails its own job at
+    // validation, and a failed trace build fails every job of its
+    // workload. The builder fails "sha" and builds the rest for real.
+    std::map<std::string, int> builds;
+    BundleCache cache(
+        [&](const std::string &workload, const TraceOptions &opts) {
+            ++builds[workload];
+            if (workload == "sha")
+                throw SimError("bundle_cache.build", "no trace for sha");
+            return prepareTrace(workload, opts);
+        });
     CoreConfig cfg = skylakeConfig();
     cfg.commitMode = CommitMode::InOrder;
-    std::vector<SweepJob> jobs(3, SweepJob{"CRC32", cfg, shortTrace()});
-    BundleCache cache;
+    CoreConfig illegal = cfg;
+    illegal.robEntries = 0;
+    CoreConfig noreba = cfg;
+    noreba.commitMode = CommitMode::Noreba;
+    const std::vector<SweepJob> jobs = {
+        {"CRC32", cfg, shortTrace()},   {"CRC32", illegal, shortTrace()},
+        {"sha", cfg, shortTrace()},     {"CRC32", noreba, shortTrace()},
+        {"sha", noreba, shortTrace()},
+    };
     auto results =
         SweepRunner(1, &cache).run(jobs, FailurePolicy::Isolate);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_TRUE(results[0].ok);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (size_t i : {0, 3}) {
+        EXPECT_TRUE(results[i].ok) << i;
+        EXPECT_GT(results[i].stats.cycles, 0u) << i;
+    }
     EXPECT_FALSE(results[1].ok);
-    EXPECT_TRUE(results[2].ok);
-    EXPECT_EQ(results[1].failure.site, "sweep.job");
-    EXPECT_NE(results[1].failure.what.find("injected"),
+    EXPECT_EQ(results[1].failure.site, "config.validate");
+    EXPECT_NE(results[1].failure.what.find("robEntries"),
               std::string::npos);
-    EXPECT_GT(results[2].stats.cycles, 0u);
+    for (size_t i : {2, 4}) {
+        EXPECT_FALSE(results[i].ok) << i;
+        EXPECT_EQ(results[i].failure.site, "bundle_cache.build") << i;
+    }
+    // The cache keeps the failed build: sha's builder ran once.
+    EXPECT_EQ(builds["sha"], 1);
+    EXPECT_EQ(builds["CRC32"], 1);
 
     // The failed record serializes without stats but with the failure.
     std::string text = sweepToJson(results).dump();
     EXPECT_NE(text.find("\"failed\":true"), std::string::npos);
-    EXPECT_NE(text.find("\"site\":\"sweep.job\""), std::string::npos);
+    EXPECT_NE(text.find("\"site\":\"config.validate\""),
+              std::string::npos);
 }
 
 TEST(SweepRunner, PropagatePolicyRethrowsAfterRetriesExhausted)
 {
-    FaultGuard guard;
-    FaultRegistry::instance().arm("sweep.job=throw@1");
     CoreConfig cfg = skylakeConfig();
     cfg.commitMode = CommitMode::InOrder;
+    cfg.robEntries = 0;
     BundleCache cache;
-    EXPECT_THROW(SweepRunner(1, &cache)
-                     .run({SweepJob{"CRC32", cfg, shortTrace()}}),
-                 InjectedFault);
+    try {
+        SweepRunner(1, &cache).run({SweepJob{"CRC32", cfg, shortTrace()}});
+        FAIL() << "expected the illegal config to propagate";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.site(), "config.validate");
+    }
 }
 
 TEST(StripSetupRecords, RemapsGuardIndices)

@@ -48,7 +48,6 @@ statsFingerprint(const CoreStats &s)
             s.citDrops,       s.icacheStallCycles, s.branches,
             s.mispredicts,    s.squashes,        s.squashedInsts,
             s.dispatched,     s.issued,          s.windowFullCycles,
-            s.commitHeadBranchStall, s.commitHeadLoadStall,
             s.steerStallCycles, s.steerStallTlb, s.steerStallCqt,
             s.steerStallCqFull, s.citFullStalls, s.rfReads,
             s.rfWrites,       s.iqWrites,        s.robWrites,
