@@ -84,91 +84,6 @@ class DomSets
     std::vector<int> idom_;
 };
 
-/**
- * The checker's decoded view of a program's annotation plus every
- * dependence fact it proves, exported so downstream analyses (the
- * precision linter, src/analysis/precision.h) can compare the pass's
- * marking against the checker's independent must-dependence model
- * without re-deriving it. checkAnnotations() evaluates its rules over
- * exactly this structure.
- *
- * Instruction coordinates: `gi` is the dense layout-order global
- * index (`gi(bb, idx)`); branches and regions carry both (bb, idx)
- * and gi forms.
- */
-struct DependenceModel
-{
-    /** One decoded setDependency region. */
-    struct Region
-    {
-        int bb = -1, setIdx = -1;
-        int id = 0, num = 0;
-        bool sens = false, strict = false;
-        std::vector<int> covered; //!< global indices of covered insts
-    };
-
-    /** One decoded branch site. */
-    struct Branch
-    {
-        int bb = -1, instIdx = -1, gi = -1;
-        int markId = 0; //!< armed compiler ID (0 = unmarked)
-    };
-
-    /** False: CFG too broken to decode (verifyProgram reports why). */
-    bool valid = false;
-    bool anySetup = false;
-
-    std::vector<size_t> giBase; //!< per-block global-index base
-    size_t numInsts = 0;
-
-    std::vector<Region> regions;
-    std::vector<Branch> branches;
-    std::vector<int> regionOfGi; //!< covering region per gi, -1 = none
-    std::vector<int> branchAtGi; //!< branch index at gi, -1 = none
-
-    std::vector<bool> reachBlk; //!< block reachable from entry
-    DomSets dom, pdom;
-
-    /** Per gi: branches it (control- or data-)depends on, proven. */
-    std::vector<std::vector<int>> depSet;
-    /** Per gi: branches whose values may arrive cross-instance. */
-    std::vector<std::vector<int>> crossDeps;
-
-    /** Per region: branches its BIT entry may resolve to. */
-    std::vector<std::vector<int>> resMembers;
-    /** Per branch: chain successors (branches armed with its ID). */
-    std::vector<std::vector<int>> chainSucc;
-    /** Per branch: covered by a strict region (waits on everything). */
-    std::vector<bool> universal;
-    /** cover[b][d]: waiting on b provably waits on d too. */
-    std::vector<std::vector<bool>> cover;
-    /** Branch reachable through some region's guard chain. */
-    std::vector<bool> usedBranch;
-    /** Per compiler ID: some reachable setBranchId arms it. */
-    std::vector<bool> armedAnywhere;
-
-    int gi(int bb, int idx) const
-    {
-        return static_cast<int>(giBase[static_cast<size_t>(bb)] +
-                                static_cast<size_t>(idx));
-    }
-
-    /** Guard-chain must-coverage across ID-reuse ambiguity. */
-    bool chainCovers(int branch, int dep) const
-    {
-        return universal[static_cast<size_t>(branch)] ||
-               cover[static_cast<size_t>(branch)]
-                    [static_cast<size_t>(dep)];
-    }
-};
-
-/**
- * Decode the annotation of `prog` and recompute the checker's full
- * dependence model (dominance, control/data dependence, BIT
- * resolution, guard-chain cover). Pure analysis: reports nothing.
- */
-DependenceModel buildDependenceModel(const Program &prog);
-
 /** Knobs for checkAnnotations(). */
 struct CheckOptions
 {

@@ -9,10 +9,7 @@
  *  3. every region must decode consistently (BIT/DCT replay);
  *  4. all non-speculative policies must retire the full trace;
  *  5. the dynamic dataflow oracle must find zero commit-order
- *     violations under Noreba and IdealReconvergence;
- *  6. the precision linter must produce warnings only, and the setup
- *     optimizer must keep the checker clean and the architectural
- *     checksum unchanged.
+ *     violations under Noreba and IdealReconvergence.
  *
  * This is the adversarial counterpart to the hand-written pass tests:
  * the generator aims for the shapes that historically broke the guard
@@ -27,9 +24,7 @@
 
 #include "analysis/annotation_checker.h"
 #include "analysis/diagnostics.h"
-#include "analysis/precision.h"
 #include "analysis/verifier.h"
-#include "compiler/annotation_opt.h"
 #include "ir/dominance.h"
 #include "test_util.h"
 
@@ -382,26 +377,6 @@ TEST_P(FuzzPass, EndToEndInvariants)
     EXPECT_EQ(oracleViolations(annotated, p, CommitMode::Noreba), 0);
     EXPECT_EQ(oracleViolations(annotated, p, CommitMode::IdealReconv),
               0);
-
-    // 6. The precision linter only warns on pass output, and the
-    //    setup optimizer preserves both the checker's proofs and the
-    //    architectural results.
-    {
-        Diagnostics pd(annotated.name());
-        analyzePrecision(annotated, &pd);
-        EXPECT_EQ(pd.errorCount(), 0) << pd.toText();
-
-        Program optimized = annotated;
-        optimizeAnnotations(optimized);
-        Diagnostics post(optimized.name());
-        EXPECT_TRUE(verifyProgram(optimized, post)) << post.toText();
-        EXPECT_TRUE(checkAnnotations(optimized, post))
-            << post.toText();
-        Interpreter io(optimized);
-        DynamicTrace to = io.run(opts);
-        EXPECT_EQ(io.regChecksum(), ia.regChecksum());
-        EXPECT_EQ(to.dynInsts, ta.dynInsts);
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPass,

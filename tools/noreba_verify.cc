@@ -1,39 +1,27 @@
 /**
  * @file
- * noreba-verify: static lint/verification CLI.
+ * noreba-verify: static soundness checks over workloads.
  *
- * Runs the structural IR verifier, the independent annotation checker,
- * and (on request) the annotation precision linter and setup-cleanup
- * optimizer (src/analysis) over registered workloads or an assembled
- * program, and reports findings as text and optionally JSON.
+ * Runs the structural IR verifier and the independent annotation
+ * checker (src/analysis) over registered workloads or an assembled
+ * program, and reports findings as text and optionally JSON. Nothing
+ * is executed or simulated.
  *
- *   noreba-verify                    lint every registered workload,
+ *   noreba-verify                    check every registered workload,
  *                                    unannotated and annotated
- *   noreba-verify mcf crc32          lint selected workloads
- *   noreba-verify --asm file.s       lint an assembly file
+ *   noreba-verify mcf crc32          check selected workloads
+ *   noreba-verify --asm file.s       check an assembly file as written
  *   noreba-verify --json out.json    also write machine-readable
  *                                    findings ("-" = stdout)
- *   noreba-verify --lint             add the precision lint rules
- *                                    (dead-set-branch-id,
- *                                    subsumed-set-dependency,
- *                                    region-overcount,
- *                                    unreachable-annotation)
- *   noreba-verify --precision-json P write per-run precision/overhead
- *                                    reports ("-" = stdout)
- *   noreba-verify --optimize         run the setup-cleanup optimizer
- *                                    (checker-verified, cycle-gated)
- *                                    before linting annotated runs
- *   noreba-verify --baseline B.json  diff finding counts and setup
- *                                    overhead against a committed
- *                                    baseline; new findings or
- *                                    overhead regressions fail
- *   noreba-verify --write-baseline B regenerate that baseline file
  *   noreba-verify --werror           treat warnings as errors
- *   noreba-verify --no-annotate      skip the pass; structural lint only
+ *   noreba-verify --no-annotate      skip the pass; structural checks
+ *                                    only
+ *   noreba-verify --quiet            print no per-unit findings or
+ *                                    summary
  *   noreba-verify --list             list registered workloads
  *
- * Exit status: 0 = no errors, 1 = errors (or --werror warnings, or
- * baseline regressions) found, 2 = usage/IO failure.
+ * Exit status: 0 = no errors, 1 = errors (or --werror warnings)
+ * found, 2 = usage/IO failure.
  */
 
 #include <fstream>
@@ -44,106 +32,47 @@
 
 #include "analysis/annotation_checker.h"
 #include "analysis/diagnostics.h"
-#include "analysis/precision.h"
 #include "analysis/verifier.h"
 #include "common/json.h"
 #include "compiler/branch_dep.h"
-#include "interp/interpreter.h"
 #include "ir/assembler.h"
-#include "sim/runner.h"
-#include "uarch/core.h"
 #include "workloads/workloads.h"
 
 namespace {
 
 using namespace noreba;
 
-/** Dynamic-instruction cap for precision traces and optimizer cost. */
-constexpr uint64_t kDynCap = 400000;
-
-struct ToolOptions
-{
-    bool lint = false;
-    bool optimize = false;
-    bool precision = false; //!< fill dynamic overhead numbers
-    bool quiet = false;
-};
-
 struct RunRecord
 {
-    std::string unit;
     bool annotated = false;
     Diagnostics diag;
-    bool hasReport = false;
-    PrecisionReport report;
-    bool optimized = false;
-    OptResult opt;
 };
 
-/** Simulated Noreba-mode cycles: the optimizer's cost measure. */
-uint64_t
-simulatedCycles(const Program &prog)
-{
-    Interpreter interp(prog);
-    InterpOptions io;
-    io.maxDynInsts = kDynCap;
-    DynamicTrace trace = interp.run(io);
-    std::vector<uint8_t> misp = precomputeMispredictions(trace);
-    CoreConfig cfg = skylakeConfig();
-    cfg.commitMode = CommitMode::Noreba;
-    Core core(cfg, trace, misp);
-    return core.run().cycles;
-}
-
-/** Verify one program; annotate/optimize/lint it first when asked. */
+/** Verify one program; annotate it first when asked. */
 RunRecord
-lintProgram(Program &prog, bool annotate, const ToolOptions &tool)
+lintProgram(Program &prog, bool annotate, bool quiet)
 {
     RunRecord rec;
     rec.annotated = annotate;
-    rec.unit = prog.name() + (annotate ? "+pass" : "");
-    rec.diag = Diagnostics(rec.unit);
-    if (annotate) {
+    const std::string unit = prog.name() + (annotate ? "+pass" : "");
+    rec.diag = Diagnostics(unit);
+    if (annotate)
         runBranchDependencePass(prog);
-        if (tool.optimize) {
-            rec.opt = optimizeAnnotations(prog, simulatedCycles);
-            rec.optimized = true;
-        }
-    }
     verifyProgram(prog, rec.diag);
     CheckOptions opts;
     opts.requireAnnotations = annotate;
     checkAnnotations(prog, rec.diag, opts);
-    if (tool.lint || tool.precision) {
-        rec.report = analyzePrecision(
-            prog, tool.lint ? &rec.diag : nullptr, nullptr);
-        rec.hasReport = true;
-        if (tool.precision) {
-            Interpreter interp(prog);
-            InterpOptions io;
-            io.maxDynInsts = kDynCap;
-            DynamicTrace trace = interp.run(io);
-            rec.report.dynInsts = trace.dynInsts;
-            rec.report.dynSetups = trace.setupInsts;
-        }
-    }
-    if (!tool.quiet) {
+    if (!quiet) {
         if (rec.diag.findings().empty())
-            std::cout << rec.unit << ": clean\n";
+            std::cout << unit << ": clean\n";
         else
             std::cout << rec.diag.toText();
-        if (rec.optimized && rec.opt.applied > 0)
-            std::cout << rec.unit << ": optimizer removed "
-                      << rec.opt.removedSetups
-                      << " setup instruction(s), trimmed "
-                      << rec.opt.trimmedSlots << " slot(s)\n";
     }
     return rec;
 }
 
 bool
-writeDoc(const JsonValue &doc, const std::string &path,
-         const char *what)
+writeDoc(const JsonValue &doc, const std::string &path)
 {
     if (path == "-") {
         std::cout << doc.dump(2) << '\n';
@@ -151,91 +80,11 @@ writeDoc(const JsonValue &doc, const std::string &path,
     }
     std::ofstream out(path);
     if (!out) {
-        std::cerr << "noreba-verify: cannot write " << what << " "
-                  << path << '\n';
+        std::cerr << "noreba-verify: cannot write JSON " << path << '\n';
         return false;
     }
     out << doc.dump(2) << '\n';
     return true;
-}
-
-JsonValue
-baselineDoc(const std::vector<RunRecord> &runs)
-{
-    JsonValue doc = JsonValue::object();
-    doc.set("tool", std::string("noreba-verify"));
-    doc.set("schemaVersion", 1);
-    JsonValue units = JsonValue::object();
-    for (const RunRecord &r : runs) {
-        JsonValue u = JsonValue::object();
-        u.set("errors", r.diag.errorCount());
-        u.set("warnings", r.diag.warningCount());
-        JsonValue byRule = JsonValue::object();
-        for (const auto &[rule, count] : r.diag.countsByRule())
-            byRule.set(rule, count);
-        u.set("byRule", std::move(byRule));
-        if (r.hasReport) {
-            u.set("setupInsts", r.report.setupInsts);
-            u.set("dynSetupFraction", r.report.dynSetupFraction());
-        }
-        units.set(r.unit, std::move(u));
-    }
-    doc.set("units", std::move(units));
-    return doc;
-}
-
-/** Diff current runs against a committed baseline; returns #regressions. */
-int
-diffBaseline(const std::vector<RunRecord> &runs,
-             const JsonValue &baseline)
-{
-    const JsonValue *units = baseline.find("units");
-    if (!units || !units->isObject()) {
-        std::cerr << "noreba-verify: baseline has no \"units\" object\n";
-        return 1;
-    }
-    int regressions = 0;
-    auto complain = [&](const std::string &what) {
-        std::cerr << "baseline regression: " << what << '\n';
-        ++regressions;
-    };
-    for (const RunRecord &r : runs) {
-        const JsonValue *u = units->find(r.unit);
-        if (!u) {
-            if (!r.diag.findings().empty())
-                complain(r.unit + " is not in the baseline but has " +
-                         std::to_string(r.diag.findings().size()) +
-                         " finding(s)");
-            continue;
-        }
-        const JsonValue *byRule = u->find("byRule");
-        for (const auto &[rule, count] : r.diag.countsByRule()) {
-            const JsonValue *base =
-                byRule && byRule->isObject() ? byRule->find(rule)
-                                             : nullptr;
-            int64_t baseCount = base ? base->asInt() : 0;
-            if (count > baseCount)
-                complain(r.unit + ": rule " + rule + " went from " +
-                         std::to_string(baseCount) + " to " +
-                         std::to_string(count) + " finding(s)");
-        }
-        if (r.hasReport) {
-            const JsonValue *frac = u->find("dynSetupFraction");
-            // Allow rounding noise; anything above it is a real
-            // increase in dynamic setup overhead.
-            if (frac &&
-                r.report.dynSetupFraction() > frac->asDouble() + 1e-9)
-                complain(r.unit + ": dynSetupFraction went from " +
-                         std::to_string(frac->asDouble()) + " to " +
-                         std::to_string(r.report.dynSetupFraction()));
-            const JsonValue *setups = u->find("setupInsts");
-            if (setups && r.report.setupInsts > setups->asInt())
-                complain(r.unit + ": static setupInsts went from " +
-                         std::to_string(setups->asInt()) + " to " +
-                         std::to_string(r.report.setupInsts));
-        }
-    }
-    return regressions;
 }
 
 int
@@ -244,8 +93,6 @@ usage(const char *argv0)
     std::cerr
         << "usage: " << argv0
         << " [--list] [--asm FILE] [--json PATH|-] [--no-annotate]\n"
-        << "       [--lint] [--precision-json PATH|-] [--optimize]\n"
-        << "       [--baseline PATH] [--write-baseline PATH]\n"
         << "       [--werror] [--quiet] [workload...]\n";
     return 2;
 }
@@ -256,11 +103,10 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> units;
-    std::string asmFile, jsonPath, precisionPath, baselinePath,
-        writeBaselinePath;
+    std::string asmFile, jsonPath;
     bool annotate = true;
     bool werror = false;
-    ToolOptions tool;
+    bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -277,31 +123,12 @@ main(int argc, char **argv)
             if (++i >= argc)
                 return usage(argv[0]);
             jsonPath = argv[i];
-        } else if (arg == "--precision-json") {
-            if (++i >= argc)
-                return usage(argv[0]);
-            precisionPath = argv[i];
-            tool.precision = true;
-        } else if (arg == "--baseline") {
-            if (++i >= argc)
-                return usage(argv[0]);
-            baselinePath = argv[i];
-            tool.precision = true;
-        } else if (arg == "--write-baseline") {
-            if (++i >= argc)
-                return usage(argv[0]);
-            writeBaselinePath = argv[i];
-            tool.precision = true;
-        } else if (arg == "--lint") {
-            tool.lint = true;
-        } else if (arg == "--optimize") {
-            tool.optimize = true;
         } else if (arg == "--werror") {
             werror = true;
         } else if (arg == "--no-annotate") {
             annotate = false;
         } else if (arg == "--quiet") {
-            tool.quiet = true;
+            quiet = true;
         } else if (!arg.empty() && arg[0] == '-') {
             return usage(argv[0]);
         } else {
@@ -326,9 +153,9 @@ main(int argc, char **argv)
                       << res.error << '\n';
             return 2;
         }
-        // Assembly input is linted as written: annotations, when
+        // Assembly input is checked as written: annotations, when
         // present, came from the file, so never re-run the pass.
-        runs.push_back(lintProgram(res.program, false, tool));
+        runs.push_back(lintProgram(res.program, false, quiet));
     } else {
         std::vector<std::string> names =
             units.empty() ? workloadNames() : units;
@@ -344,11 +171,11 @@ main(int argc, char **argv)
             }
             {
                 Program prog = buildWorkload(name);
-                runs.push_back(lintProgram(prog, false, tool));
+                runs.push_back(lintProgram(prog, false, quiet));
             }
             if (annotate) {
                 Program prog = buildWorkload(name);
-                runs.push_back(lintProgram(prog, true, tool));
+                runs.push_back(lintProgram(prog, true, quiet));
             }
         }
     }
@@ -374,73 +201,14 @@ main(int argc, char **argv)
         totals.set("errors", errors);
         totals.set("warnings", warnings);
         doc.set("totals", std::move(totals));
-        if (!writeDoc(doc, jsonPath, "JSON"))
+        if (!writeDoc(doc, jsonPath))
             return 2;
     }
 
-    if (!precisionPath.empty()) {
-        JsonValue doc = JsonValue::object();
-        doc.set("tool", std::string("noreba-verify"));
-        doc.set("schemaVersion", 1);
-        JsonValue arr = JsonValue::array();
-        for (const RunRecord &r : runs) {
-            if (!r.hasReport)
-                continue;
-            JsonValue run = r.report.toJson();
-            run.set("unit", r.unit);
-            run.set("annotatedRun", r.annotated);
-            if (r.optimized) {
-                JsonValue opt = JsonValue::object();
-                opt.set("attempted", r.opt.attempted);
-                opt.set("applied", r.opt.applied);
-                opt.set("removedSetups", r.opt.removedSetups);
-                opt.set("trimmedSlots", r.opt.trimmedSlots);
-                opt.set("rejectedVerify", r.opt.rejectedVerify);
-                opt.set("rejectedCost", r.opt.rejectedCost);
-                run.set("optimizer", std::move(opt));
-            }
-            arr.push(std::move(run));
-        }
-        doc.set("runs", std::move(arr));
-        if (!writeDoc(doc, precisionPath, "precision JSON"))
-            return 2;
-    }
-
-    if (!writeBaselinePath.empty() &&
-        !writeDoc(baselineDoc(runs), writeBaselinePath, "baseline"))
-        return 2;
-
-    int regressions = 0;
-    if (!baselinePath.empty()) {
-        std::ifstream in(baselinePath);
-        if (!in) {
-            std::cerr << "noreba-verify: cannot open baseline "
-                      << baselinePath << '\n';
-            return 2;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        std::string err;
-        JsonValue baseline = JsonValue::parse(text.str(), &err);
-        if (!err.empty()) {
-            std::cerr << "noreba-verify: bad baseline "
-                      << baselinePath << ": " << err << '\n';
-            return 2;
-        }
-        regressions = diffBaseline(runs, baseline);
-        if (!tool.quiet)
-            std::cout << "baseline: "
-                      << (regressions
-                              ? std::to_string(regressions) +
-                                    " regression(s)"
-                              : std::string("no regressions"))
-                      << '\n';
-    }
-
-    if (!tool.quiet)
+    if (!quiet)
         std::cout << runs.size() << " run(s): " << errors
                   << " error(s), " << warnings << " warning(s)\n";
-    if (errors > 0 || regressions > 0)
+    if (errors > 0)
         return 1;
     if (werror && warnings > 0)
         return 1;
