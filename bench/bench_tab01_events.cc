@@ -105,7 +105,7 @@ registerTab01Events()
         TextTable table;
         table.setHeader({"#", "event", "action"});
         for (size_t i = 0; i < trace.size(); ++i) {
-            const TraceRecord &rec = trace.records[i];
+            const TraceRecord rec = trace[i];
             char buf[128];
             if (rec.op == Opcode::SET_BRANCH_ID) {
                 std::snprintf(buf, sizeof(buf),

@@ -149,7 +149,7 @@ main()
     std::vector<uint8_t> misp = precomputeMispredictions(trace);
 
     uint64_t citReads = 0, citWrites = 0, fences = 0;
-    for (const auto &rec : trace.records) {
+    for (const TraceRecord &rec : trace) {
         citReads += rec.op == Opcode::GET_CIT_ENTRY;
         citWrites += rec.op == Opcode::SET_CIT_ENTRY;
         fences += rec.op == Opcode::FENCE;

@@ -1,5 +1,7 @@
 #include "interp/interpreter.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -9,16 +11,25 @@
 
 namespace noreba {
 
+// read()/write() memcpy whole values: the image is little-endian, as
+// RV64 is, only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "MemoryImage assumes a little-endian host");
+
 MemoryImage::Page &
 MemoryImage::page(uint64_t addr) const
 {
-    uint64_t key = addr / PAGE_BYTES;
+    const uint64_t key = addr / PAGE_BYTES;
+    if (lastPage_ && key == lastKey_)
+        return *lastPage_;
     auto it = pages_.find(key);
     if (it == pages_.end()) {
         it = pages_.emplace(key, std::make_unique<Page>()).first;
         it->second->fill(0);
     }
-    return *it->second;
+    lastKey_ = key;
+    lastPage_ = it->second.get();
+    return *lastPage_;
 }
 
 uint8_t
@@ -36,7 +47,13 @@ MemoryImage::write8(uint64_t addr, uint8_t value)
 uint64_t
 MemoryImage::read(uint64_t addr, int bytes) const
 {
+    const uint64_t off = addr % PAGE_BYTES;
     uint64_t v = 0;
+    if (off + static_cast<uint64_t>(bytes) <= PAGE_BYTES) {
+        std::memcpy(&v, page(addr).data() + off,
+                    static_cast<size_t>(bytes));
+        return v;
+    }
     for (int i = 0; i < bytes; ++i)
         v |= static_cast<uint64_t>(read8(addr + i)) << (8 * i);
     return v;
@@ -45,16 +62,35 @@ MemoryImage::read(uint64_t addr, int bytes) const
 void
 MemoryImage::write(uint64_t addr, uint64_t value, int bytes)
 {
+    const uint64_t off = addr % PAGE_BYTES;
+    if (off + static_cast<uint64_t>(bytes) <= PAGE_BYTES) {
+        std::memcpy(page(addr).data() + off, &value,
+                    static_cast<size_t>(bytes));
+        return;
+    }
     for (int i = 0; i < bytes; ++i)
         write8(addr + i, static_cast<uint8_t>(value >> (8 * i)));
+}
+
+void
+MemoryImage::writeBytes(uint64_t addr, const uint8_t *data, size_t len)
+{
+    while (len > 0) {
+        const uint64_t off = addr % PAGE_BYTES;
+        const size_t chunk = static_cast<size_t>(
+            std::min<uint64_t>(len, PAGE_BYTES - off));
+        std::memcpy(page(addr).data() + off, data, chunk);
+        addr += chunk;
+        data += chunk;
+        len -= chunk;
+    }
 }
 
 Interpreter::Interpreter(const Program &prog)
     : prog_(prog)
 {
     for (const auto &seg : prog.dataSegments())
-        for (size_t i = 0; i < seg.bytes.size(); ++i)
-            mem_.write8(seg.base + i, seg.bytes[i]);
+        mem_.writeBytes(seg.base, seg.bytes.data(), seg.bytes.size());
     x_.fill(0);
     f_.fill(0.0);
     x_[REG_SP] = static_cast<int64_t>(STACK_TOP);
@@ -147,7 +183,7 @@ Interpreter::run(const InterpOptions &opts)
         int nextBb = bb;
         int nextIdx = idx + 1;
 
-        const TraceIdx myIdx = static_cast<TraceIdx>(trace.records.size());
+        const TraceIdx myIdx = static_cast<TraceIdx>(trace.dyn.size());
 
         // Table 1: setBranchId arms the BIT for the next (branch)
         // instruction; setDependency snapshots BIT[ID] into the DCT.
@@ -436,14 +472,14 @@ Interpreter::run(const InterpOptions &opts)
         }
 
         if (opts.emitTrace) {
-            if (trace.records.size() >= MAX_TRACE_RECORDS)
+            if (trace.dyn.size() >= MAX_TRACE_RECORDS)
                 throw SimError(
                     "interp.trace_limit",
                     strfmt("trace for %s exceeds the TraceIdx limit of "
                            "%llu records", trace.name.c_str(),
                            static_cast<unsigned long long>(
                                MAX_TRACE_RECORDS)));
-            trace.records.push_back(rec);
+            trace.push(rec);
         }
         if (isSetup(inst.op)) {
             ++trace.setupInsts;

@@ -20,7 +20,11 @@
 
 namespace noreba {
 
-/** Sparse byte-addressed memory image (4 KiB pages). */
+/**
+ * Sparse byte-addressed memory image (4 KiB pages). A one-entry
+ * last-page cache serves the common run of accesses to one page;
+ * values are copied whole and split only at a page boundary.
+ */
 class MemoryImage
 {
   public:
@@ -32,11 +36,17 @@ class MemoryImage
     uint64_t read(uint64_t addr, int bytes) const;
     void write(uint64_t addr, uint64_t value, int bytes);
 
+    /** Copy @p len bytes in, one memcpy per page touched. */
+    void writeBytes(uint64_t addr, const uint8_t *data, size_t len);
+
     size_t numPages() const { return pages_.size(); }
 
   private:
     using Page = std::array<uint8_t, PAGE_BYTES>;
     mutable std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;
+    mutable uint64_t lastKey_ = 0;
+    /** Points at a heap page that moves with pages_ on a move. */
+    mutable Page *lastPage_ = nullptr;
 
     Page &page(uint64_t addr) const;
 };

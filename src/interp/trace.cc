@@ -1,0 +1,93 @@
+#include "interp/trace.h"
+
+#include <cstddef>
+#include <cstring>
+
+#include "common/error.h"
+#include "common/logging.h"
+
+namespace noreba {
+
+namespace {
+
+/** Slots of the per-PC last-id cache (a power of two). */
+constexpr size_t LAST_ID_SLOTS = 4096;
+
+} // namespace
+
+size_t
+DynamicTrace::StaticHash::operator()(const StaticInst &s) const
+{
+    uint64_t lo, hi; // op, memSize and the four registers (and pad)
+    static_assert(offsetof(StaticInst, op) == 16);
+    std::memcpy(&lo, reinterpret_cast<const uint8_t *>(&s) + 16, 8);
+    std::memcpy(&hi, reinterpret_cast<const uint8_t *>(&s) + 24, 8);
+    uint64_t h = s.pc * 0x9e3779b97f4a7c15ull;
+    h ^= s.nextPc * 0xc2b2ae3d27d4eb4full;
+    h ^= (lo ^ (hi << 17)) * 0x165667b19e3779f9ull;
+    return static_cast<size_t>(h ^ (h >> 29));
+}
+
+uint32_t
+DynamicTrace::intern(const StaticInst &s)
+{
+    if (lastId_.empty())
+        lastId_.assign(LAST_ID_SLOTS, 0);
+    uint32_t &slot = lastId_[(s.pc >> 2) & (LAST_ID_SLOTS - 1)];
+    if (slot != 0 && slot <= statics.size() && statics[slot - 1] == s)
+        return slot - 1;
+
+    // Index whatever was stored without push() (a copied table).
+    if (indexed_ > statics.size()) {
+        ids_.clear();
+        indexed_ = 0;
+    }
+    for (; indexed_ < statics.size(); ++indexed_)
+        ids_.try_emplace(statics[indexed_],
+                         static_cast<uint32_t>(indexed_));
+
+    auto it = ids_.find(s);
+    if (it == ids_.end()) {
+        if (statics.size() >= MAX_STATIC_INSTS)
+            throw SimError(
+                "interp.trace_limit",
+                strfmt("static table for %s exceeds the limit of %llu "
+                       "entries", name.c_str(),
+                       static_cast<unsigned long long>(MAX_STATIC_INSTS)));
+        it = ids_.emplace(s, static_cast<uint32_t>(statics.size())).first;
+        statics.push_back(s);
+        ++indexed_;
+    }
+    slot = it->second + 1;
+    return it->second;
+}
+
+void
+DynamicTrace::push(const TraceRecord &rec)
+{
+    StaticInst s;
+    s.pc = rec.pc;
+    s.nextPc = rec.nextPc;
+    s.op = rec.op;
+    s.memSize = rec.memSize;
+    s.rd = rec.rd;
+    s.rs1 = rec.rs1;
+    s.rs2 = rec.rs2;
+    s.rs3 = rec.rs3;
+
+    DynRecord d;
+    d.idFlags = intern(s) << DYN_FLAG_BITS;
+    if (rec.taken)
+        d.idFlags |= DYN_TAKEN;
+    if (rec.markedBranch)
+        d.idFlags |= DYN_MARKED_BRANCH;
+    if (rec.orderSensitive)
+        d.idFlags |= DYN_ORDER_SENSITIVE;
+    if (rec.orderStrict)
+        d.idFlags |= DYN_ORDER_STRICT;
+    d.guardIdx = rec.guardIdx;
+    d.addrOrImm = rec.addrOrImm;
+    dyn.push_back(d);
+}
+
+} // namespace noreba

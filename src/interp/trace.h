@@ -4,13 +4,22 @@
  * consumed by the cycle-level core model. One record per fetched
  * instruction (setup instructions included — they occupy fetch slots
  * and are dropped at decode, as in the paper).
+ *
+ * A trace is stored in two parts. A small static table holds one
+ * StaticInst per distinct (pc, nextPc, op, memSize, rd, rs1, rs2, rs3)
+ * tuple; a 16-byte DynRecord per executed instruction holds the static
+ * id, four flag bits, the guard and the address or immediate. Readers
+ * see whole TraceRecords, composed on access by TraceView.
  */
 
 #ifndef NOREBA_INTERP_TRACE_H
 #define NOREBA_INTERP_TRACE_H
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "isa/isa.h"
@@ -29,7 +38,7 @@ constexpr TraceIdx TRACE_NONE = -1;
 constexpr uint64_t MAX_TRACE_RECORDS =
     static_cast<uint64_t>(INT32_MAX);
 
-/** One dynamic instruction. */
+/** One dynamic instruction, as every trace consumer sees it. */
 struct TraceRecord
 {
     uint64_t pc = 0;
@@ -70,6 +79,124 @@ struct TraceRecord
 };
 
 /**
+ * The static half of a record: the fields every dynamic instance of
+ * one static tuple repeats. A cond branch gets one entry per direction
+ * and a JALR one per target, because nextPc is part of the tuple.
+ */
+struct StaticInst
+{
+    uint64_t pc = 0;
+    uint64_t nextPc = 0;
+    Opcode op = Opcode::NOP;
+    uint8_t memSize = 0;
+    Reg rd = REG_NONE;
+    Reg rs1 = REG_NONE;
+    Reg rs2 = REG_NONE;
+    Reg rs3 = REG_NONE;
+    /** Explicit, always zero: the table is hashed and stored bytewise. */
+    uint8_t pad[6] = {};
+
+    bool operator==(const StaticInst &) const = default;
+};
+static_assert(sizeof(StaticInst) == 32, "StaticInst must stay unpadded");
+
+/** @name DynRecord flag bits (the low bits of DynRecord::idFlags) @{ */
+constexpr uint32_t DYN_TAKEN = 1u << 0;
+constexpr uint32_t DYN_MARKED_BRANCH = 1u << 1;
+constexpr uint32_t DYN_ORDER_SENSITIVE = 1u << 2;
+constexpr uint32_t DYN_ORDER_STRICT = 1u << 3;
+constexpr int DYN_FLAG_BITS = 4;
+/** @} */
+
+/** Static ids must fit above the flag bits of a 32-bit word. */
+constexpr uint64_t MAX_STATIC_INSTS = uint64_t{1}
+                                      << (32 - DYN_FLAG_BITS);
+
+/** The per-instance half of a record: 16 bytes. */
+struct DynRecord
+{
+    uint32_t idFlags = 0; //!< staticId << DYN_FLAG_BITS | DYN_* flags
+    TraceIdx guardIdx = TRACE_NONE;
+    uint64_t addrOrImm = 0;
+
+    uint32_t staticId() const { return idFlags >> DYN_FLAG_BITS; }
+};
+static_assert(sizeof(DynRecord) == 16, "the dynamic record is 16 bytes");
+
+/** Join the two halves of one record. */
+inline TraceRecord
+composeRecord(const StaticInst &s, const DynRecord &d)
+{
+    TraceRecord r;
+    r.pc = s.pc;
+    r.nextPc = s.nextPc;
+    r.addrOrImm = d.addrOrImm;
+    r.op = s.op;
+    r.memSize = s.memSize;
+    r.taken = (d.idFlags & DYN_TAKEN) != 0;
+    r.markedBranch = (d.idFlags & DYN_MARKED_BRANCH) != 0;
+    r.orderSensitive = (d.idFlags & DYN_ORDER_SENSITIVE) != 0;
+    r.orderStrict = (d.idFlags & DYN_ORDER_STRICT) != 0;
+    r.rd = s.rd;
+    r.rs1 = s.rs1;
+    r.rs2 = s.rs2;
+    r.rs3 = s.rs3;
+    r.guardIdx = d.guardIdx;
+    return r;
+}
+
+/**
+ * Forward iterator over a static table and a dynamic stream, yielding
+ * composed TraceRecords by value.
+ */
+class TraceIterator
+{
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = TraceRecord;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = TraceRecord;
+
+    TraceIterator() = default;
+    TraceIterator(const StaticInst *statics, const DynRecord *dyn)
+        : statics_(statics), dyn_(dyn)
+    {
+    }
+
+    TraceRecord
+    operator*() const
+    {
+        return composeRecord(statics_[dyn_->staticId()], *dyn_);
+    }
+
+    TraceIterator &
+    operator++()
+    {
+        ++dyn_;
+        return *this;
+    }
+
+    TraceIterator
+    operator++(int)
+    {
+        TraceIterator old = *this;
+        ++dyn_;
+        return old;
+    }
+
+    bool
+    operator==(const TraceIterator &o) const
+    {
+        return dyn_ == o.dyn_;
+    }
+
+  private:
+    const StaticInst *statics_ = nullptr;
+    const DynRecord *dyn_ = nullptr;
+};
+
+/**
  * Per-trace summary statistics, separate from the record storage so a
  * TraceView can carry them without owning the records.
  */
@@ -88,22 +215,61 @@ struct TraceSummary
 struct DynamicTrace : TraceSummary
 {
     std::string name;
-    std::vector<TraceRecord> records;
+    std::vector<StaticInst> statics; //!< indexed by DynRecord::staticId()
+    std::vector<DynRecord> dyn;      //!< one per record, in trace order
 
-    size_t size() const { return records.size(); }
-    const TraceRecord &operator[](size_t i) const { return records[i]; }
+    size_t size() const { return dyn.size(); }
+
+    TraceRecord
+    operator[](size_t i) const
+    {
+        return composeRecord(statics[dyn[i].staticId()], dyn[i]);
+    }
+
+    TraceIterator begin() const { return {statics.data(), dyn.data()}; }
+    TraceIterator
+    end() const
+    {
+        return {statics.data(), dyn.data() + dyn.size()};
+    }
+
+    /**
+     * Append @p rec, interning its static tuple. Throws SimError
+     * ("interp.static_limit") past MAX_STATIC_INSTS distinct tuples.
+     * A direct-mapped per-PC cache of the last id makes the common
+     * case one compare.
+     */
+    void push(const TraceRecord &rec);
+
+  private:
+    struct StaticHash
+    {
+        size_t operator()(const StaticInst &s) const;
+    };
+
+    uint32_t intern(const StaticInst &s);
+
+    /** statics[0, indexed_) by tuple; intern() catches up on entries
+     *  stored directly (stripSetupRecords copies a whole table). */
+    std::unordered_map<StaticInst, uint32_t, StaticHash> ids_;
+    size_t indexed_ = 0;
+    /** Last id seen per PC slot, plus one (0 = empty). */
+    std::vector<uint32_t> lastId_;
 };
 
 /**
  * Read-only view of a prepared trace: indexed record access plus the
  * summary statistics, decoupled from where the records live. The
- * backing storage is either a DynamicTrace's in-memory vector or a
+ * backing storage is either a DynamicTrace's in-memory vectors or a
  * memory-mapped on-disk bundle (sim/trace_store.h); the consumer —
  * Core, the commit policies, the predictor precompute — cannot tell the
  * difference, which is what makes serialized replay bit-identical to
  * in-memory replay.
  *
- * A view is a cheap value type (pointer + size + copied summary). It
+ * operator[] composes a TraceRecord by value; pcOf(), guardOf() and
+ * isBranchSiteAt() read one field for the hot random-access paths.
+ *
+ * A view is a cheap value type (pointers + sizes + copied summary). It
  * does not keep its backing alive: the DynamicTrace or mapped bundle
  * must outlive every view onto it.
  */
@@ -114,8 +280,9 @@ class TraceView
 
     /** View over an in-memory trace (the common case). */
     /*implicit*/ TraceView(const DynamicTrace &t)
-        : records_(t.records.data()), size_(t.records.size()),
-          summary_(t), name_(t.name)
+        : statics_(t.statics.data()), numStatics_(t.statics.size()),
+          dyn_(t.dyn.data()), size_(t.dyn.size()), summary_(t),
+          name_(t.name)
     {
     }
 
@@ -123,31 +290,59 @@ class TraceView
     TraceView(DynamicTrace &&) = delete;
 
     /** View over externally owned storage (mmap-backed bundles). */
-    TraceView(std::string name, const TraceRecord *records, size_t size,
+    TraceView(std::string name, const StaticInst *statics,
+              size_t numStatics, const DynRecord *dyn, size_t size,
               const TraceSummary &summary)
-        : records_(records), size_(size), summary_(summary),
-          name_(std::move(name))
+        : statics_(statics), numStatics_(numStatics), dyn_(dyn),
+          size_(size), summary_(summary), name_(std::move(name))
     {
     }
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    const TraceRecord &operator[](size_t i) const { return records_[i]; }
-    const TraceRecord &operator[](TraceIdx i) const
+    TraceRecord
+    operator[](size_t i) const
     {
-        return records_[static_cast<size_t>(i)];
+        return composeRecord(staticOf(i), dyn_[i]);
+    }
+    TraceRecord
+    operator[](TraceIdx i) const
+    {
+        return (*this)[static_cast<size_t>(i)];
     }
 
-    const TraceRecord *data() const { return records_; }
-    const TraceRecord *begin() const { return records_; }
-    const TraceRecord *end() const { return records_ + size_; }
+    uint64_t pcOf(size_t i) const { return staticOf(i).pc; }
+    TraceIdx guardOf(size_t i) const { return dyn_[i].guardIdx; }
+    bool
+    isBranchSiteAt(size_t i) const
+    {
+        const Opcode op = staticOf(i).op;
+        return isCondBranch(op) || op == Opcode::JALR;
+    }
+
+    TraceIterator begin() const { return {statics_, dyn_}; }
+    TraceIterator end() const { return {statics_, dyn_ + size_}; }
+
+    /** @name The two stored sections @{ */
+    const StaticInst *statics() const { return statics_; }
+    size_t numStatics() const { return numStatics_; }
+    const DynRecord *dyn() const { return dyn_; }
+    /** @} */
 
     const TraceSummary &summary() const { return summary_; }
     const std::string &name() const { return name_; }
 
   private:
-    const TraceRecord *records_ = nullptr;
+    const StaticInst &
+    staticOf(size_t i) const
+    {
+        return statics_[dyn_[i].staticId()];
+    }
+
+    const StaticInst *statics_ = nullptr;
+    size_t numStatics_ = 0;
+    const DynRecord *dyn_ = nullptr;
     size_t size_ = 0;
     TraceSummary summary_;
     std::string name_;

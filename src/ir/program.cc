@@ -25,24 +25,44 @@ Program::allocGlobal(uint64_t bytes)
     DataSegment seg;
     seg.base = base;
     seg.bytes.assign(bytes, 0);
-    segs_.push_back(std::move(seg));
+    addSegment(std::move(seg));
     return base;
 }
 
 void
 Program::pokeBytes(uint64_t addr, const void *data, size_t len)
 {
-    for (auto &seg : segs_) {
-        if (addr >= seg.base && addr + len <= seg.base + seg.bytes.size()) {
-            std::memcpy(seg.bytes.data() + (addr - seg.base), data, len);
+    auto pokeInto = [&](size_t i) {
+        DataSegment &seg = segs_[i];
+        if (addr < seg.base || addr + len > seg.base + seg.bytes.size())
+            return false;
+        std::memcpy(seg.bytes.data() + (addr - seg.base), data, len);
+        lastSeg_ = i;
+        return true;
+    };
+    // Workloads poke one byte at a time into one segment. The last hit
+    // is what a full scan would find first only while no two segments
+    // overlap, so the shortcut is taken only then.
+    if (segsDisjoint_ && lastSeg_ < segs_.size() && pokeInto(lastSeg_))
+        return;
+    for (size_t i = 0; i < segs_.size(); ++i)
+        if (pokeInto(i))
             return;
-        }
-    }
     // Not inside an existing segment: create a dedicated one.
     DataSegment seg;
     seg.base = addr;
     seg.bytes.resize(len);
     std::memcpy(seg.bytes.data(), data, len);
+    addSegment(std::move(seg));
+}
+
+void
+Program::addSegment(DataSegment seg)
+{
+    const uint64_t end = seg.base + seg.bytes.size();
+    for (const DataSegment &s : segs_)
+        if (seg.base < s.base + s.bytes.size() && s.base < end)
+            segsDisjoint_ = false;
     segs_.push_back(std::move(seg));
 }
 

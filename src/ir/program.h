@@ -99,9 +99,13 @@ class Program
     const Layout &layout() const { return layout_; }
 
   private:
+    void addSegment(DataSegment seg);
+
     std::string name_;
     Function fn_;
     std::vector<DataSegment> segs_;
+    size_t lastSeg_ = 0;       //!< segment the last pokeBytes hit
+    bool segsDisjoint_ = true; //!< no two segments overlap
     Layout layout_;
     uint64_t heapNext_ = HEAP_BASE;
 };

@@ -17,7 +17,8 @@ TraceBundle::view() const
 /**
  * Remove setup records, remapping every guardIdx to the stripped
  * numbering. Guards always reference non-setup records (branches), so
- * the remap is total.
+ * the remap is total. The static table is copied whole: entries only
+ * setup records used stay unreferenced.
  */
 DynamicTrace
 stripSetupRecords(const TraceView &in)
@@ -32,17 +33,18 @@ stripSetupRecords(const TraceView &in)
     out.loads = sum.loads;
     out.stores = sum.stores;
     out.truncated = sum.truncated;
+    out.statics.assign(in.statics(), in.statics() + in.numStatics());
 
     std::vector<TraceIdx> remap(in.size(), TRACE_NONE);
-    out.records.reserve(in.size() - sum.setupInsts);
+    out.dyn.reserve(in.size() - sum.setupInsts);
     for (size_t i = 0; i < in.size(); ++i) {
-        const TraceRecord &rec = in[i];
-        if (rec.isSetup())
+        const DynRecord &rec = in.dyn()[i];
+        if (isSetup(out.statics[rec.staticId()].op))
             continue;
-        remap[i] = static_cast<TraceIdx>(out.records.size());
-        out.records.push_back(rec);
+        remap[i] = static_cast<TraceIdx>(out.dyn.size());
+        out.dyn.push_back(rec);
     }
-    for (auto &rec : out.records) {
+    for (DynRecord &rec : out.dyn) {
         if (rec.guardIdx >= 0) {
             TraceIdx g = remap[static_cast<size_t>(rec.guardIdx)];
             panic_if(g == TRACE_NONE,

@@ -17,9 +17,15 @@ struct BundleMeta
 {
     uint64_t archChecksum;
     uint64_t numRecords;
+    uint64_t numStatics;
     uint64_t workloadBytes;
     uint64_t nameBytes;
     uint64_t passBytes;          //!< PassResult blob length
+    /** Section offsets into the payload, each 8-byte aligned. */
+    uint64_t staticsOff;
+    uint64_t dynOff;
+    uint64_t mispOff;
+    uint64_t passOff;
     /** TraceSummary, widened to fixed-width fields. */
     uint64_t dynInsts;
     uint64_t setupInsts;
@@ -30,39 +36,44 @@ struct BundleMeta
     uint64_t truncated;
 };
 static_assert(sizeof(BundleMeta) % 8 == 0,
-              "record section must stay 8-byte aligned");
+              "sections after the metadata must stay 8-byte aligned");
 static_assert(std::is_trivially_copyable_v<BundleMeta>);
 
 /**
- * Fingerprint of the TraceRecord memory layout (size, field offsets,
- * endianness tag), part of the store's version tuple, so a bundle
- * written by an ABI-incompatible build is rejected.
+ * Fingerprint of the StaticInst and DynRecord memory layouts (sizes,
+ * field offsets, flag bits, endianness tag), part of the store's
+ * version tuple, so a bundle written by an ABI-incompatible build is
+ * rejected.
  */
 uint64_t
-traceRecordLayoutFingerprint()
+traceLayoutFingerprint()
 {
-    static_assert(std::is_trivially_copyable_v<TraceRecord>,
-                  "TraceRecord must memory-map verbatim");
+    static_assert(std::is_trivially_copyable_v<StaticInst> &&
+                      std::is_trivially_copyable_v<DynRecord>,
+                  "trace sections must memory-map verbatim");
     // The final constant doubles as an endianness tag: the values are
     // hashed through their native byte representation, so a
     // different-endian (or differently packed) build produces a
     // different fingerprint and its bundles are rejected.
     const uint64_t layout[] = {
-        sizeof(TraceRecord),
-        offsetof(TraceRecord, pc),
-        offsetof(TraceRecord, nextPc),
-        offsetof(TraceRecord, addrOrImm),
-        offsetof(TraceRecord, op),
-        offsetof(TraceRecord, memSize),
-        offsetof(TraceRecord, taken),
-        offsetof(TraceRecord, markedBranch),
-        offsetof(TraceRecord, orderSensitive),
-        offsetof(TraceRecord, orderStrict),
-        offsetof(TraceRecord, rd),
-        offsetof(TraceRecord, rs1),
-        offsetof(TraceRecord, rs2),
-        offsetof(TraceRecord, rs3),
-        offsetof(TraceRecord, guardIdx),
+        sizeof(StaticInst),
+        offsetof(StaticInst, pc),
+        offsetof(StaticInst, nextPc),
+        offsetof(StaticInst, op),
+        offsetof(StaticInst, memSize),
+        offsetof(StaticInst, rd),
+        offsetof(StaticInst, rs1),
+        offsetof(StaticInst, rs2),
+        offsetof(StaticInst, rs3),
+        sizeof(DynRecord),
+        offsetof(DynRecord, idFlags),
+        offsetof(DynRecord, guardIdx),
+        offsetof(DynRecord, addrOrImm),
+        DYN_FLAG_BITS,
+        DYN_TAKEN,
+        DYN_MARKED_BRANCH,
+        DYN_ORDER_SENSITIVE,
+        DYN_ORDER_STRICT,
         sizeof(Opcode),
         sizeof(Reg),
         sizeof(TraceIdx),
@@ -199,7 +210,7 @@ traceStore()
     static BlobStore store("trace_store", "NOREBA_TRACE_DIR", "ntb",
                            TRACE_STORE_FORMAT_VERSION,
                            {TRACE_STORE_PASS_FINGERPRINT,
-                            traceRecordLayoutFingerprint()});
+                            traceLayoutFingerprint()});
     return store;
 }
 
@@ -230,7 +241,8 @@ traceBundlePath(const std::string &workload, const TraceOptions &opts)
 TraceView
 MappedTraceBundle::view() const
 {
-    return TraceView(name_, records_, numRecords_, summary_);
+    return TraceView(name_, statics_, numStatics_, dyn_, numRecords_,
+                     summary_);
 }
 
 std::shared_ptr<const MappedTraceBundle>
@@ -246,29 +258,52 @@ MappedTraceBundle::open(const std::string &path)
     BundleMeta m;
     std::memcpy(&m, base, sizeof(m));
 
-    // Section sizes: bound each field before doing arithmetic on it so
-    // a corrupt payload cannot overflow the offset computation.
+    // Bound every count before doing arithmetic on it so a corrupt
+    // payload cannot overflow the section checks below.
     if (m.workloadBytes > size || m.nameBytes > size ||
-        m.numRecords > size / sizeof(TraceRecord) || m.passBytes > size)
+        m.numStatics > size / sizeof(StaticInst) ||
+        m.numRecords > size / sizeof(DynRecord) ||
+        m.numRecords > MAX_TRACE_RECORDS || m.passBytes > size)
         return nullptr;
-    const size_t recordsOff = pad8(sizeof(BundleMeta) +
-                                   static_cast<size_t>(m.workloadBytes) +
-                                   static_cast<size_t>(m.nameBytes));
+    const size_t numStatics = static_cast<size_t>(m.numStatics);
     const size_t numRecords = static_cast<size_t>(m.numRecords);
-    const size_t recordBytes = numRecords * sizeof(TraceRecord);
-    if (recordsOff > size || recordBytes > size - recordsOff)
-        return nullptr;
-    const size_t mispOff = recordsOff + recordBytes;
     const size_t mispBytes = (numRecords + 7) / 8;
-    if (mispBytes > size - mispOff ||
-        m.passBytes != size - mispOff - mispBytes)
+
+    // Each section is 8-byte aligned, inside the payload and after the
+    // one before it; the pass blob runs to the end.
+    size_t end = sizeof(BundleMeta) + static_cast<size_t>(m.workloadBytes) +
+                 static_cast<size_t>(m.nameBytes);
+    auto section = [&](uint64_t off, size_t bytes) {
+        if (off % 8 != 0 || off < end || off > size ||
+            bytes > size - static_cast<size_t>(off))
+            return false;
+        end = static_cast<size_t>(off) + bytes;
+        return true;
+    };
+    if (!section(m.staticsOff, numStatics * sizeof(StaticInst)) ||
+        !section(m.dynOff, numRecords * sizeof(DynRecord)) ||
+        !section(m.mispOff, mispBytes) ||
+        !section(m.passOff, static_cast<size_t>(m.passBytes)) ||
+        end != size)
         return nullptr;
-    const size_t passOff = mispOff + mispBytes;
 
     std::shared_ptr<MappedTraceBundle> b(new MappedTraceBundle);
-    if (!deserializePass(base + passOff, static_cast<size_t>(m.passBytes),
+    if (!deserializePass(base + m.passOff, static_cast<size_t>(m.passBytes),
                          b->pass_))
         return nullptr;
+
+    // Every record must name a static entry and an older guard; the
+    // consumers index by both without checking.
+    const auto *dyn = reinterpret_cast<const DynRecord *>(base + m.dynOff);
+    const uint8_t *bitmap = base + m.mispOff;
+    b->misp_.assign(numRecords, 0);
+    for (size_t i = 0; i < numRecords; ++i) {
+        if (dyn[i].staticId() >= numStatics || dyn[i].guardIdx < TRACE_NONE ||
+            dyn[i].guardIdx >= static_cast<TraceIdx>(i))
+            return nullptr;
+        b->misp_[i] = (bitmap[i / 8] >> (i % 8)) & 1;
+    }
+
     const char *text = reinterpret_cast<const char *>(base);
     b->key_.assign(reinterpret_cast<const char *>(map->key().data()),
                    map->key().size());
@@ -276,7 +311,9 @@ MappedTraceBundle::open(const std::string &path)
                         static_cast<size_t>(m.workloadBytes));
     b->name_.assign(text + sizeof(BundleMeta) + m.workloadBytes,
                     static_cast<size_t>(m.nameBytes));
-    b->records_ = reinterpret_cast<const TraceRecord *>(base + recordsOff);
+    b->statics_ = reinterpret_cast<const StaticInst *>(base + m.staticsOff);
+    b->numStatics_ = numStatics;
+    b->dyn_ = dyn;
     b->numRecords_ = numRecords;
     b->summary_.dynInsts = m.dynInsts;
     b->summary_.setupInsts = m.setupInsts;
@@ -286,11 +323,6 @@ MappedTraceBundle::open(const std::string &path)
     b->summary_.stores = m.stores;
     b->summary_.truncated = m.truncated != 0;
     b->archChecksum_ = m.archChecksum;
-
-    b->misp_.assign(numRecords, 0);
-    const uint8_t *bitmap = base + mispOff;
-    for (size_t i = 0; i < numRecords; ++i)
-        b->misp_[i] = (bitmap[i / 8] >> (i % 8)) & 1;
     b->map_ = std::move(map);
     return b;
 }
@@ -303,21 +335,22 @@ saveTraceBundle(const std::string &path, const TraceBundle &bundle)
              "bundle misprediction vector does not match its trace");
     const std::string &workload = bundle.workload;
     const std::string &name = view.name();
+    const size_t numStatics = view.numStatics();
     const size_t numRecords = view.size();
-
-    // Bitmap and pass blob follow the records.
-    std::vector<uint8_t> tail((numRecords + 7) / 8, 0);
-    for (size_t i = 0; i < numRecords; ++i)
-        if (bundle.misp[i])
-            tail[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
-    serializePass(bundle.pass, tail);
+    const size_t staticBytes = numStatics * sizeof(StaticInst);
+    const size_t dynBytes = numRecords * sizeof(DynRecord);
+    const size_t mispBytes = (numRecords + 7) / 8;
 
     BundleMeta m{};
     m.archChecksum = bundle.checksum;
     m.numRecords = numRecords;
+    m.numStatics = numStatics;
     m.workloadBytes = workload.size();
     m.nameBytes = name.size();
-    m.passBytes = tail.size() - (numRecords + 7) / 8;
+    m.staticsOff = pad8(sizeof(BundleMeta) + workload.size() + name.size());
+    m.dynOff = m.staticsOff + staticBytes;
+    m.mispOff = m.dynOff + dynBytes;
+    m.passOff = pad8(m.mispOff + mispBytes);
     const TraceSummary &sum = view.summary();
     m.dynInsts = sum.dynInsts;
     m.setupInsts = sum.setupInsts;
@@ -327,9 +360,16 @@ saveTraceBundle(const std::string &path, const TraceBundle &bundle)
     m.stores = sum.stores;
     m.truncated = sum.truncated ? 1 : 0;
 
-    // Metadata and names, padded so the records stay 8-byte aligned.
-    std::vector<uint8_t> head(
-        pad8(sizeof(BundleMeta) + workload.size() + name.size()), 0);
+    // Misprediction bitmap, padded, then the pass blob.
+    std::vector<uint8_t> tail(m.passOff - m.mispOff, 0);
+    for (size_t i = 0; i < numRecords; ++i)
+        if (bundle.misp[i])
+            tail[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+    serializePass(bundle.pass, tail);
+    m.passBytes = tail.size() - (m.passOff - m.mispOff);
+
+    // Metadata and names, padded so the static table stays aligned.
+    std::vector<uint8_t> head(m.staticsOff, 0);
     std::memcpy(head.data(), &m, sizeof(m));
     std::memcpy(head.data() + sizeof(m), workload.data(), workload.size());
     std::memcpy(head.data() + sizeof(m) + workload.size(), name.data(),
@@ -338,8 +378,8 @@ saveTraceBundle(const std::string &path, const TraceBundle &bundle)
     return traceStore().put(
         path, traceKey(workload, bundle.opts),
         {head,
-         {reinterpret_cast<const uint8_t *>(view.data()),
-          numRecords * sizeof(TraceRecord)},
+         {reinterpret_cast<const uint8_t *>(view.statics()), staticBytes},
+         {reinterpret_cast<const uint8_t *>(view.dyn()), dynBytes},
          tail});
 }
 

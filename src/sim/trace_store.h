@@ -11,16 +11,21 @@
  * publish, retries, bypass) is the shared BlobStore (sim/blob_store.h);
  * this file serializes the payload:
  *
- *   BundleMeta | workload | trace name | pad8 | TraceRecord[] |
- *   misprediction bitmap | PassResult blob
+ *   BundleMeta | workload | trace name | pad8 | StaticInst[] |
+ *   DynRecord[] | misprediction bitmap | pad8 | PassResult blob
  *
- * The record section is the in-memory TraceRecord layout verbatim —
- * fixed-width fields, trivially copyable, layout-fingerprinted — so a
- * mapped file serves records zero-copy through a TraceView.
+ * BundleMeta records each section's offset. The static table (32 B an
+ * entry) and the dynamic records (16 B each) are their in-memory
+ * layouts verbatim — fixed-width, trivially copyable,
+ * layout-fingerprinted — so a mapped file serves them zero-copy
+ * through a TraceView. open() checks that every section is 8-byte
+ * aligned and in bounds, and that every record names an existing
+ * static entry and an older guard.
  *
  * Key: traceKey(), the workload and every TraceOptions field. Version
- * tuple: the pass fingerprint and the TraceRecord layout fingerprint,
- * so a semantic or ABI change misses instead of serving stale data.
+ * tuple: the pass fingerprint and the StaticInst/DynRecord layout
+ * fingerprint, so a semantic or ABI change misses instead of serving
+ * stale data.
  */
 
 #ifndef NOREBA_SIM_TRACE_STORE_H
@@ -37,7 +42,7 @@
 namespace noreba {
 
 /** Bump on any change to the on-disk bundle payload layout. */
-constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 2;
+constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 3;
 
 /**
  * Fingerprint of the trace-producing semantics: bump whenever the
@@ -81,7 +86,7 @@ class MappedTraceBundle
     static std::shared_ptr<const MappedTraceBundle>
     open(const std::string &path);
 
-    /** Zero-copy view of the record section. */
+    /** Zero-copy view of the static table and the dynamic records. */
     TraceView view() const;
 
     /** The traceKey() the bundle was published under. */
@@ -99,7 +104,9 @@ class MappedTraceBundle
     MappedTraceBundle() = default;
 
     std::unique_ptr<const BlobStore::Mapping> map_;
-    const TraceRecord *records_ = nullptr;
+    const StaticInst *statics_ = nullptr;
+    size_t numStatics_ = 0;
+    const DynRecord *dyn_ = nullptr;
     size_t numRecords_ = 0;
     TraceSummary summary_;
     std::string key_;

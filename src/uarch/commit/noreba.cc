@@ -207,7 +207,7 @@ class NorebaCommit : public CommitPolicy
         // Order-sensitive instructions (cross-instance data flows) must
         // re-validate their chain sites at the head: sitting behind the
         // guard in the FIFO only proves the *latest* instance committed.
-        if ((p->rec->orderSensitive || p->rec->orderStrict) &&
+        if ((p->rec.orderSensitive || p->rec.orderStrict) &&
             !view.guardChainResolved(p))
             return false;
         // Footnote-1 C1/C3 relaxation: commit is non-speculative
@@ -216,10 +216,10 @@ class NorebaCommit : public CommitPolicy
         // and its dependence queue has cleared, its window resources
         // are reclaimed even before the result returns; execution
         // completes in the background.
-        if (isMem(p->rec->op))
+        if (isMem(p->rec.op))
             return view.tlbDone(p) && view.fenceAllows(p);
         return view.fenceAllows(p) &&
-               (p->rec->op != Opcode::FENCE || view.commitEligibleBasic(p));
+               (p->rec.op != Opcode::FENCE || view.commitEligibleBasic(p));
     }
 
     void
@@ -301,7 +301,7 @@ class NorebaCommit : public CommitPolicy
         bool stalled = false;
         while (budget > 0 && !robPrime_.empty()) {
             InFlight *p = robPrime_.front();
-            const TraceRecord &rec = *p->rec;
+            const TraceRecord &rec = p->rec;
 
             // In-order page-table check before leaving the ROB'.
             if (isMem(rec.op) && !view.tlbDone(p)) {

@@ -104,8 +104,8 @@ class SpeculativeCommit : public CommitPolicy
             // and fences gate reclamation.
             if (!view.fenceAllows(p))
                 break;
-            if ((isMem(p->rec->op) && !view.tlbDone(p)) ||
-                (p->rec->op == Opcode::FENCE &&
+            if ((isMem(p->rec.op) && !view.tlbDone(p)) ||
+                (p->rec.op == Opcode::FENCE &&
                  !view.commitEligibleBasic(p))) {
                 p = next;
                 continue;
@@ -147,8 +147,8 @@ class IdealReconvCommit : public CommitPolicy
             // from the compiler), but with ideal reordering hardware.
             bool skip =
                 (p->isBranch && !(p->resolved && p->completed)) ||
-                (isMem(p->rec->op) && !view.tlbDone(p)) ||
-                (p->rec->op == Opcode::FENCE &&
+                (isMem(p->rec.op) && !view.tlbDone(p)) ||
+                (p->rec.op == Opcode::FENCE &&
                  !view.commitEligibleBasic(p)) ||
                 !view.guardChainResolved(p);
             if (!skip) {
@@ -245,7 +245,7 @@ class ValidationBufferCommit : public CommitPolicy
             return INT32_MAX;
         const TraceView &trace = view.trace();
         TraceIdx i = brBar - 1;
-        while (i >= 0 && !trace[static_cast<size_t>(i)].isBranchSite())
+        while (i >= 0 && !trace.isBranchSiteAt(static_cast<size_t>(i)))
             --i;
         return i; // TRACE_NONE (-1) when the scan runs off the trace
     }
@@ -266,12 +266,12 @@ CommitPolicy::classifyStall(const PipelineView &view,
     // The head is the oldest uncommitted in-flight instruction, so no
     // older FENCE can block it; only the head *being* a not-yet-ripe
     // FENCE charges the fence bucket.
-    if (head->rec->op == Opcode::FENCE &&
+    if (head->rec.op == Opcode::FENCE &&
         !view.commitEligibleBasic(head))
         return StallCause::Fence;
     if (head->isBranch && !(head->resolved && head->completed))
         return StallCause::HeadBranch;
-    if (isMem(head->rec->op) && !view.tlbDone(head))
+    if (isMem(head->rec.op) && !view.tlbDone(head))
         return StallCause::HeadMem;
     if (!head->completed)
         return StallCause::HeadExec;

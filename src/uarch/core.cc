@@ -136,7 +136,7 @@ Core::free(InFlight *p)
 void
 Core::startTlbCheck(InFlight *p)
 {
-    int tlbLat = tlb_.access(p->rec->addrOrImm);
+    int tlbLat = tlb_.access(p->rec.addrOrImm);
     p->tlbChecked = true;
     p->tlbDoneAt = cycle_ + static_cast<Cycle>(tlbLat);
     index_.onTlbCheck(p, cycle_);
@@ -148,7 +148,7 @@ Core::commit(InFlight *p)
     panic_if(p->committed, "double commit of trace idx %d", p->idx);
     if (commitHook)
         commitHook(view_, *p);
-    NOREBA_EMIT(TraceEventType::Commit, p->idx, p->rec->pc,
+    NOREBA_EMIT(TraceEventType::Commit, p->idx, p->rec.pc,
                 StallCause::None);
     committed_[static_cast<size_t>(p->idx)] = 1;
     p->committed = true;
@@ -164,7 +164,7 @@ Core::commit(InFlight *p)
     index_.onCommit(p);
 
     ++stats_.robReads;
-    const TraceRecord &rec = *p->rec;
+    const TraceRecord &rec = p->rec;
     if (recHasDest(rec))
         --physUsed_;
     if (isLoad(rec.op)) {
@@ -197,7 +197,7 @@ Core::advanceCursor()
 void
 Core::releaseResources(InFlight *p)
 {
-    const TraceRecord &rec = *p->rec;
+    const TraceRecord &rec = p->rec;
     if (recHasDest(rec))
         --physUsed_;
     if (isLoad(rec.op))
@@ -211,8 +211,8 @@ Core::rebuildRenameTable()
         ref = InFlight::SrcRef{};
     for (InFlight *p = index_.frontierHead(); p;
          p = PipelineIndex::frontierNext(p)) {
-        if (recHasDest(*p->rec))
-            renameTable_[p->rec->rd] = {p, p->gen};
+        if (recHasDest(p->rec))
+            renameTable_[p->rec.rd] = {p, p->gen};
     }
 }
 
@@ -220,7 +220,7 @@ void
 Core::squashAfter(InFlight *b)
 {
     ++stats_.squashes;
-    NOREBA_EMIT(TraceEventType::Squash, b->idx, b->rec->pc,
+    NOREBA_EMIT(TraceEventType::Squash, b->idx, b->rec.pc,
                 StallCause::None);
 
     // Front end restarts on the correct path after the redirect.
@@ -313,7 +313,7 @@ Core::writebackStage()
             continue; // squashed and recycled
         p->completed = true;
         ++stats_.cdbBroadcasts;
-        if (recHasDest(*p->rec))
+        if (recHasDest(p->rec))
             ++stats_.rfWrites;
         wakeWaiters(p);
         if (p->isBranch && !p->resolved) {
@@ -362,8 +362,7 @@ Core::commitStage()
             // that is still unresolved — the one in-order commit (and
             // every non-speculative OoO-commit condition) is waiting
             // for before the window can drain.
-            ++stats_.branchStalls[trace_[static_cast<size_t>(b)]
-                                      .pc]
+            ++stats_.branchStalls[trace_.pcOf(static_cast<size_t>(b))]
                   .stallCycles;
         }
     }
@@ -397,7 +396,7 @@ Core::commitStage()
     }
     NOREBA_EMIT(TraceEventType::CommitStall,
                 head ? head->idx : TRACE_NONE,
-                head ? head->rec->pc : 0, cause);
+                head ? head->rec.pc : 0, cause);
 }
 
 bool
@@ -456,7 +455,7 @@ Core::consumeFu(FuClass cls, int latency)
 int
 Core::loadLatency(InFlight *p, bool &blocked)
 {
-    const TraceRecord &rec = *p->rec;
+    const TraceRecord &rec = p->rec;
     bool forward = false;
     // Walk the older in-flight stores: any overlapping one whose data
     // has not written back blocks the load; otherwise an overlapping
@@ -464,7 +463,7 @@ Core::loadLatency(InFlight *p, bool &blocked)
     for (InFlight *s : sq_) {
         if (s->idx >= p->idx)
             break; // sq_ is ascending in trace order
-        if (!memOverlap(*s->rec, rec))
+        if (!memOverlap(s->rec, rec))
             continue;
         if (!s->completed) {
             blocked = true; // wait for the producing store's data
@@ -530,7 +529,7 @@ Core::wakeWaiters(InFlight *p)
         // Store address generation waits only for the address operand,
         // not the data — kick the TLB check as soon as it arrives.
         if (!c->inAddrPending && !c->tlbChecked &&
-            isStore(c->rec->op) && c->addrReady())
+            isStore(c->rec.op) && c->addrReady())
             addrPendingInsert(c);
     }
     p->waitHead = -1;
@@ -590,7 +589,7 @@ Core::shadowSchedulerVerify() const
     // none at end of cycle, because draining clears it.)
     size_t nPend = 0;
     for (InFlight *p : iqSorted) {
-        if (!isStore(p->rec->op) || p->tlbChecked || !p->addrReady())
+        if (!isStore(p->rec.op) || p->tlbChecked || !p->addrReady())
             continue;
         panic_if(nPend >= addrPending_.size() ||
                      addrPending_[nPend] != p || !p->inAddrPending,
@@ -633,7 +632,7 @@ Core::issueStage()
         InFlight *p = readyQ_[i];
         bool keep = true;
         if (budget > 0) {
-            const TraceRecord &rec = *p->rec;
+            const TraceRecord &rec = p->rec;
             FuClass cls = fuClass(rec.op);
             if (fuAvailable(cls)) {
                 int latency = 0;
@@ -698,7 +697,7 @@ Core::dispatchStage()
         InFlight *p = decodedQ_.front();
         if (p->decodeReadyAt > cycle_)
             break;
-        const TraceRecord &rec = *p->rec;
+        const TraceRecord &rec = p->rec;
         FuClass cls = fuClass(rec.op);
 
         if (!policy_->windowHasSpace(view_)) {
@@ -763,9 +762,11 @@ Core::dispatchStage()
         if (cfg_.attributeStalls) {
             if (p->isBranch)
                 ++stats_.branchStalls[rec.pc].instances;
-            if (rec.guardIdx >= 0)
-                ++stats_.branchStalls[trace_[rec.guardIdx].pc]
-                      .dependents;
+            if (rec.guardIdx >= 0) {
+                const uint64_t guardPc =
+                    trace_.pcOf(static_cast<size_t>(rec.guardIdx));
+                ++stats_.branchStalls[guardPc].dependents;
+            }
         }
 
         NOREBA_EMIT(TraceEventType::Dispatch, p->idx, rec.pc,
@@ -787,7 +788,7 @@ Core::decodeStage()
             break;
         ifq_.pop_front();
         --budget;
-        const TraceRecord &rec = *p->rec;
+        const TraceRecord &rec = p->rec;
         if (rec.isSetup()) {
             // Setup instructions program the BIT/DCT and are dropped
             // (Section 4.1): they consumed a fetch slot only.
@@ -826,12 +827,11 @@ Core::fetchStage()
     int budget = FETCH_WIDTH;
     while (budget > 0 && fetchIdx_ < static_cast<TraceIdx>(trace_.size()) &&
            ifq_.size() < IFQ_ENTRIES) {
-        const TraceRecord &rec = trace_[static_cast<size_t>(
-            fetchIdx_)];
-        uint64_t line = rec.pc >> 6;
+        const uint64_t pc = trace_.pcOf(static_cast<size_t>(fetchIdx_));
+        uint64_t line = pc >> 6;
         if (line != lastFetchLine_) {
             ++stats_.icacheAccesses;
-            int latency = mem_.fetchAccess(rec.pc);
+            int latency = mem_.fetchAccess(pc);
             lastFetchLine_ = line;
             if (latency > 0) {
                 fetchResumeAt_ = cycle_ + static_cast<Cycle>(latency);
@@ -842,7 +842,8 @@ Core::fetchStage()
         }
         InFlight *p = alloc();
         p->idx = fetchIdx_;
-        p->rec = &rec;
+        p->rec = trace_[static_cast<size_t>(fetchIdx_)];
+        const TraceRecord &rec = p->rec;
         p->fetchAt = cycle_;
         p->mispredicted = misp_[static_cast<size_t>(fetchIdx_)] != 0;
         ifq_.push_back(p);

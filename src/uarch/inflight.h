@@ -22,7 +22,7 @@ struct InFlight
     uint64_t gen = 0;
 
     TraceIdx idx = TRACE_NONE;
-    const TraceRecord *rec = nullptr;
+    TraceRecord rec; //!< composed from the trace at fetch
     uint64_t seq = 0; //!< unique dispatch order id (refetches get new)
 
     /** @name Stage progress @{ */

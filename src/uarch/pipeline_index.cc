@@ -28,7 +28,7 @@ PipelineIndex::onDispatch(InFlight *p)
 {
     frontier_.pushBack(p);
     inflightByIdx_.put(p);
-    const TraceRecord &rec = *p->rec;
+    const TraceRecord &rec = p->rec;
     if (p->isBranch) {
         unresolved_.insert(p->idx, rec.pc);
         unresolvedUncommitted_.insert(p->idx);
@@ -87,7 +87,7 @@ void
 PipelineIndex::onCommit(InFlight *p)
 {
     frontier_.erase(p);
-    const TraceRecord &rec = *p->rec;
+    const TraceRecord &rec = p->rec;
     if (p->isBranch) {
         // A policy may retire an unresolved branch early (the
         // speculative oracles): it leaves the commit barrier but stays
@@ -160,13 +160,13 @@ PipelineIndex::shadowVerify(const Ring<InFlight *> &rob, Cycle now,
             continue;
         if (p->isBranch && !p->resolved && naiveBranch == INT32_MAX)
             naiveBranch = p->idx;
-        if (isMem(p->rec->op) &&
+        if (isMem(p->rec.op) &&
             !(p->tlbChecked && now >= p->tlbDoneAt)) {
             if (naiveMem == INT32_MAX)
                 naiveMem = p->idx;
             naiveUnchecked.insert(p->idx);
         }
-        if (p->rec->op == Opcode::FENCE)
+        if (p->rec.op == Opcode::FENCE)
             naiveFences.insert(p->idx);
         if (p->isBranch && !p->resolved) {
             panic_if(!unresolvedUncommitted_.find(p->idx),
@@ -213,7 +213,7 @@ PipelineIndex::shadowVerify(const Ring<InFlight *> &rob, Cycle now,
                      "per-PC bucket %llx holds idx %d not unresolved "
                      "at that site",
                      static_cast<unsigned long long>(pc), e.idx);
-            panic_if(trace[static_cast<size_t>(e.idx)].pc != pc,
+            panic_if(trace.pcOf(static_cast<size_t>(e.idx)) != pc,
                      "per-PC bucket key %llx mismatches trace pc",
                      static_cast<unsigned long long>(pc));
         }

@@ -107,13 +107,13 @@ class PipelineView
     {
         if (!fenceAllows(p))
             return false;
-        if (p->rec->op == Opcode::FENCE)
+        if (p->rec.op == Opcode::FENCE)
             return p->completed && p->idx == *cursor_;
         if (p->completed)
             return true;
         // ECL: a load may retire once it is guaranteed not to fault
         // (translation succeeded), even before its data returns [DeSC].
-        if (cfg_->earlyCommitLoads && isLoad(p->rec->op) && tlbDone(p))
+        if (cfg_->earlyCommitLoads && isLoad(p->rec.op) && tlbDone(p))
             return true;
         return false;
     }
@@ -127,7 +127,7 @@ class PipelineView
     bool
     olderSamePcUnresolved(const InFlight *f) const
     {
-        return olderSitePcUnresolved(f->rec->pc, f->idx);
+        return olderSitePcUnresolved(f->rec.pc, f->idx);
     }
 
     /** Same check by static site PC, for (possibly committed) chain
@@ -180,21 +180,22 @@ class PipelineView
         // through committed elements for that purpose, and stops as
         // soon as no branch older than the element is unresolved
         // (nothing left to wait for).
-        if (cfg_->srob.enforceInstanceOrder && p->rec->orderStrict &&
+        if (cfg_->srob.enforceInstanceOrder && p->rec.orderStrict &&
             youngestUnresolvedBefore(p->idx) != TRACE_NONE) {
             // Strict region: the marking could not express this
             // instruction's dependence, so it waits for full
             // Condition 5.
             return false;
         }
-        const bool sensitive = p->rec->orderSensitive;
-        TraceIdx g = p->rec->guardIdx;
+        const bool sensitive = p->rec.orderSensitive;
+        TraceIdx g = p->rec.guardIdx;
         while (g >= 0) {
             TraceIdx oldest = index_->oldestUnresolved();
             if (oldest == TRACE_NONE || oldest > g)
                 break; // everything at or below g has resolved
-            const TraceRecord &rec = (*trace_)[static_cast<size_t>(g)];
-            if (sensitive && olderSitePcUnresolved(rec.pc, g))
+            if (sensitive &&
+                olderSitePcUnresolved(trace_->pcOf(static_cast<size_t>(g)),
+                                      g))
                 return false;
             if (!(*committed_)[static_cast<size_t>(g)]) {
                 InFlight *f = findInFlight(g);
@@ -203,7 +204,7 @@ class PipelineView
                 if (!f->resolved)
                     return false;
             }
-            g = rec.guardIdx;
+            g = trace_->guardOf(static_cast<size_t>(g));
         }
         return true;
     }

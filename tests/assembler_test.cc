@@ -130,7 +130,7 @@ TEST(Assembler, SetupInstructions)
     ASSERT_TRUE(r.ok()) << r.error;
     DynamicTrace trace = Interpreter(r.program).run();
     int guarded = 0;
-    for (const auto &rec : trace.records)
+    for (const auto &rec : trace)
         guarded += rec.guardIdx != TRACE_NONE;
     EXPECT_EQ(guarded, 2);
 }

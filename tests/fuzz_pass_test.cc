@@ -233,7 +233,7 @@ oracleViolations(const Program &prog, const Prepared &p,
     int numBranches = 0;
     std::vector<int> instanceOf(p.trace.size(), -1);
     for (size_t i = 0; i < p.trace.size(); ++i)
-        if (p.trace.records[i].isBranchSite())
+        if (p.trace[i].isBranchSite())
             instanceOf[i] = numBranches++;
 
     std::vector<DepBits> deps(p.trace.size(), DepBits(numBranches));
@@ -250,7 +250,7 @@ oracleViolations(const Program &prog, const Prepared &p,
     std::vector<Active> active;
 
     for (size_t i = 0; i < p.trace.size(); ++i) {
-        const TraceRecord &rec = p.trace.records[i];
+        const TraceRecord &rec = p.trace[i];
         auto blk = blockOfPc.find(rec.pc);
         if (blk != blockOfPc.end()) {
             int bb = blk->second;
@@ -352,11 +352,11 @@ TEST_P(FuzzPass, EndToEndInvariants)
 
     // 3. Every guard reference is an older marked branch.
     for (size_t i = 0; i < tb.size(); ++i) {
-        TraceIdx g = tb.records[i].guardIdx;
+        TraceIdx g = tb[i].guardIdx;
         if (g != TRACE_NONE) {
             ASSERT_LT(g, static_cast<TraceIdx>(i));
             ASSERT_TRUE(
-                tb.records[static_cast<size_t>(g)].isBranchSite());
+                tb[static_cast<size_t>(g)].isBranchSite());
         }
     }
 

@@ -6,6 +6,9 @@
  */
 
 #include <cstdint>
+#include <optional>
+#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -163,11 +166,11 @@ TEST(Interp, BranchOutcomesAndTraceFields)
 
     ASSERT_EQ(t.branches, 1u);
     EXPECT_EQ(t.takenBranches, 1u);
-    const TraceRecord *br = nullptr;
-    for (const auto &rec : t.records)
+    std::optional<TraceRecord> br;
+    for (const auto &rec : t)
         if (rec.isCondBr())
-            br = &rec;
-    ASSERT_NE(br, nullptr);
+            br = rec;
+    ASSERT_TRUE(br.has_value());
     EXPECT_TRUE(br->taken);
     EXPECT_EQ(br->nextPc, prog.layout().blockPc(1));
     EXPECT_EQ(interp.intReg(T1), 7);
@@ -192,7 +195,7 @@ TEST(Interp, JumpTableSelectsByValue)
     DynamicTrace t = interp.run();
     EXPECT_EQ(interp.intReg(T1), 300);
     // The jump-table record points at the selected handler.
-    for (const auto &rec : t.records)
+    for (const auto &rec : t)
         if (rec.op == Opcode::JALR)
             EXPECT_EQ(rec.nextPc, prog.layout().blockPc(h2));
 }
@@ -209,11 +212,11 @@ TEST(Interp, MemoryRecordsCarryAddressAndSize)
         .halt();
     prog.finalize();
     DynamicTrace t = Interpreter(prog).run();
-    const TraceRecord *sw = nullptr;
-    for (const auto &rec : t.records)
+    std::optional<TraceRecord> sw;
+    for (const auto &rec : t)
         if (rec.op == Opcode::SW)
-            sw = &rec;
-    ASSERT_NE(sw, nullptr);
+            sw = rec;
+    ASSERT_TRUE(sw.has_value());
     EXPECT_EQ(sw->addrOrImm, buf + 4);
     EXPECT_EQ(sw->memSize, 4);
 }
@@ -262,13 +265,13 @@ TEST(Interp, BitDctReplayMatchesTable1)
     // Find the branch's trace index.
     TraceIdx branchIdx = TRACE_NONE;
     for (size_t i = 0; i < t.size(); ++i)
-        if (t.records[i].isCondBr())
+        if (t[i].isCondBr())
             branchIdx = static_cast<TraceIdx>(i);
     ASSERT_NE(branchIdx, TRACE_NONE);
-    EXPECT_TRUE(t.records[static_cast<size_t>(branchIdx)].markedBranch);
+    EXPECT_TRUE(t[static_cast<size_t>(branchIdx)].markedBranch);
 
     int guarded = 0, independent = 0;
-    for (const auto &rec : t.records) {
+    for (const auto &rec : t) {
         if (rec.op != Opcode::ADD)
             continue;
         if (rec.guardIdx == branchIdx)
@@ -293,7 +296,7 @@ TEST(Interp, UnsetBitGivesInvalidDependency)
         .halt();
     prog.finalize();
     DynamicTrace t = Interpreter(prog).run();
-    for (const auto &rec : t.records)
+    for (const auto &rec : t)
         if (rec.op == Opcode::ADD)
             EXPECT_EQ(rec.guardIdx, TRACE_NONE);
 }
@@ -338,6 +341,203 @@ TEST(MemoryImage, SparsePagesReadBackZeroAndWrites)
     EXPECT_EQ(mem.read8(0xfff), 0xbb);
     EXPECT_EQ(mem.read8(0x1000), 0xaa);
     EXPECT_GE(mem.numPages(), 2u);
+}
+
+TEST(MemoryImage, PageCopiesAndCachedPageAgreeWithByteAccess)
+{
+    MemoryImage mem;
+    std::vector<uint8_t> bytes(3 * MemoryImage::PAGE_BYTES + 100);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<uint8_t>(i * 7 + 3);
+    const uint64_t base = 5 * MemoryImage::PAGE_BYTES - 50; // unaligned
+    mem.writeBytes(base, bytes.data(), bytes.size());
+    for (size_t i = 0; i < bytes.size(); ++i)
+        ASSERT_EQ(mem.read8(base + i), bytes[i]) << "byte " << i;
+
+    // Alternate pages so the last-page cache misses and refills, and
+    // straddle a boundary with every access width.
+    const uint64_t edge = 6 * MemoryImage::PAGE_BYTES;
+    for (int width : {1, 2, 4, 8}) {
+        for (uint64_t addr = edge - 8; addr < edge + 1; ++addr) {
+            uint64_t want = 0;
+            for (int i = 0; i < width; ++i)
+                want |= static_cast<uint64_t>(mem.read8(addr + i))
+                        << (8 * i);
+            EXPECT_EQ(mem.read(addr, width), want) << addr << "/" << width;
+            EXPECT_EQ(mem.read(0x900000, 8), 0u);
+        }
+    }
+    mem.write(edge - 3, 0x1122334455667788ull, 8);
+    EXPECT_EQ(mem.read(0x900000, 1), 0u);
+    EXPECT_EQ(mem.read(edge - 3, 8), 0x1122334455667788ull);
+    EXPECT_EQ(mem.read8(edge - 3), 0x88);
+    EXPECT_EQ(mem.read8(edge + 4), 0x11);
+}
+
+TEST(Program, PokesLandInTheFirstSegmentThatHoldsThem)
+{
+    Program prog("segs");
+    const uint64_t a = prog.allocGlobal(64);
+    const uint64_t b = prog.allocGlobal(64);
+    for (int i = 0; i < 64; ++i) {
+        const uint8_t va = static_cast<uint8_t>(i), vb = 0xff;
+        prog.pokeBytes(a + static_cast<uint64_t>(i), &va, 1);
+        prog.pokeBytes(b + static_cast<uint64_t>(i), &vb, 1);
+    }
+    ASSERT_EQ(prog.dataSegments().size(), 2u);
+    EXPECT_EQ(prog.dataSegments()[0].bytes[10], 10);
+    EXPECT_EQ(prog.dataSegments()[1].bytes[10], 0xff);
+
+    // A poke outside every segment makes a dedicated one; once two
+    // segments overlap, pokes into the overlap still go to the first.
+    const uint64_t late = b + 64 + 4096;
+    const uint64_t one = 1;
+    prog.pokeBytes(late, &one, 8);
+    const uint64_t overlap = prog.allocGlobal(8192);
+    ASSERT_LE(overlap, late);
+    const uint8_t v = 0x5a;
+    prog.pokeBytes(overlap, &v, 1); // caches the overlapping segment
+    prog.pokeBytes(late + 1, &v, 1);
+    ASSERT_EQ(prog.dataSegments().size(), 4u);
+    EXPECT_EQ(prog.dataSegments()[2].bytes[1], 0x5a);
+    EXPECT_EQ(prog.dataSegments()[3].bytes[late + 1 - overlap], 0);
+}
+
+/**
+ * One loop whose back edge is taken three times and not taken once,
+ * around a jump table that alternates between two handlers.
+ */
+class TraceFormat : public ::testing::Test
+{
+  protected:
+    static constexpr int TRIPS = 4;
+
+    void
+    SetUp() override
+    {
+        IRBuilder b(prog);
+        int e = b.newBlock("e");
+        loop = b.newBlock("loop");
+        h0 = b.newBlock("h0");
+        h1 = b.newBlock("h1");
+        join = b.newBlock("join");
+        out = b.newBlock("out");
+        b.at(e).li(T0, 0).fallthrough(loop);
+        b.at(loop).andi(T1, T0, 1).jumpTable(T1, {h0, h1});
+        b.at(h0).addi(T2, T2, 1).jump(join);
+        b.at(h1).addi(T2, T2, 2).jump(join);
+        b.at(join)
+            .addi(T0, T0, 1)
+            .slti(T3, T0, TRIPS)
+            .bne(T3, ZERO, loop, out);
+        b.at(out).halt();
+        prog.finalize();
+        trace = Interpreter(prog).run();
+    }
+
+    Program prog{"trace_format"};
+    int loop = 0, h0 = 0, h1 = 0, join = 0, out = 0;
+    DynamicTrace trace;
+};
+
+static_assert(sizeof(DynRecord) == 16);
+
+TEST_F(TraceFormat, EachDirectionAndTargetGetsItsOwnStaticEntry)
+{
+    std::set<uint32_t> branchIds, jalrIds, andiIds;
+    std::set<uint64_t> branchPcs, jalrPcs;
+    int branch = 0, jalr = 0;
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const TraceRecord rec = trace[i];
+        const uint32_t id = trace.dyn[i].staticId();
+        if (rec.op == Opcode::BNE) {
+            const bool back = branch + 1 < TRIPS;
+            EXPECT_EQ(rec.taken, back) << "branch " << branch;
+            EXPECT_EQ(rec.nextPc,
+                      prog.layout().blockPc(back ? loop : out));
+            branchIds.insert(id);
+            branchPcs.insert(rec.pc);
+            ++branch;
+        } else if (rec.op == Opcode::JALR) {
+            EXPECT_TRUE(rec.taken);
+            EXPECT_EQ(rec.nextPc,
+                      prog.layout().blockPc(jalr % 2 ? h1 : h0));
+            jalrIds.insert(id);
+            jalrPcs.insert(rec.pc);
+            ++jalr;
+        } else if (rec.op == Opcode::AND) {
+            andiIds.insert(id);
+        }
+    }
+    EXPECT_EQ(branch, TRIPS);
+    EXPECT_EQ(jalr, TRIPS);
+    EXPECT_EQ(branchPcs.size(), 1u);
+    EXPECT_EQ(jalrPcs.size(), 1u);
+    EXPECT_EQ(branchIds.size(), 2u);
+    EXPECT_EQ(jalrIds.size(), 2u);
+    EXPECT_EQ(andiIds.size(), 1u); // repeats share one entry
+
+    // The table holds each static tuple once.
+    for (size_t a = 0; a < trace.statics.size(); ++a)
+        for (size_t b = a + 1; b < trace.statics.size(); ++b)
+            EXPECT_FALSE(trace.statics[a] == trace.statics[b]);
+}
+
+TEST_F(TraceFormat, PushRoundTripsEveryFieldAndFlag)
+{
+    // Rebuild the trace through push() with every flag pattern and a
+    // guard, and read back exactly what went in.
+    DynamicTrace copy;
+    std::vector<TraceRecord> in;
+    for (size_t i = 0; i < trace.size(); ++i) {
+        TraceRecord rec = trace[i];
+        rec.markedBranch = i % 2;
+        rec.orderSensitive = (i / 2) % 2;
+        rec.orderStrict = (i / 4) % 2;
+        rec.guardIdx = i > 0 ? static_cast<TraceIdx>(i - 1) : TRACE_NONE;
+        rec.addrOrImm = 0xfedcba9876543210ull ^ i;
+        in.push_back(rec);
+        copy.push(rec);
+    }
+    ASSERT_EQ(copy.size(), in.size());
+    EXPECT_EQ(copy.statics, trace.statics);
+    size_t i = 0;
+    for (const TraceRecord &got : TraceView(copy)) {
+        const TraceRecord &want = in[i];
+        EXPECT_EQ(got.pc, want.pc);
+        EXPECT_EQ(got.nextPc, want.nextPc);
+        EXPECT_EQ(got.addrOrImm, want.addrOrImm);
+        EXPECT_EQ(got.op, want.op);
+        EXPECT_EQ(got.memSize, want.memSize);
+        EXPECT_EQ(got.taken, want.taken);
+        EXPECT_EQ(got.markedBranch, want.markedBranch);
+        EXPECT_EQ(got.orderSensitive, want.orderSensitive);
+        EXPECT_EQ(got.orderStrict, want.orderStrict);
+        EXPECT_EQ(got.rd, want.rd);
+        EXPECT_EQ(got.rs1, want.rs1);
+        EXPECT_EQ(got.rs2, want.rs2);
+        EXPECT_EQ(got.rs3, want.rs3);
+        EXPECT_EQ(got.guardIdx, want.guardIdx);
+        ++i;
+    }
+    EXPECT_EQ(i, in.size());
+
+    // A table stored without push() is indexed before the next push.
+    DynamicTrace seeded;
+    seeded.statics = trace.statics;
+    seeded.push(trace[0]);
+    EXPECT_EQ(seeded.statics, trace.statics);
+    EXPECT_EQ(seeded.dyn[0].staticId(), trace.dyn[0].staticId());
+}
+
+TEST_F(TraceFormat, ViewAccessorsMatchComposedRecords)
+{
+    const TraceView view(trace);
+    for (size_t i = 0; i < view.size(); ++i) {
+        EXPECT_EQ(view.pcOf(i), view[i].pc);
+        EXPECT_EQ(view.guardOf(i), view[i].guardIdx);
+        EXPECT_EQ(view.isBranchSiteAt(i), view[i].isBranchSite());
+    }
 }
 
 } // namespace

@@ -110,7 +110,7 @@ TEST(OrderSensitivity, ForwardDominatedFlowIsExempt)
     // the *arm* must still work, but since there is no loop, ordering
     // never gates anything at run time. Verify via the trace flags:
     Prepared p = prepare(prog);
-    for (const auto &rec : p.trace.records) {
+    for (const auto &rec : p.trace) {
         if (rec.op == Opcode::ADD && rec.guardIdx >= 0) {
             // The add consumes the arm's own (dominating) load: even
             // though the region may be flagged for the join's sake,
@@ -196,7 +196,7 @@ TEST(OrderSensitivity, FlagReachesTheTrace)
     opts.maxDynInsts = 20000;
     DynamicTrace trace = Interpreter(prog).run(opts);
     uint64_t sensitive = 0, insensitive = 0;
-    for (const auto &rec : trace.records) {
+    for (const auto &rec : trace) {
         if (rec.guardIdx < 0)
             continue;
         if (rec.orderSensitive)

@@ -117,16 +117,16 @@ TEST(Runner, StripSetupsKeepsGuardsAndWork)
     // and every guard still points at an older branch record.
     auto countGuarded = [](const DynamicTrace &t) {
         uint64_t n = 0;
-        for (const auto &rec : t.records)
+        for (const auto &rec : t)
             n += rec.guardIdx != TRACE_NONE;
         return n;
     };
     EXPECT_EQ(countGuarded(a.trace), countGuarded(b.trace));
     for (size_t i = 0; i < b.trace.size(); ++i) {
-        TraceIdx g = b.trace.records[i].guardIdx;
+        TraceIdx g = b.trace[i].guardIdx;
         if (g != TRACE_NONE) {
             ASSERT_LT(g, static_cast<TraceIdx>(i));
-            EXPECT_TRUE(b.trace.records[static_cast<size_t>(g)]
+            EXPECT_TRUE(b.trace[static_cast<size_t>(g)]
                             .isBranchSite());
         }
     }

@@ -154,7 +154,7 @@ TEST(Precompute, MatchesTraceShape)
               0.05);
     // Non-branches never carry a verdict.
     for (size_t i = 0; i < trace.size(); ++i)
-        if (!trace.records[i].isBranchSite())
+        if (!trace[i].isBranchSite())
             EXPECT_EQ(misp[i], 0);
 }
 

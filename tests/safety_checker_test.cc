@@ -85,7 +85,7 @@ class DependenceOracle
         numBranches_ = 0;
         instanceOf_.assign(trace.size(), -1);
         for (size_t i = 0; i < trace.size(); ++i)
-            if (trace.records[i].isBranchSite())
+            if (trace[i].isBranchSite())
                 instanceOf_[i] = numBranches_++;
 
         deps_.assign(trace.size(), DepBits(numBranches_));
@@ -104,7 +104,7 @@ class DependenceOracle
         std::vector<Active> active;
 
         for (size_t i = 0; i < trace.size(); ++i) {
-            const TraceRecord &rec = trace.records[i];
+            const TraceRecord &rec = trace[i];
 
             // Entering a block pops every branch that reconverges here.
             auto blockIt = blockOfPc.find(rec.pc);

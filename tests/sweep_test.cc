@@ -463,24 +463,25 @@ TEST(StripSetupRecords, RemapsGuardIndices)
         r.guardIdx = guard;
         return r;
     };
-    in.records = {
-        rec(Opcode::ADD, TRACE_NONE),           // 0 -> 0
-        rec(Opcode::SET_BRANCH_ID, TRACE_NONE), // 1 -> dropped
-        rec(Opcode::BEQ, TRACE_NONE),           // 2 -> 1
-        rec(Opcode::SET_DEPENDENCY, TRACE_NONE),// 3 -> dropped
-        rec(Opcode::ADD, 2),                    // 4 -> 2, guard 2 -> 1
-        rec(Opcode::ADD, TRACE_NONE),           // 5 -> 3
-    };
+    for (const TraceRecord &r : {
+             rec(Opcode::ADD, TRACE_NONE),           // 0 -> 0
+             rec(Opcode::SET_BRANCH_ID, TRACE_NONE), // 1 -> dropped
+             rec(Opcode::BEQ, TRACE_NONE),           // 2 -> 1
+             rec(Opcode::SET_DEPENDENCY, TRACE_NONE),// 3 -> dropped
+             rec(Opcode::ADD, 2),                    // 4 -> 2, guard 2 -> 1
+             rec(Opcode::ADD, TRACE_NONE),           // 5 -> 3
+         })
+        in.push(r);
 
     DynamicTrace out = stripSetupRecords(in);
-    ASSERT_EQ(out.records.size(), 4u);
+    ASSERT_EQ(out.size(), 4u);
     EXPECT_EQ(out.setupInsts, 0u);
     EXPECT_EQ(out.dynInsts, in.dynInsts);
-    EXPECT_EQ(out.records[0].op, Opcode::ADD);
-    EXPECT_EQ(out.records[1].op, Opcode::BEQ);
-    EXPECT_EQ(out.records[0].guardIdx, TRACE_NONE);
-    EXPECT_EQ(out.records[2].guardIdx, 1);
-    EXPECT_EQ(out.records[3].guardIdx, TRACE_NONE);
+    EXPECT_EQ(out[0].op, Opcode::ADD);
+    EXPECT_EQ(out[1].op, Opcode::BEQ);
+    EXPECT_EQ(out[0].guardIdx, TRACE_NONE);
+    EXPECT_EQ(out[2].guardIdx, 1);
+    EXPECT_EQ(out[3].guardIdx, TRACE_NONE);
 }
 
 TEST(StripSetupRecords, RoundTripsThroughPrepareTrace)
@@ -490,14 +491,14 @@ TEST(StripSetupRecords, RoundTripsThroughPrepareTrace)
     TraceBundle bundle = prepareTrace("CRC32", stripped);
     ASSERT_GT(bundle.trace.size(), 0u);
     for (size_t i = 0; i < bundle.trace.size(); ++i) {
-        const TraceRecord &r = bundle.trace.records[i];
+        const TraceRecord &r = bundle.trace[i];
         EXPECT_FALSE(r.isSetup());
         if (r.guardIdx < 0)
             continue;
         ASSERT_LT(static_cast<size_t>(r.guardIdx), bundle.trace.size());
         // Guards reference branch instances, and FIFO steering means
         // they precede their dependents.
-        EXPECT_TRUE(bundle.trace.records[static_cast<size_t>(r.guardIdx)]
+        EXPECT_TRUE(bundle.trace[static_cast<size_t>(r.guardIdx)]
                         .isBranchSite());
         EXPECT_LT(static_cast<size_t>(r.guardIdx), i);
     }

@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for the on-disk trace-bundle store and the two-tier bundle
- * cache: full serialize/deserialize round-trips, rejection of
- * truncated / bit-flipped / version-mismatched bundle files by the
+ * cache: full serialize/deserialize round-trips over the workload
+ * registry, the per-record file footprint, rejection of truncated /
+ * bit-flipped / version-mismatched bundle files and of checksummed
+ * payloads with bad static ids, guards or section alignment by the
  * mmap loader, atomic publish under concurrent same-key writers,
  * mmap-vs-in-memory replay bit-identity across every commit mode, the
  * stored-key check that refuses a bundle filed under another key, and
@@ -10,9 +12,13 @@
  * covered for both stores in blob_store_test.cc.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +28,7 @@
 #include "common/thread_pool.h"
 #include "sim/sweep.h"
 #include "sim/trace_store.h"
+#include "workloads/workloads.h"
 #include "store_test_util.h"
 
 using namespace noreba;
@@ -72,26 +79,38 @@ recordsEqual(const TraceRecord &a, const TraceRecord &b)
            a.guardIdx == b.guardIdx;
 }
 
-TEST(TraceStore, RoundTripsEveryBundleField)
+/** Save @p bundle under its own key, map it back, and compare every
+ *  record and every summary field. */
+void
+expectMappedViewMatches(const TraceBundle &bundle)
 {
-    TempDir dir("NOREBA_TRACE_DIR");
-    TraceBundle bundle = prepareTrace("CRC32", shortTrace());
-    const std::string path = traceBundlePath("CRC32", shortTrace());
+    SCOPED_TRACE(bundle.workload);
+    const std::string path = traceBundlePath(bundle.workload, bundle.opts);
     ASSERT_FALSE(path.empty());
     ASSERT_GT(saveTraceBundle(path, bundle), 0u);
-
     auto mapped = MappedTraceBundle::open(path);
     ASSERT_NE(mapped, nullptr);
-    EXPECT_EQ(mapped->workload(), "CRC32");
-    EXPECT_EQ(mapped->key(), traceKey("CRC32", shortTrace()));
+    EXPECT_EQ(mapped->key(), traceKey(bundle.workload, bundle.opts));
     EXPECT_EQ(mapped->archChecksum(), bundle.checksum);
+    EXPECT_EQ(mapped->misp(), bundle.misp);
 
     TraceView disk = mapped->view();
     TraceView mem = bundle.view();
     ASSERT_EQ(disk.size(), mem.size());
+    ASSERT_EQ(disk.numStatics(), mem.numStatics());
     EXPECT_EQ(disk.name(), mem.name());
-    for (size_t i = 0; i < mem.size(); ++i)
+    for (size_t i = 0; i < mem.numStatics(); ++i)
+        ASSERT_TRUE(disk.statics()[i] == mem.statics()[i]) << "static " << i;
+    for (size_t i = 0; i < mem.size(); ++i) {
         ASSERT_TRUE(recordsEqual(disk[i], mem[i])) << "record " << i;
+        ASSERT_EQ(disk.pcOf(i), mem.pcOf(i)) << "record " << i;
+        ASSERT_EQ(disk.guardOf(i), mem.guardOf(i)) << "record " << i;
+    }
+    size_t n = 0;
+    for (TraceIterator d = disk.begin(), m = mem.begin(); d != disk.end();
+         ++d, ++m, ++n)
+        ASSERT_TRUE(recordsEqual(*d, *m)) << "iterated record " << n;
+    EXPECT_EQ(n, mem.size());
 
     const TraceSummary &ds = disk.summary();
     const TraceSummary &ms = mem.summary();
@@ -102,8 +121,17 @@ TEST(TraceStore, RoundTripsEveryBundleField)
     EXPECT_EQ(ds.loads, ms.loads);
     EXPECT_EQ(ds.stores, ms.stores);
     EXPECT_EQ(ds.truncated, ms.truncated);
+}
 
-    EXPECT_EQ(mapped->misp(), bundle.misp);
+TEST(TraceStore, RoundTripsEveryBundleField)
+{
+    TempDir dir("NOREBA_TRACE_DIR");
+    TraceBundle bundle = prepareTrace("CRC32", shortTrace());
+    expectMappedViewMatches(bundle);
+    auto mapped = MappedTraceBundle::open(
+        traceBundlePath("CRC32", shortTrace()));
+    ASSERT_NE(mapped, nullptr);
+    EXPECT_EQ(mapped->workload(), "CRC32");
 
     const PassResult &dp = mapped->pass();
     const PassResult &mp = bundle.pass;
@@ -129,6 +157,130 @@ TEST(TraceStore, RoundTripsEveryBundleField)
         EXPECT_EQ(a.numDataDeps, b.numDataDeps);
         EXPECT_EQ(a.controlBlocks, b.controlBlocks);
     }
+
+    // Every registry workload, annotated, unannotated and stripped.
+    for (const std::string &workload : workloadNames()) {
+        for (int variant = 0; variant < 3; ++variant) {
+            TraceOptions opts;
+            opts.maxDynInsts = 3000;
+            opts.annotate = variant != 1;
+            opts.stripSetups = variant == 2;
+            SCOPED_TRACE(variant);
+            expectMappedViewMatches(prepareTrace(workload, opts));
+        }
+    }
+}
+
+TEST(TraceStore, BundleFileHoldsAtMost18BytesPerRecord)
+{
+    // The static table, the 16-byte records, the misprediction bitmap,
+    // the pass blob and the envelope together: a wider record fails
+    // here, not only in the benchmark.
+    TempDir dir("NOREBA_TRACE_DIR");
+    TraceOptions opts;
+    opts.maxDynInsts = 60000;
+    const TraceBundle bundle = prepareTrace("mcf", opts);
+    const std::string path = traceBundlePath("mcf", opts);
+    const size_t bytes = saveTraceBundle(path, bundle);
+    ASSERT_GT(bytes, 0u);
+    EXPECT_EQ(readFile(path).size(), bytes);
+    const double perRecord = static_cast<double>(bytes) /
+                             static_cast<double>(bundle.view().size());
+    EXPECT_LE(perRecord, 18.0) << bytes << " bytes for "
+                               << bundle.view().size() << " records";
+}
+
+/**
+ * The payload of a published bundle, and where its dynamic records
+ * start (found by content: the section is the in-memory array).
+ */
+struct PayloadBytes
+{
+    std::vector<uint8_t> bytes;
+    size_t dynOff = 0;
+};
+
+PayloadBytes
+payloadOf(const std::string &path, const std::string &key,
+          const TraceView &view)
+{
+    std::vector<uint8_t> buf;
+    std::span<const uint8_t> payload = traceStore().read(path, key, buf);
+    PayloadBytes out;
+    if (!payload.data())
+        return out;
+    out.bytes.assign(payload.begin(), payload.end());
+    const auto *dyn = reinterpret_cast<const uint8_t *>(view.dyn());
+    auto at = std::search(out.bytes.begin(), out.bytes.end(), dyn,
+                          dyn + view.size() * sizeof(DynRecord));
+    out.dynOff = static_cast<size_t>(at - out.bytes.begin());
+    return out;
+}
+
+TEST(TraceStore, ChecksummedPayloadWithBadIdsGuardsOrAlignmentMisses)
+{
+    TempDir dir("NOREBA_TRACE_DIR");
+    const TraceBundle bundle = prepareTrace("CRC32", shortTrace());
+    const std::string path = traceBundlePath("CRC32", shortTrace());
+    const std::string key = traceKey("CRC32", shortTrace());
+    ASSERT_GT(saveTraceBundle(path, bundle), 0u);
+    const TraceView view = bundle.view();
+    const PayloadBytes good = payloadOf(path, key, view);
+    ASSERT_FALSE(good.bytes.empty());
+    ASSERT_LT(good.dynOff, good.bytes.size());
+    ASSERT_EQ(good.dynOff % 8, 0u);
+
+    // Each corruption is published through the store, so the envelope
+    // checksums are right and only the payload checks stand between
+    // it and an out-of-bounds read.
+    auto publish = [&](const std::vector<uint8_t> &payload) {
+        ASSERT_GT(traceStore().put(path, key, {payload}), 0u);
+    };
+    auto recordAt = [&](std::vector<uint8_t> &payload, size_t i) {
+        return payload.data() + good.dynOff + i * sizeof(DynRecord);
+    };
+    const size_t victim = view.size() / 2;
+
+    publish(good.bytes);
+    ASSERT_NE(MappedTraceBundle::open(path), nullptr);
+
+    // A static id one past the table.
+    std::vector<uint8_t> bad = good.bytes;
+    const uint32_t outOfRange =
+        static_cast<uint32_t>(view.numStatics()) << DYN_FLAG_BITS;
+    std::memcpy(recordAt(bad, victim) + offsetof(DynRecord, idFlags),
+                &outOfRange, sizeof(outOfRange));
+    publish(bad);
+    EXPECT_EQ(MappedTraceBundle::open(path), nullptr);
+
+    // A guard that is not older than its record.
+    bad = good.bytes;
+    const TraceIdx self = static_cast<TraceIdx>(victim);
+    std::memcpy(recordAt(bad, victim) + offsetof(DynRecord, guardIdx), &self,
+                sizeof(self));
+    publish(bad);
+    EXPECT_EQ(MappedTraceBundle::open(path), nullptr);
+
+    // The metadata's dynamic-section offset, moved off 8-byte alignment.
+    const size_t staticsOff =
+        good.dynOff - view.numStatics() * sizeof(StaticInst);
+    int found = 0;
+    bad = good.bytes;
+    for (size_t off = 0; off + 8 <= staticsOff; off += 8) {
+        uint64_t word;
+        std::memcpy(&word, bad.data() + off, 8);
+        if (word == good.dynOff) {
+            word += 4;
+            std::memcpy(bad.data() + off, &word, 8);
+            ++found;
+        }
+    }
+    ASSERT_EQ(found, 1);
+    publish(bad);
+    EXPECT_EQ(MappedTraceBundle::open(path), nullptr);
+
+    publish(good.bytes);
+    EXPECT_NE(MappedTraceBundle::open(path), nullptr);
 }
 
 TEST(TraceStore, RejectsTruncatedBitFlippedAndVersionMismatchedFiles)

@@ -73,12 +73,12 @@ TEST_P(WorkloadSuite, TraceHasExpectedShape)
     EXPECT_LT(overhead, 0.50) << GetParam();
     // guardIdx always references an older record.
     for (size_t i = 0; i < trace.size(); ++i) {
-        if (trace.records[i].guardIdx != TRACE_NONE) {
-            EXPECT_LT(trace.records[i].guardIdx,
+        if (trace[i].guardIdx != TRACE_NONE) {
+            EXPECT_LT(trace[i].guardIdx,
                       static_cast<TraceIdx>(i));
             EXPECT_TRUE(
-                trace.records[static_cast<size_t>(
-                                  trace.records[i].guardIdx)]
+                trace[static_cast<size_t>(
+                                  trace[i].guardIdx)]
                     .isBranchSite());
         }
     }
