@@ -399,8 +399,8 @@ runBranchDependencePass(Program &prog, const PassOptions &opts)
     // unmarked chain member (serializing just enough). Instances of a
     // single static branch are ordered by the hardware (the Selective
     // ROB appends same-site branches to one queue), which the commit
-    // conditions rely on. tests/safety_checker_test.cc validates the
-    // end-to-end property against a ground-truth dataflow oracle.
+    // conditions rely on. tests/dependence_oracle.h checks the
+    // end-to-end property against ground-truth dataflow.
     //
     std::vector<int> mark(nbranches, -1); // per-branch marking edge
 

@@ -20,8 +20,8 @@
  * artificial guard edges between branches) so that committing after the
  * assigned guard transitively implies every true dependence has
  * committed. This keeps the hardware's single-BranchID-per-instruction
- * marking sound; the simulator's dynamic safety checker
- * (tests/safety_checker_test.cc) validates the end-to-end property.
+ * marking sound; the dependence oracle (tests/dependence_oracle.h)
+ * validates the end-to-end property over the registry and fuzzed CFGs.
  */
 
 #ifndef NOREBA_COMPILER_BRANCH_DEP_H

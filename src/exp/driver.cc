@@ -27,15 +27,12 @@ namespace {
  * shows simBuilds == 0 (nothing simulated). Timing lives in perf/,
  * not here, so a record depends only on what was simulated.
  *
- * With event tracing on, @p events is the first job's live log from
- * the sweep itself, exported as TRACE_<name>.json — the old
- * standalone benches re-simulated the first job here just to fill a
- * log the sweep had already earned.
+ * With NOREBA_EVENT_TRACE on and the first job successful, that job
+ * is simulated again with an EventLog attached: TRACE_<name>.json.
  */
 void
 maybeWriteJson(const ExperimentSpec &spec,
-               const std::vector<SweepResult> &results,
-               const EventLog *events)
+               const std::vector<SweepResult> &results)
 {
     const char *dir = std::getenv("NOREBA_JSON_DIR");
     if (!dir || !*dir)
@@ -77,16 +74,20 @@ maybeWriteJson(const ExperimentSpec &spec,
     writeJsonFile(path, doc);
     std::printf("wrote %s (%zu records)\n", path.c_str(), results.size());
 
-    if (events && !results.empty()) {
+    if (benchutil::eventTraceEnabled() && results.front().ok) {
         const SweepJob &first = results.front().job;
+        EventLog log;
+        simulate(first.cfg,
+                 *globalBundleCache().get(first.workload, first.trace),
+                 &log);
         std::string label = first.workload + "/" +
                             commitModeName(first.cfg.commitMode);
         std::string tracePath =
             std::string(dir) + "/TRACE_" + spec.name + ".json";
-        writeChromeTrace(tracePath, *events, label);
+        writeChromeTrace(tracePath, log, label);
         std::printf("wrote %s (%zu events, %llu dropped)\n",
-                    tracePath.c_str(), events->size(),
-                    static_cast<unsigned long long>(events->dropped()));
+                    tracePath.c_str(), log.size(),
+                    static_cast<unsigned long long>(log.dropped()));
     }
 }
 
@@ -155,13 +156,10 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
     for (const PlannedJob &p : plan.planned())
         jobs.push_back(p.job);
 
-    EventLog log;
-    const bool capture = benchutil::eventTraceEnabled() && !jobs.empty();
     SweepRunner runner;
     const std::vector<SweepResult> results =
-        runner.run(jobs, capture ? &log : nullptr,
-                   opts.keepGoing ? FailurePolicy::Isolate
-                                  : FailurePolicy::Propagate);
+        runner.run(jobs, opts.keepGoing ? FailurePolicy::Isolate
+                                        : FailurePolicy::Propagate);
 
     size_t numFailed = 0;
     for (const SweepResult &r : results)
@@ -179,7 +177,7 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
         spec.report(expResults);
     }
 
-    maybeWriteJson(spec, results, capture ? &log : nullptr);
+    maybeWriteJson(spec, results);
     return numFailed;
 }
 

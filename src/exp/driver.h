@@ -40,11 +40,10 @@ struct RunOptions
 
 /**
  * Execute one experiment end to end: print its header, run the
- * planned sweep (capturing the first job's EventLog when
- * NOREBA_EVENT_TRACE is on), invoke its report, and, when
- * NOREBA_JSON_DIR is set, write BENCH_<name>.json (and the
- * TRACE_<name>.json Chrome trace, exported from the captured log
- * without re-simulating).
+ * planned sweep, invoke its report, and, when NOREBA_JSON_DIR is set,
+ * write BENCH_<name>.json. With NOREBA_EVENT_TRACE on as well, the
+ * first job (if it succeeded) is simulated again with an EventLog
+ * attached and its Chrome trace written as TRACE_<name>.json.
  *
  * Returns the number of failed jobs (always 0 unless
  * opts.keepGoing: without it the first failure propagates as an

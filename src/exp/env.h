@@ -12,11 +12,10 @@
  *   NOREBA_RESULT_DIR  when set, simulation results are served from /
  *                      published to the content-addressed store
  *                      (sim/result_store.h)
- *   NOREBA_EVENT_TRACE when set (and not "0"), the driver attaches
- *                      an EventLog to each experiment's first job
- *                      (stats stay bit-identical) and exports its
- *                      Chrome-trace timeline as TRACE_<name>.json in
- *                      NOREBA_JSON_DIR; every other job runs untraced
+ *   NOREBA_EVENT_TRACE when set (and not "0") with NOREBA_JSON_DIR,
+ *                      the driver re-simulates each experiment's
+ *                      first job after the sweep with an EventLog and
+ *                      writes its Chrome trace as TRACE_<name>.json
  */
 
 #ifndef NOREBA_EXP_ENV_H

@@ -100,9 +100,14 @@ Function::verify() const
         } else if (bb.fallthrough < 0 || bb.fallthrough >= n) {
             return "block " + bb.label + ": empty block without fallthrough";
         }
-        // setDependency regions must not extend past the block end.
         for (size_t i = 0; i < bb.insts.size(); ++i) {
             const auto &inst = bb.insts[i];
+            // The pass and the interpreter index arrays by register.
+            for (Reg r : {inst.rd, inst.rs1, inst.rs2, inst.rs3})
+                if (r < REG_NONE || r >= NUM_ARCH_REGS)
+                    return "block " + bb.label + ": register " +
+                           std::to_string(r) + " out of range";
+            // setDependency regions must not extend past the block end.
             if (inst.op == Opcode::SET_DEPENDENCY) {
                 int num = setDependencyNum(inst);
                 if (num <= 0)

@@ -80,21 +80,12 @@ prepareTrace(const std::string &workload, const TraceOptions &opts)
 }
 
 CoreStats
-simulate(const CoreConfig &cfg, const TraceBundle &bundle)
-{
-    validateConfig(cfg);
-    Core core(cfg, bundle.view(), bundle.misp);
-    return core.run();
-}
-
-CoreStats
 simulate(const CoreConfig &cfg, const TraceBundle &bundle,
-         EventLog *events)
+         CoreObserver *observer)
 {
-    panic_if(!events, "simulate(..., EventLog*) needs a log");
     validateConfig(cfg);
     Core core(cfg, bundle.view(), bundle.misp);
-    core.attachEventLog(events);
+    core.observe(observer);
     return core.run();
 }
 

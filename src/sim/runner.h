@@ -72,19 +72,15 @@ TraceBundle prepareTrace(const std::string &workload,
  */
 DynamicTrace stripSetupRecords(const TraceView &in);
 
-/** Simulate a prepared bundle on one core configuration. */
-CoreStats simulate(const CoreConfig &cfg, const TraceBundle &bundle);
-
-class EventLog;
+class CoreObserver;
 
 /**
- * Simulate with pipeline-event tracing into @p events (must be
- * non-null; cleared by the caller if reuse is intended), attached to
- * the core for the run; stats are bit-identical to the untraced
- * overload.
+ * Simulate a prepared bundle on one core configuration, reporting to
+ * @p observer when one is given (an EventLog traces the run). The
+ * stats do not depend on the observer.
  */
 CoreStats simulate(const CoreConfig &cfg, const TraceBundle &bundle,
-                   EventLog *events);
+                   CoreObserver *observer = nullptr);
 
 /** Convenience: prepare + simulate in one call. */
 CoreStats runOne(const std::string &workload, const CoreConfig &cfg,

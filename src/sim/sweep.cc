@@ -107,13 +107,6 @@ ResultCache::get(const SweepJob &job, const Simulate &sim)
     return memo_.get(key, produce);
 }
 
-void
-ResultCache::recordExternalSim()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.simBuilds;
-}
-
 SimCacheStats
 ResultCache::stats() const
 {
@@ -162,13 +155,6 @@ SweepRunner::jobsFromEnv()
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<SweepJob> &jobs, FailurePolicy policy)
 {
-    return run(jobs, nullptr, policy);
-}
-
-std::vector<SweepResult>
-SweepRunner::run(const std::vector<SweepJob> &jobs,
-                 EventLog *firstJobEvents, FailurePolicy policy)
-{
     std::vector<SweepResult> results(jobs.size());
     // Saved per job for FailurePolicy::Propagate: rethrowing the
     // original exception (not a copy reconstructed from what()) in
@@ -178,17 +164,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
 
     auto simulateJob = [&](size_t i) {
         const SweepJob &job = jobs[i];
-        if (i == 0 && firstJobEvents) {
-            // Event capture needs a live log, so this simulation runs
-            // for real regardless of what the result cache holds.
-            std::shared_ptr<const TraceBundle> bundle =
-                cache_->get(job.workload, job.trace);
-            results[i].stats =
-                simulate(job.cfg, *bundle, firstJobEvents);
-            if (results_)
-                results_->recordExternalSim();
-            return;
-        }
         if (results_) {
             // The bundle is fetched lazily inside the callback: a
             // disk-served result never materializes its trace at all.

@@ -19,6 +19,8 @@
  * of the sweep completes (Isolate, the `noreba-bench --keep-going`
  * path). Failed jobs are not retried: nothing on the job path fails
  * transiently, so a retry would fail the same way again.
+ * Jobs run unobserved; NOREBA_EVENT_TRACE re-simulates one in the
+ * driver (exp/driver.cc) with an EventLog attached.
  */
 
 #ifndef NOREBA_SIM_SWEEP_H
@@ -226,7 +228,7 @@ struct SimCacheStats
     uint64_t memHits = 0;      //!< result already resident in-process
     uint64_t sharedSims = 0;   //!< joined another thread's in-flight sim
     uint64_t diskHits = 0;     //!< loaded from NOREBA_RESULT_DIR
-    uint64_t simBuilds = 0;    //!< cold: full simulate() runs
+    uint64_t simBuilds = 0;    //!< cold: simulations this cache ran
     uint64_t stored = 0;       //!< result files published to the store
     uint64_t bytesWritten = 0; //!< bytes published to the disk store
 };
@@ -258,13 +260,6 @@ class ResultCache
      * kept like a result: every get() of the key rethrows it.
      */
     CoreStats get(const SweepJob &job, const Simulate &sim);
-
-    /**
-     * Count a simulation performed outside the cache (the event-trace
-     * capture path simulates job 0 directly so its EventLog is live),
-     * keeping simBuilds an honest total of simulate() calls.
-     */
-    void recordExternalSim();
 
     /** Number of keys the cache has seen. */
     size_t size() const { return memo_.size(); }
@@ -321,18 +316,6 @@ class SweepRunner
      */
     std::vector<SweepResult>
     run(const std::vector<SweepJob> &jobs,
-        FailurePolicy policy = FailurePolicy::Propagate);
-
-    /**
-     * As run(jobs), additionally recording the first job's pipeline
-     * events into @p firstJobEvents (when non-null). The capture
-     * simulates job 0 directly — a live EventLog cannot be served from
-     * the result cache — so callers exporting a Chrome trace get it
-     * from the same simulation that produced the first result instead
-     * of paying for a second one.
-     */
-    std::vector<SweepResult>
-    run(const std::vector<SweepJob> &jobs, EventLog *firstJobEvents,
         FailurePolicy policy = FailurePolicy::Propagate);
 
     unsigned numThreads() const { return numThreads_; }

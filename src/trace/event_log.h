@@ -6,10 +6,8 @@
  * emit) and counts what it had to drop, so tracing a multi-million
  * cycle run costs a fixed memory budget.
  *
- * Tracing is off unless a caller attaches a log: a core only emits
- * into the log passed to Core::attachEventLog (or
- * simulate(cfg, bundle, EventLog *)); without one, each emission site
- * is a single null-pointer test.
+ * The log is a CoreObserver (trace/observer.h): a run is traced by
+ * passing a log to Core::observe() or simulate(cfg, bundle, &log).
  */
 
 #ifndef NOREBA_TRACE_EVENT_LOG_H
@@ -19,10 +17,11 @@
 #include <vector>
 
 #include "trace/events.h"
+#include "trace/observer.h"
 
 namespace noreba {
 
-class EventLog
+class EventLog : public CoreObserver
 {
   public:
     /** Default ring capacity (events), ~2 MB of records. */
@@ -48,6 +47,12 @@ class EventLog
         if (size_ < ring_.size())
             ++size_;
         ++emitted_;
+    }
+
+    void
+    onEvent(const TraceEvent &e) override
+    {
+        emit(e.cycle, e.type, e.idx, e.pc, e.cause);
     }
 
     size_t capacity() const { return ring_.size(); }

@@ -6,14 +6,14 @@
 #include "common/logging.h"
 
 /**
- * Pipeline-event emission: a single null test unless an EventLog is
- * attached. Emission never touches CoreStats, so tracing cannot
+ * Pipeline-event emission: a single null test unless an observer is
+ * attached. Emission never touches CoreStats, so observing cannot
  * perturb results.
  */
 #define NOREBA_EMIT(type, idx, pc, cause)                                 \
     do {                                                                  \
-        if (eventLog_)                                                    \
-            eventLog_->emit(cycle_, (type), (idx), (pc), (cause));        \
+        if (observer_)                                                    \
+            observer_->onEvent({cycle_, (pc), (idx), (type), (cause)});   \
     } while (0)
 
 namespace noreba {
@@ -146,10 +146,11 @@ void
 Core::commit(InFlight *p)
 {
     panic_if(p->committed, "double commit of trace idx %d", p->idx);
-    if (commitHook)
-        commitHook(view_, *p);
-    NOREBA_EMIT(TraceEventType::Commit, p->idx, p->rec.pc,
-                StallCause::None);
+    if (observer_) {
+        observer_->onCommit(view_, *p);
+        observer_->onEvent({cycle_, p->rec.pc, p->idx,
+                            TraceEventType::Commit, StallCause::None});
+    }
     committed_[static_cast<size_t>(p->idx)] = 1;
     p->committed = true;
     ++commitsThisCycle_;

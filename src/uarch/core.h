@@ -26,6 +26,10 @@
  * dispatch, branch resolution, TLB-check start, commit, squash, pool
  * recycle — so no per-cycle ROB scan is ever needed.
  *
+ * One optional CoreObserver (trace/observer.h), set by observe(),
+ * sees every pipeline event and commit: an EventLog traces a run, the
+ * tests' dependence oracle checks it.
+ *
  * Misprediction handling: fetch continues past a mispredicted branch
  * (the subsequent correct-path trace stands in for wrong-path fetch);
  * at resolution, younger *uncommitted* instructions are squashed and
@@ -38,13 +42,12 @@
 #ifndef NOREBA_UARCH_CORE_H
 #define NOREBA_UARCH_CORE_H
 
-#include <functional>
 #include <memory>
 #include <queue>
 #include <vector>
 
 #include "common/ring.h"
-#include "trace/event_log.h"
+#include "trace/observer.h"
 #include "uarch/branch_predictor.h"
 #include "uarch/cache.h"
 #include "uarch/commit/commit_policy.h"
@@ -75,19 +78,10 @@ class Core
     CoreStats run();
 
     /**
-     * Test-only observation hook, invoked on every commit with the
-     * retiring instruction (before resources are released). Used by the
-     * dynamic safety checker in the test suite.
+     * Report this run's events and commits to @p observer (externally
+     * owned; nullptr detaches). See trace/observer.h.
      */
-    std::function<void(const PipelineView &, const InFlight &)>
-        commitHook;
-
-    /**
-     * Record pipeline events into an externally owned log — the only
-     * way to trace a run. Emission never touches CoreStats; pass
-     * nullptr to detach.
-     */
-    void attachEventLog(EventLog *log) { eventLog_ = log; }
+    void observe(CoreObserver *observer) { observer_ = observer; }
 
   private:
     friend class PipelineView; // commit() forwarding only
@@ -251,8 +245,8 @@ class Core
      *  capacity. */
     std::vector<InFlight *> squashed_;
 
-    /** Attached event log; null unless a caller is tracing. */
-    EventLog *eventLog_ = nullptr;
+    /** Attached observer; null unless a caller is watching. */
+    CoreObserver *observer_ = nullptr;
 };
 
 } // namespace noreba

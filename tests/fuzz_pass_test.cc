@@ -20,20 +20,19 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <unordered_map>
 
 #include "analysis/annotation_checker.h"
 #include "analysis/diagnostics.h"
 #include "analysis/verifier.h"
-#include "ir/dominance.h"
-#include "test_util.h"
+#include "dependence_oracle.h"
 
 namespace noreba {
 namespace {
 
+using testutil::DependenceOracle;
 using testutil::Prepared;
-using testutil::prepare;
 using testutil::run;
+using testutil::violationsFor;
 
 /** Accumulator registers the generator may create flows through. */
 constexpr Reg ACCS[] = {S5, S6, S7, S8, A6, A7};
@@ -191,128 +190,6 @@ randomProgram(uint64_t seed)
     return prog;
 }
 
-/** The same dataflow oracle as safety_checker_test (bit-per-branch). */
-class DepBits
-{
-  public:
-    explicit DepBits(size_t bits = 0) : words_((bits + 63) / 64, 0) {}
-    void set(int i)
-    {
-        words_[static_cast<size_t>(i) >> 6] |= 1ull << (i & 63);
-    }
-    bool test(int i) const
-    {
-        return words_[static_cast<size_t>(i) >> 6] & (1ull << (i & 63));
-    }
-    void orWith(const DepBits &o)
-    {
-        for (size_t w = 0; w < words_.size(); ++w)
-            words_[w] |= o.words_[w];
-    }
-    void resize(size_t bits) { words_.assign((bits + 63) / 64, 0); }
-
-  private:
-    std::vector<uint64_t> words_;
-};
-
-int
-oracleViolations(const Program &prog, const Prepared &p,
-                 CommitMode mode)
-{
-    const Function &fn = prog.function();
-    const Layout &layout = prog.layout();
-    std::unordered_map<uint64_t, int> blockOfPc, blockOfAnyPc;
-    for (int bb = 0; bb < static_cast<int>(fn.numBlocks()); ++bb) {
-        if (!fn.block(bb).insts.empty())
-            blockOfPc[layout.blockPc(bb)] = bb;
-        for (size_t i = 0; i < fn.block(bb).insts.size(); ++i)
-            blockOfAnyPc[layout.pc(bb, static_cast<int>(i))] = bb;
-    }
-    DominatorTree pdom(fn, DominatorTree::Kind::PostDominators);
-
-    int numBranches = 0;
-    std::vector<int> instanceOf(p.trace.size(), -1);
-    for (size_t i = 0; i < p.trace.size(); ++i)
-        if (p.trace[i].isBranchSite())
-            instanceOf[i] = numBranches++;
-
-    std::vector<DepBits> deps(p.trace.size(), DepBits(numBranches));
-    DepBits regDeps[NUM_ARCH_REGS];
-    for (auto &d : regDeps)
-        d.resize(numBranches);
-    std::unordered_map<uint64_t, DepBits> memDeps;
-    struct Active
-    {
-        int instance;
-        int reconv;
-        DepBits d;
-    };
-    std::vector<Active> active;
-
-    for (size_t i = 0; i < p.trace.size(); ++i) {
-        const TraceRecord &rec = p.trace[i];
-        auto blk = blockOfPc.find(rec.pc);
-        if (blk != blockOfPc.end()) {
-            int bb = blk->second;
-            active.erase(std::remove_if(active.begin(), active.end(),
-                                        [bb](const Active &a) {
-                                            return a.reconv == bb;
-                                        }),
-                         active.end());
-        }
-        DepBits d(numBranches);
-        for (const Active &a : active)
-            d.orWith(a.d);
-        for (Reg r : {rec.rs1, rec.rs2, rec.rs3})
-            if (r != REG_NONE && r != REG_ZERO)
-                d.orWith(regDeps[r]);
-        if (isLoad(rec.op)) {
-            for (uint64_t w = rec.addrOrImm >> 3;
-                 w <= (rec.addrOrImm + rec.memSize - 1) >> 3; ++w) {
-                auto it = memDeps.find(w);
-                if (it != memDeps.end())
-                    d.orWith(it->second);
-            }
-        }
-        deps[i] = d;
-        if (rec.isBranchSite()) {
-            Active a;
-            a.instance = instanceOf[i];
-            a.reconv = reconvergenceBlock(pdom, blockOfAnyPc.at(rec.pc));
-            a.d = d;
-            a.d.set(a.instance);
-            active.push_back(a);
-        }
-        if (rec.rd > REG_ZERO || rec.rd >= FREG_BASE)
-            regDeps[rec.rd] = d;
-        if (isStore(rec.op)) {
-            for (uint64_t w = rec.addrOrImm >> 3;
-                 w <= (rec.addrOrImm + rec.memSize - 1) >> 3; ++w) {
-                memDeps.emplace(w, DepBits(numBranches)).first->second =
-                    d;
-            }
-        }
-    }
-
-    CoreConfig cfg = skylakeConfig();
-    cfg.commitMode = mode;
-    Core core(cfg, p.trace, p.misp);
-    int violations = 0;
-    core.commitHook = [&](const PipelineView &c, const InFlight &inst) {
-        for (const auto &e : c.unresolvedBranches()) {
-            const TraceIdx u = e.idx;
-            if (u >= inst.idx)
-                break;
-            int b = instanceOf[static_cast<size_t>(u)];
-            if (b >= 0 &&
-                deps[static_cast<size_t>(inst.idx)].test(b))
-                ++violations;
-        }
-    };
-    core.run();
-    return violations;
-}
-
 class FuzzPass : public ::testing::TestWithParam<uint64_t>
 {
 };
@@ -374,9 +251,9 @@ TEST_P(FuzzPass, EndToEndInvariants)
     }
 
     // 5. No commit-order violations against the dataflow oracle.
-    EXPECT_EQ(oracleViolations(annotated, p, CommitMode::Noreba), 0);
-    EXPECT_EQ(oracleViolations(annotated, p, CommitMode::IdealReconv),
-              0);
+    DependenceOracle oracle(annotated, p.trace);
+    EXPECT_EQ(violationsFor(oracle, p, CommitMode::Noreba), 0);
+    EXPECT_EQ(violationsFor(oracle, p, CommitMode::IdealReconv), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPass,

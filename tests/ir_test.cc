@@ -95,6 +95,22 @@ TEST(Ir, VerifierRejectsJalrWithoutTargets)
     EXPECT_NE(prog.function().verify().find("jalr"), std::string::npos);
 }
 
+TEST(Ir, VerifierRejectsOutOfRangeRegister)
+{
+    // `and_` takes a register, so 511 is a register id, not an
+    // immediate; finalize() must stop it before the pass indexes a
+    // register file with it.
+    Program prog("bad");
+    IRBuilder b(prog);
+    int e = b.newBlock();
+    b.at(e).and_(T0, T1, 511).halt();
+    prog.function().computeCFG();
+    EXPECT_NE(prog.function().verify().find("register 511 out of range"),
+              std::string::npos);
+    EXPECT_EXIT(prog.finalize(), ::testing::ExitedWithCode(1),
+                "register 511 out of range");
+}
+
 TEST(Ir, LayoutAssignsConsecutivePcs)
 {
     Program prog = simpleLoop();

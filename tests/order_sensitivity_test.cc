@@ -171,7 +171,7 @@ TEST(OrderSensitivity, FlagReachesTheTrace)
     b.at(armA).li(T3, 7).sd(T3, S2, 8, R).jump(mid);
     b.at(mid).li(S3, 0).li(S4, 300).fallthrough(loop);
     b.at(loop)
-        .and_(T0, S3, 511)
+        .andi(T0, S3, 511)
         .slli(T0, T0, 3)
         .add(T0, S2, T0)
         .ld(T1, T0, 0, R)

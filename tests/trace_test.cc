@@ -188,7 +188,7 @@ TEST(EventTrace, CoreEmitsEveryMilestoneKind)
     cfg.commitMode = CommitMode::InOrder;
     EventLog log(size_t{1} << 20); // wide enough to retain everything
     Core core(cfg, p.trace, p.misp);
-    core.attachEventLog(&log);
+    core.observe(&log);
     CoreStats s = core.run();
     EXPECT_EQ(log.dropped(), 0u);
 
