@@ -586,10 +586,11 @@ writeJsonFile(const std::string &path, const JsonValue &value)
     std::string text = value.dump(2);
     text.push_back('\n');
 
-    // Crash-atomic publication (same pattern as the trace store):
-    // write a unique temp file, fsync, rename over the target. Readers
-    // never observe a torn or empty document, and a crash leaves the
-    // previous version intact.
+    // Atomic publication (same pattern as the stores): write a unique
+    // temp file and rename it over the target, so no reader sees and
+    // no killed run leaves a partial document under the final name. The
+    // data is not forced to disk; after a host crash, rerun the
+    // experiment (its results replay from the result store).
     static std::atomic<uint64_t> seq{0};
     const std::string tmp = path + ".tmp." +
                             std::to_string(::getpid()) + "." +
@@ -607,7 +608,7 @@ writeJsonFile(const std::string &path, const JsonValue &value)
         }
         written += static_cast<size_t>(n);
     }
-    if (::fsync(fd) != 0 || ::close(fd) != 0 ||
+    if (::close(fd) != 0 ||
         ::rename(tmp.c_str(), path.c_str()) != 0) {
         ::unlink(tmp.c_str());
         fatal("cannot publish %s", path.c_str());

@@ -2,11 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <type_traits>
 
 #include <fcntl.h>
@@ -36,7 +34,7 @@ struct BlobHeader
     uint64_t versionHash;      //!< hash of the caller's version tuple
     uint64_t keyBytes;         //!< stored key text length
     uint64_t headerChecksum;   //!< FNV over header, this field zeroed
-    uint64_t payloadChecksum;  //!< FNV over [sizeof(header), fileBytes)
+    uint64_t payloadChecksum;  //!< PayloadChecksum over the rest
     uint64_t fileBytes;
 };
 static_assert(sizeof(BlobHeader) % 8 == 0,
@@ -58,21 +56,6 @@ hashVersions(const char *name, uint32_t format,
     uint64_t h = fnv1a(name, std::strlen(name));
     h = fnv1a(&format, sizeof(format), h);
     return fnv1a(versions.begin(), versions.size() * sizeof(uint64_t), h);
-}
-
-/**
- * Sleep before retry @p attempt of the operation named @p what: linear
- * backoff plus a deterministic jitter derived from the name and the
- * attempt, so concurrent writers to a struggling disk de-synchronize
- * without introducing nondeterminism into any simulated result.
- */
-void
-storeBackoff(int attempt, const std::string &what)
-{
-    const uint64_t n = static_cast<uint64_t>(attempt);
-    const uint64_t h = fnv1a(&n, sizeof(n), fnv1a(what));
-    std::this_thread::sleep_for(std::chrono::milliseconds(attempt) +
-                                std::chrono::microseconds(h % 1000));
 }
 
 } // namespace
@@ -131,8 +114,9 @@ BlobStore::validate(const uint8_t *file, size_t size,
     const size_t payloadOff =
         pad8(sizeof(BlobHeader) + static_cast<size_t>(h.keyBytes));
     if (payloadOff > size ||
-        h.payloadChecksum != fnv1a(file + sizeof(BlobHeader),
-                                   size - sizeof(BlobHeader)))
+        h.payloadChecksum !=
+            payloadChecksum({file + sizeof(BlobHeader),
+                             size - sizeof(BlobHeader)}))
         return false;
     key = {file + sizeof(BlobHeader), static_cast<size_t>(h.keyBytes)};
     payload = {file + payloadOff, size - payloadOff};
@@ -220,18 +204,18 @@ BlobStore::put(const std::string &path, const std::string &key,
     if (bypassed())
         return 0;
 
+    // Header, key and pad form one small buffer; the parts are
+    // checksummed and written from the caller's memory.
     const size_t payloadOff = pad8(sizeof(BlobHeader) + key.size());
+    std::vector<uint8_t> head(sizeof(BlobHeader), 0);
+    head.insert(head.end(), key.begin(), key.end());
+    head.resize(payloadOff, 0);
+    PayloadChecksum sum;
+    sum.update(std::span<const uint8_t>(head).subspan(sizeof(BlobHeader)));
     size_t fileBytes = payloadOff;
-    for (std::span<const uint8_t> part : parts)
-        fileBytes += part.size();
-
-    std::vector<uint8_t> buf(fileBytes, 0);
-    std::memcpy(buf.data() + sizeof(BlobHeader), key.data(), key.size());
-    uint8_t *out = buf.data() + payloadOff;
     for (std::span<const uint8_t> part : parts) {
-        if (!part.empty())
-            std::memcpy(out, part.data(), part.size());
-        out += part.size();
+        sum.update(part);
+        fileBytes += part.size();
     }
 
     BlobHeader h{};
@@ -241,10 +225,9 @@ BlobStore::put(const std::string &path, const std::string &key,
     h.versionHash = versionHash_;
     h.keyBytes = key.size();
     h.fileBytes = fileBytes;
-    h.payloadChecksum = fnv1a(buf.data() + sizeof(BlobHeader),
-                              fileBytes - sizeof(BlobHeader));
+    h.payloadChecksum = sum.finish();
     h.headerChecksum = headerChecksumOf(h);
-    std::memcpy(buf.data(), &h, sizeof(h));
+    std::memcpy(head.data(), &h, sizeof(h));
 
     const size_t slash = path.rfind('/');
     if (slash != std::string::npos && !ensureDir(path.substr(0, slash))) {
@@ -253,7 +236,9 @@ BlobStore::put(const std::string &path, const std::string &key,
         recordFailure();
         return 0;
     }
-    if (!publish(path, buf)) {
+    std::vector<std::span<const uint8_t>> pieces{head};
+    pieces.insert(pieces.end(), parts.begin(), parts.end());
+    if (!publish(path, pieces)) {
         recordFailure();
         return 0;
     }
@@ -262,77 +247,58 @@ BlobStore::put(const std::string &path, const std::string &key,
 }
 
 bool
-BlobStore::publish(const std::string &path, const std::vector<uint8_t> &buf)
+BlobStore::publish(const std::string &path,
+                   std::span<const std::span<const uint8_t>> pieces)
 {
     // Unique temp name per writer: concurrent same-key writers each
     // publish a complete file; rename() makes the last one win. A
-    // failed attempt always unlinks its temp file (the rename is the
-    // only publication point) and retries with backoff.
+    // failed publish unlinks its temp file (the rename is the only
+    // publication point).
     static std::atomic<uint64_t> seq{0};
-    for (int attempt = 1;; ++attempt) {
-        const std::string tmp = path + ".tmp." +
-                                std::to_string(::getpid()) + "." +
-                                std::to_string(seq++);
-        int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-        if (fd < 0) {
-            warn("%s: cannot create %s", name_.c_str(), tmp.c_str());
-            return false;
-        }
-
-        const char *failedStep = nullptr;
-        int failedErrno = 0;
-        size_t written = 0;
-        while (written < buf.size()) {
-            const int err = injected("write");
-            const ssize_t n =
-                err ? (errno = err, -1)
-                    : ::write(fd, buf.data() + written, buf.size() - written);
-            if (n <= 0) {
-                failedStep = "write";
-                failedErrno = errno;
-                break;
-            }
-            written += static_cast<size_t>(n);
-        }
-        if (!failedStep) {
-            const int err = injected("fsync");
-            if ((err ? (errno = err, -1) : ::fsync(fd)) != 0 ||
-                ::close(fd) != 0) {
-                failedStep = "fsync";
-                failedErrno = errno;
-            } else {
-                fd = -1;
-            }
-        }
-        if (!failedStep) {
-            const int err = injected("rename");
-            if ((err ? (errno = err, -1)
-                     : ::rename(tmp.c_str(), path.c_str())) != 0) {
-                failedStep = "rename";
-                failedErrno = errno;
-            }
-        }
-
-        if (!failedStep)
-            return true;
-        if (fd >= 0)
-            ::close(fd);
-        ::unlink(tmp.c_str());
-        if (attempt >= STORE_PUBLISH_ATTEMPTS) {
-            warn("%s: %s failed for %s after %d attempts: %s",
-                 name_.c_str(), failedStep, path.c_str(), attempt,
-                 std::strerror(failedErrno));
-            return false;
-        }
-        storeBackoff(attempt, path);
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(seq++);
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+    if (fd < 0) {
+        warn("%s: cannot create %s", name_.c_str(), tmp.c_str());
+        return false;
     }
+
+    const char *step = "write";
+    int err = 0;
+    for (std::span<const uint8_t> bytes : pieces) {
+        while (!err && !bytes.empty()) {
+            if ((err = injected("write")))
+                break;
+            const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+            if (n <= 0)
+                err = n < 0 ? errno : EIO;
+            else
+                bytes = bytes.subspan(static_cast<size_t>(n));
+        }
+    }
+    if (::close(fd) != 0 && !err) {
+        step = "close";
+        err = errno;
+    }
+    if (!err) {
+        step = "rename";
+        err = injected("rename");
+        if (!err && ::rename(tmp.c_str(), path.c_str()) != 0)
+            err = errno;
+    }
+    if (!err)
+        return true;
+    ::unlink(tmp.c_str());
+    warn("%s: %s failed for %s: %s", name_.c_str(), step, path.c_str(),
+         std::strerror(err));
+    return false;
 }
 
 void
 BlobStore::recordFailure()
 {
-    // The streak counts consecutive *publishes*, each already past its
-    // own retries, so one transient blip never degrades the store.
+    // The streak counts consecutive failed publishes, so one failure
+    // never degrades the store.
     const int streak = streak_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (streak >= STORE_DEGRADE_STREAK &&
         !bypassed_.exchange(true, std::memory_order_relaxed))

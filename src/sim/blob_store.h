@@ -10,25 +10,26 @@
  *
  * The header carries a magic, the store's format version, a hash of
  * the caller's version tuple (semantic fingerprints, record layouts),
- * the key length, the file size, and FNV checksums over the header and
- * over everything after it. Any mismatch makes a load miss, so a
- * corrupt, truncated or stale file is never half-read. The full key
- * text is stored in the file, so a file-name hash collision (or a file
- * copied under another name) misses as well.
+ * the key length, the file size, an FNV-1a checksum over the header
+ * and a PayloadChecksum (common/hash.h, four lanes over 32-byte
+ * stripes, memory speed) over everything after it. Any mismatch makes
+ * a load miss, so a corrupt, truncated or stale file is never
+ * half-read. The full key text is stored in the file, so a file-name
+ * hash collision (or a file copied under another name) misses too.
  *
  * File names are `<workload>-<hash>.v<format>.<ext>`: the hash folds
  * the key text with the version tuple, so bumping any version simply
  * misses and re-populates.
  *
- * Publishing writes a unique temp file, fsyncs it and renames it over
- * the final name, so concurrent same-key writers race benignly and a
- * reader never sees a torn file. A failed attempt unlinks its temp
- * file and retries with jittered backoff, STORE_PUBLISH_ATTEMPTS times
- * in all; after that the publish returns 0 (the store is a cache,
- * losing a publish costs a rebuild). STORE_DEGRADE_STREAK consecutive
- * failed publishes latch the store into bypass mode: reads still
- * serve, writes return 0 without touching the disk, and the run warns
- * once. Tests fail individual I/O steps through BlobStore::failStep.
+ * Publishing writes a unique temp file and renames it over the final
+ * name, so concurrent same-key writers race benignly and a running
+ * reader never sees a partial file. The stores are caches: nothing is
+ * forced to disk and nothing is retried. A crash may leave a file
+ * whose data never reached the disk (empty or zeroed); the checksums
+ * make it a miss, which costs one rebuild. A failed publish unlinks
+ * its temp file and returns 0; STORE_DEGRADE_STREAK consecutive ones
+ * latch the store into bypass mode (reads still serve, writes return
+ * 0 at once, the run warns once). Tests fail I/O steps via failStep.
  *
  * Two read paths share one validation routine: map() serves large
  * files (trace bundles) zero-copy from a read-only mapping, read()
@@ -50,9 +51,6 @@
 #include <vector>
 
 namespace noreba {
-
-/** Publish attempts per file (1 initial + bounded retries). */
-constexpr int STORE_PUBLISH_ATTEMPTS = 3;
 
 /** Consecutive failed publishes before a store degrades to bypass. */
 constexpr int STORE_DEGRADE_STREAK = 3;
@@ -147,9 +145,9 @@ class BlobStore
     void resetHealth();
 
     /**
-     * Test seam, empty by default: called with "read", "write",
-     * "fsync" or "rename" before that step; a non-zero return fails
-     * the step with that errno.
+     * Test seam, empty by default: called with "read", "write" or
+     * "rename" before that step; a non-zero return fails the step
+     * with that errno.
      */
     std::function<int(const char *step)> failStep;
 
@@ -157,7 +155,8 @@ class BlobStore
     bool validate(const uint8_t *file, size_t size,
                   std::span<const uint8_t> &key,
                   std::span<const uint8_t> &payload) const;
-    bool publish(const std::string &path, const std::vector<uint8_t> &buf);
+    bool publish(const std::string &path,
+                 std::span<const std::span<const uint8_t>> pieces);
     void recordFailure();
     int injected(const char *step) const;
 

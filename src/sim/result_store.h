@@ -36,8 +36,9 @@
 
 namespace noreba {
 
-/** Bump on any change to the on-disk result payload layout. */
-constexpr uint32_t RESULT_STORE_FORMAT_VERSION = 2;
+/** Bump on any change to the on-disk result payload layout or to the
+ *  BlobStore envelope. */
+constexpr uint32_t RESULT_STORE_FORMAT_VERSION = 3;
 
 /**
  * Fingerprint of the simulation semantics: bump whenever Core, a

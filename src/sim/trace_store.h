@@ -41,8 +41,9 @@
 
 namespace noreba {
 
-/** Bump on any change to the on-disk bundle payload layout. */
-constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 3;
+/** Bump on any change to the on-disk bundle payload layout or to the
+ *  BlobStore envelope. */
+constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 4;
 
 /**
  * Fingerprint of the trace-producing semantics: bump whenever the

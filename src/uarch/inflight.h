@@ -71,6 +71,11 @@ struct InFlight
     bool steered = false; //!< Noreba: left the ROB'
     /** @} */
 
+    /** @name Guard-chain memo (PipelineView::guardChainResolved) @{ */
+    mutable bool chainOk = false;      //!< the chain resolved (sticky)
+    mutable uint64_t chainEpoch = 0;   //!< resolve epoch of last false
+    /** @} */
+
     /** @name PipelineIndex bookkeeping (Core-internal) @{ */
     InFlight *frontPrev = nullptr; //!< uncommitted-frontier links
     InFlight *frontNext = nullptr;

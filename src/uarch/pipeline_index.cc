@@ -52,6 +52,7 @@ PipelineIndex::eraseUnresolved(TraceIdx idx, uint64_t pc)
 void
 PipelineIndex::onResolve(InFlight *p)
 {
+    ++resolveEpoch_;
     const auto *e = unresolved_.find(p->idx);
     if (!e)
         return;
@@ -104,6 +105,7 @@ PipelineIndex::onCommit(InFlight *p)
 void
 PipelineIndex::onSquash(TraceIdx after)
 {
+    ++resolveEpoch_;
     while (frontier_.tail() && frontier_.tail()->idx > after)
         frontier_.erase(frontier_.tail());
 

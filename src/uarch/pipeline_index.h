@@ -140,6 +140,10 @@ class PipelineIndex
         return e ? e->idx : INT32_MAX;
     }
 
+    /** Bumped by every resolve and squash: between bumps, no
+     *  guard-chain answer can change (never 0). */
+    uint64_t resolveEpoch() const { return resolveEpoch_; }
+
     /** In-flight instruction by trace index (nullptr if none). */
     InFlight *
     findInFlight(TraceIdx idx) const
@@ -201,6 +205,7 @@ class PipelineIndex
     IndexQueue<> fences_;
     IdxSlotRing<InFlight> inflightByIdx_;
     Frontier frontier_;
+    uint64_t resolveEpoch_ = 1;
 };
 
 } // namespace noreba

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
 #include "interp/trace.h"
 #include "uarch/config.h"
 #include "uarch/inflight.h"
@@ -167,9 +168,38 @@ class PipelineView
         return index_->unresolvedBranches();
     }
 
-    /** The instruction's full compiler guard chain has resolved. */
+    /**
+     * The instruction's full compiler guard chain has resolved.
+     *
+     * The answer is memoized on the InFlight. A true answer is sticky:
+     * a squash removes only younger instructions, and no branch older
+     * than @p p dispatches after it. A false answer holds until the
+     * index's resolve epoch moves (a branch resolved or a squash).
+     * Under CoreConfig::shadowChecks every call re-walks the chain and
+     * panics if a memoized answer disagrees.
+     */
     bool
     guardChainResolved(const InFlight *p) const
+    {
+        const uint64_t epoch = index_->resolveEpoch();
+        const bool memoized = p->chainOk || p->chainEpoch == epoch;
+        if (memoized && !cfg_->shadowChecks)
+            return p->chainOk;
+        const bool ok = walkGuardChain(p);
+        panic_if(memoized && ok != p->chainOk,
+                 "guard-chain memo of trace idx %d says %d, the walk %d",
+                 p->idx, p->chainOk, ok);
+        p->chainOk = ok;
+        if (!ok)
+            p->chainEpoch = epoch;
+        return ok;
+    }
+
+  private:
+    friend class Core;
+
+    bool
+    walkGuardChain(const InFlight *p) const
     {
         // Walk the dynamic guard chain. Every element must have
         // resolved. For *order-sensitive* instructions (cross-instance
@@ -208,9 +238,6 @@ class PipelineView
         }
         return true;
     }
-
-  private:
-    friend class Core;
 
     const CoreConfig *cfg_ = nullptr;
     const TraceView *trace_ = nullptr;

@@ -4,18 +4,24 @@
  * instances (the trace store and the result store) through their
  * public save/load functions. Every way a publish or read-back can
  * fail must leave either no file or the complete new one — never a
- * torn file or a leftover temp file — and corrupt, truncated or
- * version-mismatched files must miss. I/O steps fail through each
+ * partial file or a leftover temp file — and corrupt, truncated,
+ * version-mismatched or crash-shaped (empty, zeroed) files must miss.
+ * A failed publish is not retried. I/O steps fail through each
  * store's BlobStore::failStep seam, and for real when the store
  * directory cannot be created.
  */
 
+#include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -134,14 +140,15 @@ class StoreFaults : public ::testing::TestWithParam<std::string>
         ASSERT_FALSE(path_.empty());
     }
 
-    /** Fail @p step with @p err on every publish attempt, expect the
-     *  publish to fail without leaving any file, then confirm a clean
-     *  retry publishes a loadable one. */
+    /** Fail the first hit of @p step with @p err, expect the publish
+     *  to fail at once without leaving any file, then confirm a clean
+     *  second publish leaves a loadable one. */
     void
     expectFailedThenCleanPublish(const char *step, int err)
     {
-        StepFault fault(sut_->store(), step, err, STORE_PUBLISH_ATTEMPTS);
+        StepFault fault(sut_->store(), step, err);
         EXPECT_EQ(sut_->save(path_), 0u);
+        EXPECT_EQ(fault.hits(), 1u) << "failed publish was retried";
         EXPECT_FALSE(fileExists(path_)) << "partial file published";
         EXPECT_EQ(tmpFilesIn(dir_.path), 0) << "temp file left behind";
 
@@ -161,25 +168,9 @@ TEST_P(StoreFaults, ShortWriteLeavesNoPartialFile)
     expectFailedThenCleanPublish("write", ENOSPC);
 }
 
-TEST_P(StoreFaults, FailedFsyncLeavesNoPartialFile)
-{
-    expectFailedThenCleanPublish("fsync", EIO);
-}
-
 TEST_P(StoreFaults, FailedRenameLeavesNoPartialFile)
 {
     expectFailedThenCleanPublish("rename", EIO);
-}
-
-TEST_P(StoreFaults, TransientWriteFaultIsRetriedToSuccess)
-{
-    // Only the first attempt's write fails; the bounded retry must
-    // publish a fully valid file on attempt two.
-    StepFault fault(sut_->store(), "write", EIO);
-    EXPECT_GT(sut_->save(path_), 0u);
-    EXPECT_GE(fault.hits(), 2u);
-    EXPECT_EQ(tmpFilesIn(dir_.path), 0);
-    EXPECT_TRUE(sut_->load(path_));
 }
 
 TEST_P(StoreFaults, ReadBackEioIsACacheMissNotACrash)
@@ -258,6 +249,26 @@ TEST_P(StoreFaults, RejectsTruncatedBitFlippedAndVersionMismatchedFiles)
 
     // A missing file is a miss, not a crash.
     EXPECT_FALSE(sut_->load(path_ + ".nope"));
+
+    // Publishing never forces data to disk, so a host crash can leave
+    // a file whose size arrived but whose data did not: empty, or
+    // zeroed behind an intact header and key. Both must miss. The
+    // header's own size (offset 12) and the key length (offset 24)
+    // locate the payload.
+    ASSERT_EQ(::truncate(path_.c_str(), 0), 0);
+    EXPECT_FALSE(sut_->load(path_));
+
+    uint32_t headerBytes = 0;
+    uint64_t keyBytes = 0;
+    std::memcpy(&headerBytes, good.data() + 12, sizeof(headerBytes));
+    std::memcpy(&keyBytes, good.data() + 24, sizeof(keyBytes));
+    const size_t payloadOff = pad8(headerBytes + keyBytes);
+    ASSERT_LT(payloadOff, good.size());
+    bad = good;
+    std::fill(bad.begin() + static_cast<ptrdiff_t>(payloadOff), bad.end(),
+              0);
+    writeFile(path_, bad);
+    EXPECT_FALSE(sut_->load(path_));
 
     // Pristine bytes restore a loadable file.
     writeFile(path_, good);

@@ -1,9 +1,14 @@
-/** @file Unit tests for the common utilities (rng, stats, tables). */
+/** @file Unit tests for the common utilities (rng, stats, tables,
+ *  the payload checksum). */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
+#include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -127,6 +132,91 @@ TEST(Table, FormattersRound)
 TEST(Logging, StrfmtFormats)
 {
     EXPECT_EQ(strfmt("%d-%s", 7, "x"), "7-x");
+}
+
+/** A deterministic buffer whose bytes are not all alike. */
+std::vector<uint8_t>
+patternBytes(size_t n)
+{
+    std::vector<uint8_t> bytes(n);
+    for (size_t i = 0; i < n; ++i)
+        bytes[i] = static_cast<uint8_t>(i * 167 + 13);
+    return bytes;
+}
+
+TEST(PayloadChecksum, KnownAnswers)
+{
+    // The checksum is part of the stores' on-disk format: these values
+    // change only together with both stores' format versions.
+    EXPECT_EQ(payloadChecksum({}), 0xc1620d0a2dcaa9d2ull);
+    const char *text = "noreba";
+    EXPECT_EQ(payloadChecksum({reinterpret_cast<const uint8_t *>(text),
+                               std::strlen(text)}),
+              0xc1707f5341f88454ull);
+    EXPECT_EQ(payloadChecksum(patternBytes(870)), 0x04f1ef979fd5d1e6ull);
+}
+
+TEST(PayloadChecksum, EverySingleBitFlipChangesTheSum)
+{
+    std::vector<uint8_t> bytes = patternBytes(870);
+    const uint64_t base = payloadChecksum(bytes);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            bytes[i] ^= static_cast<uint8_t>(1u << bit);
+            ASSERT_NE(payloadChecksum(bytes), base)
+                << "byte " << i << " bit " << bit;
+            bytes[i] ^= static_cast<uint8_t>(1u << bit);
+        }
+    }
+}
+
+TEST(PayloadChecksum, SwappedWordsChangeTheSum)
+{
+    const std::vector<uint8_t> bytes = patternBytes(256);
+    const uint64_t base = payloadChecksum(bytes);
+    auto swapped = [&](size_t a, size_t b) {
+        std::vector<uint8_t> out = bytes;
+        std::swap_ranges(out.begin() + static_cast<ptrdiff_t>(a),
+                         out.begin() + static_cast<ptrdiff_t>(a + 8),
+                         out.begin() + static_cast<ptrdiff_t>(b));
+        return payloadChecksum(out);
+    };
+    // Words 0 and 4 share lane 0 (stripes 0 and 1); words 0 and 1 sit
+    // in lanes 0 and 1 of one stripe; words 3 and 9 cross both.
+    EXPECT_NE(swapped(0, 32), base);
+    EXPECT_NE(swapped(0, 8), base);
+    EXPECT_NE(swapped(24, 72), base);
+}
+
+TEST(PayloadChecksum, EveryShortLengthIsDistinct)
+{
+    // Lengths 0..70 cover the tail alone, one stripe plus a tail and
+    // two stripes plus a tail; zero bytes make only the length differ.
+    const std::vector<uint8_t> zeros(70, 0);
+    std::set<uint64_t> sums;
+    for (size_t n = 0; n <= zeros.size(); ++n)
+        sums.insert(payloadChecksum({zeros.data(), n}));
+    EXPECT_EQ(sums.size(), zeros.size() + 1);
+}
+
+TEST(PayloadChecksum, IncrementalEqualsOneShot)
+{
+    const std::vector<uint8_t> bytes = patternBytes(870);
+    const uint64_t whole = payloadChecksum(bytes);
+    Rng rng(11);
+    for (int trial = 0; trial < 200; ++trial) {
+        PayloadChecksum sum;
+        size_t at = 0;
+        while (at < bytes.size()) {
+            // Splits of 0..80 bytes: empty parts, parts inside one
+            // stripe and parts spanning several.
+            const size_t n = std::min<size_t>(rng.below(81),
+                                              bytes.size() - at);
+            sum.update({bytes.data() + at, n});
+            at += n;
+        }
+        ASSERT_EQ(sum.finish(), whole) << "trial " << trial;
+    }
 }
 
 } // namespace

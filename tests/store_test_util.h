@@ -74,8 +74,8 @@ class TempDir
 };
 
 /**
- * Fails the first @p count hits of one I/O step ("read", "write",
- * "fsync" or "rename") of @p store with @p err, through
+ * Fails the first @p count hits of one I/O step ("read", "write" or
+ * "rename") of @p store with @p err, through
  * BlobStore::failStep, and counts every hit of that step while armed.
  * Disarms on scope exit.
  */
