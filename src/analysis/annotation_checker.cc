@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "analysis/verifier.h"
-#include "ir/dataflow.h"
 #include "isa/setup_encoding.h"
 
 namespace noreba {
@@ -400,30 +399,38 @@ DomSets::DomSets(const Function &fn, bool post)
         }
     }
 
-    // Maximal-fixpoint set dataflow: dom(b) = {b} ∪ ⋂ dom(pred),
-    // solved by the generic engine (ir/dataflow.h) over the walk
-    // graph with the virtual root as a pinned boundary node. The
-    // intersect meet starts every other node at the full set, so
-    // unreachable nodes keep it through the solve (the meet identity,
-    // exactly as the old bespoke loop left them) and are reset to
-    // {self} afterwards, matching DominatorTree's "only self" answer.
-    {
-        DataflowGraph g(total);
-        for (int b = 0; b < total; ++b)
-            for (int s : walkSuccs[static_cast<size_t>(b)])
-                g.addEdge(b, s);
-        GenKillProblem p;
-        p.direction = Direction::Forward;
-        p.meet = Meet::Intersect;
-        p.numBits = static_cast<size_t>(total);
-        p.resize(total);
-        for (int b = 0; b < total; ++b)
-            p.setGen(b, static_cast<size_t>(b));
-        p.boundary.push_back(root);
-        DataflowResult solved = solveDataflow(g, p);
-        for (int b = 0; b < total; ++b)
-            std::copy(solved.outRow(b), solved.outRow(b) + words_,
-                      row(b));
+    // Maximal-fixpoint set dataflow: dom(b) = {b} ∪ ⋂ dom(pred).
+    // Unreachable nodes keep the full set during iteration (identity
+    // for the intersection) and are reset to {self} afterwards, which
+    // matches DominatorTree's "only self" answer for them.
+    const uint64_t tailMask =
+        total % 64 ? (uint64_t{1} << (total % 64)) - 1 : ~uint64_t{0};
+    for (int b = 0; b < total; ++b) {
+        std::fill(row(b), row(b) + words_, ~uint64_t{0});
+        row(b)[words_ - 1] &= tailMask;
+    }
+    std::fill(row(root), row(root) + words_, 0);
+    row(root)[static_cast<size_t>(root) >> 6] |=
+        uint64_t{1} << (root & 63);
+
+    std::vector<uint64_t> tmp(words_);
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (int b = 0; b < n_; ++b) {
+            if (!reach[static_cast<size_t>(b)])
+                continue;
+            std::fill(tmp.begin(), tmp.end(), ~uint64_t{0});
+            tmp[words_ - 1] &= tailMask;
+            for (int p : walkPreds[static_cast<size_t>(b)])
+                for (size_t w = 0; w < words_; ++w)
+                    tmp[w] &= row(p)[w];
+            tmp[static_cast<size_t>(b) >> 6] |= uint64_t{1} << (b & 63);
+            if (!std::equal(tmp.begin(), tmp.end(), row(b))) {
+                std::copy(tmp.begin(), tmp.end(), row(b));
+                changed = true;
+            }
+        }
     }
     for (int b = 0; b < n_; ++b) {
         if (reach[static_cast<size_t>(b)])
@@ -557,7 +564,7 @@ using Branch = DependenceModel::Branch;
  */
 bool
 runChecks(const Function &fn, Diagnostics &diag, int errBefore,
-          const DependenceModel &model, const CheckOptions &opts)
+          const DependenceModel &model)
 {
     const int nblocks = static_cast<int>(fn.numBlocks());
     const int nbranches = static_cast<int>(model.branches.size());
@@ -739,22 +746,20 @@ runChecks(const Function &fn, Diagnostics &diag, int errBefore,
     // values from a different dynamic instance of a guard's region
     // must carry the sensitive flag.
     //
-    if (opts.checkOrderSensitivity) {
-        for (size_t r = 0; r < regions.size(); ++r) {
-            const Region &reg = regions[r];
-            if (!reachBlk[static_cast<size_t>(reg.bb)] || reg.strict ||
-                reg.id <= 0 || reg.sens)
+    for (size_t r = 0; r < regions.size(); ++r) {
+        const Region &reg = regions[r];
+        if (!reachBlk[static_cast<size_t>(reg.bb)] || reg.strict ||
+            reg.id <= 0 || reg.sens)
+            continue;
+        for (int gi : reg.covered) {
+            if (model.crossDeps[static_cast<size_t>(gi)].empty())
                 continue;
-            for (int gi : reg.covered) {
-                if (model.crossDeps[static_cast<size_t>(gi)].empty())
-                    continue;
-                diag.error("missing-order-sensitive",
-                           locAt(fn, reg.bb, reg.setIdx),
-                           "region covers instructions with "
-                           "cross-instance data flow but is not "
-                           "flagged order sensitive");
-                break;
-            }
+            diag.error("missing-order-sensitive",
+                       locAt(fn, reg.bb, reg.setIdx),
+                       "region covers instructions with "
+                       "cross-instance data flow but is not "
+                       "flagged order sensitive");
+            break;
         }
     }
 
@@ -1276,7 +1281,7 @@ checkAnnotations(const Program &prog, Diagnostics &diag,
         return diag.errorCount() == errBefore;
     }
 
-    return runChecks(fn, diag, errBefore, model, opts);
+    return runChecks(fn, diag, errBefore, model);
 }
 
 bool

@@ -4,8 +4,11 @@
  * translation validation for the paper's single-BranchID soundness
  * argument (Section 3), without executing anything.
  *
- * The checker re-derives everything it needs from scratch, on purpose
- * sharing no analysis code with the compiler pass it validates:
+ * The checker re-derives everything it needs from scratch, sharing no
+ * analysis code with the compiler pass it validates: nothing under
+ * src/analysis/ includes ir/dominance.h or ir/reaching_defs.h, and
+ * every fixpoint below is solved by a loop in annotation_checker.cc
+ * (the Analysis.SharesNoSolverWithThePass test guards this):
  *
  *  - post-dominance (and dominance) via iterative *set-based* dataflow
  *    (dom(b) = {b} ∪ ⋂ dom(preds)), a different algorithm from the
@@ -87,8 +90,6 @@ class DomSets
 /** Knobs for checkAnnotations(). */
 struct CheckOptions
 {
-    /** Validate the order-sensitive flags (cross-instance flows). */
-    bool checkOrderSensitivity = true;
     /** Treat a program with no setup records as an error, not a note. */
     bool requireAnnotations = false;
 };

@@ -2,7 +2,7 @@
  * @file
  * Structured error hierarchy for library code paths.
  *
- * The repo's error-handling contract (DESIGN.md §14) splits failures
+ * The repo's error-handling contract (DESIGN.md §13) splits failures
  * three ways:
  *
  *   - panic()   — internal invariant violations (simulator bugs);

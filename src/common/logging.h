@@ -42,7 +42,7 @@ std::string strfmt(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
  * the first caller logs, flushes stdio, and exits; later callers park
  * until the process dies. For per-job failures a batched caller should
  * survive, library code throws SimError (common/error.h) instead — see
- * DESIGN.md §14 for the full error-handling contract. */
+ * DESIGN.md §13 for the full error-handling contract. */
 
 /** Abort: an internal invariant was violated (a simulator bug). */
 #define panic(...) \

@@ -121,7 +121,7 @@ Interpreter::run(const InterpOptions &opts)
     // maxDynInsts, so the per-record check below still stands guard.
     // Thrown (not fatal()): the interpreter runs inside sweep worker
     // threads, and a per-workload failure must be isolatable by the
-    // batched caller instead of killing the whole sweep (DESIGN.md §14).
+    // batched caller instead of killing the whole sweep (DESIGN.md §13).
     if (opts.maxDynInsts > MAX_TRACE_RECORDS)
         throw SimError(
             "interp.trace_limit",

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "ir/dataflow.h"
 
 namespace noreba {
 
@@ -50,15 +49,15 @@ ReachingDefs::ReachingDefs(const Function &fn)
         }
     }
 
-    // Forward union gen/kill problem on the CFG, solved by the
-    // generic engine. The fixpoint of a monotone gen/kill frame is
-    // unique, so this is bit-identical to the old bespoke loop.
-    GenKillProblem p;
-    p.direction = Direction::Forward;
-    p.meet = Meet::Union;
-    p.numBits = defs_.size();
-    p.resize(nblocks);
+    words_ = (defs_.size() + 63) / 64;
+    if (words_ == 0)
+        words_ = 1;
+
+    // GEN/KILL per block.
+    std::vector<std::vector<uint64_t>> gen(nblocks), kill(nblocks);
     for (int b = 0; b < nblocks; ++b) {
+        gen[b].assign(words_, 0);
+        kill[b].assign(words_, 0);
         const auto &bb = fn.block(b);
         // Walk forward: a later def of the same reg kills earlier gens.
         std::vector<int> lastDefOfReg(NUM_ARCH_REGS, -1);
@@ -68,9 +67,8 @@ ReachingDefs::ReachingDefs(const Function &fn)
                 continue;
             Reg r = defs_[id].reg;
             if (lastDefOfReg[r] >= 0)
-                GenKillProblem::clearBit(
-                    p.genRow(b), static_cast<size_t>(lastDefOfReg[r]));
-            p.setGen(b, static_cast<size_t>(id));
+                clearBit(gen[b], lastDefOfReg[r]);
+            setBit(gen[b], id);
             lastDefOfReg[r] = id;
         }
         // KILL: all defs of any register this block redefines.
@@ -78,16 +76,33 @@ ReachingDefs::ReachingDefs(const Function &fn)
             if (lastDefOfReg[r] < 0)
                 continue;
             for (int id : defsByReg_[r])
-                p.setKill(b, static_cast<size_t>(id));
+                setBit(kill[b], id);
         }
     }
 
-    DataflowResult res = solveDataflow(DataflowGraph::fromCfg(fn), p);
-    words_ = p.words() ? p.words() : 1;
+    // Iterate IN/OUT to a fixpoint (union over predecessors). The
+    // gen/kill frame is monotone, so the fixpoint is unique.
     blockIn_.assign(nblocks, std::vector<uint64_t>(words_, 0));
-    for (int b = 0; b < nblocks; ++b)
-        std::copy(res.inRow(b), res.inRow(b) + p.words(),
-                  blockIn_[b].begin());
+    std::vector<std::vector<uint64_t>> out(
+        nblocks, std::vector<uint64_t>(words_, 0));
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (int b = 0; b < nblocks; ++b) {
+            auto &in = blockIn_[b];
+            std::fill(in.begin(), in.end(), 0);
+            for (int p : fn.block(b).preds)
+                for (size_t w = 0; w < words_; ++w)
+                    in[w] |= out[p][w];
+            for (size_t w = 0; w < words_; ++w) {
+                uint64_t v = gen[b][w] | (in[w] & ~kill[b][w]);
+                if (v != out[b][w]) {
+                    out[b][w] = v;
+                    changed = true;
+                }
+            }
+        }
+    }
 }
 
 int

@@ -158,13 +158,13 @@ computePower(const CoreConfig &cfg, const CoreStats &stats)
     // NOREBA bookkeeping tables: small direct-mapped RAMs.
     if (selective) {
         double tabLeak =
-            0.0012 * (NUM_BRANCH_IDS + cfg.srob.cqtEntries + 1);
+            0.0012 * (NUM_BRANCH_IDS + CQT_ENTRIES + 1);
         out.watts["CQT+BIT+DCT"] =
             tabLeak + dynWatts(stats.bitOps + stats.dctOps +
                                    stats.cqtOps,
                                1.5, cycles);
         out.area["CQT+BIT+DCT"] =
-            0.012 * (NUM_BRANCH_IDS + cfg.srob.cqtEntries + 1);
+            0.012 * (NUM_BRANCH_IDS + CQT_ENTRIES + 1);
 
         out.watts["CIT"] =
             0.0004 * cfg.srob.citEntries +

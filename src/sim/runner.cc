@@ -14,6 +14,12 @@ TraceBundle::view() const
     return mapped ? mapped->view() : TraceView(trace);
 }
 
+const std::vector<uint8_t> &
+TraceBundle::mispredictions() const
+{
+    return mapped ? mapped->misp() : misp;
+}
+
 /**
  * Remove setup records, remapping every guardIdx to the stripped
  * numbering. Guards always reference non-setup records (branches), so
@@ -84,17 +90,9 @@ simulate(const CoreConfig &cfg, const TraceBundle &bundle,
          CoreObserver *observer)
 {
     validateConfig(cfg);
-    Core core(cfg, bundle.view(), bundle.misp);
+    Core core(cfg, bundle.view(), bundle.mispredictions());
     core.observe(observer);
     return core.run();
-}
-
-CoreStats
-runOne(const std::string &workload, const CoreConfig &cfg,
-       const TraceOptions &opts)
-{
-    TraceBundle bundle = prepareTrace(workload, opts);
-    return simulate(cfg, bundle);
 }
 
 } // namespace noreba

@@ -53,12 +53,17 @@ struct TraceBundle
     DynamicTrace trace;        //!< owning storage when built in-process
     /** Owning mapping when loaded from the store (trace stays empty). */
     std::shared_ptr<const MappedTraceBundle> mapped;
-    std::vector<uint8_t> misp; //!< per-record misprediction verdicts
+    /** Per-record misprediction verdicts when built in-process. */
+    std::vector<uint8_t> misp;
     PassResult pass;           //!< compiler pass report
     uint64_t checksum = 0;     //!< architectural result checksum
 
     /** Read interface over whichever backing this bundle has. */
     TraceView view() const;
+
+    /** Misprediction verdicts from whichever backing this bundle has
+     *  (a bundle loaded from the store leaves `misp` empty). */
+    const std::vector<uint8_t> &mispredictions() const;
 };
 
 /** Build (workload -> pass -> interpret -> predict) one bundle. */
@@ -81,10 +86,6 @@ class CoreObserver;
  */
 CoreStats simulate(const CoreConfig &cfg, const TraceBundle &bundle,
                    CoreObserver *observer = nullptr);
-
-/** Convenience: prepare + simulate in one call. */
-CoreStats runOne(const std::string &workload, const CoreConfig &cfg,
-                 const TraceOptions &opts = {});
 
 /**
  * Speedup helper: cycles(baseline) / cycles(candidate), the paper's

@@ -39,7 +39,6 @@ BundleCache::materialize(const std::string &workload,
             auto bundle = std::make_shared<TraceBundle>();
             bundle->workload = workload;
             bundle->opts = opts;
-            bundle->misp = mapped->misp();
             bundle->pass = mapped->pass();
             bundle->checksum = mapped->archChecksum();
             const uint64_t bytes = mapped->fileBytes();

@@ -13,7 +13,7 @@
  * OnceMemo: every job is a pure function of its key, so each key is
  * produced once and its outcome — value or exception — is kept.
  *
- * Failure handling (DESIGN.md §14): a job that throws either fails the
+ * Failure handling (DESIGN.md §13): a job that throws either fails the
  * sweep (Propagate, rethrown in submission order so the outcome is
  * deterministic) or is recorded on its own SweepResult while the rest
  * of the sweep completes (Isolate, the `noreba-bench --keep-going`

@@ -331,7 +331,8 @@ size_t
 saveTraceBundle(const std::string &path, const TraceBundle &bundle)
 {
     const TraceView view = bundle.view();
-    panic_if(bundle.misp.size() != view.size(),
+    const std::vector<uint8_t> &misp = bundle.mispredictions();
+    panic_if(misp.size() != view.size(),
              "bundle misprediction vector does not match its trace");
     const std::string &workload = bundle.workload;
     const std::string &name = view.name();
@@ -363,7 +364,7 @@ saveTraceBundle(const std::string &path, const TraceBundle &bundle)
     // Misprediction bitmap, padded, then the pass blob.
     std::vector<uint8_t> tail(m.passOff - m.mispOff, 0);
     for (size_t i = 0; i < numRecords; ++i)
-        if (bundle.misp[i])
+        if (misp[i])
             tail[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
     serializePass(bundle.pass, tail);
     m.passBytes = tail.size() - (m.passOff - m.mispOff);

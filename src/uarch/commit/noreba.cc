@@ -320,8 +320,7 @@ class NorebaCommit : public CommitPolicy
             }
 
             if (p->isBranch && rec.markedBranch) {
-                if (cqt_.size() >=
-                    static_cast<size_t>(srob_.cqtEntries)) {
+                if (cqt_.size() >= static_cast<size_t>(CQT_ENTRIES)) {
                     stalled = true;
                     steerStall_ = SteerStall::Cqt;
                     ++view.stats().steerStallCqt;

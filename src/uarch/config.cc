@@ -31,7 +31,7 @@ commitModeName(CommitMode mode)
 #if defined(__GLIBCXX__) && defined(__x86_64__)
 static_assert(sizeof(CoreConfig) ==
                   sizeof(std::string) + sizeof(SelectiveRobConfig) +
-                      8 * sizeof(int) + sizeof(CommitMode) +
+                      7 * sizeof(int) + sizeof(CommitMode) +
                       4 * sizeof(bool) + /* padding */ 8,
               "CoreConfig changed: update NOREBA_CORE_CONFIG_FIELDS "
               "(uarch/config.h) and this tripwire together");

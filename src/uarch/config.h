@@ -57,7 +57,9 @@ constexpr int NUM_INT_ALU = 4;
 constexpr int NUM_INT_MUL = 1;
 constexpr int NUM_FP_ALU = 2;
 constexpr int NUM_FP_MUL = 2;
+constexpr int NUM_INT_DIV = 1; //!< unpipelined integer dividers
 constexpr int NUM_FP_DIV = 1;
+constexpr int CQT_ENTRIES = 8; //!< Selective ROB Commit Queue Table
 constexpr int NUM_LOAD_PORTS = 2;
 constexpr int NUM_STORE_PORTS = 1;
 constexpr int NUM_BRANCH_UNITS = 2;
@@ -72,13 +74,13 @@ constexpr int TLB_MISS_PENALTY = 30;
 /** @} */
 
 /** Selective ROB parameters (Table 2). The BIT has NUM_BRANCH_IDS
- *  entries, fixed by the ISA's 3-bit BranchID field. */
+ *  entries, fixed by the ISA's 3-bit BranchID field, and the CQT has
+ *  CQT_ENTRIES. */
 struct SelectiveRobConfig
 {
     int numBrCqs = 2;     //!< number of Branch Commit Queues
     int brCqEntries = 8;  //!< entries per BR-CQ
     int prCqEntries = 8;  //!< Primary Commit Queue entries
-    int cqtEntries = 8;   //!< Commit Queue Table entries
     int citEntries = 128; //!< Committed Instructions Table entries
 
     /**
@@ -111,8 +113,6 @@ struct CoreConfig
     int sqEntries = 56;
     int rfEntries = 168; //!< physical registers available for renaming
     /** @} */
-
-    int numIntDiv = 1; //!< unpipelined integer dividers
 
     bool prefetcher = true; //!< DCPT at the L1D (Table 2, Figure 13)
 
@@ -155,13 +155,11 @@ struct CoreConfig
     I(lqEntries, 1)                                                       \
     I(sqEntries, 1)                                                       \
     I(rfEntries, 1)                                                       \
-    I(numIntDiv, 1)                                                       \
     B(prefetcher)                                                         \
     M(commitMode)                                                         \
     I(srob.numBrCqs, 1)                                                   \
     I(srob.brCqEntries, 1)                                                \
     I(srob.prCqEntries, 1)                                                \
-    I(srob.cqtEntries, 1)                                                 \
     I(srob.citEntries, 1)                                                 \
     B(srob.enforceInstanceOrder)                                          \
     B(earlyCommitLoads)                                                   \

@@ -72,8 +72,6 @@ Core::Core(const CoreConfig &cfg, TraceView trace,
            const std::vector<uint8_t> &misp)
     : cfg_(cfg), trace_(std::move(trace)), misp_(misp),
       policy_(makeCommitPolicy(cfg)), tlb_(TLB_ENTRIES, TLB_MISS_PENALTY),
-      divFreeAt_(static_cast<size_t>(std::max(0, cfg.numIntDiv)), 0),
-      fdivFreeAt_(NUM_FP_DIV, 0),
       committed_(trace_.size(), 0)
 {
     panic_if(misp.size() != trace_.size(),
@@ -400,28 +398,10 @@ Core::commitStage()
                 head ? head->rec.pc : 0, cause);
 }
 
-bool
-Core::divUnitFree(const std::vector<Cycle> &units) const
-{
-    for (Cycle t : units)
-        if (t <= cycle_)
-            return true;
-    return false;
-}
-
-void
-Core::claimDivUnit(std::vector<Cycle> &units, int latency)
-{
-    // Unpipelined: the claimed unit is busy until the divide retires.
-    for (Cycle &t : units) {
-        if (t <= cycle_) {
-            t = cycle_ + static_cast<Cycle>(latency);
-            return;
-        }
-    }
-    panic("no free divider unit to claim at cycle %llu",
-          static_cast<unsigned long long>(cycle_));
-}
+// Each divider class is one unpipelined unit, tracked by one
+// busy-until cycle.
+static_assert(NUM_INT_DIV == 1 && NUM_FP_DIV == 1,
+              "one busy-until cycle per divider class");
 
 bool
 Core::fuAvailable(FuClass cls)
@@ -431,11 +411,11 @@ Core::fuAvailable(FuClass cls)
       case FuClass::IntAlu: return used < NUM_INT_ALU;
       case FuClass::IntMul: return used < NUM_INT_MUL;
       case FuClass::IntDiv:
-        return used < cfg_.numIntDiv && divUnitFree(divFreeAt_);
+        return used < NUM_INT_DIV && divBusyUntil_ <= cycle_;
       case FuClass::FpAlu: return used < NUM_FP_ALU;
       case FuClass::FpMul: return used < NUM_FP_MUL;
       case FuClass::FpDiv:
-        return used < NUM_FP_DIV && divUnitFree(fdivFreeAt_);
+        return used < NUM_FP_DIV && fdivBusyUntil_ <= cycle_;
       case FuClass::MemRead: return used < NUM_LOAD_PORTS;
       case FuClass::MemWrite: return used < NUM_STORE_PORTS;
       case FuClass::Branch: return used < NUM_BRANCH_UNITS;
@@ -447,10 +427,11 @@ void
 Core::consumeFu(FuClass cls, int latency)
 {
     ++fuUsed_[static_cast<int>(cls)];
+    // Unpipelined: the divider is busy until the divide retires.
     if (cls == FuClass::IntDiv)
-        claimDivUnit(divFreeAt_, latency);
+        divBusyUntil_ = cycle_ + static_cast<Cycle>(latency);
     else if (cls == FuClass::FpDiv)
-        claimDivUnit(fdivFreeAt_, latency);
+        fdivBusyUntil_ = cycle_ + static_cast<Cycle>(latency);
 }
 
 int

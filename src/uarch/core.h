@@ -115,8 +115,6 @@ class Core
     int loadLatency(InFlight *p, bool &blocked);
     bool fuAvailable(FuClass cls);
     void consumeFu(FuClass cls, int latency);
-    bool divUnitFree(const std::vector<Cycle> &units) const;
-    void claimDivUnit(std::vector<Cycle> &units, int latency);
 
     /** @name Wakeup-driven scheduler (see DESIGN.md §12) @{ */
 
@@ -197,9 +195,9 @@ class Core
         events_;
     /** Per-cycle FU accounting: counts used this cycle per class. */
     int fuUsed_[static_cast<int>(FuClass::NUM_CLASSES)] = {};
-    /** Unpipelined dividers: one busy-until timestamp per unit. */
-    std::vector<Cycle> divFreeAt_;
-    std::vector<Cycle> fdivFreeAt_;
+    /** Unpipelined dividers, one per class: busy until this cycle. */
+    Cycle divBusyUntil_ = 0;
+    Cycle fdivBusyUntil_ = 0;
     /** @} */
 
     /** @name Wakeup-driven scheduler @{ */

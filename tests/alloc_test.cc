@@ -126,7 +126,7 @@ TEST_P(SimulateLoopAllocations, WithinBudgetForEveryCommitMode)
     for (CommitMode mode : ALL_MODES) {
         CoreConfig cfg = skylakeConfig();
         cfg.commitMode = mode;
-        Core core(cfg, bundle.view(), bundle.misp);
+        Core core(cfg, bundle.view(), bundle.mispredictions());
         const uint64_t before = g_allocs.load();
         g_maxAlloc.store(0);
         CoreStats stats = core.run();

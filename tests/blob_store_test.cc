@@ -82,7 +82,7 @@ class TraceStoreUnderTest : public StoreUnderTest
         auto mapped = MappedTraceBundle::open(path);
         return mapped && mapped->key() == traceKey("CRC32", shortTrace()) &&
                mapped->view().size() == bundle_.view().size() &&
-               mapped->misp() == bundle_.misp;
+               mapped->misp() == bundle_.mispredictions();
     }
 
   private:

@@ -111,7 +111,7 @@ TEST_P(PolicySuite, BranchStreamIsPolicyIndependent)
     // misprediction count may differ only through squash re-fetches.
     const PreparedWorkload &pw = preparedFor(GetParam());
     PredictorStats ps =
-        summarizeMispredictions(pw.bundle.trace, pw.bundle.misp);
+        summarizeMispredictions(pw.bundle.trace, pw.bundle.mispredictions());
     for (const auto &[mode, s] : pw.stats) {
         EXPECT_GE(s.mispredicts, ps.mispredicts / 2)
             << commitModeName(mode);

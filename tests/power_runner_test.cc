@@ -95,7 +95,7 @@ TEST(Runner, BundleCarriesPassAndPredictorData)
     TraceBundle b = mcfBundle();
     EXPECT_EQ(b.workload, "mcf");
     EXPECT_GT(b.pass.numMarkedBranches, 0);
-    EXPECT_EQ(b.misp.size(), b.trace.size());
+    EXPECT_EQ(b.mispredictions().size(), b.trace.size());
     EXPECT_GT(b.trace.setupInsts, 0u);
 }
 

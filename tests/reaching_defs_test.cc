@@ -10,7 +10,6 @@
 #include "analysis/annotation_checker.h"
 #include "common/rng.h"
 #include "ir/builder.h"
-#include "ir/dataflow.h"
 #include "ir/dominance.h"
 #include "ir/reaching_defs.h"
 
@@ -189,123 +188,30 @@ TEST(MayAlias, NonMemoryNeverAliases)
 /** @} */
 
 /**
- * @defgroup engine Generic dataflow engine (ir/dataflow.h)
+ * @defgroup fixpoints Production fixpoints against reference solvers
  *
- * Direct unit tests of the worklist solver, plus bit-identity checks
- * of the two production ports (ReachingDefs, the checker's DomSets)
- * against independent reference solvers: the round-robin set-dataflow
- * loops the ported code replaced. A monotone gen/kill frame has a
- * unique fixpoint, so the engine must reproduce them exactly.
+ * Bit-identity checks of the two production set-dataflow solves
+ * (ReachingDefs, the checker's DomSets) against independent
+ * round-robin reference solvers over std::set. A monotone gen/kill
+ * frame has a unique fixpoint, so they must agree exactly.
  * @{
  */
 
-TEST(DataflowEngine, ForwardUnionChain)
-{
-    // 0 -> 1 -> 2; bit b is generated at node b, node 1 kills bit 0.
-    DataflowGraph g(3);
-    g.addEdge(0, 1);
-    g.addEdge(1, 2);
-    GenKillProblem p;
-    p.direction = Direction::Forward;
-    p.meet = Meet::Union;
-    p.numBits = 3;
-    p.resize(3);
-    for (int n = 0; n < 3; ++n)
-        p.setGen(n, static_cast<size_t>(n));
-    p.setKill(1, 0);
-    DataflowResult r = solveDataflow(g, p);
-    EXPECT_TRUE(r.outTest(0, 0));
-    EXPECT_TRUE(r.inTest(1, 0));
-    EXPECT_FALSE(r.outTest(1, 0)); // killed
-    EXPECT_TRUE(r.outTest(1, 1));
-    EXPECT_FALSE(r.outTest(2, 0));
-    EXPECT_TRUE(r.outTest(2, 1));
-    EXPECT_TRUE(r.outTest(2, 2));
-}
-
-TEST(DataflowEngine, BackwardUnionLiveness)
-{
-    // Diamond 0 -> {1,2} -> 3. A "use" at node n is GEN, a "def" is
-    // KILL; for Backward problems in = live-out, out = live-in.
-    DataflowGraph g(4);
-    g.addEdge(0, 1);
-    g.addEdge(0, 2);
-    g.addEdge(1, 3);
-    g.addEdge(2, 3);
-    GenKillProblem p;
-    p.direction = Direction::Backward;
-    p.meet = Meet::Union;
-    p.numBits = 2;
-    p.resize(4);
-    p.setGen(3, 0);  // bit 0 used at the join
-    p.setKill(1, 0); // ... but redefined on the left arm
-    p.setGen(2, 1);  // bit 1 used on the right arm only
-    DataflowResult r = solveDataflow(g, p);
-    EXPECT_TRUE(r.inTest(0, 0));  // live-out of 0 via the right arm
-    EXPECT_TRUE(r.outTest(0, 0)); // live-in of 0
-    EXPECT_FALSE(r.outTest(1, 0)); // killed before the use
-    EXPECT_TRUE(r.outTest(2, 0));
-    EXPECT_TRUE(r.inTest(0, 1));
-    EXPECT_FALSE(r.inTest(1, 1)); // bit 1 dead past node 2
-}
-
-TEST(DataflowEngine, IntersectWithPinnedBoundary)
-{
-    // Dominance shape: diamond 0 -> {1,2} -> 3, gen(n) = {n}, node 0
-    // pinned as the boundary. out(n) is then dom(n).
-    DataflowGraph g(4);
-    g.addEdge(0, 1);
-    g.addEdge(0, 2);
-    g.addEdge(1, 3);
-    g.addEdge(2, 3);
-    GenKillProblem p;
-    p.direction = Direction::Forward;
-    p.meet = Meet::Intersect;
-    p.numBits = 4;
-    p.resize(4);
-    for (int n = 0; n < 4; ++n)
-        p.setGen(n, static_cast<size_t>(n));
-    p.boundary.push_back(0);
-    DataflowResult r = solveDataflow(g, p);
-    EXPECT_TRUE(r.outTest(3, 0));  // entry dominates the join
-    EXPECT_FALSE(r.outTest(3, 1)); // neither arm does
-    EXPECT_FALSE(r.outTest(3, 2));
-    EXPECT_TRUE(r.outTest(3, 3));
-    EXPECT_TRUE(r.outTest(1, 0));
-    EXPECT_FALSE(r.outTest(1, 2));
-}
-
-TEST(DataflowEngine, IntersectUnreachedNodeKeepsMeetIdentity)
-{
-    // A node with no incoming edges under Intersect keeps the full
-    // set (tail-masked) — exactly how the DomSets port leaves
-    // unreachable blocks before resetting them to {self}.
-    DataflowGraph g(2);
-    g.addEdge(0, 0); // self loop so node 0 is non-trivial
-    GenKillProblem p;
-    p.direction = Direction::Forward;
-    p.meet = Meet::Intersect;
-    p.numBits = 70; // spans two words, exercises the tail mask
-    p.resize(2);
-    DataflowResult r = solveDataflow(g, p);
-    for (size_t bit = 0; bit < 70; ++bit)
-        EXPECT_TRUE(r.outTest(1, bit)) << bit;
-    EXPECT_EQ(r.outRow(1)[1] >> 6, 0u); // bits >= 70 stay clear
-}
-
 /**
- * A random but well-formed CFG: a handful of blocks of ALU traffic
- * with arbitrary branch/jump/halt terminators (loops, diamonds, and
- * unreachable blocks all arise). Purely static fodder — never
- * executed.
+ * A random but well-formed CFG: minBlocks..maxBlocks blocks of ALU
+ * traffic with arbitrary branch/jump/halt terminators (loops,
+ * diamonds, and unreachable blocks all arise). Purely static fodder —
+ * never executed.
  */
 Program
-randomCfg(uint64_t seed)
+randomCfg(uint64_t seed, int minBlocks = 4, int maxBlocks = 8)
 {
     Rng rng(seed);
     Program prog("randcfg");
     IRBuilder b(prog);
-    const int n = 4 + static_cast<int>(rng.below(5));
+    const int n = minBlocks + static_cast<int>(rng.below(
+                                  static_cast<uint64_t>(
+                                      maxBlocks - minBlocks + 1)));
     std::vector<int> ids;
     for (int i = 0; i < n; ++i)
         ids.push_back(b.newBlock());
@@ -337,6 +243,18 @@ randomCfg(uint64_t seed)
     }
     prog.finalize();
     return prog;
+}
+
+/** Seeds 1-25 give small CFGs. Seeds 26-30 give 65-80 blocks, so
+ *  DomSets rows span two words and ReachingDefs numbers more than 64
+ *  defs: both solvers' multi-word rows and tail masks are exercised. */
+constexpr uint64_t LAST_SMALL_SEED = 25, LAST_SEED = 30;
+
+Program
+referenceCfg(uint64_t seed)
+{
+    return seed <= LAST_SMALL_SEED ? randomCfg(seed)
+                                   : randomCfg(seed, 65, 80);
 }
 
 /** Reference reaching defs: classic round-robin iteration over def
@@ -404,10 +322,13 @@ referenceReachingAtTop(const Function &fn, Reg reg)
 TEST(DataflowEngine, ReachingDefsMatchesRoundRobinReference)
 {
     const Reg pool[] = {T0, T1, T2, S2, S3, S4};
-    for (uint64_t seed = 1; seed <= 25; ++seed) {
-        Program prog = randomCfg(seed);
+    for (uint64_t seed = 1; seed <= LAST_SEED; ++seed) {
+        Program prog = referenceCfg(seed);
         const Function &fn = prog.function();
         ReachingDefs rd(fn);
+        if (seed > LAST_SMALL_SEED) {
+            EXPECT_GT(rd.numDefs(), 64) << "seed " << seed;
+        }
         for (Reg reg : pool) {
             auto ref = referenceReachingAtTop(fn, reg);
             for (int bb = 0; bb < static_cast<int>(fn.numBlocks());
@@ -427,8 +348,7 @@ TEST(DataflowEngine, ReachingDefsMatchesRoundRobinReference)
 
 /** Reference (post)dominators: round-robin set dataflow over the
  *  checker's walk graph (virtual entry feeding fn.entry(), or a
- *  virtual exit fed by every HALT block on the reversed CFG) — the
- *  bespoke loop DomSets used before the engine port. */
+ *  virtual exit fed by every HALT block on the reversed CFG). */
 std::vector<std::set<int>>
 referenceDomSets(const Function &fn, bool post)
 {
@@ -508,10 +428,13 @@ referenceDomSets(const Function &fn, bool post)
 
 TEST(DataflowEngine, DomSetsMatchRoundRobinReference)
 {
-    for (uint64_t seed = 1; seed <= 25; ++seed) {
-        Program prog = randomCfg(seed);
+    for (uint64_t seed = 1; seed <= LAST_SEED; ++seed) {
+        Program prog = referenceCfg(seed);
         const Function &fn = prog.function();
         const int n = static_cast<int>(fn.numBlocks());
+        if (seed > LAST_SMALL_SEED) {
+            EXPECT_GE(n + 1, 65) << "seed " << seed; // two-word rows
+        }
         for (bool post : {false, true}) {
             DomSets ds(fn, post);
             DominatorTree tree(fn, post

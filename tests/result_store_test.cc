@@ -138,7 +138,7 @@ TEST(ConfigSerialization, MutatingAnyFieldChangesTheFingerprint)
     CoreConfig base = skylakeConfig();
     const uint64_t baseFp = configFingerprint(base);
     const size_t numFields = configFieldRefs(base).size();
-    ASSERT_EQ(numFields, 20u);
+    ASSERT_EQ(numFields, 18u);
 
     for (size_t i = 0; i < numFields; ++i) {
         CoreConfig cfg = skylakeConfig();
@@ -205,7 +205,7 @@ TEST(ConfigValidation, EveryIntFieldRejectsZero)
                 << e.what();
         }
     }
-    EXPECT_EQ(ints, 13u);
+    EXPECT_EQ(ints, 11u);
 }
 
 TEST(ConfigValidation, FactoryConfigsPassInEveryMode)

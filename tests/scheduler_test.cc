@@ -148,26 +148,22 @@ TEST(SchedulerForwarding, YoungerStoreDoesNotForward)
 /** @} */
 
 /**
- * Two data-independent divides per iteration: with one unpipelined
- * divider they serialize (each holds the unit for its full 12-cycle
- * latency); with two units they overlap. The per-unit busy-until
- * vector must expose that overlap — the old single-timestamp model
- * serialized them even when numIntDiv > 1.
+ * Two data-independent divides per iteration share the one unpipelined
+ * integer divider (NUM_INT_DIV), so they serialize: each holds the
+ * unit for its full latency, and an iteration costs at least two
+ * divide latencies.
  */
-TEST(DividerUnits, IndependentDividesOverlapWithTwoUnits)
+TEST(DividerUnits, IndependentDividesSerializeOnOneUnit)
 {
+    constexpr int64_t iters = 400;
     Program prog = testutil::countedLoop(
-        400,
+        iters,
         [&](IRBuilder &b, Program &, int, int) {
-            static bool init = false;
-            if (!init) {
-                init = true;
-                b.li(S2, 1000003);
-                b.li(S3, 17);
-                b.li(S4, 2000003);
-                b.li(S5, 23);
-            }
-            b.div(T0, S2, S3)   // chain 1
+            b.li(S2, 1000003)
+                .li(S3, 17)
+                .li(S4, 2000003)
+                .li(S5, 23)
+                .div(T0, S2, S3) // chain 1
                 .addi(T0, T0, 1000003)
                 .mv(S2, T0)
                 .div(T1, S4, S5) // chain 2, independent of chain 1
@@ -177,21 +173,12 @@ TEST(DividerUnits, IndependentDividesOverlapWithTwoUnits)
         "twodiv");
     Prepared p = prepare(prog);
 
-    CoreConfig one = skylakeConfig();
-    one.numIntDiv = 1;
-    CoreConfig two = skylakeConfig();
-    two.numIntDiv = 2;
-
-    CoreStats sOne = testutil::run(p, CommitMode::NonSpecOoO, one);
-    CoreStats sTwo = testutil::run(p, CommitMode::NonSpecOoO, two);
-
-    // Divide-throughput-bound: one unit costs ~2 * 12 cycles per
-    // iteration, two units ~12. Require a solid win, not a tie.
-    EXPECT_LT(sTwo.cycles + sTwo.cycles / 3, sOne.cycles)
-        << "independent divides did not overlap across units";
-
-    // And the shadow pair must agree in both configurations.
-    runShadowPair(p, CommitMode::NonSpecOoO, two, "twodiv");
+    // The shadow pair must agree; its stats carry the cycle count.
+    CoreStats s = runShadowPair(p, CommitMode::NonSpecOoO,
+                                skylakeConfig(), "twodiv");
+    EXPECT_GE(s.cycles,
+              static_cast<uint64_t>(iters) * 2 * execLatency(Opcode::DIV))
+        << "independent divides overlapped on one divider";
 }
 
 } // namespace

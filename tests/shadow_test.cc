@@ -112,7 +112,6 @@ tinyConfig()
     cfg.srob.brCqEntries = 8;
     cfg.srob.prCqEntries = 16;
     cfg.srob.citEntries = 8;
-    cfg.srob.cqtEntries = 8;
     return cfg;
 }
 
@@ -135,7 +134,7 @@ shadowWorkloadRegistry(const CoreConfig &cfg)
     for (const std::string &name : workloadNames()) {
         TraceBundle bundle = prepareTrace(name, opts);
         for (CommitMode mode : ALL_MODES)
-            runShadowPair(bundle.view(), bundle.misp, mode, cfg,
+            runShadowPair(bundle.view(), bundle.mispredictions(), mode, cfg,
                           name + "/" + cfg.name);
     }
 }

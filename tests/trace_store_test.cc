@@ -92,7 +92,7 @@ expectMappedViewMatches(const TraceBundle &bundle)
     ASSERT_NE(mapped, nullptr);
     EXPECT_EQ(mapped->key(), traceKey(bundle.workload, bundle.opts));
     EXPECT_EQ(mapped->archChecksum(), bundle.checksum);
-    EXPECT_EQ(mapped->misp(), bundle.misp);
+    EXPECT_EQ(mapped->misp(), bundle.mispredictions());
 
     TraceView disk = mapped->view();
     TraceView mem = bundle.view();
@@ -464,7 +464,7 @@ TEST(TraceLimits, InterpreterThrowsSimErrorBeyondTraceIdxRange)
     TraceOptions opts;
     opts.maxDynInsts = MAX_TRACE_RECORDS + 1;
     // Thrown (not fatal()): an overlong workload must fail its own
-    // sweep job, not the whole bench process (DESIGN.md §14).
+    // sweep job, not the whole bench process (DESIGN.md §13).
     try {
         prepareTrace("CRC32", opts);
         FAIL() << "expected SimError";
