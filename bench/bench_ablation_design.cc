@@ -16,7 +16,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/stats.h"
 #include "common/table.h"
@@ -72,10 +71,8 @@ constexpr CommitMode PRIOR_MODES[] = {
 std::vector<std::string>
 subset()
 {
-    if (std::getenv("NOREBA_WORKLOADS"))
-        return selectedWorkloads();
-    return {"mcf", "CRC32", "libquantum", "omnetpp", "bzip2",
-            "astar", "dijkstra", "bitcount"};
+    return selectedWorkloadsOr({"mcf", "CRC32", "libquantum", "omnetpp",
+                                "bzip2", "astar", "dijkstra", "bitcount"});
 }
 
 } // namespace

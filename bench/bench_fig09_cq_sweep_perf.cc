@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/stats.h"
 #include "common/table.h"
@@ -30,9 +29,8 @@ constexpr int ENTRIES[] = {4, 8, 16, 32};
 std::vector<std::string>
 sweepWorkloads()
 {
-    if (std::getenv("NOREBA_WORKLOADS"))
-        return selectedWorkloads();
-    return {"mcf", "CRC32", "libquantum", "omnetpp", "bzip2", "astar"};
+    return selectedWorkloadsOr(
+        {"mcf", "CRC32", "libquantum", "omnetpp", "bzip2", "astar"});
 }
 
 std::string

@@ -1284,18 +1284,4 @@ checkAnnotations(const Program &prog, Diagnostics &diag,
     return runChecks(fn, diag, errBefore, model);
 }
 
-bool
-attachVerification(const Program &prog, PassResult &res)
-{
-    Diagnostics diag(prog.name());
-    bool ok = verifyProgram(prog, diag);
-    CheckOptions opts;
-    opts.requireAnnotations = res.numSetupInsts > 0;
-    ok = checkAnnotations(prog, diag, opts) && ok;
-    res.verifierVerdict = diag.verdict();
-    res.verifierRuleCounts.assign(diag.countsByRule().begin(),
-                                  diag.countsByRule().end());
-    return ok;
-}
-
 } // namespace noreba

@@ -6,9 +6,10 @@
  *
  * The checker re-derives everything it needs from scratch, sharing no
  * analysis code with the compiler pass it validates: nothing under
- * src/analysis/ includes ir/dominance.h or ir/reaching_defs.h, and
- * every fixpoint below is solved by a loop in annotation_checker.cc
- * (the Analysis.SharesNoSolverWithThePass test guards this):
+ * src/analysis/ includes a compiler/ header, ir/dominance.h or
+ * ir/reaching_defs.h, noreba_analysis links only noreba_ir, and every
+ * fixpoint below is solved by a loop in annotation_checker.cc (the
+ * Analysis.SharesNoSolverWithThePass test guards this):
  *
  *  - post-dominance (and dominance) via iterative *set-based* dataflow
  *    (dom(b) = {b} ∪ ⋂ dom(preds)), a different algorithm from the
@@ -54,7 +55,6 @@
 #include <vector>
 
 #include "analysis/diagnostics.h"
-#include "compiler/branch_dep.h"
 #include "ir/program.h"
 
 namespace noreba {
@@ -104,14 +104,6 @@ struct CheckOptions
  */
 bool checkAnnotations(const Program &prog, Diagnostics &diag,
                       const CheckOptions &opts = {});
-
-/**
- * Convenience for the pass pipeline: run verifyProgram() +
- * checkAnnotations() on the annotated program and record the verdict
- * and per-rule finding counts into `res` (see PassResult::report()).
- * Returns true when verification found no errors.
- */
-bool attachVerification(const Program &prog, PassResult &res);
 
 } // namespace noreba
 

@@ -90,17 +90,9 @@ class Diagnostics
 
     int errorCount() const { return errors_; }
     int warningCount() const { return warnings_; }
-    int noteCount() const { return notes_; }
-    bool hasErrors() const { return errors_ > 0; }
 
     /** True if any finding (any severity) carries this rule id. */
     bool hasRule(const std::string &rule) const;
-
-    /** Findings per rule id, in rule-id order. */
-    const std::map<std::string, int> &countsByRule() const
-    {
-        return byRule_;
-    }
 
     /** One-line verdict: "clean" or "N error(s), M warning(s)". */
     std::string verdict() const;

@@ -47,7 +47,6 @@ class JsonValue
     bool isObject() const { return kind_ == Kind::Object; }
     bool isArray() const { return kind_ == Kind::Array; }
     bool isNull() const { return kind_ == Kind::Null; }
-    bool isBool() const { return kind_ == Kind::Bool; }
     bool isString() const { return kind_ == Kind::String; }
     bool
     isNumber() const

@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace noreba {
 
@@ -42,9 +41,6 @@ class Geomean
     double logSum_ = 0.0;
     uint64_t count_ = 0;
 };
-
-/** Geometric mean of a vector of positive values. */
-double geomean(const std::vector<double> &values);
 
 } // namespace noreba
 

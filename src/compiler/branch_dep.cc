@@ -84,7 +84,7 @@ struct Bits
 } // namespace
 
 PassResult
-runBranchDependencePass(Program &prog, const PassOptions &opts)
+runBranchDependencePass(Program &prog)
 {
     Function &fn = prog.function();
     fn.computeCFG();
@@ -612,7 +612,6 @@ runBranchDependencePass(Program &prog, const PassOptions &opts)
     // pass keeps every FENCE unmarked so it always steers through the
     // PR-CQ, and dependency regions naturally break around it.
     //
-    std::vector<bool> unmarkable(nbranches, false);
     for (const auto &bb : fn.blocks()) {
         for (size_t i = 0; i < bb.insts.size(); ++i) {
             if (bb.insts[i].op == Opcode::FENCE)
@@ -635,9 +634,9 @@ runBranchDependencePass(Program &prog, const PassOptions &opts)
         }
     }
     int nextId = 1;
-    const int usableIds = opts.numBranchIds - 1;
+    const int usableIds = NUM_BRANCH_IDS - 1;
     for (int b = 0; b < nbranches; ++b) {
-        if (!marked[b] || unmarkable[b]) {
+        if (!marked[b]) {
             res.branches[b].compilerId = 0;
             continue;
         }
@@ -645,73 +644,62 @@ runBranchDependencePass(Program &prog, const PassOptions &opts)
         nextId = nextId % usableIds + 1;
         ++res.numMarkedBranches;
     }
-    // Unmarkable guards must not be referenced by any region.
-    for (size_t gi = 0; gi < gidx.total(); ++gi) {
-        int g = res.guardOfInst[gi];
-        if (g >= 0 && res.branches[g].compilerId == 0)
-            res.guardOfInst[gi] = -1;
-    }
-
-    if (opts.annotate) {
-        for (int blk = 0; blk < nblocks; ++blk) {
-            auto &bbRef = fn.block(blk);
-            std::vector<Instruction> out;
-            out.reserve(bbRef.insts.size() * 2);
-            size_t i = 0;
-            while (i < bbRef.insts.size()) {
-                int gi = gidx.at(blk, static_cast<int>(i));
-                int g = res.guardOfInst[gi];
-                // One region per same-guard run; it is order sensitive
-                // if any covered instruction is (conservative OR keeps
-                // regions long — one setup instruction per run).
-                bool sens = orderSensitive[gi] != 0;
-                bool strict = orderStrict[gi] != 0;
-                size_t runLen = 1;
-                while (i + runLen < bbRef.insts.size()) {
-                    int gi2 =
-                        gidx.at(blk, static_cast<int>(i + runLen));
-                    if (res.guardOfInst[gi2] != g)
-                        break;
-                    sens = sens || orderSensitive[gi2] != 0;
-                    strict = strict || orderStrict[gi2] != 0;
-                    ++runLen;
-                }
-                if (g >= 0) {
-                    out.push_back(makeSetDependency(
-                        static_cast<int>(runLen),
-                        res.branches[g].compilerId, sens, strict));
-                    ++res.numSetupInsts;
-                    ++res.numRegions;
-                } else if (strict) {
-                    // Strict instructions with no expressible guard
-                    // still need a region so the flag reaches the
-                    // hardware; ID 0 marks "no dependence tracking".
-                    out.push_back(makeSetDependency(
-                        static_cast<int>(runLen), 0, false, true));
-                    ++res.numSetupInsts;
-                    ++res.numRegions;
-                }
-                for (size_t k = 0; k < runLen; ++k) {
-                    int bIdx =
-                        branchAtGlobal[gidx.at(blk,
-                                               static_cast<int>(i + k))];
-                    if (bIdx >= 0 && res.branches[bIdx].compilerId > 0) {
-                        out.push_back(makeSetBranchId(
-                            res.branches[bIdx].compilerId));
-                        ++res.numSetupInsts;
-                    }
-                    out.push_back(bbRef.insts[i + k]);
-                }
-                i += runLen;
+    for (int blk = 0; blk < nblocks; ++blk) {
+        auto &bbRef = fn.block(blk);
+        std::vector<Instruction> out;
+        out.reserve(bbRef.insts.size() * 2);
+        size_t i = 0;
+        while (i < bbRef.insts.size()) {
+            int gi = gidx.at(blk, static_cast<int>(i));
+            int g = res.guardOfInst[gi];
+            // One region per same-guard run; it is order sensitive
+            // if any covered instruction is (conservative OR keeps
+            // regions long — one setup instruction per run).
+            bool sens = orderSensitive[gi] != 0;
+            bool strict = orderStrict[gi] != 0;
+            size_t runLen = 1;
+            while (i + runLen < bbRef.insts.size()) {
+                int gi2 =
+                    gidx.at(blk, static_cast<int>(i + runLen));
+                if (res.guardOfInst[gi2] != g)
+                    break;
+                sens = sens || orderSensitive[gi2] != 0;
+                strict = strict || orderStrict[gi2] != 0;
+                ++runLen;
             }
-            bbRef.insts = std::move(out);
+            if (g >= 0) {
+                out.push_back(makeSetDependency(
+                    static_cast<int>(runLen),
+                    res.branches[g].compilerId, sens, strict));
+                ++res.numSetupInsts;
+                ++res.numRegions;
+            } else if (strict) {
+                // Strict instructions with no expressible guard
+                // still need a region so the flag reaches the
+                // hardware; ID 0 marks "no dependence tracking".
+                out.push_back(makeSetDependency(
+                    static_cast<int>(runLen), 0, false, true));
+                ++res.numSetupInsts;
+                ++res.numRegions;
+            }
+            for (size_t k = 0; k < runLen; ++k) {
+                int bIdx =
+                    branchAtGlobal[gidx.at(blk,
+                                           static_cast<int>(i + k))];
+                if (bIdx >= 0 && res.branches[bIdx].compilerId > 0) {
+                    out.push_back(makeSetBranchId(
+                        res.branches[bIdx].compilerId));
+                    ++res.numSetupInsts;
+                }
+                out.push_back(bbRef.insts[i + k]);
+            }
+            i += runLen;
         }
-        prog.finalize();
-        GlobalIndex after(fn);
-        res.instsAfter = after.total();
-    } else {
-        res.instsAfter = res.instsBefore;
+        bbRef.insts = std::move(out);
     }
+    prog.finalize();
+    GlobalIndex after(fn);
+    res.instsAfter = after.total();
 
     return res;
 }
@@ -728,11 +716,6 @@ PassResult::report() const
        << "  chain merges:        " << numChainMerges << '\n'
        << "  static insts:        " << instsBefore << " -> " << instsAfter
        << '\n';
-    if (!verifierVerdict.empty()) {
-        os << "  static verification: " << verifierVerdict << '\n';
-        for (const auto &[rule, count] : verifierRuleCounts)
-            os << "    " << rule << ": " << count << '\n';
-    }
     return os.str();
 }
 

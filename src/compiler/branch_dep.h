@@ -28,7 +28,6 @@
 #define NOREBA_COMPILER_BRANCH_DEP_H
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ir/program.h"
@@ -49,15 +48,6 @@ struct BranchSite
     int numControlDeps = 0;  //!< control-dependent instruction count
     int numDataDeps = 0;     //!< data-dependent instruction count (beyond
                              //!< the control region)
-};
-
-/** Knobs for the pass. */
-struct PassOptions
-{
-    /** Usable compiler branch IDs (3-bit field, 0 reserved). */
-    int numBranchIds = 8;
-    /** Insert setup instructions (step D). Analysis-only when false. */
-    bool annotate = true;
 };
 
 /** Full pass result: per-branch analysis + per-instruction guards. */
@@ -81,29 +71,16 @@ struct PassResult
     int numStrictRegions = 0; //!< uncoverable deps forced strict
     /** @} */
 
-    /**
-     * @name Static verification verdict, filled by
-     * attachVerification() (src/analysis) when the caller asks for an
-     * independent check of the annotated program. Empty when
-     * verification was not run. Plain data here keeps the compiler
-     * library free of a dependency on the analysis layer.
-     * @{
-     */
-    std::string verifierVerdict;
-    std::vector<std::pair<std::string, int>> verifierRuleCounts;
-    /** @} */
-
-    /** Human-readable summary (includes the verdict when present). */
+    /** Human-readable summary. */
     std::string report() const;
 };
 
 /**
  * Run the branch dependent code detection pass on `prog`'s function.
- * With opts.annotate the function is rewritten in place with setup
- * instructions inserted and the program re-finalized.
+ * The function is rewritten in place with setup instructions inserted
+ * and the program re-finalized.
  */
-PassResult runBranchDependencePass(Program &prog,
-                                   const PassOptions &opts = {});
+PassResult runBranchDependencePass(Program &prog);
 
 } // namespace noreba
 

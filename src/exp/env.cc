@@ -68,6 +68,14 @@ selectedWorkloads()
 }
 
 std::vector<std::string>
+selectedWorkloadsOr(std::vector<std::string> fallback)
+{
+    if (std::getenv("NOREBA_WORKLOADS"))
+        return selectedWorkloads();
+    return fallback;
+}
+
+std::vector<std::string>
 specWorkloads()
 {
     std::vector<std::string> out;

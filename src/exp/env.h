@@ -42,6 +42,13 @@ uint64_t traceLen();
  */
 std::vector<std::string> selectedWorkloads();
 
+/**
+ * selectedWorkloads() when NOREBA_WORKLOADS is set (even to an empty
+ * value), else `fallback`: the experiment's own default subset.
+ */
+std::vector<std::string>
+selectedWorkloadsOr(std::vector<std::string> fallback);
+
 /** SPEC-suite subset (Figure 1 evaluates SPEC only). */
 std::vector<std::string> specWorkloads();
 

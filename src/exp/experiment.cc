@@ -14,47 +14,26 @@ ExperimentPlan::add(const std::string &row, const std::string &series,
     planned_.push_back({row, series, std::move(job)});
 }
 
-ExperimentResults::ExperimentResults(std::vector<PlannedJob> plan,
+ExperimentResults::ExperimentResults(const std::vector<PlannedJob> &plan,
                                      std::vector<SweepResult> results)
-    : plan_(std::move(plan)), results_(std::move(results))
+    : results_(std::move(results))
 {
-    panic_if(plan_.size() != results_.size(),
-             "experiment: %zu planned jobs but %zu results", plan_.size(),
+    panic_if(plan.size() != results_.size(),
+             "experiment: %zu planned jobs but %zu results", plan.size(),
              results_.size());
-    for (size_t i = 0; i < plan_.size(); ++i)
-        index_.emplace(std::make_pair(plan_[i].row, plan_[i].series), i);
-}
-
-size_t
-ExperimentResults::indexOf(const std::string &row,
-                           const std::string &series) const
-{
-    auto it = index_.find(std::make_pair(row, series));
-    fatal_if(it == index_.end(),
-             "experiment report reads unplanned handle (%s, %s)",
-             row.c_str(), series.c_str());
-    return it->second;
+    for (size_t i = 0; i < plan.size(); ++i)
+        index_.emplace(std::make_pair(plan[i].row, plan[i].series), i);
 }
 
 const CoreStats &
 ExperimentResults::at(const std::string &row,
                       const std::string &series) const
 {
-    return results_[indexOf(row, series)].stats;
-}
-
-const SweepJob &
-ExperimentResults::jobAt(const std::string &row,
-                         const std::string &series) const
-{
-    return results_[indexOf(row, series)].job;
-}
-
-bool
-ExperimentResults::has(const std::string &row,
-                       const std::string &series) const
-{
-    return index_.count(std::make_pair(row, series)) != 0;
+    auto it = index_.find(std::make_pair(row, series));
+    fatal_if(it == index_.end(),
+             "experiment report reads unplanned handle (%s, %s)",
+             row.c_str(), series.c_str());
+    return results_[it->second].stats;
 }
 
 namespace {

@@ -59,29 +59,14 @@ class ExperimentPlan
 class ExperimentResults
 {
   public:
-    ExperimentResults(std::vector<PlannedJob> plan,
+    ExperimentResults(const std::vector<PlannedJob> &plan,
                       std::vector<SweepResult> results);
 
     /** Stats for one handle; an unknown handle is fatal. */
     const CoreStats &at(const std::string &row,
                         const std::string &series) const;
 
-    /** The job submitted under one handle; unknown handle is fatal. */
-    const SweepJob &jobAt(const std::string &row,
-                          const std::string &series) const;
-
-    bool has(const std::string &row, const std::string &series) const;
-
-    /** Raw sweep results in submission order (JSON emission). */
-    const std::vector<SweepResult> &raw() const { return results_; }
-
-    const std::vector<PlannedJob> &plan() const { return plan_; }
-
   private:
-    size_t indexOf(const std::string &row,
-                   const std::string &series) const;
-
-    std::vector<PlannedJob> plan_;
     std::vector<SweepResult> results_;
     std::map<std::pair<std::string, std::string>, size_t> index_;
 };

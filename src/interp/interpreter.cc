@@ -471,16 +471,14 @@ Interpreter::run(const InterpOptions &opts)
             rec.nextPc = pc + INST_BYTES;
         }
 
-        if (opts.emitTrace) {
-            if (trace.dyn.size() >= MAX_TRACE_RECORDS)
-                throw SimError(
-                    "interp.trace_limit",
-                    strfmt("trace for %s exceeds the TraceIdx limit of "
-                           "%llu records", trace.name.c_str(),
-                           static_cast<unsigned long long>(
-                               MAX_TRACE_RECORDS)));
-            trace.push(rec);
-        }
+        if (trace.dyn.size() >= MAX_TRACE_RECORDS)
+            throw SimError(
+                "interp.trace_limit",
+                strfmt("trace for %s exceeds the TraceIdx limit of "
+                       "%llu records", trace.name.c_str(),
+                       static_cast<unsigned long long>(
+                           MAX_TRACE_RECORDS)));
+        trace.push(rec);
         if (isSetup(inst.op)) {
             ++trace.setupInsts;
         } else {

@@ -56,8 +56,6 @@ struct InterpOptions
 {
     /** Stop after this many dynamic instructions (setups excluded). */
     uint64_t maxDynInsts = 2'000'000;
-    /** Emit a trace (false = architectural run only, for checksums). */
-    bool emitTrace = true;
 };
 
 /** Executes one Program. */

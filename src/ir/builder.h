@@ -42,8 +42,6 @@ class IRBuilder
     /** Switch the insertion point to block `id`. */
     IRBuilder &at(int id) { cur_ = id; return *this; }
 
-    int currentBlock() const { return cur_; }
-
     /** Set the fallthrough successor of the current block. */
     IRBuilder &
     fallthrough(int id)

@@ -83,7 +83,6 @@ class Function
     const std::vector<BasicBlock> &blocks() const { return blocks_; }
 
     int entry() const { return entry_; }
-    void setEntry(int id) { entry_ = id; }
 
     /** (Re)compute successor/predecessor edges from terminators. */
     void computeCFG();

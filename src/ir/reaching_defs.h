@@ -38,12 +38,6 @@ class ReachingDefs
     int numDefs() const { return static_cast<int>(defs_.size()); }
     const DefSite &def(int id) const { return defs_[id]; }
 
-    /** All definition sites of a register, function-wide. */
-    const std::vector<int> &defsOfReg(Reg reg) const
-    {
-        return defsByReg_[reg];
-    }
-
     /** Dense def id for the instruction at (bb, idx), or -1 if no def. */
     int defIdAt(int bb, int idx) const;
 
@@ -63,7 +57,6 @@ class ReachingDefs
         /** Apply the current instruction's def and step forward. */
         void advance();
 
-        int instIndex() const { return idx_; }
         bool done() const;
 
       private:

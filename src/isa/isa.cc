@@ -72,23 +72,6 @@ opcodeName(Opcode op)
 }
 
 bool
-isFloat(Opcode op)
-{
-    switch (op) {
-      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMUL:
-      case Opcode::FDIV: case Opcode::FSQRT: case Opcode::FMADD:
-      case Opcode::FMIN: case Opcode::FMAX: case Opcode::FCVT_D_L:
-      case Opcode::FCVT_L_D: case Opcode::FEQ: case Opcode::FLT:
-      case Opcode::FLE: case Opcode::FMV:
-      case Opcode::FLW: case Opcode::FLD: case Opcode::FSW:
-      case Opcode::FSD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 isCitOp(Opcode op)
 {
     return op == Opcode::GET_CIT_ENTRY || op == Opcode::SET_CIT_ENTRY;

@@ -119,7 +119,6 @@ isJump(Opcode op)
 }
 
 inline bool isControl(Opcode op) { return isCondBranch(op) || isJump(op); }
-bool isFloat(Opcode op);
 
 /** setBranchId / setDependency */
 inline bool

@@ -84,7 +84,7 @@ ResultCache::get(const SweepJob &job, const Simulate &sim)
     auto produce = [&] {
         const std::string path =
             resultStoreEligible(job.cfg)
-                ? resultPath(job.workload, job.cfg, job.trace)
+                ? resultStore().path(job.workload, key)
                 : std::string();
         CoreStats stats;
         if (!path.empty() && loadResult(path, key, stats)) {

@@ -112,12 +112,6 @@ struct PredictorStats
 {
     uint64_t branches = 0;
     uint64_t mispredicts = 0;
-    double mpki(uint64_t insts) const
-    {
-        return insts ? 1000.0 * static_cast<double>(mispredicts) /
-                           static_cast<double>(insts)
-                     : 0.0;
-    }
 };
 
 PredictorStats summarizeMispredictions(const TraceView &trace,

@@ -86,7 +86,6 @@ MemoryHierarchy::access(uint64_t addr, bool write)
         l1d_.fill(addr);
         return l3_.latency();
     }
-    ++dramAccesses_;
     l3_.fill(addr);
     l2_.fill(addr);
     l1d_.fill(addr);
@@ -105,7 +104,6 @@ MemoryHierarchy::fetchAccess(uint64_t pc)
         l2_.fill(pc);
         latency = l3_.latency();
     } else {
-        ++dramAccesses_;
         l3_.fill(pc);
         l2_.fill(pc);
         latency = l3_.latency() + DRAM_LATENCY;

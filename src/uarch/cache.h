@@ -93,14 +93,12 @@ class MemoryHierarchy
     Cache &l1d() { return l1d_; }
     Cache &l2() { return l2_; }
     Cache &l3() { return l3_; }
-    uint64_t dramAccesses() const { return dramAccesses_; }
 
   private:
     Cache l1i_;
     Cache l1d_;
     Cache l2_;
     Cache l3_;
-    uint64_t dramAccesses_ = 0;
 };
 
 /** Simple TLB: fully-associative-by-hash over 4 KiB pages. */

@@ -331,7 +331,7 @@ class NorebaCommit : public CommitPolicy
                     // claims a Branch Commit Queue. Ordering among
                     // instances of one static branch is enforced by
                     // the commit condition (guardChainResolved /
-                    // olderSamePcUnresolved), not by queue placement.
+                    // olderSitePcUnresolved), not by queue placement.
                     targetCq = pickBrCq();
                     if (targetCq == -2) {
                         stalled = true;
@@ -360,7 +360,6 @@ class NorebaCommit : public CommitPolicy
             }
 
             p->steered = true;
-            p->cq = targetCq;
             ++view.stats().cqOps;
             robPrime_.pop_front();
             --budget;

@@ -67,7 +67,6 @@ struct InFlight
     int numSrcs = 0;
 
     /** @name Commit-policy scratch @{ */
-    int cq = -1;          //!< Noreba: commit queue id (-1 = not steered)
     bool steered = false; //!< Noreba: left the ROB'
     /** @} */
 

@@ -120,19 +120,12 @@ class PipelineView
     }
 
     /**
-     * An older, still-unresolved dynamic instance of the same static
-     * branch exists. Dependents are marked with the *latest* instance
-     * (the BIT holds one sequence number per ID), so instances of one
-     * static branch must retire in order for that marking to be sound.
+     * An older, still-unresolved dynamic instance of the static branch
+     * at `pc` exists before `before`. Dependents are marked with the
+     * *latest* instance (the BIT holds one sequence number per ID), so
+     * instances of one static branch must retire in order for that
+     * marking to be sound.
      */
-    bool
-    olderSamePcUnresolved(const InFlight *f) const
-    {
-        return olderSitePcUnresolved(f->rec.pc, f->idx);
-    }
-
-    /** Same check by static site PC, for (possibly committed) chain
-     *  elements older than `before`. */
     bool
     olderSitePcUnresolved(uint64_t pc, TraceIdx before) const
     {

@@ -28,6 +28,7 @@
 #include "sim/result_store.h"
 #include "sim/trace_store.h"
 #include "store_test_util.h"
+#include "test_util.h"
 
 using namespace noreba;
 using namespace noreba::test;
@@ -111,7 +112,8 @@ class ResultStoreUnderTest : public StoreUnderTest
     load(const std::string &path) override
     {
         CoreStats loaded;
-        return loadResult(path, key_, loaded) && statsEqual(stats_, loaded);
+        return loadResult(path, key_, loaded) &&
+               testutil::statsEqual(stats_, loaded);
     }
 
   private:

@@ -104,12 +104,6 @@ TEST(Stats, GeomeanSkipsNonPositive)
     EXPECT_NEAR(g.value(), 4.0, 1e-9);
 }
 
-TEST(Stats, GeomeanHelper)
-{
-    EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-9);
-    EXPECT_EQ(geomean({}), 0.0);
-}
-
 TEST(Table, AlignsColumns)
 {
     TextTable t;

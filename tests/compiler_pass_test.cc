@@ -149,19 +149,6 @@ TEST(Pass, AnnotationPreservesSemantics)
     EXPECT_EQ(a.regChecksum(), c.regChecksum());
 }
 
-TEST(Pass, AnalysisOnlyLeavesCodeUntouched)
-{
-    Program prog = figure2();
-    size_t before = prog.function().numInsts();
-    PassOptions opts;
-    opts.annotate = false;
-    PassResult res = runBranchDependencePass(prog, opts);
-    EXPECT_EQ(prog.function().numInsts(), before);
-    EXPECT_EQ(res.instsBefore, res.instsAfter);
-    EXPECT_EQ(res.numSetupInsts, 0);
-    EXPECT_EQ(res.branches.size(), 1u);
-}
-
 TEST(Pass, LoopBodyIsSelfDependent)
 {
     // A do-while loop: the body (including the branch) is control

@@ -24,6 +24,7 @@
 #include "analysis/annotation_checker.h"
 #include "analysis/diagnostics.h"
 #include "analysis/verifier.h"
+#include "compiler/branch_dep.h"
 #include "dependence_oracle.h"
 
 namespace noreba {

@@ -28,6 +28,7 @@
 #include "sim/sweep.h"
 #include "sim/trace_store.h"
 #include "store_test_util.h"
+#include "test_util.h"
 #include "uarch/config.h"
 #include "uarch/stats.h"
 
@@ -309,7 +310,7 @@ TEST(ResultStore, RoundTripsEveryCounterAndBranchStalls)
 
     CoreStats loaded;
     ASSERT_TRUE(loadResult(path, key, loaded));
-    EXPECT_TRUE(statsEqual(written, loaded));
+    EXPECT_TRUE(testutil::statsEqual(written, loaded));
 
     // The wrong key text must miss even at the right path — this is
     // the hash-collision guard.
@@ -381,7 +382,7 @@ TEST(ResultCache, ServesDiskHitsAcrossCacheInstances)
     SimCacheStats warmStats = warm.stats();
     EXPECT_EQ(warmStats.simBuilds, 0u);
     EXPECT_EQ(warmStats.diskHits, 1u);
-    EXPECT_TRUE(statsEqual(built, replayed));
+    EXPECT_TRUE(testutil::statsEqual(built, replayed));
 
     // Ineligible configs bypass the disk store entirely.
     SweepJob shadow = job;
@@ -451,8 +452,8 @@ TEST(SweepRunner, WarmRunReplaysBitIdenticalResultsWithoutSimulating)
     ASSERT_EQ(coldResults.size(), jobs.size());
     ASSERT_EQ(warmResults.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_TRUE(statsEqual(coldResults[i].stats,
-                               warmResults[i].stats))
+        EXPECT_TRUE(testutil::statsEqual(coldResults[i].stats,
+                                         warmResults[i].stats))
             << commitModeName(jobs[i].cfg.commitMode);
         EXPECT_EQ(warmResults[i].job.workload, jobs[i].workload);
     }

@@ -170,26 +170,6 @@ syntheticStats()
     return stats;
 }
 
-/** Every counter and every branch-stall entry equal. */
-inline bool
-statsEqual(const CoreStats &a, const CoreStats &b)
-{
-    for (const CoreStatsField &f : CORE_STATS_FIELDS)
-        if (f.counter && a.*(f.counter) != b.*(f.counter))
-            return false;
-    if (a.branchStalls.size() != b.branchStalls.size())
-        return false;
-    for (const auto &kv : a.branchStalls) {
-        auto it = b.branchStalls.find(kv.first);
-        if (it == b.branchStalls.end() ||
-            it->second.stallCycles != kv.second.stallCycles ||
-            it->second.instances != kv.second.instances ||
-            it->second.dependents != kv.second.dependents)
-            return false;
-    }
-    return true;
-}
-
 } // namespace noreba::test
 
 #endif // NOREBA_TESTS_STORE_TEST_UTIL_H

@@ -35,21 +35,6 @@ shortTrace()
     return opts;
 }
 
-/**
- * Every scalar field of CoreStats, for bit-identity comparisons.
- * Walks the CORE_STATS_FIELDS descriptor table, so counters added to
- * the X-macro are covered without touching this test.
- */
-std::vector<uint64_t>
-statsFingerprint(const CoreStats &s)
-{
-    std::vector<uint64_t> out;
-    for (const CoreStatsField &f : CORE_STATS_FIELDS)
-        if (f.counter)
-            out.push_back(s.*f.counter);
-    return out;
-}
-
 TEST(ThreadPool, RunsEverySubmittedTask)
 {
     ThreadPool pool(4);
@@ -258,8 +243,8 @@ TEST(SweepRunner, ParallelMatchesSerialForEveryCommitMode)
     ASSERT_EQ(serial.size(), jobs.size());
     ASSERT_EQ(parallel.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(statsFingerprint(serial[i].stats),
-                  statsFingerprint(parallel[i].stats))
+        EXPECT_TRUE(testutil::statsEqual(serial[i].stats,
+                                         parallel[i].stats))
             << "job " << i << " (" << jobs[i].workload << ", "
             << commitModeName(jobs[i].cfg.commitMode) << ")";
         EXPECT_EQ(serial[i].job.workload, jobs[i].workload);

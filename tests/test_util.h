@@ -51,17 +51,34 @@ run(const Prepared &p, CommitMode mode,
     return core.run();
 }
 
-/** Every counter equal, field by field (via the declarative table). */
-inline void
-expectStatsEqual(const CoreStats &a, const CoreStats &b,
-                 const std::string &label)
+/**
+ * Every counter and every branch-stall entry equal, for bit-identity
+ * checks. Walks the CORE_STATS_FIELDS table, so a counter added there
+ * is compared without touching the tests; a mismatch names the first
+ * field that differs.
+ */
+inline ::testing::AssertionResult
+statsEqual(const CoreStats &a, const CoreStats &b)
 {
-    for (const CoreStatsField &f : CORE_STATS_FIELDS) {
-        if (f.counter) {
-            EXPECT_EQ(a.*f.counter, b.*f.counter)
-                << label << ": " << f.name;
-        }
+    for (const CoreStatsField &f : CORE_STATS_FIELDS)
+        if (f.counter && a.*f.counter != b.*f.counter)
+            return ::testing::AssertionFailure()
+                   << f.name << ": " << a.*f.counter
+                   << " != " << b.*f.counter;
+    if (a.branchStalls.size() != b.branchStalls.size())
+        return ::testing::AssertionFailure()
+               << "branchStalls: " << a.branchStalls.size()
+               << " != " << b.branchStalls.size() << " entries";
+    for (const auto &[pc, stall] : a.branchStalls) {
+        auto it = b.branchStalls.find(pc);
+        if (it == b.branchStalls.end() ||
+            it->second.stallCycles != stall.stallCycles ||
+            it->second.instances != stall.instances ||
+            it->second.dependents != stall.dependents)
+            return ::testing::AssertionFailure()
+                   << "branchStalls differ at pc " << pc;
     }
+    return ::testing::AssertionSuccess();
 }
 
 /**
@@ -84,7 +101,8 @@ runShadowPair(TraceView trace, const std::vector<uint8_t> &misp,
     Core shadowed(cfg, trace, misp);
     CoreStats shadow = shadowed.run();
 
-    expectStatsEqual(base, shadow, label + "/" + commitModeName(mode));
+    EXPECT_TRUE(statsEqual(base, shadow))
+        << label << "/" << commitModeName(mode);
     return base;
 }
 

@@ -30,6 +30,7 @@
 #include "sim/trace_store.h"
 #include "workloads/workloads.h"
 #include "store_test_util.h"
+#include "test_util.h"
 
 using namespace noreba;
 using namespace noreba::test;
@@ -44,26 +45,6 @@ shortTrace()
     TraceOptions opts;
     opts.maxDynInsts = TEST_TRACE_LEN;
     return opts;
-}
-
-/** Every scalar field of CoreStats, for bit-identity comparisons. */
-std::vector<uint64_t>
-statsFingerprint(const CoreStats &s)
-{
-    return {s.cycles,         s.committedInsts,  s.committedOoO,
-            s.committedAhead, s.fetched,         s.setupFetched,
-            s.citDrops,       s.icacheStallCycles, s.branches,
-            s.mispredicts,    s.squashes,        s.squashedInsts,
-            s.dispatched,     s.issued,          s.windowFullCycles,
-            s.steerStallCycles, s.steerStallTlb, s.steerStallCqt,
-            s.steerStallCqFull, s.citFullStalls, s.rfReads,
-            s.rfWrites,       s.iqWrites,        s.robWrites,
-            s.robReads,       s.lsqOps,
-            s.bpredLookups,   s.icacheAccesses,  s.dcacheAccesses,
-            s.l2Accesses,     s.l3Accesses,      s.intAluOps,
-            s.fpAluOps,       s.cmplxAluOps,     s.renameOps,
-            s.cdbBroadcasts,  s.bitOps,          s.dctOps,
-            s.cqtOps,         s.citOps,          s.cqOps};
 }
 
 bool
@@ -399,11 +380,11 @@ TEST(TraceStore, MmapReplayBitIdenticalForEveryCommitMode)
     ASSERT_EQ(coldResults.size(), jobs.size());
     ASSERT_EQ(warmResults.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(statsFingerprint(memResults[i].stats),
-                  statsFingerprint(coldResults[i].stats))
+        EXPECT_TRUE(testutil::statsEqual(memResults[i].stats,
+                                         coldResults[i].stats))
             << commitModeName(jobs[i].cfg.commitMode) << " (cold)";
-        EXPECT_EQ(statsFingerprint(memResults[i].stats),
-                  statsFingerprint(warmResults[i].stats))
+        EXPECT_TRUE(testutil::statsEqual(memResults[i].stats,
+                                         warmResults[i].stats))
             << commitModeName(jobs[i].cfg.commitMode) << " (mmap)";
     }
 }
