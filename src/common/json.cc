@@ -478,7 +478,7 @@ class JsonParser
               case 'r': out.push_back('\r'); break;
               case 't': out.push_back('\t'); break;
               case 'u': {
-                uint32_t cp;
+                uint32_t cp = 0;
                 if (!hex4(cp))
                     return false;
                 if (cp >= 0xD800 && cp <= 0xDBFF) {
@@ -486,7 +486,7 @@ class JsonParser
                     if (end_ - p_ < 2 || p_[0] != '\\' || p_[1] != 'u')
                         return fail("unpaired surrogate");
                     p_ += 2;
-                    uint32_t lo;
+                    uint32_t lo = 0;
                     if (!hex4(lo))
                         return false;
                     if (lo < 0xDC00 || lo > 0xDFFF)

@@ -17,7 +17,7 @@
  * counter retires old results without a model-version bump).
  *
  * The envelope (header, checksums, stored key compared on load, file
- * naming, atomic publish, retries, bypass) is the shared BlobStore
+ * naming, atomic publish, bypass) is the shared BlobStore
  * (sim/blob_store.h); this file serializes the payload: every CoreStats
  * counter as a u64, then the branch-stall map sorted by pc as
  * {pc, stallCycles, instances, dependents} u64 quads.

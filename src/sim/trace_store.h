@@ -8,7 +8,7 @@
  * instead of one heap vector per process.
  *
  * The envelope (header, checksums, key text, file naming, atomic
- * publish, retries, bypass) is the shared BlobStore (sim/blob_store.h);
+ * publish, bypass) is the shared BlobStore (sim/blob_store.h);
  * this file serializes the payload:
  *
  *   BundleMeta | workload | trace name | pad8 | StaticInst[] |

@@ -3,8 +3,9 @@
  * Commit-policy interface. The core owns fetch/decode/rename/issue and
  * the master ROB ordering; a CommitPolicy decides, each cycle, which
  * in-flight instructions retire and therefore when window resources are
- * reclaimed. All five policies of Figures 1 and 6 implement this
- * interface (see the sources in uarch/commit/).
+ * reclaimed. All seven commit modes (CommitMode) implement this
+ * interface (see the sources in uarch/commit/); a policy has no name
+ * of its own, messages print commitModeName(cfg.commitMode).
  *
  * Policies see the pipeline only through PipelineView — a narrow,
  * const-correct facade over the incrementally maintained pipeline-state
@@ -67,8 +68,6 @@ class CommitPolicy
      */
     virtual StallCause classifyStall(const PipelineView &view,
                                      const InFlight *head) const;
-
-    virtual const char *name() const = 0;
 };
 
 /** Instantiate the policy selected by the config. */

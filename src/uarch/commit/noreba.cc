@@ -19,8 +19,9 @@
  * Commit picks the oldest eligible queue head each cycle (branches must
  * have resolved; everything else follows the shared commit conditions).
  * A commit that happens out of program order allocates a CIT entry
- * (direct-mapped by PC); a CIT set conflict stalls that commit, and
- * entries are reclaimed once in-order commit passes them (Section 4.3).
+ * (an associative capacity, see commitFromQueues); a full CIT stalls
+ * that commit. An entry is reclaimed when the branch it waits on
+ * commits, or when a squash removes that branch (Section 4.3).
  * Committed branches remove their CQT entry.
  */
 
@@ -122,7 +123,6 @@ class NorebaCommit : public CommitPolicy
     commitCycle(PipelineView &view) override
     {
         steerStall_ = SteerStall::None;
-        reclaimCit(view);
         commitFromQueues(view);
         steer(view);
     }
@@ -130,7 +130,6 @@ class NorebaCommit : public CommitPolicy
     void
     onSquash(PipelineView &view, TraceIdx after) override
     {
-        (void)view;
         auto purge = [after](Ring<InFlight *> &q) {
             while (!q.empty() && q.back()->idx > after)
                 q.pop_back();
@@ -143,9 +142,17 @@ class NorebaCommit : public CommitPolicy
         cqt_.eraseIf([after](const FlatIdxMap::Entry &e) {
             return e.first > after;
         });
+        // So are the CIT groups they guarded: a guard above `after` is
+        // uncommitted (a committed guard freed its group in
+        // commitFromQueues), so the squash removed it.
+        citByGuard_.eraseIf([&](const FlatIdxMap::Entry &e) {
+            if (e.first <= after)
+                return false;
+            citLive_ -= e.second;
+            view.stats().citOps += static_cast<uint64_t>(e.second);
+            return true;
+        });
     }
-
-    const char *name() const override { return "Noreba"; }
 
     StallCause
     classifyStall(const PipelineView &view,
@@ -256,7 +263,7 @@ class NorebaCommit : public CommitPolicy
             // which its own Figure 4 example implies must coexist).
             // Each entry records the most recent unresolved branch at
             // commit time and is reclaimed when that branch commits
-            // (Section 4.3).
+            // or is squashed (Section 4.3).
             if (best->idx > view.oldestUncommitted()) {
                 if (citLive_ >= srob_.citEntries) {
                     ++view.stats().citFullStalls;
@@ -396,22 +403,6 @@ class NorebaCommit : public CommitPolicy
             }
         }
         return best;
-    }
-
-    void
-    reclaimCit(PipelineView &view)
-    {
-        // Guard branches that resolved correctly and committed free
-        // their groups in commitFromQueues; groups whose guard vanished
-        // in a squash are reclaimed here.
-        citByGuard_.eraseIf([&](const FlatIdxMap::Entry &e) {
-            TraceIdx g = e.first;
-            if (!view.isCommitted(g) && view.findInFlight(g) != nullptr)
-                return false;
-            citLive_ -= e.second;
-            view.stats().citOps += static_cast<uint64_t>(e.second);
-            return true;
-        });
     }
 
     const SelectiveRobConfig srob_;

@@ -43,8 +43,6 @@ class InOrderCommit : public CommitPolicy
             p = next;
         }
     }
-
-    const char *name() const override { return "InOrder"; }
 };
 
 /** Bell & Lipasti non-speculative OoO commit (collapsing ROB). */
@@ -55,7 +53,7 @@ class NonSpecOoOCommit : public CommitPolicy
     commitCycle(PipelineView &view) override
     {
         int budget = view.config().commitWidth;
-        TraceIdx brBar = view.oldestUnresolvedBranch();
+        TraceIdx brBar = view.oldestUnresolved();
         TraceIdx memBar = view.oldestUncheckedMem();
         for (InFlight *p = view.uncommittedHead(); p;) {
             InFlight *next = PipelineView::uncommittedNext(p);
@@ -74,8 +72,6 @@ class NonSpecOoOCommit : public CommitPolicy
             p = next;
         }
     }
-
-    const char *name() const override { return "NonSpecOoO"; }
 };
 
 /** Oracle speculative commit (Figure 1 / Figure 6 upper bounds). */
@@ -116,12 +112,6 @@ class SpeculativeCommit : public CommitPolicy
         }
     }
 
-    const char *
-    name() const override
-    {
-        return keepMemCondition_ ? "SpeculativeBR" : "SpeculativeFull";
-    }
-
   private:
     const bool keepMemCondition_;
 };
@@ -158,8 +148,6 @@ class IdealReconvCommit : public CommitPolicy
             p = next;
         }
     }
-
-    const char *name() const override { return "IdealReconv"; }
 
     StallCause
     classifyStall(const PipelineView &view,
@@ -215,8 +203,6 @@ class ValidationBufferCommit : public CommitPolicy
         }
     }
 
-    const char *name() const override { return "ValidationBuffer"; }
-
     StallCause
     classifyStall(const PipelineView &view,
                   const InFlight *head) const override
@@ -240,7 +226,7 @@ class ValidationBufferCommit : public CommitPolicy
     static TraceIdx
     epochBarrier(const PipelineView &view)
     {
-        TraceIdx brBar = view.oldestUnresolvedBranch();
+        TraceIdx brBar = view.oldestUnresolved();
         if (brBar == INT32_MAX)
             return INT32_MAX;
         const TraceView &trace = view.trace();

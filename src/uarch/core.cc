@@ -116,7 +116,10 @@ Core::alloc()
 void
 Core::free(InFlight *p)
 {
-    index_.onFree(p);
+    panic_if(p->inFrontier,
+             "freeing trace idx %d while still on the uncommitted "
+             "frontier",
+             p->idx);
     panic_if(p->inReadyQ || p->inAddrPending,
              "freeing trace idx %d while still scheduled for issue",
              p->idx);
@@ -144,6 +147,13 @@ void
 Core::commit(InFlight *p)
 {
     panic_if(p->committed, "double commit of trace idx %d", p->idx);
+    // PipelineIndex::oldestUnresolved() is the C5 barrier only while
+    // no other policy retires an unresolved branch.
+    panic_if(cfg_.shadowChecks && p->isBranch && !p->resolved &&
+                 cfg_.commitMode != CommitMode::SpeculativeBR &&
+                 cfg_.commitMode != CommitMode::SpeculativeFull,
+             "%s retired unresolved branch %d",
+             commitModeName(cfg_.commitMode), p->idx);
     if (observer_) {
         observer_->onCommit(view_, *p);
         observer_->onEvent({cycle_, p->rec.pc, p->idx,
@@ -155,8 +165,7 @@ Core::commit(InFlight *p)
     ++stats_.committedInsts;
     // "Committed out of order" in the paper's sense: retired while an
     // older branch was still unresolved (Condition 5 relaxed).
-    TraceIdx oldestBranch = index_.oldestUnresolved();
-    if (oldestBranch != TRACE_NONE && oldestBranch < p->idx)
+    if (index_.oldestUnresolved() < p->idx)
         ++stats_.committedOoO;
     if (p->idx > cursor_)
         ++stats_.committedAhead;
@@ -356,7 +365,7 @@ Core::commitStage()
 
     if (commitsThisCycle_ == 0 && !rob_.empty()) {
         TraceIdx b = index_.oldestUnresolved();
-        if (cfg_.attributeStalls && b != TRACE_NONE) {
+        if (cfg_.attributeStalls && b != INT32_MAX) {
             // Figure 7: charge the stalled cycle to the oldest branch
             // that is still unresolved — the one in-order commit (and
             // every non-speculative OoO-commit condition) is waiting
@@ -870,7 +879,7 @@ Core::run()
         } else if (cycle_ - lastProgress > 500000) {
             panic("no forward progress for 500k cycles at trace idx %d "
                   "(policy %s, rob %zu, window %zu)",
-                  cursor_, policy_->name(), rob_.size(),
+                  cursor_, commitModeName(cfg_.commitMode), rob_.size(),
                   index_.frontierSize());
         }
         ++cycle_;
@@ -893,7 +902,7 @@ Core::run()
              "(%llu) under policy %s",
              static_cast<unsigned long long>(causes),
              static_cast<unsigned long long>(stats_.commitStallCycles),
-             policy_->name());
+             commitModeName(cfg_.commitMode));
     panic_if(stats_.commitStallCycles + stats_.commitWidthFullCycles !=
                  stats_.cycles,
              "stall + full-width cycles (%llu) do not sum to total "
@@ -902,7 +911,7 @@ Core::run()
                  stats_.commitStallCycles +
                  stats_.commitWidthFullCycles),
              static_cast<unsigned long long>(stats_.cycles),
-             policy_->name());
+             commitModeName(cfg_.commitMode));
     return stats_;
 }
 

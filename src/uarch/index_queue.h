@@ -1,19 +1,14 @@
 /**
  * @file
- * Window-bounded containers keyed by trace index, the storage under the
- * pipeline-state indices (uarch/pipeline_index.h):
+ * IndexQueue, the window-bounded container under the pipeline-state
+ * indices (uarch/pipeline_index.h): an ordered set (or map) of trace
+ * indices that only ever grows at the young end. It is a sorted vector
+ * plus a head offset; erase is lazy (the entry is marked dead), squash
+ * recovery is a suffix truncation, and the oldest live entry is found
+ * by dropping dead entries off the head, amortized O(1).
  *
- *  - IndexQueue: an ordered set (or map) of trace indices that only
- *    ever grows at the young end. It is a sorted vector plus a head
- *    offset; erase is lazy (the entry is marked dead), squash recovery
- *    is a suffix truncation, and the oldest live entry is found by
- *    dropping dead entries off the head, amortized O(1).
- *  - IdxSlotRing: a trace index -> in-flight instruction lookup, a
- *    power-of-two array indexed by `idx & mask` that doubles whenever
- *    two live entries collide.
- *
- * Both keep their capacity once warm, so the per-instruction path
- * allocates nothing in steady state, and both stay sized by the span of
+ * It keeps its capacity once warm, so the per-instruction path
+ * allocates nothing in steady state, and it stays sized by the span of
  * live indices (the in-flight window), never by the trace length.
  */
 
@@ -210,84 +205,6 @@ class IndexQueue
     std::vector<Entry> v_;
     size_t head_ = 0; //!< entries below this offset are dropped
     size_t live_ = 0;
-};
-
-/**
- * Trace index -> in-flight object lookup for the objects whose indices
- * span a bounded window. Slot `idx & mask` holds the object; when a
- * put() finds the slot taken by a different index, the array doubles
- * (and keeps doubling) until every live index has its own slot. T must
- * expose its trace index as `T::idx`.
- */
-template <typename T>
-class IdxSlotRing
-{
-  public:
-    IdxSlotRing() : slots_(256, nullptr), mask_(255) {}
-
-    /** Map p->idx to @p p (an existing mapping of the same index is
-     *  replaced). */
-    void
-    put(T *p)
-    {
-        while (true) {
-            T *&s = slots_[static_cast<size_t>(p->idx) & mask_];
-            if (!s || s->idx == p->idx) {
-                s = p;
-                return;
-            }
-            grow();
-        }
-    }
-
-    /** The object mapped at @p idx, or nullptr. */
-    T *
-    get(TraceIdx idx) const
-    {
-        T *s = slots_[static_cast<size_t>(idx) & mask_];
-        return s && s->idx == idx ? s : nullptr;
-    }
-
-    /** Unmap @p p (a no-op unless its slot holds exactly @p p). */
-    void
-    drop(const T *p)
-    {
-        T *&s = slots_[static_cast<size_t>(p->idx) & mask_];
-        if (s == p)
-            s = nullptr;
-    }
-
-    size_t capacity() const { return slots_.size(); }
-
-  private:
-    void
-    grow()
-    {
-        size_t n = slots_.size();
-        while (true) {
-            n *= 2;
-            std::vector<T *> next(n, nullptr);
-            bool fits = true;
-            for (T *p : slots_) {
-                if (!p)
-                    continue;
-                T *&s = next[static_cast<size_t>(p->idx) & (n - 1)];
-                if (s) {
-                    fits = false;
-                    break;
-                }
-                s = p;
-            }
-            if (fits) {
-                slots_.swap(next);
-                mask_ = n - 1;
-                return;
-            }
-        }
-    }
-
-    std::vector<T *> slots_;
-    size_t mask_;
 };
 
 } // namespace noreba

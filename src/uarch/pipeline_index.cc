@@ -1,6 +1,8 @@
 #include "uarch/pipeline_index.h"
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -27,11 +29,9 @@ void
 PipelineIndex::onDispatch(InFlight *p)
 {
     frontier_.pushBack(p);
-    inflightByIdx_.put(p);
     const TraceRecord &rec = p->rec;
     if (p->isBranch) {
         unresolved_.insert(p->idx, rec.pc);
-        unresolvedUncommitted_.insert(p->idx);
         unresolvedByPc_[rec.pc].insert(p->idx);
     }
     if (isMem(rec.op))
@@ -41,22 +41,15 @@ PipelineIndex::onDispatch(InFlight *p)
 }
 
 void
-PipelineIndex::eraseUnresolved(TraceIdx idx, uint64_t pc)
-{
-    unresolvedUncommitted_.erase(idx);
-    auto it = unresolvedByPc_.find(pc);
-    if (it != unresolvedByPc_.end())
-        it->second.erase(idx);
-}
-
-void
 PipelineIndex::onResolve(InFlight *p)
 {
     ++resolveEpoch_;
     const auto *e = unresolved_.find(p->idx);
     if (!e)
         return;
-    eraseUnresolved(e->idx, e->payload);
+    auto it = unresolvedByPc_.find(e->payload);
+    if (it != unresolvedByPc_.end())
+        it->second.erase(p->idx);
     unresolved_.erase(p->idx);
 }
 
@@ -87,15 +80,10 @@ PipelineIndex::drainTlbPending(Cycle now)
 void
 PipelineIndex::onCommit(InFlight *p)
 {
+    // A branch stays in unresolved_ until writeback resolves it, even
+    // if a speculative oracle retired it first.
     frontier_.erase(p);
     const TraceRecord &rec = p->rec;
-    if (p->isBranch) {
-        // A policy may retire an unresolved branch early (the
-        // speculative oracles): it leaves the commit barrier but stays
-        // in unresolved_ until writeback resolves it, matching the
-        // historical set semantics every query was defined against.
-        unresolvedUncommitted_.erase(p->idx);
-    }
     if (isMem(rec.op))
         uncheckedMem_.erase(p->idx);
     if (rec.op == Opcode::FENCE)
@@ -115,21 +103,10 @@ PipelineIndex::onSquash(TraceIdx after)
     unresolved_.truncateAfter(after, [&](const auto &e) {
         unresolvedByPc_[e.payload].truncateAfter(after);
     });
-    unresolvedUncommitted_.truncateAfter(after);
     uncheckedMem_.truncateAfter(after);
     fences_.truncateAfter(after);
     // tlbPending_ keeps stale entries; drainTlbPending's generation
-    // check discards them. inflightByIdx_ entries die with onFree.
-}
-
-void
-PipelineIndex::onFree(InFlight *p)
-{
-    panic_if(p->inFrontier,
-             "freeing trace idx %d while still on the uncommitted "
-             "frontier",
-             p->idx);
-    inflightByIdx_.drop(p);
+    // check discards them.
 }
 
 void
@@ -152,16 +129,18 @@ PipelineIndex::shadowVerify(const Ring<InFlight *> &rob, Cycle now,
              "frontier has stale entries (%zu vs %zu uncommitted)",
              frontier_.size(), uncommitted);
 
-    // Naive commit barriers from a full ROB scan.
-    TraceIdx naiveBranch = INT32_MAX;
+    // Naive answers from a full ROB scan, in program order.
+    std::vector<TraceIdx> uncommittedIdx;
+    std::vector<TraceIdx> naiveUnresolved;
     TraceIdx naiveMem = INT32_MAX;
     std::set<TraceIdx> naiveUnchecked;
     std::set<TraceIdx> naiveFences;
     for (InFlight *p : rob) {
         if (p->committed)
             continue;
-        if (p->isBranch && !p->resolved && naiveBranch == INT32_MAX)
-            naiveBranch = p->idx;
+        uncommittedIdx.push_back(p->idx);
+        if (p->isBranch && !p->resolved)
+            naiveUnresolved.push_back(p->idx);
         if (isMem(p->rec.op) &&
             !(p->tlbChecked && now >= p->tlbDoneAt)) {
             if (naiveMem == INT32_MAX)
@@ -170,21 +149,7 @@ PipelineIndex::shadowVerify(const Ring<InFlight *> &rob, Cycle now,
         }
         if (p->rec.op == Opcode::FENCE)
             naiveFences.insert(p->idx);
-        if (p->isBranch && !p->resolved) {
-            panic_if(!unresolvedUncommitted_.find(p->idx),
-                     "unresolved branch %d missing from the barrier "
-                     "index",
-                     p->idx);
-            panic_if(!unresolved_.find(p->idx),
-                     "unresolved branch %d missing from unresolved_",
-                     p->idx);
-        }
-        panic_if(findInFlight(p->idx) != p,
-                 "inflightByIdx_ lost trace idx %d", p->idx);
     }
-    panic_if(oldestUnresolvedBranch() != naiveBranch,
-             "oldestUnresolvedBranch: index %d vs naive %d",
-             oldestUnresolvedBranch(), naiveBranch);
     panic_if(oldestUncheckedMem(now) != naiveMem,
              "oldestUncheckedMem: index %d vs naive %d",
              oldestUncheckedMem(now), naiveMem);
@@ -195,15 +160,20 @@ PipelineIndex::shadowVerify(const Ring<InFlight *> &rob, Cycle now,
              "fence index diverged (%zu vs %zu entries)",
              fences_.size(), naiveFences.size());
 
-    // unresolvedUncommitted_ must not exceed the naive count (every
-    // member was matched above).
-    size_t naiveUnresolved = 0;
-    for (InFlight *p : rob)
-        if (!p->committed && p->isBranch && !p->resolved)
-            ++naiveUnresolved;
-    panic_if(unresolvedUncommitted_.size() != naiveUnresolved,
-             "barrier index has stale branches (%zu vs %zu)",
-             unresolvedUncommitted_.size(), naiveUnresolved);
+    // The uncommitted entries of unresolved_ are exactly the ROB's
+    // uncommitted unresolved branches; the rest are branches a
+    // speculative oracle retired before they resolved. So wherever no
+    // policy retires an unresolved branch (Core::commit checks that),
+    // oldestUnresolved() is the naive C5 barrier.
+    std::vector<TraceIdx> indexedUncommitted;
+    for (const auto &e : unresolved_)
+        if (std::binary_search(uncommittedIdx.begin(),
+                               uncommittedIdx.end(), e.idx))
+            indexedUncommitted.push_back(e.idx);
+    panic_if(indexedUncommitted != naiveUnresolved,
+             "unresolved_ diverged from the ROB's uncommitted "
+             "unresolved branches (%zu vs %zu)",
+             indexedUncommitted.size(), naiveUnresolved.size());
 
     // Per-PC instance index is an exact partition of unresolved_.
     size_t byPcTotal = 0;

@@ -6,7 +6,9 @@
  * uncommitted frontier — used to be a linear scan of the master ROB;
  * this layer keeps each answer current at dispatch / resolve / TLB
  * completion / commit / squash time instead, so queries are O(1) or
- * O(log n).
+ * O(log n). Each fact is kept once: a branch is unresolved exactly
+ * while unresolved_ holds it, and the barriers and guard-chain walks
+ * all read that one queue.
  *
  * Only Core mutates the index (via the on*() hooks, one per pipeline
  * event); policies observe it through PipelineView. The invariants —
@@ -19,9 +21,10 @@
  *
  * Storage is window-bounded and allocation-free once warm: the ordered
  * sets are IndexQueues (sorted vectors with lazy erase and squash by
- * suffix truncation), the idx -> InFlight map is an IdxSlotRing
- * (uarch/index_queue.h), and the TLB-completion heap is drained on
- * every push, so it holds only the checks still in flight.
+ * suffix truncation, uarch/index_queue.h), the frontier is an
+ * intrusive list through the InFlight nodes, and the TLB-completion
+ * heap is drained on every push, so it holds only the checks still in
+ * flight.
  */
 
 #ifndef NOREBA_UARCH_PIPELINE_INDEX_H
@@ -61,25 +64,12 @@ class PipelineIndex
 
     /** Every uncommitted instruction with idx > `after` was squashed. */
     void onSquash(TraceIdx after);
-
-    /** The pool slot is being recycled (drop the idx mapping). */
-    void onFree(InFlight *p);
     /** @} */
 
     /** @name Queries @{ */
 
     /** Dispatched unresolved branches: trace idx -> static site PC. */
     using UnresolvedQueue = IndexQueue<uint64_t>;
-
-    /**
-     * Oldest in-flight (uncommitted) unresolved branch, or INT32_MAX.
-     */
-    TraceIdx
-    oldestUnresolvedBranch()
-    {
-        const auto *e = unresolvedUncommitted_.oldest();
-        return e ? e->idx : INT32_MAX;
-    }
 
     /**
      * Oldest uncommitted memory op whose TLB check has not completed
@@ -105,12 +95,16 @@ class PipelineIndex
         return unresolved_;
     }
 
-    /** Oldest dispatched unresolved branch, or TRACE_NONE. */
+    /**
+     * Oldest dispatched unresolved branch, or INT32_MAX. Under every
+     * policy that never retires an unresolved branch (all but the two
+     * speculative oracles), this is the C5 commit barrier.
+     */
     TraceIdx
     oldestUnresolved()
     {
         const auto *e = unresolved_.oldest();
-        return e ? e->idx : TRACE_NONE;
+        return e ? e->idx : INT32_MAX;
     }
 
     /** Youngest unresolved branch older than `idx`, or TRACE_NONE. */
@@ -144,13 +138,6 @@ class PipelineIndex
      *  guard-chain answer can change (never 0). */
     uint64_t resolveEpoch() const { return resolveEpoch_; }
 
-    /** In-flight instruction by trace index (nullptr if none). */
-    InFlight *
-    findInFlight(TraceIdx idx) const
-    {
-        return inflightByIdx_.get(idx);
-    }
-
     /** @name Uncommitted frontier, program order @{ */
     InFlight *frontierHead() const { return frontier_.head(); }
     static InFlight *frontierNext(const InFlight *p)
@@ -172,7 +159,6 @@ class PipelineIndex
 
   private:
     void drainTlbPending(Cycle now);
-    void eraseUnresolved(TraceIdx idx, uint64_t pc);
 
     using Frontier =
         IntrusiveList<InFlight, &InFlight::frontPrev,
@@ -191,8 +177,6 @@ class PipelineIndex
     };
 
     UnresolvedQueue unresolved_;
-    /** The uncommitted subset of unresolved_ (commit barrier). */
-    IndexQueue<> unresolvedUncommitted_;
     /** Static site PC -> its unresolved dynamic instances. A bucket is
      *  kept when it empties, so a site allocates once per run. */
     std::unordered_map<uint64_t, IndexQueue<>> unresolvedByPc_;
@@ -203,7 +187,6 @@ class PipelineIndex
                         std::greater<TlbPending>>
         tlbPending_;
     IndexQueue<> fences_;
-    IdxSlotRing<InFlight> inflightByIdx_;
     Frontier frontier_;
     uint64_t resolveEpoch_ = 1;
 };

@@ -10,7 +10,10 @@
  * Ordering queries answer against the index in O(1)/O(log n) — see
  * uarch/pipeline_index.h — and the uncommitted frontier replaces the
  * historical "iterate rob(), skip committed" loops: it is exactly the
- * uncommitted subsequence of the master ROB in program order.
+ * uncommitted subsequence of the master ROB in program order. Branch
+ * facts come from one queue, unresolvedBranches(): its oldest entry is
+ * the C5 barrier (oldestUnresolved) and a guard-chain element is
+ * unresolved while the queue holds it.
  */
 
 #ifndef NOREBA_UARCH_PIPELINE_VIEW_H
@@ -49,12 +52,6 @@ class PipelineView
     /** Oldest not-yet-committed trace index (== size() when done). */
     TraceIdx oldestUncommitted() const { return *cursor_; }
 
-    bool
-    isCommitted(TraceIdx idx) const
-    {
-        return (*committed_)[static_cast<size_t>(idx)] != 0;
-    }
-
     /** Retire one instruction: resources freed, stats updated. */
     void commit(InFlight *p);
 
@@ -71,11 +68,15 @@ class PipelineView
     }
     /** @} */
 
-    /** Trace index of the oldest in-flight unresolved branch. */
+    /**
+     * Trace index of the oldest dispatched unresolved branch, or
+     * INT32_MAX: the C5 barrier of every policy that never retires an
+     * unresolved branch.
+     */
     TraceIdx
-    oldestUnresolvedBranch() const
+    oldestUnresolved() const
     {
-        return index_->oldestUnresolvedBranch();
+        return index_->oldestUnresolved();
     }
 
     /** Oldest in-flight memory op whose TLB check hasn't completed. */
@@ -132,13 +133,6 @@ class PipelineView
         if (!cfg_->srob.enforceInstanceOrder)
             return false;
         return index_->olderSitePcUnresolved(pc, before);
-    }
-
-    /** Find an in-flight instruction by trace index (nullptr if none). */
-    InFlight *
-    findInFlight(TraceIdx idx) const
-    {
-        return index_->findInFlight(idx);
     }
 
     /**
@@ -213,20 +207,18 @@ class PipelineView
         const bool sensitive = p->rec.orderSensitive;
         TraceIdx g = p->rec.guardIdx;
         while (g >= 0) {
-            TraceIdx oldest = index_->oldestUnresolved();
-            if (oldest == TRACE_NONE || oldest > g)
+            if (index_->oldestUnresolved() > g)
                 break; // everything at or below g has resolved
             if (sensitive &&
                 olderSitePcUnresolved(trace_->pcOf(static_cast<size_t>(g)),
                                       g))
                 return false;
-            if (!(*committed_)[static_cast<size_t>(g)]) {
-                InFlight *f = findInFlight(g);
-                if (!f)
-                    return false; // guard squashed: treat as unresolved
-                if (!f->resolved)
-                    return false;
-            }
+            // A guard is older than @p p, so it was dispatched, and a
+            // squash that removed it removed @p p too: an uncommitted
+            // guard is unresolved exactly while the index holds it.
+            if (!(*committed_)[static_cast<size_t>(g)] &&
+                unresolvedBranches().find(g))
+                return false;
             g = trace_->guardOf(static_cast<size_t>(g));
         }
         return true;

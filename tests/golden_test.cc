@@ -1,0 +1,212 @@
+/**
+ * @file
+ * Golden CoreStats digests: the registry's results, pinned in the tree.
+ *
+ * Golden.StatsDigests runs every registry experiment's plan in process
+ * at 20000 instructions and digests its records, in plan order, with
+ * 64-bit FNV-1a over each record's resultKey, every CORE_STATS_FIELDS
+ * counter and the branchStalls map sorted by PC. golden/stats_digests.txt
+ * holds one line per experiment with a non-empty plan (name, record
+ * count, digest); golden/stats_records.txt holds the same digest per
+ * record, so a mismatch names the first record that moved.
+ *
+ * The run uses fresh BundleCache/ResultCache instances with no disk
+ * stores and clears every NOREBA_* variable first, so neither a warm
+ * store nor the caller's environment can stand in for a simulation.
+ * A change that is meant to move results commits the replacement
+ * files this test prints on a mismatch.
+ */
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/hash.h"
+#include "exp/experiment.h"
+#include "experiments.h"
+#include "sim/result_store.h"
+#include "sim/sweep.h"
+
+extern char **environ;
+
+using namespace noreba;
+using namespace noreba::bench;
+
+namespace {
+
+constexpr const char *GOLDEN_TRACE_LEN = "20000";
+
+/** Fold one record into @p h: its key, counters and stall map. */
+uint64_t
+hashRecord(const SweepResult &r, uint64_t h)
+{
+    h = fnv1a(resultKey(r.job.workload, r.job.cfg, r.job.trace), h);
+    for (const CoreStatsField &f : CORE_STATS_FIELDS) {
+        if (!f.counter)
+            continue;
+        const uint64_t v = r.stats.*f.counter;
+        h = fnv1a(&v, sizeof(v), h);
+    }
+    std::vector<std::pair<uint64_t, BranchStall>> stalls(
+        r.stats.branchStalls.begin(), r.stats.branchStalls.end());
+    std::sort(stalls.begin(), stalls.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    for (const auto &[pc, s] : stalls) {
+        for (uint64_t v : {pc, s.stallCycles, s.instances, s.dependents})
+            h = fnv1a(&v, sizeof(v), h);
+    }
+    return h;
+}
+
+std::string
+hex(uint64_t v)
+{
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/** The digest files' contents, one line per experiment or record. */
+struct Golden
+{
+    std::vector<std::string> experiments;
+    std::vector<std::string> records;
+};
+
+/** The non-empty lines of @p path. */
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> out;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty())
+            out.push_back(line);
+    return out;
+}
+
+Golden
+computeGolden()
+{
+    std::vector<std::string> names;
+    for (char **e = environ; *e; ++e) {
+        const std::string var = *e;
+        if (var.rfind("NOREBA_", 0) == 0)
+            names.push_back(var.substr(0, var.find('=')));
+    }
+    for (const std::string &name : names)
+        unsetenv(name.c_str());
+    setenv("NOREBA_TRACE_LEN", GOLDEN_TRACE_LEN, 1);
+
+    registerAllExperiments();
+    BundleCache bundles;
+    ResultCache results;
+    SweepRunner runner(
+        std::clamp(std::thread::hardware_concurrency(), 1u, 4u),
+        &bundles, &results);
+
+    Golden out;
+    for (const ExperimentSpec &spec : experimentRegistry()) {
+        ExperimentPlan plan;
+        if (spec.plan)
+            spec.plan(plan);
+        if (plan.planned().empty())
+            continue;
+        std::vector<SweepJob> jobs;
+        for (const PlannedJob &p : plan.planned())
+            jobs.push_back(p.job);
+        const std::vector<SweepResult> res = runner.run(jobs);
+        uint64_t digest = fnv1a(nullptr, 0);
+        for (size_t i = 0; i < res.size(); ++i) {
+            digest = hashRecord(res[i], digest);
+            const PlannedJob &p = plan.planned()[i];
+            const uint64_t own = hashRecord(res[i], fnv1a(nullptr, 0));
+            out.records.push_back(spec.name + " " + std::to_string(i) +
+                                  " " + hex(own) + " " + p.row + "/" +
+                                  p.series);
+        }
+        out.experiments.push_back(spec.name + " " +
+                                  std::to_string(res.size()) + " " +
+                                  hex(digest));
+    }
+    return out;
+}
+
+/** First token of a line: the experiment name. */
+std::string
+experimentOf(const std::string &line)
+{
+    return line.substr(0, line.find(' '));
+}
+
+std::string
+joined(const std::vector<std::string> &lines)
+{
+    std::string out;
+    for (const std::string &l : lines)
+        out += l + "\n";
+    return out;
+}
+
+TEST(Golden, StatsDigests)
+{
+    const std::string dir = GOLDEN_DIR;
+    const Golden want{readLines(dir + "/stats_digests.txt"),
+                      readLines(dir + "/stats_records.txt")};
+    const Golden got = computeGolden();
+    if (got.experiments == want.experiments && got.records == want.records)
+        return;
+
+    std::map<std::string, std::string> wantLine;
+    for (const std::string &l : want.experiments)
+        wantLine[experimentOf(l)] = l;
+    std::map<std::string, std::vector<std::string>> gotRecords, wantRecords;
+    for (const std::string &r : got.records)
+        gotRecords[experimentOf(r)].push_back(r);
+    for (const std::string &r : want.records)
+        wantRecords[experimentOf(r)].push_back(r);
+
+    std::ostringstream report;
+    for (const std::string &line : got.experiments) {
+        const std::string name = experimentOf(line);
+        const auto &now = gotRecords[name];
+        const auto &old = wantRecords[name];
+        auto golden = wantLine.find(name);
+        const bool known = golden != wantLine.end();
+        if (known && golden->second == line && now == old) {
+            wantLine.erase(golden);
+            continue;
+        }
+        report << "moved: " << line
+               << "\n  golden: " << (known ? golden->second : "absent")
+               << "\n";
+        auto [a, b] = std::mismatch(now.begin(), now.end(), old.begin(),
+                                    old.end());
+        if (a != now.end())
+            report << "  first differing record: " << *a
+                   << "\n  golden:                 "
+                   << (b != old.end() ? *b : "absent") << "\n";
+        if (known)
+            wantLine.erase(golden);
+    }
+    for (const auto &[name, line] : wantLine)
+        report << "gone: " << line << "\n";
+    ADD_FAILURE() << report.str()
+                  << "\nIf the change is meant to move results, replace "
+                  << dir << "/stats_digests.txt with:\n"
+                  << joined(got.experiments) << "\nand " << dir
+                  << "/stats_records.txt with:\n"
+                  << joined(got.records);
+}
+
+} // namespace

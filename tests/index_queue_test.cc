@@ -2,10 +2,9 @@
  * @file
  * Unit tests for the window-bounded containers under the core: the
  * ordered IndexQueue (lazy erase, suffix truncation, dead-prefix
- * skipping, predecessor queries, program-order panics), the
- * IdxSlotRing lookup that doubles on collision, and the Ring FIFO. The
- * bounded-memory cases pin the rule that a container's footprint
- * follows the in-flight window, never the trace length.
+ * skipping, predecessor queries, program-order panics) and the Ring
+ * FIFO. The bounded-memory cases pin the rule that a container's
+ * footprint follows the in-flight window, never the trace length.
  */
 
 #include <algorithm>
@@ -157,68 +156,6 @@ TEST(IndexQueue, MemoryBoundedByWindowWhenOldestNeverQueried)
     }
     EXPECT_EQ(q.size(), static_cast<size_t>(WINDOW));
     EXPECT_LE(q.capacity(), 4u * WINDOW);
-}
-
-struct Obj
-{
-    TraceIdx idx;
-};
-
-TEST(IdxSlotRing, PutGetDrop)
-{
-    IdxSlotRing<Obj> r;
-    Obj a{5}, b{6};
-    r.put(&a);
-    r.put(&b);
-    EXPECT_EQ(r.get(5), &a);
-    EXPECT_EQ(r.get(6), &b);
-    EXPECT_EQ(r.get(7), nullptr);
-    r.drop(&a);
-    EXPECT_EQ(r.get(5), nullptr);
-    // Dropping an object whose slot holds another is a no-op.
-    Obj stale{6};
-    r.drop(&stale);
-    EXPECT_EQ(r.get(6), &b);
-}
-
-TEST(IdxSlotRing, SameIndexReplacesTheMapping)
-{
-    IdxSlotRing<Obj> r;
-    Obj old{9}, fresh{9};
-    r.put(&old);
-    r.put(&fresh);
-    EXPECT_EQ(r.get(9), &fresh);
-    r.drop(&old);
-    EXPECT_EQ(r.get(9), &fresh);
-}
-
-TEST(IdxSlotRing, GrowsOnCollision)
-{
-    IdxSlotRing<Obj> r;
-    const size_t cap = r.capacity();
-    Obj a{1}, b{static_cast<TraceIdx>(1 + cap)};
-    r.put(&a);
-    r.put(&b);
-    EXPECT_GE(r.capacity(), 2 * cap);
-    EXPECT_EQ(r.get(a.idx), &a);
-    EXPECT_EQ(r.get(b.idx), &b);
-    // An index that now aliases nothing reads as absent.
-    EXPECT_EQ(r.get(static_cast<TraceIdx>(1 + 2 * r.capacity())), nullptr);
-}
-
-TEST(IdxSlotRing, SlidingWindowStaysSmall)
-{
-    IdxSlotRing<Obj> r;
-    std::vector<Obj> objs(1'000'000);
-    constexpr TraceIdx WINDOW = 300;
-    for (TraceIdx i = 0; i < 1'000'000; ++i) {
-        objs[static_cast<size_t>(i)].idx = i;
-        r.put(&objs[static_cast<size_t>(i)]);
-        if (i >= WINDOW)
-            r.drop(&objs[static_cast<size_t>(i - WINDOW)]);
-    }
-    EXPECT_LE(r.capacity(), 512u);
-    EXPECT_EQ(r.get(999'999), &objs.back());
 }
 
 TEST(Ring, FifoAcrossWraparound)

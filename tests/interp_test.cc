@@ -195,9 +195,11 @@ TEST(Interp, JumpTableSelectsByValue)
     DynamicTrace t = interp.run();
     EXPECT_EQ(interp.intReg(T1), 300);
     // The jump-table record points at the selected handler.
-    for (const auto &rec : t)
-        if (rec.op == Opcode::JALR)
+    for (const auto &rec : t) {
+        if (rec.op == Opcode::JALR) {
             EXPECT_EQ(rec.nextPc, prog.layout().blockPc(h2));
+        }
+    }
 }
 
 TEST(Interp, MemoryRecordsCarryAddressAndSize)
@@ -296,9 +298,11 @@ TEST(Interp, UnsetBitGivesInvalidDependency)
         .halt();
     prog.finalize();
     DynamicTrace t = Interpreter(prog).run();
-    for (const auto &rec : t)
-        if (rec.op == Opcode::ADD)
+    for (const auto &rec : t) {
+        if (rec.op == Opcode::ADD) {
             EXPECT_EQ(rec.guardIdx, TRACE_NONE);
+        }
+    }
 }
 
 TEST(Interp, SetupRecordsDoNotCountAsDynInsts)

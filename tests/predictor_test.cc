@@ -153,9 +153,11 @@ TEST(Precompute, MatchesTraceShape)
                   static_cast<double>(stats.branches),
               0.05);
     // Non-branches never carry a verdict.
-    for (size_t i = 0; i < trace.size(); ++i)
-        if (!trace[i].isBranchSite())
+    for (size_t i = 0; i < trace.size(); ++i) {
+        if (!trace[i].isBranchSite()) {
             EXPECT_EQ(misp[i], 0);
+        }
+    }
 }
 
 TEST(Precompute, IsDeterministic)
