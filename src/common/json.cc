@@ -121,12 +121,13 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
         // prints a decimal *comma*, which is invalid JSON. Normalize
         // the locale's decimal_point back to '.'.
         const char *dp = std::localeconv()->decimal_point;
-        if (dp && std::strcmp(dp, ".") != 0) {
-            std::string num(buf);
-            size_t pos = num.find(dp);
-            if (pos != std::string::npos)
-                num.replace(pos, std::strlen(dp), ".");
-            out += num;
+        const char *comma = dp && std::strcmp(dp, ".") != 0
+                                ? std::strstr(buf, dp)
+                                : nullptr;
+        if (comma) {
+            out.append(buf, static_cast<size_t>(comma - buf));
+            out += '.';
+            out += comma + std::strlen(dp);
             return;
         }
         out += buf;
@@ -142,11 +143,13 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
 
     const bool object = kind_ == Kind::Object;
     out.push_back(object ? '{' : '[');
-    const std::string pad =
-        indent > 0 ? "\n" + std::string(static_cast<size_t>(indent) *
-                                            (static_cast<size_t>(depth) + 1),
-                                        ' ')
-                   : "";
+    std::string pad;
+    if (indent > 0) {
+        pad += '\n';
+        pad.append(static_cast<size_t>(indent) *
+                       (static_cast<size_t>(depth) + 1),
+                   ' ');
+    }
     bool first = true;
     for (const auto &m : members_) {
         if (!first)

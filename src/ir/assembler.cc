@@ -51,11 +51,18 @@ const std::map<std::string, Reg> &
 regNames()
 {
     static const std::map<std::string, Reg> names = [] {
+        // "x" + i, built with append: GCC 12 warns (-Wrestrict) on the
+        // inlined literal-plus-string operator.
+        auto numbered = [](char prefix, int i) {
+            std::string s(1, prefix);
+            s += std::to_string(i);
+            return s;
+        };
         std::map<std::string, Reg> m;
         for (int i = 0; i < NUM_INT_REGS; ++i)
-            m["x" + std::to_string(i)] = static_cast<Reg>(i);
+            m[numbered('x', i)] = static_cast<Reg>(i);
         for (int i = 0; i < NUM_FP_REGS; ++i)
-            m["f" + std::to_string(i)] = freg(i);
+            m[numbered('f', i)] = freg(i);
         m["zero"] = 0;
         m["ra"] = 1;
         m["sp"] = REG_SP;
@@ -68,11 +75,11 @@ regNames()
         m["s0"] = REG_FP;
         m["s1"] = 9;
         for (int i = 0; i <= 7; ++i)
-            m["a" + std::to_string(i)] = static_cast<Reg>(10 + i);
+            m[numbered('a', i)] = static_cast<Reg>(10 + i);
         for (int i = 2; i <= 11; ++i)
-            m["s" + std::to_string(i)] = static_cast<Reg>(16 + i);
+            m[numbered('s', i)] = static_cast<Reg>(16 + i);
         for (int i = 3; i <= 6; ++i)
-            m["t" + std::to_string(i)] = static_cast<Reg>(25 + i);
+            m[numbered('t', i)] = static_cast<Reg>(25 + i);
         return m;
     }();
     return names;

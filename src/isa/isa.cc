@@ -85,57 +85,6 @@ mayRaiseException(Opcode op)
     return isMem(op);
 }
 
-FuClass
-fuClass(Opcode op)
-{
-    if (isLoad(op))
-        return FuClass::MemRead;
-    if (isStore(op))
-        return FuClass::MemWrite;
-    if (isControl(op))
-        return FuClass::Branch;
-    if (isSetup(op) || op == Opcode::NOP || op == Opcode::HALT)
-        return FuClass::None;
-    switch (op) {
-      case Opcode::MUL: case Opcode::MULH:
-        return FuClass::IntMul;
-      case Opcode::DIV: case Opcode::REM:
-        return FuClass::IntDiv;
-      case Opcode::FDIV: case Opcode::FSQRT:
-        return FuClass::FpDiv;
-      case Opcode::FMUL: case Opcode::FMADD:
-        return FuClass::FpMul;
-      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMIN:
-      case Opcode::FMAX: case Opcode::FCVT_D_L: case Opcode::FCVT_L_D:
-      case Opcode::FEQ: case Opcode::FLT: case Opcode::FLE:
-      case Opcode::FMV:
-        return FuClass::FpAlu;
-      case Opcode::GET_CIT_ENTRY: case Opcode::SET_CIT_ENTRY:
-      case Opcode::FENCE:
-        return FuClass::IntAlu;
-      default:
-        return FuClass::IntAlu;
-    }
-}
-
-int
-execLatency(Opcode op)
-{
-    switch (fuClass(op)) {
-      case FuClass::IntAlu: return 1;
-      case FuClass::IntMul: return 3;
-      case FuClass::IntDiv: return 12;
-      case FuClass::FpAlu: return 3;
-      case FuClass::FpMul: return 4;
-      case FuClass::FpDiv: return 12;
-      case FuClass::Branch: return 1;
-      case FuClass::MemRead: return 1;   // address generation; cache adds
-      case FuClass::MemWrite: return 1;
-      case FuClass::None: return 0;
-      default: return 1;
-    }
-}
-
 int
 memAccessSize(Opcode op)
 {

@@ -138,10 +138,52 @@ bool mayRaiseException(Opcode op);
 /** @} */
 
 /** Functional-unit class for the opcode. */
-FuClass fuClass(Opcode op);
+inline FuClass
+fuClass(Opcode op)
+{
+    if (isLoad(op))
+        return FuClass::MemRead;
+    if (isStore(op))
+        return FuClass::MemWrite;
+    if (isControl(op))
+        return FuClass::Branch;
+    if (isSetup(op) || op == Opcode::NOP || op == Opcode::HALT)
+        return FuClass::None;
+    switch (op) {
+      case Opcode::MUL: case Opcode::MULH:
+        return FuClass::IntMul;
+      case Opcode::DIV: case Opcode::REM:
+        return FuClass::IntDiv;
+      case Opcode::FDIV: case Opcode::FSQRT:
+        return FuClass::FpDiv;
+      case Opcode::FMUL: case Opcode::FMADD:
+        return FuClass::FpMul;
+      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMIN:
+      case Opcode::FMAX: case Opcode::FCVT_D_L: case Opcode::FCVT_L_D:
+      case Opcode::FEQ: case Opcode::FLT: case Opcode::FLE:
+      case Opcode::FMV:
+        return FuClass::FpAlu;
+      default: // CIT ops, FENCE and the integer ALU ops
+        return FuClass::IntAlu;
+    }
+}
 
 /** Execution latency in cycles on its functional unit. */
-int execLatency(Opcode op);
+inline int
+execLatency(Opcode op)
+{
+    switch (fuClass(op)) {
+      case FuClass::IntMul: return 3;
+      case FuClass::IntDiv: return 12;
+      case FuClass::FpAlu: return 3;
+      case FuClass::FpMul: return 4;
+      case FuClass::FpDiv: return 12;
+      case FuClass::None: return 0;
+      default: // ALU, branch, and memory address generation (the cache
+               // and TLB add their own latency)
+        return 1;
+    }
+}
 
 /** Access size in bytes for a memory opcode (0 otherwise). */
 int memAccessSize(Opcode op);

@@ -1,11 +1,18 @@
 /**
  * @file
- * Commit-policy interface. The core owns fetch/decode/rename/issue and
- * the master ROB ordering; a CommitPolicy decides, each cycle, which
- * in-flight instructions retire and therefore when window resources are
- * reclaimed. All seven commit modes (CommitMode) implement this
- * interface (see the sources in uarch/commit/); a policy has no name
- * of its own, messages print commitModeName(cfg.commitMode).
+ * What a commit policy is. The core owns fetch/decode/rename/issue and
+ * the master ROB ordering; a commit policy decides, each cycle, which
+ * in-flight instructions retire and therefore when window resources
+ * are reclaimed. Each of the seven commit modes (CommitMode) is one
+ * policy class: uarch/commit/policies.h and uarch/commit/noreba.h.
+ *
+ * A policy is a plain class with the members of CommitPolicyDefaults
+ * plus its own commitCycle(PipelineView &). It inherits the defaults
+ * and hides the ones it refines. Core::run switches once on
+ * cfg.commitMode into a simulate loop instantiated for that policy
+ * type (Core::runWith), so every policy call binds statically and the
+ * small ones inline; there is no dynamic dispatch. A policy has no
+ * name of its own; messages print commitModeName(cfg.commitMode).
  *
  * Policies see the pipeline only through PipelineView — a narrow,
  * const-correct facade over the incrementally maintained pipeline-state
@@ -16,46 +23,34 @@
 #ifndef NOREBA_UARCH_COMMIT_COMMIT_POLICY_H
 #define NOREBA_UARCH_COMMIT_COMMIT_POLICY_H
 
-#include <memory>
-
 #include "interp/trace.h"
 #include "trace/events.h"
-#include "uarch/config.h"
 #include "uarch/inflight.h"
+#include "uarch/pipeline_view.h"
 
 namespace noreba {
 
-class PipelineView;
-
-/** Per-cycle commit behaviour. */
-class CommitPolicy
+/** The per-cycle commit behaviour every policy starts from. */
+struct CommitPolicyDefaults
 {
-  public:
-    virtual ~CommitPolicy() = default;
-
-    /** Retire eligible instructions (up to the commit width). */
-    virtual void commitCycle(PipelineView &view) = 0;
-
     /** A freshly renamed instruction entered the window. */
-    virtual void onDispatch(PipelineView &view, InFlight *inst)
-    {
-        (void)view;
-        (void)inst;
-    }
+    void onDispatch(PipelineView &, InFlight *) {}
 
     /** All uncommitted instructions with idx > `after` were squashed. */
-    virtual void onSquash(PipelineView &view, TraceIdx after)
-    {
-        (void)view;
-        (void)after;
-    }
+    void onSquash(PipelineView &, TraceIdx) {}
 
     /**
      * Does the window have room for another dispatch? The default
      * charges the master ROB; Noreba charges the ROB' instead (steered
      * instructions live in the commit queues).
      */
-    virtual bool windowHasSpace(const PipelineView &view) const;
+    bool
+    windowHasSpace(const PipelineView &view) const
+    {
+        // Collapsing/conventional ROB: an entry is reclaimed the moment
+        // it commits, so occupancy is the uncommitted in-flight count.
+        return view.windowUsed() < view.config().robEntries;
+    }
 
     /**
      * Attribute a cycle that retired fewer instructions than the commit
@@ -66,12 +61,26 @@ class CommitPolicy
      * guard-chain and queue-structured policies refine it. Must return
      * one of HeadBranch, HeadMem, HeadExec, Fence, or Structural.
      */
-    virtual StallCause classifyStall(const PipelineView &view,
-                                     const InFlight *head) const;
+    StallCause
+    classifyStall(const PipelineView &view, const InFlight *head) const
+    {
+        // The head is the oldest uncommitted in-flight instruction, so
+        // no older FENCE can block it; only the head *being* a
+        // not-yet-ripe FENCE charges the fence bucket.
+        if (head->rec.op == Opcode::FENCE &&
+            !view.commitEligibleBasic(head))
+            return StallCause::Fence;
+        if (head->isBranch && !(head->resolved && head->completed))
+            return StallCause::HeadBranch;
+        if (isMem(head->rec.op) && !view.tlbDone(head))
+            return StallCause::HeadMem;
+        if (!head->completed)
+            return StallCause::HeadExec;
+        // Completed, resolved, checked — the policy's own structures
+        // (or its barriers) are what held it back.
+        return StallCause::Structural;
+    }
 };
-
-/** Instantiate the policy selected by the config. */
-std::unique_ptr<CommitPolicy> makeCommitPolicy(const CoreConfig &cfg);
 
 } // namespace noreba
 

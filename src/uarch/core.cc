@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "uarch/commit/noreba.h"
+#include "uarch/commit/policies.h"
 
 /**
  * Pipeline-event emission: a single null test unless an observer is
@@ -71,7 +73,7 @@ Core::iqErase(InFlight *p)
 Core::Core(const CoreConfig &cfg, TraceView trace,
            const std::vector<uint8_t> &misp)
     : cfg_(cfg), trace_(std::move(trace)), misp_(misp),
-      policy_(makeCommitPolicy(cfg)), tlb_(TLB_ENTRIES, TLB_MISS_PENALTY),
+      tlb_(TLB_ENTRIES, TLB_MISS_PENALTY),
       committed_(trace_.size(), 0)
 {
     panic_if(misp.size() != trace_.size(),
@@ -224,8 +226,9 @@ Core::rebuildRenameTable()
     }
 }
 
+template <typename P>
 void
-Core::squashAfter(InFlight *b)
+Core::squashAfter(P &policy, InFlight *b)
 {
     ++stats_.squashes;
     NOREBA_EMIT(TraceEventType::Squash, b->idx, b->rec.pc,
@@ -302,7 +305,7 @@ Core::squashAfter(InFlight *b)
     while (!sq_.empty() && isSquashed(sq_.back()))
         sq_.pop_back();
 
-    policy_->onSquash(view_, b->idx);
+    policy.onSquash(view_, b->idx);
 
     for (InFlight *p : squashed_)
         free(p);
@@ -310,15 +313,14 @@ Core::squashAfter(InFlight *b)
     rebuildRenameTable();
 }
 
+template <typename P>
 void
-Core::writebackStage()
+Core::writebackStage(P &policy)
 {
-    while (!events_.empty() && events_.top().cycle <= cycle_) {
-        Event e = events_.top();
-        events_.pop();
+    completions_.drain(cycle_, [&](const CompletionWheel::Event &e) {
         InFlight *p = e.p;
         if (p->gen != e.gen)
-            continue; // squashed and recycled
+            return; // squashed and recycled
         p->completed = true;
         ++stats_.cdbBroadcasts;
         if (recHasDest(p->rec))
@@ -334,23 +336,21 @@ Core::writebackStage()
             ++stats_.branches;
             if (p->mispredicted) {
                 ++stats_.mispredicts;
-                squashAfter(p);
+                squashAfter(policy, p);
             }
         }
-        if (p->committed) {
-            // An early-reclaimed zombie finishing after commit.
-            if (!p->inRob)
-                free(p);
-            continue;
-        }
-    }
+        // An early-reclaimed zombie finishing after commit.
+        if (p->committed && !p->inRob)
+            free(p);
+    });
 }
 
+template <typename P>
 void
-Core::commitStage()
+Core::commitStage(P &policy)
 {
     commitsThisCycle_ = 0;
-    policy_->commitCycle(view_);
+    policy.commitCycle(view_);
     advanceCursor();
 
     // Reclaim fully-retired entries at the head of the master ROB.
@@ -385,7 +385,7 @@ Core::commitStage()
     }
     ++stats_.commitStallCycles;
     InFlight *head = index_.frontierHead();
-    StallCause cause = head ? policy_->classifyStall(view_, head)
+    StallCause cause = head ? policy.classifyStall(view_, head)
                             : StallCause::Empty;
     switch (cause) {
       case StallCause::Empty: ++stats_.stallEmptyCycles; break;
@@ -661,9 +661,9 @@ Core::issueStage()
                     }
                     stats_.rfReads +=
                         static_cast<uint64_t>(p->numSrcs);
-                    events_.push(Event{cycle_ +
-                                           static_cast<Cycle>(latency),
-                                       p->seq, p, p->gen});
+                    completions_.push(cycle_,
+                                      cycle_ + static_cast<Cycle>(latency),
+                                      p->seq, p, p->gen);
                     --budget;
                     keep = false;
                 }
@@ -679,8 +679,9 @@ Core::issueStage()
     readyQ_.resize(out);
 }
 
+template <typename P>
 void
-Core::dispatchStage()
+Core::dispatchStage(P &policy)
 {
     int budget = DISPATCH_WIDTH;
     bool chargedWindowStall = false;
@@ -691,7 +692,7 @@ Core::dispatchStage()
         const TraceRecord &rec = p->rec;
         FuClass cls = fuClass(rec.op);
 
-        if (!policy_->windowHasSpace(view_)) {
+        if (!policy.windowHasSpace(view_)) {
             if (!chargedWindowStall) {
                 ++stats_.windowFullCycles;
                 chargedWindowStall = true;
@@ -762,7 +763,7 @@ Core::dispatchStage()
 
         NOREBA_EMIT(TraceEventType::Dispatch, p->idx, rec.pc,
                     StallCause::None);
-        policy_->onDispatch(view_, p);
+        policy.onDispatch(view_, p);
         --budget;
     }
 }
@@ -856,15 +857,34 @@ Core::fetchStage()
 CoreStats
 Core::run()
 {
+    switch (cfg_.commitMode) {
+      case CommitMode::InOrder: return runWith(InOrderCommit{});
+      case CommitMode::NonSpecOoO: return runWith(NonSpecOoOCommit{});
+      case CommitMode::Noreba: return runWith(NorebaCommit(cfg_));
+      case CommitMode::IdealReconv: return runWith(IdealReconvCommit{});
+      case CommitMode::SpeculativeBR:
+        return runWith(SpeculativeCommit<true>{});
+      case CommitMode::SpeculativeFull:
+        return runWith(SpeculativeCommit<false>{});
+      case CommitMode::ValidationBuffer:
+        return runWith(ValidationBufferCommit{});
+    }
+    fatal("unknown commit mode %d", static_cast<int>(cfg_.commitMode));
+}
+
+template <typename P>
+CoreStats
+Core::runWith(P policy)
+{
     const TraceIdx end = static_cast<TraceIdx>(trace_.size());
     TraceIdx lastCursor = -1;
     Cycle lastProgress = 0;
 
     while (cursor_ < end) {
-        writebackStage();
-        commitStage();
+        writebackStage(policy);
+        commitStage(policy);
         issueStage();
-        dispatchStage();
+        dispatchStage(policy);
         decodeStage();
         fetchStage();
 

@@ -5,7 +5,11 @@
  * CIT re-fetch filtering), rename/dispatch (ROB/IQ/LQ/SQ/PRF limits),
  * issue (FU pools, cache hierarchy + DCPT, store-to-load forwarding),
  * writeback (wakeup, branch resolution, misprediction squash) and a
- * pluggable commit stage (see uarch/commit/).
+ * commit stage run by one of seven commit policies (uarch/commit/).
+ *
+ * run() switches once on cfg.commitMode into runWith<P>, the simulate
+ * loop instantiated for that policy's class; the stages that call the
+ * policy take it as a template argument, so no policy call is virtual.
  *
  * Issue is wakeup-driven, not polling: every dispatched instruction
  * counts its unready sources and parks on each producer's waiter list;
@@ -15,6 +19,9 @@
  * srcsReady() on the whole IQ, and store address-gen TLB kickoffs come
  * off a pending list instead of a full-IQ sweep. A load finds its
  * forwarding store by walking the in-flight stores older than it.
+ * Issue schedules each writeback on a timing wheel of per-cycle buckets
+ * (uarch/completion_wheel.h); writeback drains the current cycle's
+ * bucket in dispatch order.
  * CoreConfig::shadowChecks re-derives the ready queue and the pending
  * list from the naive IQ scan each cycle (and every PipelineIndex
  * answer from the naive ROB scan) and panics on divergence.
@@ -43,14 +50,13 @@
 #define NOREBA_UARCH_CORE_H
 
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/ring.h"
 #include "trace/observer.h"
 #include "uarch/branch_predictor.h"
 #include "uarch/cache.h"
-#include "uarch/commit/commit_policy.h"
+#include "uarch/completion_wheel.h"
 #include "uarch/config.h"
 #include "uarch/inflight.h"
 #include "uarch/pipeline_index.h"
@@ -86,11 +92,23 @@ class Core
   private:
     friend class PipelineView; // commit() forwarding only
 
+    /**
+     * The simulate loop for one commit policy type. run() picks the
+     * instantiation once from cfg.commitMode, so the stages that call
+     * the policy (commit, dispatch, and writeback through squashAfter)
+     * bind its members statically.
+     */
+    template <typename P>
+    CoreStats runWith(P policy);
+
     /** @name Pipeline stages (one call per cycle each) @{ */
-    void writebackStage();
-    void commitStage();
+    template <typename P>
+    void writebackStage(P &policy);
+    template <typename P>
+    void commitStage(P &policy);
     void issueStage();
-    void dispatchStage();
+    template <typename P>
+    void dispatchStage(P &policy);
     void decodeStage();
     void fetchStage();
     /** @} */
@@ -99,7 +117,8 @@ class Core
     void commit(InFlight *p);
 
     /** Squash everything younger than `b` that has not committed. */
-    void squashAfter(InFlight *b);
+    template <typename P>
+    void squashAfter(P &policy, InFlight *b);
 
     /** Release pool storage (bumps the generation). */
     void free(InFlight *p);
@@ -143,7 +162,6 @@ class Core
     const TraceView trace_;
     const std::vector<uint8_t> &misp_;
 
-    std::unique_ptr<CommitPolicy> policy_;
     MemoryHierarchy mem_;
     DcptPrefetcher dcpt_;
     Tlb tlb_;
@@ -180,19 +198,8 @@ class Core
     /** @} */
 
     /** @name Execution @{ */
-    struct Event
-    {
-        Cycle cycle;
-        uint64_t seq;
-        InFlight *p;
-        uint64_t gen;
-        bool operator>(const Event &o) const
-        {
-            return cycle != o.cycle ? cycle > o.cycle : seq > o.seq;
-        }
-    };
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        events_;
+    /** Issued instructions' writebacks, drained one cycle per cycle. */
+    CompletionWheel completions_;
     /** Per-cycle FU accounting: counts used this cycle per class. */
     int fuUsed_[static_cast<int>(FuClass::NUM_CLASSES)] = {};
     /** Unpipelined dividers, one per class: busy until this cycle. */

@@ -110,8 +110,10 @@ recordKey(const JsonValue &rec, std::map<std::string, int> &seen)
     std::string key = stringField(rec, "workload");
     const JsonValue *cfg = rec.isObject() ? rec.find("config") : nullptr;
     if (cfg && cfg->isObject()) {
-        key += "|" + stringField(*cfg, "name");
-        key += "|" + stringField(*cfg, "commitMode");
+        key += '|';
+        key += stringField(*cfg, "name");
+        key += '|';
+        key += stringField(*cfg, "commitMode");
     }
     for (const char *k : {"traceLen", "annotate", "stripSetups"}) {
         const JsonValue *v = rec.isObject() ? rec.find(k) : nullptr;
@@ -119,7 +121,9 @@ recordKey(const JsonValue &rec, std::map<std::string, int> &seen)
         if (v)
             key += scalarText(*v);
     }
-    key += "#" + std::to_string(seen[key]++);
+    const int occurrence = seen[key]++;
+    key += '#';
+    key += std::to_string(occurrence);
     return key;
 }
 
