@@ -144,6 +144,10 @@ Interpreter::run(const InterpOptions &opts)
     bool dctSensitive = false;
     bool dctStrict = false;
 
+    // Static ids by code site: a fall-through and a redirected slot per
+    // instruction slot, for DynamicTrace::push() to reuse.
+    std::vector<uint32_t> siteIds(2 * (layout.codeBytes() / INST_BYTES));
+
     int bb = fn.entry();
     int idx = 0;
     uint64_t executed = 0;
@@ -478,7 +482,8 @@ Interpreter::run(const InterpOptions &opts)
                        "%llu records", trace.name.c_str(),
                        static_cast<unsigned long long>(
                            MAX_TRACE_RECORDS)));
-        trace.push(rec);
+        trace.push(rec, siteIds[2 * ((pc - CODE_BASE) / INST_BYTES) +
+                                (rec.nextPc != pc + INST_BYTES)]);
         if (isSetup(inst.op)) {
             ++trace.setupInsts;
         } else {

@@ -8,13 +8,6 @@
 
 namespace noreba {
 
-namespace {
-
-/** Slots of the per-PC last-id cache (a power of two). */
-constexpr size_t LAST_ID_SLOTS = 4096;
-
-} // namespace
-
 size_t
 DynamicTrace::StaticHash::operator()(const StaticInst &s) const
 {
@@ -29,13 +22,17 @@ DynamicTrace::StaticHash::operator()(const StaticInst &s) const
 }
 
 uint32_t
-DynamicTrace::intern(const StaticInst &s)
+DynamicTrace::intern(const TraceRecord &rec)
 {
-    if (lastId_.empty())
-        lastId_.assign(LAST_ID_SLOTS, 0);
-    uint32_t &slot = lastId_[(s.pc >> 2) & (LAST_ID_SLOTS - 1)];
-    if (slot != 0 && slot <= statics.size() && statics[slot - 1] == s)
-        return slot - 1;
+    StaticInst s;
+    s.pc = rec.pc;
+    s.nextPc = rec.nextPc;
+    s.op = rec.op;
+    s.memSize = rec.memSize;
+    s.rd = rec.rd;
+    s.rs1 = rec.rs1;
+    s.rs2 = rec.rs2;
+    s.rs3 = rec.rs3;
 
     // Index whatever was stored without push() (a copied table).
     if (indexed_ > statics.size()) {
@@ -58,36 +55,7 @@ DynamicTrace::intern(const StaticInst &s)
         statics.push_back(s);
         ++indexed_;
     }
-    slot = it->second + 1;
     return it->second;
-}
-
-void
-DynamicTrace::push(const TraceRecord &rec)
-{
-    StaticInst s;
-    s.pc = rec.pc;
-    s.nextPc = rec.nextPc;
-    s.op = rec.op;
-    s.memSize = rec.memSize;
-    s.rd = rec.rd;
-    s.rs1 = rec.rs1;
-    s.rs2 = rec.rs2;
-    s.rs3 = rec.rs3;
-
-    DynRecord d;
-    d.idFlags = intern(s) << DYN_FLAG_BITS;
-    if (rec.taken)
-        d.idFlags |= DYN_TAKEN;
-    if (rec.markedBranch)
-        d.idFlags |= DYN_MARKED_BRANCH;
-    if (rec.orderSensitive)
-        d.idFlags |= DYN_ORDER_SENSITIVE;
-    if (rec.orderStrict)
-        d.idFlags |= DYN_ORDER_STRICT;
-    d.guardIdx = rec.guardIdx;
-    d.addrOrImm = rec.addrOrImm;
-    dyn.push_back(d);
 }
 
 } // namespace noreba

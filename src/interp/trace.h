@@ -234,12 +234,40 @@ struct DynamicTrace : TraceSummary
     }
 
     /**
-     * Append @p rec, interning its static tuple. Throws SimError
-     * ("interp.static_limit") past MAX_STATIC_INSTS distinct tuples.
-     * A direct-mapped per-PC cache of the last id makes the common
-     * case one compare.
+     * Append @p rec, interning its static tuple through the hash index.
+     * Throws SimError ("interp.trace_limit") past MAX_STATIC_INSTS
+     * distinct tuples.
+     *
+     * @p siteId is the caller's cache of a static id plus one (0 =
+     * empty), kept per code site. If the entry it names has rec's pc
+     * and nextPc, push() reuses that id without building the tuple;
+     * otherwise it interns and refills the cache. Only the two PCs are
+     * checked, so every record's op and registers must follow from its
+     * pc, as they do in one program's trace.
      */
-    void push(const TraceRecord &rec);
+    void
+    push(const TraceRecord &rec, uint32_t &siteId)
+    {
+        uint32_t id = siteId - 1; // an empty cache wraps past every id
+        if (id >= statics.size() || statics[id].pc != rec.pc ||
+            statics[id].nextPc != rec.nextPc) {
+            id = intern(rec);
+            siteId = id + 1;
+        }
+        DynRecord d;
+        d.idFlags = id << DYN_FLAG_BITS;
+        if (rec.taken)
+            d.idFlags |= DYN_TAKEN;
+        if (rec.markedBranch)
+            d.idFlags |= DYN_MARKED_BRANCH;
+        if (rec.orderSensitive)
+            d.idFlags |= DYN_ORDER_SENSITIVE;
+        if (rec.orderStrict)
+            d.idFlags |= DYN_ORDER_STRICT;
+        d.guardIdx = rec.guardIdx;
+        d.addrOrImm = rec.addrOrImm;
+        dyn.push_back(d);
+    }
 
   private:
     struct StaticHash
@@ -247,14 +275,13 @@ struct DynamicTrace : TraceSummary
         size_t operator()(const StaticInst &s) const;
     };
 
-    uint32_t intern(const StaticInst &s);
+    /** The id of @p rec's static tuple, adding it if new. */
+    uint32_t intern(const TraceRecord &rec);
 
     /** statics[0, indexed_) by tuple; intern() catches up on entries
      *  stored directly (stripSetupRecords copies a whole table). */
     std::unordered_map<StaticInst, uint32_t, StaticHash> ids_;
     size_t indexed_ = 0;
-    /** Last id seen per PC slot, plus one (0 = empty). */
-    std::vector<uint32_t> lastId_;
 };
 
 /**

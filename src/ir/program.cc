@@ -40,7 +40,7 @@ Program::pokeBytes(uint64_t addr, const void *data, size_t len)
         lastSeg_ = i;
         return true;
     };
-    // Workloads poke one byte at a time into one segment. The last hit
+    // Workloads poke value after value into one segment. The last hit
     // is what a full scan would find first only while no two segments
     // overlap, so the shortcut is taken only then.
     if (segsDisjoint_ && lastSeg_ < segs_.size() && pokeInto(lastSeg_))
@@ -64,24 +64,6 @@ Program::addSegment(DataSegment seg)
         if (seg.base < s.base + s.bytes.size() && s.base < end)
             segsDisjoint_ = false;
     segs_.push_back(std::move(seg));
-}
-
-void
-Program::poke64(uint64_t addr, uint64_t value)
-{
-    pokeBytes(addr, &value, sizeof(value));
-}
-
-void
-Program::poke32(uint64_t addr, uint32_t value)
-{
-    pokeBytes(addr, &value, sizeof(value));
-}
-
-void
-Program::pokeDouble(uint64_t addr, double value)
-{
-    pokeBytes(addr, &value, sizeof(value));
 }
 
 void

@@ -10,6 +10,7 @@
 #define NOREBA_IR_PROGRAM_H
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -86,9 +87,9 @@ class Program
     /** Write raw bytes at an absolute address (extending segments). */
     void pokeBytes(uint64_t addr, const void *data, size_t len);
 
-    void poke64(uint64_t addr, uint64_t value);
-    void poke32(uint64_t addr, uint32_t value);
-    void pokeDouble(uint64_t addr, double value);
+    void poke64(uint64_t addr, uint64_t value) { poke(addr, value); }
+    void poke32(uint64_t addr, uint32_t value) { poke(addr, value); }
+    void pokeDouble(uint64_t addr, double value) { poke(addr, value); }
 
     const std::vector<DataSegment> &dataSegments() const { return segs_; }
     /** @} */
@@ -99,12 +100,30 @@ class Program
     const Layout &layout() const { return layout_; }
 
   private:
+    /** pokeBytes() of one value, inline while it lands in the segment
+     *  the last poke hit (the common case; see pokeBytes()). */
+    template <typename T>
+    void
+    poke(uint64_t addr, T value)
+    {
+        if (segsDisjoint_ && lastSeg_ < segs_.size()) {
+            DataSegment &seg = segs_[lastSeg_];
+            if (addr >= seg.base &&
+                addr - seg.base + sizeof(T) <= seg.bytes.size()) {
+                std::memcpy(seg.bytes.data() + (addr - seg.base), &value,
+                            sizeof(T));
+                return;
+            }
+        }
+        pokeBytes(addr, &value, sizeof(T));
+    }
+
     void addSegment(DataSegment seg);
 
     std::string name_;
     Function fn_;
     std::vector<DataSegment> segs_;
-    size_t lastSeg_ = 0;       //!< segment the last pokeBytes hit
+    size_t lastSeg_ = 0;       //!< segment the last poke hit
     bool segsDisjoint_ = true; //!< no two segments overlap
     Layout layout_;
     uint64_t heapNext_ = HEAP_BASE;

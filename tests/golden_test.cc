@@ -15,6 +15,13 @@
  * store nor the caller's environment can stand in for a simulation.
  * A change that is meant to move results commits the replacement
  * files this test prints on a mismatch.
+ *
+ * Golden.TraceDigests pins the prepared traces themselves, across
+ * trees: golden/trace_digests.txt holds one line per registry program
+ * (seed 42, annotated, 20000 instructions) with its record and static
+ * counts and FNV-1a over the data segments, the static table, the
+ * dynamic records, the misprediction verdicts and regChecksum(). A
+ * mismatch names the program and the first section that differs.
  */
 
 #include <algorithm>
@@ -31,10 +38,14 @@
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
+#include "compiler/branch_dep.h"
 #include "exp/experiment.h"
 #include "experiments.h"
+#include "interp/interpreter.h"
 #include "sim/result_store.h"
 #include "sim/sweep.h"
+#include "uarch/branch_predictor.h"
+#include "workloads/workloads.h"
 
 extern char **environ;
 
@@ -44,6 +55,7 @@ using namespace noreba::bench;
 namespace {
 
 constexpr const char *GOLDEN_TRACE_LEN = "20000";
+constexpr uint64_t GOLDEN_TRACE_INSTS = 20000;
 
 /** Fold one record into @p h: its key, counters and stall map. */
 uint64_t
@@ -207,6 +219,93 @@ TEST(Golden, StatsDigests)
                   << joined(got.experiments) << "\nand " << dir
                   << "/stats_records.txt with:\n"
                   << joined(got.records);
+}
+
+/** A byte vector's FNV-1a. */
+template <typename T>
+std::string
+digest(const std::vector<T> &v)
+{
+    return hex(fnv1a(v.data(), v.size() * sizeof(T)));
+}
+
+/**
+ * "<name> records=N statics=N data=.. static_table=.. dyn=.. misp=..
+ * regs=..": every byte the trace store would publish for @p name.
+ */
+std::string
+traceDigestLine(const std::string &name)
+{
+    Program prog = buildWorkload(name);
+    runBranchDependencePass(prog);
+    Interpreter interp(prog);
+    InterpOptions io;
+    io.maxDynInsts = GOLDEN_TRACE_INSTS;
+    const DynamicTrace trace = interp.run(io);
+
+    uint64_t data = fnv1a(nullptr, 0);
+    for (const DataSegment &seg : prog.dataSegments()) {
+        const uint64_t head[2] = {seg.base, seg.bytes.size()};
+        data = fnv1a(head, sizeof(head), data);
+        data = fnv1a(seg.bytes.data(), seg.bytes.size(), data);
+    }
+    const uint64_t regs = interp.regChecksum();
+    return name + " records=" + std::to_string(trace.size()) +
+           " statics=" + std::to_string(trace.statics.size()) +
+           " data=" + hex(data) + " static_table=" +
+           digest(trace.statics) + " dyn=" + digest(trace.dyn) +
+           " misp=" + digest(precomputeMispredictions(trace)) +
+           " regs=" + hex(regs);
+}
+
+/** The space-separated tokens of @p line. */
+std::vector<std::string>
+tokens(const std::string &line)
+{
+    std::istringstream in(line);
+    std::vector<std::string> out;
+    for (std::string t; in >> t;)
+        out.push_back(t);
+    return out;
+}
+
+TEST(Golden, TraceDigests)
+{
+    const std::string path = std::string(GOLDEN_DIR) + "/trace_digests.txt";
+    const std::vector<std::string> want = readLines(path);
+    std::vector<std::string> got;
+    for (const std::string &name : workloadNames())
+        got.push_back(traceDigestLine(name));
+    if (got == want)
+        return;
+
+    std::map<std::string, std::string> wantLine;
+    for (const std::string &l : want)
+        wantLine[experimentOf(l)] = l;
+    std::ostringstream report;
+    for (const std::string &line : got) {
+        const std::string name = experimentOf(line);
+        auto golden = wantLine.find(name);
+        if (golden == wantLine.end()) {
+            report << "new: " << line << "\n";
+            continue;
+        }
+        const std::vector<std::string> now = tokens(line);
+        const std::vector<std::string> old = tokens(golden->second);
+        auto [a, b] =
+            std::mismatch(now.begin(), now.end(), old.begin(), old.end());
+        if (a != now.end())
+            report << name << ": first differing section "
+                   << a->substr(0, a->find('=')) << "\n  now:    " << line
+                   << "\n  golden: " << golden->second << "\n";
+        wantLine.erase(golden);
+    }
+    for (const auto &[name, line] : wantLine)
+        report << "gone: " << line << "\n";
+    ADD_FAILURE() << report.str()
+                  << "\nIf the change is meant to move traces, replace "
+                  << path << " with:\n"
+                  << joined(got);
 }
 
 } // namespace

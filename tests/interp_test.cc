@@ -6,12 +6,14 @@
  */
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "compiler/branch_dep.h"
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "isa/setup_encoding.h"
@@ -405,6 +407,12 @@ TEST(Program, PokesLandInTheFirstSegmentThatHoldsThem)
     ASSERT_EQ(prog.dataSegments().size(), 4u);
     EXPECT_EQ(prog.dataSegments()[2].bytes[1], 0x5a);
     EXPECT_EQ(prog.dataSegments()[3].bytes[late + 1 - overlap], 0);
+
+    // The inline fixed-size pokes keep to the same rule.
+    prog.pokeBytes(overlap, &v, 1);
+    prog.poke32(late + 4, 0x01020304);
+    EXPECT_EQ(prog.dataSegments()[2].bytes[4], 0x04);
+    EXPECT_EQ(prog.dataSegments()[3].bytes[late + 4 - overlap], 0);
 }
 
 /**
@@ -492,6 +500,7 @@ TEST_F(TraceFormat, PushRoundTripsEveryFieldAndFlag)
     // Rebuild the trace through push() with every flag pattern and a
     // guard, and read back exactly what went in.
     DynamicTrace copy;
+    uint32_t slot = 0;
     std::vector<TraceRecord> in;
     for (size_t i = 0; i < trace.size(); ++i) {
         TraceRecord rec = trace[i];
@@ -501,7 +510,7 @@ TEST_F(TraceFormat, PushRoundTripsEveryFieldAndFlag)
         rec.guardIdx = i > 0 ? static_cast<TraceIdx>(i - 1) : TRACE_NONE;
         rec.addrOrImm = 0xfedcba9876543210ull ^ i;
         in.push_back(rec);
-        copy.push(rec);
+        copy.push(rec, slot);
     }
     ASSERT_EQ(copy.size(), in.size());
     EXPECT_EQ(copy.statics, trace.statics);
@@ -529,9 +538,68 @@ TEST_F(TraceFormat, PushRoundTripsEveryFieldAndFlag)
     // A table stored without push() is indexed before the next push.
     DynamicTrace seeded;
     seeded.statics = trace.statics;
-    seeded.push(trace[0]);
+    uint32_t empty = 0;
+    seeded.push(trace[0], empty);
     EXPECT_EQ(seeded.statics, trace.statics);
     EXPECT_EQ(seeded.dyn[0].staticId(), trace.dyn[0].staticId());
+}
+
+TEST(TraceFormatSites, CacheMatchesInterningEveryRecord)
+{
+    // A jump table whose selector T0 & 3 walks h0, h1, h2, h0 (h0 is
+    // the fall-through PC, so the redirected slot alternates h1 and
+    // h2), and a branch on T0's low bit that flips direction every
+    // trip: the interpreter's per-site cache misses on first visits
+    // and on every new JALR target.
+    Program prog("sites");
+    IRBuilder b(prog);
+    const int e = b.newBlock("e"), loop = b.newBlock("loop");
+    const int h0 = b.newBlock("h0"), h1 = b.newBlock("h1");
+    const int h2 = b.newBlock("h2"), join = b.newBlock("join");
+    const int odd = b.newBlock("odd"), next = b.newBlock("next");
+    const int out = b.newBlock("out");
+    b.at(e).li(T0, 0).fallthrough(loop);
+    b.at(loop).andi(T1, T0, 3).jumpTable(T1, {h0, h1, h2});
+    b.at(h0).addi(T2, T2, 1).jump(join);
+    b.at(h1).addi(T2, T2, 2).jump(join);
+    b.at(h2).addi(T2, T2, 3).jump(join);
+    b.at(join).andi(T4, T0, 1).beq(T4, ZERO, next, odd);
+    b.at(odd).addi(T5, T5, 1).fallthrough(next);
+    b.at(next)
+        .addi(T0, T0, 1)
+        .slti(T3, T0, 40)
+        .bne(T3, ZERO, loop, out);
+    b.at(out).halt();
+    prog.finalize();
+    runBranchDependencePass(prog);
+    const DynamicTrace trace = Interpreter(prog).run();
+    ASSERT_GT(trace.setupInsts, 0u);
+
+    // Rebuild the records with each nextPc taken from the pc executed
+    // next, which no cached id can have supplied, through the hash
+    // index alone (an empty cache per record) and through one cache
+    // that every site shares (it misses at every site change and must
+    // never reuse a stale id).
+    const TraceView view(trace);
+    DynamicTrace interned, shared;
+    uint32_t slot = 0;
+    for (size_t i = 0; i < view.size(); ++i) {
+        TraceRecord rec = view[i];
+        if (i + 1 < view.size())
+            rec.nextPc = view.pcOf(i + 1);
+        uint32_t empty = 0;
+        interned.push(rec, empty);
+        shared.push(rec, slot);
+    }
+    for (const DynamicTrace *t : {&interned, &shared}) {
+        EXPECT_EQ(t->statics, trace.statics);
+        ASSERT_EQ(t->dyn.size(), trace.dyn.size());
+        for (size_t i = 0; i < trace.dyn.size(); ++i)
+            ASSERT_EQ(std::memcmp(&t->dyn[i], &trace.dyn[i],
+                                  sizeof(DynRecord)),
+                      0)
+                << "record " << i;
+    }
 }
 
 TEST_F(TraceFormat, ViewAccessorsMatchComposedRecords)

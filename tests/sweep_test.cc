@@ -455,8 +455,10 @@ TEST(StripSetupRecords, RemapsGuardIndices)
              rec(Opcode::SET_DEPENDENCY, TRACE_NONE),// 3 -> dropped
              rec(Opcode::ADD, 2),                    // 4 -> 2, guard 2 -> 1
              rec(Opcode::ADD, TRACE_NONE),           // 5 -> 3
-         })
-        in.push(r);
+         }) {
+        uint32_t uncached = 0; // every record has pc 0: cache none
+        in.push(r, uncached);
+    }
 
     DynamicTrace out = stripSetupRecords(in);
     ASSERT_EQ(out.size(), 4u);
