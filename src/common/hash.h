@@ -3,11 +3,13 @@
  * Shared hashing for cache keys, file fingerprints and store payloads.
  *
  * fnv1a() is 64-bit FNV-1a over raw bytes: stable across runs, and the
- * hash of file names, keys, header checksums and config fingerprints.
- * It handles one byte per 64-bit multiply, each waiting on the last,
- * so it runs at about 2 ns per byte.
+ * hash of the stores' header checksums, version tuples and config
+ * fingerprints. It handles one byte per 64-bit multiply, each waiting
+ * on the last, so it runs at about 2 ns per byte; it no longer names
+ * store files, whose keys run to hundreds of bytes.
  *
- * PayloadChecksum covers store payloads (megabytes per trace bundle).
+ * PayloadChecksum covers store payloads (megabytes per trace bundle)
+ * and names store files (the version hash and the key text).
  * Four independent multiply-rotate lanes each take one 64-bit word of
  * every 32-byte stripe, so four multiplies are in flight at once. The
  * lanes are merged, the total length is folded in, and the bytes past

@@ -1,5 +1,6 @@
 #include "sim/blob_store.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -21,6 +22,9 @@ namespace noreba {
 namespace {
 
 constexpr char MAGIC[8] = {'N', 'O', 'R', 'B', 'B', 'L', 'O', 'B'};
+
+/** Smallest buffer read() reads into: a result file fits in one. */
+constexpr size_t READ_CHUNK = 4096;
 
 /**
  * On-disk header. Everything after it is validated against these
@@ -85,10 +89,13 @@ BlobStore::path(const std::string &workload, const std::string &key) const
     for (char c : workload)
         base.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c
                                                                    : '_');
+    PayloadChecksum name;
+    name.update({reinterpret_cast<const uint8_t *>(&versionHash_),
+                 sizeof(versionHash_)});
+    name.update({reinterpret_cast<const uint8_t *>(key.data()), key.size()});
     char hex[32];
     std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(
-                      fnv1a(key, versionHash_)));
+                  static_cast<unsigned long long>(name.finish()));
     return d + "/" + base + "-" + hex + ".v" + std::to_string(format_) +
            "." + ext_;
 }
@@ -172,25 +179,27 @@ BlobStore::read(const std::string &path, const std::string &key,
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return {};
-    struct stat st;
-    if (::fstat(fd, &st) != 0 || st.st_size < 0 ||
-        static_cast<size_t>(st.st_size) < sizeof(BlobHeader)) {
-        ::close(fd);
-        return {};
-    }
-    buf.resize(static_cast<size_t>(st.st_size));
+    // Read to end of file without asking its size: a read that stops
+    // short of the buffer has met the end, and one that fills it grows
+    // the buffer. validate() checks the length the header records, so a
+    // short read for any other reason is a miss, never a half-read.
+    buf.resize(std::max(buf.capacity(), READ_CHUNK));
     size_t got = 0;
-    while (got < buf.size()) {
-        ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
+    for (;;) {
+        const ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
         if (n <= 0)
             break;
         got += static_cast<size_t>(n);
+        if (got < buf.size())
+            break;
+        buf.resize(2 * buf.size());
     }
     ::close(fd);
 
     std::span<const uint8_t> stored, payload;
-    if (got != buf.size() ||
-        !validate(buf.data(), buf.size(), stored, payload) ||
+    if (!validate(buf.data(), got, stored, payload) ||
         stored.size() != key.size() ||
         std::memcmp(stored.data(), key.data(), key.size()) != 0)
         return {};

@@ -17,9 +17,11 @@
  * half-read. The full key text is stored in the file, so a file-name
  * hash collision (or a file copied under another name) misses too.
  *
- * File names are `<workload>-<hash>.v<format>.<ext>`: the hash folds
- * the key text with the version tuple, so bumping any version simply
- * misses and re-populates.
+ * File names are `<workload>-<hash>.v<format>.<ext>`: the hash is a
+ * PayloadChecksum over the version-tuple hash and then the key text,
+ * so bumping any version simply misses and re-populates. The name hash
+ * is part of the on-disk format: changing it means bumping the format
+ * versions, so that no file named the old way is ever opened.
  *
  * Publishing writes a unique temp file and renames it over the final
  * name, so concurrent same-key writers race benignly and a running
@@ -34,7 +36,9 @@
  * Two read paths share one validation routine: map() serves large
  * files (trace bundles) zero-copy from a read-only mapping, read()
  * copies small files (results) into a buffer, which costs less than
- * setting up and tearing down a mapping per file.
+ * setting up and tearing down a mapping per file. read() asks for no
+ * file size: it reads to end of file (open, read, close for a file
+ * that fits the buffer) and leaves the length check to validation.
  */
 
 #ifndef NOREBA_SIM_BLOB_STORE_H
@@ -120,7 +124,9 @@ class BlobStore
     /**
      * Read the file at @p path into @p buf and validate it, including
      * that its stored key equals @p key. Returns the payload inside
-     * @p buf, or a span with a null data() on any failure.
+     * @p buf, or a span with a null data() on any failure. @p buf is
+     * grown as needed and never shrunk, so a buffer reused across
+     * reads (one per thread) stops allocating after the first.
      */
     std::span<const uint8_t> read(const std::string &path,
                                   const std::string &key,

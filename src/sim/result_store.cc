@@ -59,7 +59,9 @@ std::string
 resultKey(const std::string &workload, const CoreConfig &cfg,
           const TraceOptions &opts)
 {
-    return traceKey(workload, opts) + serializeConfig(cfg);
+    std::string key = traceKey(workload, opts);
+    serializeConfig(cfg, key);
+    return key;
 }
 
 std::string
@@ -78,7 +80,8 @@ resultStoreEligible(const CoreConfig &cfg)
 bool
 loadResult(const std::string &path, const std::string &key, CoreStats &out)
 {
-    std::vector<uint8_t> buf;
+    // One buffer per thread: a warm replay reads thousands of results.
+    thread_local std::vector<uint8_t> buf;
     const std::span<const uint8_t> payload =
         resultStore().read(path, key, buf);
     const size_t counterBytes = numCounters() * sizeof(uint64_t);

@@ -37,8 +37,8 @@
 namespace noreba {
 
 /** Bump on any change to the on-disk result payload layout or to the
- *  BlobStore envelope. */
-constexpr uint32_t RESULT_STORE_FORMAT_VERSION = 3;
+ *  BlobStore envelope or file naming. */
+constexpr uint32_t RESULT_STORE_FORMAT_VERSION = 4;
 
 /**
  * Fingerprint of the simulation semantics: bump whenever Core, a
@@ -63,7 +63,8 @@ std::string resultKey(const std::string &workload, const CoreConfig &cfg,
 
 /**
  * Full path of the result file for one key, or empty when the store
- * is disabled. `<workload>-<key hash>.v<format version>.nrs`.
+ * is disabled. `<workload>-<name hash>.v<format version>.nrs`
+ * (BlobStore::path).
  */
 std::string resultPath(const std::string &workload, const CoreConfig &cfg,
                        const TraceOptions &opts);

@@ -1,5 +1,7 @@
 #include "sim/sweep.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
@@ -88,18 +90,16 @@ ResultCache::get(const SweepJob &job, const Simulate &sim)
                 : std::string();
         CoreStats stats;
         if (!path.empty() && loadResult(path, key, stats)) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.diskHits;
+            diskHits_.fetch_add(1, std::memory_order_relaxed);
             return stats;
         }
         stats = sim();
         const size_t published =
             path.empty() ? 0 : saveResult(path, key, stats);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.simBuilds;
+        simBuilds_.fetch_add(1, std::memory_order_relaxed);
         if (published) {
-            ++stats_.stored;
-            stats_.bytesWritten += published;
+            stored_.fetch_add(1, std::memory_order_relaxed);
+            bytesWritten_.fetch_add(published, std::memory_order_relaxed);
         }
         return stats;
     };
@@ -109,11 +109,14 @@ ResultCache::get(const SweepJob &job, const Simulate &sim)
 SimCacheStats
 ResultCache::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    SimCacheStats out = stats_;
+    SimCacheStats out;
     const auto counts = memo_.counts();
     out.memHits = counts.resident;
     out.sharedSims = counts.joined;
+    out.diskHits = diskHits_.load(std::memory_order_relaxed);
+    out.simBuilds = simBuilds_.load(std::memory_order_relaxed);
+    out.stored = stored_.load(std::memory_order_relaxed);
+    out.bytesWritten = bytesWritten_.load(std::memory_order_relaxed);
     return out;
 }
 
@@ -178,13 +181,18 @@ SweepRunner::run(const std::vector<SweepJob> &jobs, FailurePolicy policy)
         results[i].stats = simulate(job.cfg, *bundle);
     };
 
+    // Never throws: whatever a job throws, std or not, is its outcome.
     auto runJob = [&](size_t i) {
-        results[i].job = jobs[i];
         try {
+            results[i].job = jobs[i];
             simulateJob(i);
         } catch (const std::exception &e) {
             results[i].ok = false;
             results[i].failure = {errorSite(e, "sweep.job"), e.what()};
+            errors[i] = std::current_exception();
+        } catch (...) {
+            results[i].ok = false;
+            results[i].failure = {"sweep.job", "non-standard exception"};
             errors[i] = std::current_exception();
         }
     };
@@ -193,9 +201,25 @@ SweepRunner::run(const std::vector<SweepJob> &jobs, FailurePolicy policy)
         for (size_t i = 0; i < jobs.size(); ++i)
             runJob(i);
     } else {
-        ThreadPool pool(numThreads_);
-        for (size_t i = 0; i < jobs.size(); ++i)
-            pool.submit([&runJob, i] { runJob(i); });
+        // min(threads, jobs) workers, each claiming the next unclaimed
+        // index until none is left; results land at their own index,
+        // so the claim order never reaches them. The pool only hosts
+        // the workers: its queue holds one task per worker, not one
+        // per job.
+        std::atomic<size_t> next{0};
+        auto work = [&] {
+            for (;;) {
+                const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= jobs.size())
+                    return;
+                runJob(i);
+            }
+        };
+        const auto workers =
+            static_cast<unsigned>(std::min<size_t>(numThreads_, jobs.size()));
+        ThreadPool pool(workers);
+        for (unsigned w = 0; w < workers; ++w)
+            pool.submit(work);
         pool.wait();
     }
 

@@ -4,14 +4,16 @@
  * of (workload x config) simulations; they are mutually independent and
  * share nothing but the per-workload TraceBundle, which Core reads by
  * const reference. SweepRunner exploits that shape: it builds each
- * bundle exactly once in a shared cache, fans the jobs out across a
- * fixed-size thread pool (NOREBA_JOBS threads), and returns the results
- * in deterministic submission order — a parallel sweep is bit-identical
- * to the serial one, just faster.
+ * bundle exactly once in a shared cache, runs up to NOREBA_JOBS worker
+ * threads that claim job indices from one atomic counter, and returns
+ * the results in deterministic submission order — a parallel sweep is
+ * bit-identical to the serial one, just faster.
  *
  * Both in-process caches (BundleCache, ResultCache) sit on one
  * OnceMemo: every job is a pure function of its key, so each key is
- * produced once and its outcome — value or exception — is kept.
+ * produced once and its outcome — value or exception — is kept. A
+ * warm replay is nearly all cache hits, so a hit is kept cheap: one
+ * hash per key, a sharded lock, no promise.
  *
  * Failure handling (DESIGN.md §13): a job that throws either fails the
  * sweep (Propagate, rethrown in submission order so the outcome is
@@ -26,14 +28,16 @@
 #ifndef NOREBA_SIM_SWEEP_H
 #define NOREBA_SIM_SWEEP_H
 
-#include <chrono>
+#include <array>
+#include <atomic>
 #include <exception>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/json.h"
@@ -88,6 +92,13 @@ enum class FailurePolicy
  * is kept and served to every later caller — a value, or the exception
  * the producer threw, rethrown. Entries are never dropped, so a key
  * whose producer failed fails fast from then on.
+ *
+ * A cache hit costs one hashed lookup under one shard's mutex: the key
+ * is hashed once, before any lock, and its hash picks the shard, so
+ * sweep workers hitting different keys rarely wait on each other.
+ * Entries live in map nodes that never move, so the outcome is read
+ * after the lock is released: the producer writes it into the entry
+ * and then sets the entry's `done` flag, on which joiners wait.
  */
 template <typename V>
 class OnceMemo
@@ -109,51 +120,116 @@ class OnceMemo
     template <typename Produce>
     V get(const std::string &key, Produce &&produce)
     {
-        std::promise<V> promise;
-        std::shared_future<V> outcome;
+        const Lookup lookup{key, std::hash<std::string_view>{}(key)};
+        Shard &shard =
+            shards_[lookup.hash >> (8 * sizeof(size_t) - SHARD_BITS)];
+        Entry *entry;
         bool producer = false;
         {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto [it, inserted] = entries_.try_emplace(key);
-            producer = inserted;
-            if (producer)
-                it->second = promise.get_future().share();
-            else if (it->second.wait_for(std::chrono::seconds(0)) ==
-                     std::future_status::ready)
-                ++counts_.resident;
-            else
-                ++counts_.joined;
-            outcome = it->second;
+            std::lock_guard<std::mutex> lock(shard.mutex);
+            auto it = shard.entries.find(lookup);
+            if (it == shard.entries.end()) {
+                it = shard.entries.try_emplace(Key{key, lookup.hash}).first;
+                producer = true;
+            } else if (it->second.done.load(std::memory_order_relaxed)) {
+                ++shard.counts.resident;
+            } else {
+                ++shard.counts.joined;
+            }
+            entry = &it->second;
         }
         // Produce outside the lock so unrelated keys run in parallel.
         if (producer) {
             try {
-                promise.set_value(produce());
+                entry->value.emplace(produce());
             } catch (...) {
-                promise.set_exception(std::current_exception());
+                entry->error = std::current_exception();
             }
+            entry->done.store(true, std::memory_order_release);
+            entry->done.notify_all();
+        } else if (!entry->done.load(std::memory_order_acquire)) {
+            // Only a joiner waits: wait() registers with a waiter
+            // table shared across the process even when it returns
+            // at once.
+            entry->done.wait(false, std::memory_order_acquire);
         }
-        return outcome.get();
+        if (entry->error)
+            std::rethrow_exception(entry->error);
+        return *entry->value;
     }
 
     /** Number of keys seen (resident, in flight or failed). */
     size_t size() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return entries_.size();
+        size_t n = 0;
+        for (const Shard &shard : shards_) {
+            std::lock_guard<std::mutex> lock(shard.mutex);
+            n += shard.entries.size();
+        }
+        return n;
     }
 
     /** Snapshot of how non-producing callers were served. */
     Counts counts() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return counts_;
+        Counts sum;
+        for (const Shard &shard : shards_) {
+            std::lock_guard<std::mutex> lock(shard.mutex);
+            sum.resident += shard.counts.resident;
+            sum.joined += shard.counts.joined;
+        }
+        return sum;
     }
 
   private:
-    mutable std::mutex mutex_;
-    std::map<std::string, std::shared_future<V>> entries_;
-    Counts counts_;
+    /** A stored key with its hash. */
+    struct Key
+    {
+        std::string text;
+        size_t hash;
+    };
+    /** A probe: the caller's key and its hash, computed before locking. */
+    struct Lookup
+    {
+        std::string_view text;
+        size_t hash;
+    };
+    struct KeyHash
+    {
+        using is_transparent = void;
+        size_t operator()(const Key &k) const { return k.hash; }
+        size_t operator()(const Lookup &k) const { return k.hash; }
+    };
+    struct KeyEqual
+    {
+        using is_transparent = void;
+        template <typename A, typename B>
+        bool operator()(const A &a, const B &b) const
+        {
+            return a.hash == b.hash &&
+                   std::string_view(a.text) == std::string_view(b.text);
+        }
+    };
+    /** Written once by the producer, read only once `done` is set. */
+    struct Entry
+    {
+        std::optional<V> value;
+        std::exception_ptr error;
+        /** The producer has finished: released after the outcome is
+         *  written, and waited on by joiners. */
+        std::atomic<bool> done{false};
+    };
+    /** One lock's worth of entries, on its own cache line. */
+    struct alignas(64) Shard
+    {
+        mutable std::mutex mutex;
+        std::unordered_map<Key, Entry, KeyHash, KeyEqual> entries;
+        Counts counts;
+    };
+
+    /** The hash's top SHARD_BITS bits pick the shard. */
+    static constexpr unsigned SHARD_BITS = 4;
+    std::array<Shard, size_t{1} << SHARD_BITS> shards_;
 };
 
 /** Counters for the two-tier (memory over disk) bundle cache. */
@@ -270,9 +346,13 @@ class ResultCache
   private:
     /** Keyed by resultKey() — the content-addressed identity. */
     OnceMemo<CoreStats> memo_;
-    /** Guards stats_; memHits and sharedSims come from memo_. */
-    mutable std::mutex mutex_;
-    SimCacheStats stats_;
+    /**
+     * The counters get() bumps on every disk hit, so atomics rather
+     * than a lock every sweep worker would queue on; memHits and
+     * sharedSims come from memo_.
+     */
+    std::atomic<uint64_t> diskHits_{0}, simBuilds_{0}, stored_{0},
+        bytesWritten_{0};
 };
 
 /** The process-wide result cache every sweep (and bench) shares. */
@@ -284,7 +364,7 @@ ResultCache &globalResultCache();
  */
 constexpr unsigned MAX_SWEEP_JOBS = 1024;
 
-/** Execute sweeps over a fixed-size thread pool. */
+/** Execute sweeps on up to numThreads() worker threads. */
 class SweepRunner
 {
   public:
@@ -305,14 +385,19 @@ class SweepRunner
                          ResultCache *results = nullptr);
 
     /**
-     * Run every job and return results in submission order. Job i's
-     * result is always at index i regardless of which thread ran it or
-     * when it finished.
+     * Run every job and return results in submission order. One
+     * thread or one job runs inline; otherwise a ThreadPool of
+     * min(numThreads(), jobs) threads runs one worker each, every
+     * worker claims the next unclaimed job index until none is left,
+     * and the calling thread only waits for them. Job i's result is
+     * always at index i regardless of which thread ran it or when it
+     * finished.
      *
-     * A job that throws is handled per @p policy: Propagate (the
-     * default) rethrows the first failed job's exception in submission
-     * order; Isolate records the failure on that job's SweepResult and
-     * finishes the rest of the sweep.
+     * A job that throws — a std::exception or anything else — is
+     * handled per @p policy: Propagate (the default) rethrows the
+     * first failed job's exception in submission order; Isolate
+     * records the failure on that job's SweepResult (site "sweep.job"
+     * unless a SimError names one) and finishes the rest of the sweep.
      */
     std::vector<SweepResult>
     run(const std::vector<SweepJob> &jobs,

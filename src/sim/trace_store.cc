@@ -1,7 +1,7 @@
 #include "sim/trace_store.h"
 
+#include <charconv>
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 #include <type_traits>
 
@@ -217,19 +217,33 @@ traceStore()
 std::string
 traceKey(const std::string &workload, const TraceOptions &opts)
 {
+    // Room for resultKey()'s config lines, so a result key is built in
+    // one allocation.
+    constexpr size_t KEY_RESERVE = 512;
+    std::string key;
+    key.reserve(KEY_RESERVE + workload.size());
+    char num[24];
+    auto append = [&](const char *name, uint64_t value, int base) {
+        key += name;
+        char *end = std::to_chars(num, num + sizeof(num), value, base).ptr;
+        if (base == 16) // zero-padded to 16 digits
+            key.append(16 - static_cast<size_t>(end - num), '0');
+        key.append(num, end);
+        key += '\n';
+    };
     // The scale double is keyed by its bit pattern, printed as hex, so
     // the key text is exact and locale-independent.
     uint64_t scaleBits;
     std::memcpy(&scaleBits, &opts.params.scale, sizeof(scaleBits));
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "seed=%llu\nscaleBits=%016llx\nmaxDynInsts=%llu\n"
-                  "annotate=%d\nstripSetups=%d\n",
-                  static_cast<unsigned long long>(opts.params.seed),
-                  static_cast<unsigned long long>(scaleBits),
-                  static_cast<unsigned long long>(opts.maxDynInsts),
-                  opts.annotate ? 1 : 0, opts.stripSetups ? 1 : 0);
-    return "workload=" + workload + "\n" + buf;
+    key += "workload=";
+    key += workload;
+    key += '\n';
+    append("seed=", opts.params.seed, 10);
+    append("scaleBits=", scaleBits, 16);
+    append("maxDynInsts=", opts.maxDynInsts, 10);
+    append("annotate=", opts.annotate, 10);
+    append("stripSetups=", opts.stripSetups, 10);
+    return key;
 }
 
 std::string

@@ -42,8 +42,8 @@
 namespace noreba {
 
 /** Bump on any change to the on-disk bundle payload layout or to the
- *  BlobStore envelope. */
-constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 4;
+ *  BlobStore envelope or file naming. */
+constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 5;
 
 /**
  * Fingerprint of the trace-producing semantics: bump whenever the
@@ -58,13 +58,15 @@ BlobStore &traceStore();
 
 /**
  * The identity of one prepared trace: the workload name and every
- * TraceOptions field, as canonical text. resultKey() extends it.
+ * TraceOptions field, as canonical text. resultKey() extends it: the
+ * string is reserved with room for the config lines it appends.
  */
 std::string traceKey(const std::string &workload, const TraceOptions &opts);
 
 /**
  * Full path of the bundle file for one cache key, or empty when the
- * store is disabled: `<workload>-<key hash>.v<format version>.ntb`.
+ * store is disabled: `<workload>-<name hash>.v<format version>.ntb`
+ * (BlobStore::path).
  */
 std::string traceBundlePath(const std::string &workload,
                             const TraceOptions &opts);

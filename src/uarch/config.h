@@ -199,6 +199,9 @@ std::vector<ConfigFieldRef> configFieldRefs(CoreConfig &cfg);
  */
 std::string serializeConfig(const CoreConfig &cfg);
 
+/** serializeConfig(cfg), appended to @p out. */
+void serializeConfig(const CoreConfig &cfg, std::string &out);
+
 /** FNV-1a fingerprint of serializeConfig(cfg). */
 uint64_t configFingerprint(const CoreConfig &cfg);
 

@@ -8,7 +8,9 @@
  * version-mismatched or crash-shaped (empty, zeroed) files must miss.
  * A failed publish is not retried. I/O steps fail through each
  * store's BlobStore::failStep seam, and for real when the store
- * directory cannot be created.
+ * directory cannot be created. Also pins one file name per store, shows
+ * that files under the previous format's names are never read, and
+ * reads files larger and smaller than the read buffer.
  */
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -26,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/result_store.h"
+#include "sim/sweep.h"
 #include "sim/trace_store.h"
 #include "store_test_util.h"
 #include "test_util.h"
@@ -284,5 +288,117 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });
+
+// File names. The name hash is part of the on-disk format: these pins
+// move with the key text, a store's version tuple or the naming
+// function, and a naming change must also bump the store's format
+// version, so that no file named the old way is ever read.
+
+/** @p path with its trailing @p from replaced by @p to. */
+std::string
+replaceSuffix(const std::string &path, const std::string &from,
+              const std::string &to)
+{
+    EXPECT_GE(path.size(), from.size());
+    EXPECT_EQ(path.substr(path.size() - from.size()), from) << path;
+    return path.substr(0, path.size() - from.size()) + to;
+}
+
+TEST(StoreNames, ResultFileNameIsPinned)
+{
+    TempDir dir("NOREBA_RESULT_DIR");
+    EXPECT_EQ(resultPath("CRC32", skylakeConfig(), shortTrace()),
+              dir.path + "/CRC32-0431bea93a9ad1f3.v4.nrs");
+}
+
+TEST(StoreNames, TraceFileNameIsPinned)
+{
+    TempDir dir("NOREBA_TRACE_DIR");
+    EXPECT_EQ(traceBundlePath("CRC32", shortTrace()),
+              dir.path + "/CRC32-3bb122819f46e2c0.v5.ntb");
+}
+
+TEST(StoreNames, ResultFileUnderTheOldNameIsNeverRead)
+{
+    TempDir dir("NOREBA_RESULT_DIR");
+    const SweepJob job{"CRC32", skylakeConfig(), shortTrace()};
+    const std::string path = resultPath(job.workload, job.cfg, job.trace);
+    ASSERT_GT(saveResult(path,
+                         resultKey(job.workload, job.cfg, job.trace),
+                         syntheticStats()),
+              0u);
+    // A valid file, moved to the name the previous format gave it.
+    const std::string old = replaceSuffix(path, ".v4.nrs", ".v3.nrs");
+    ASSERT_EQ(std::rename(path.c_str(), old.c_str()), 0);
+    const std::vector<uint8_t> oldBytes = readFile(old);
+
+    int simulations = 0;
+    ResultCache cache;
+    cache.get(job, [&] {
+        ++simulations;
+        return syntheticStats();
+    });
+    EXPECT_EQ(simulations, 1);
+    EXPECT_EQ(cache.stats().diskHits, 0u);
+    // Republished under the current name; the old file is untouched.
+    EXPECT_TRUE(fileExists(path));
+    EXPECT_EQ(readFile(old), oldBytes);
+}
+
+TEST(StoreNames, TraceFileUnderTheOldNameIsNeverRead)
+{
+    TempDir dir("NOREBA_TRACE_DIR");
+    const std::string path = traceBundlePath("CRC32", shortTrace());
+    ASSERT_GT(saveTraceBundle(path, prepareTrace("CRC32", shortTrace())),
+              0u);
+    const std::string old = replaceSuffix(path, ".v5.ntb", ".v4.ntb");
+    ASSERT_EQ(std::rename(path.c_str(), old.c_str()), 0);
+    const std::vector<uint8_t> oldBytes = readFile(old);
+
+    BundleCache cache;
+    ASSERT_NE(cache.get("CRC32", shortTrace()), nullptr);
+    EXPECT_EQ(cache.stats().diskHits, 0u);
+    EXPECT_EQ(cache.stats().builds, 1u);
+    EXPECT_TRUE(fileExists(path));
+    EXPECT_EQ(readFile(old), oldBytes);
+}
+
+// read() reads to end of file into a buffer it grows and never
+// shrinks, so one buffer serves files of any size in any order.
+
+TEST(StoreRead, FilesLargerAndSmallerThanTheBufferRoundTrip)
+{
+    TempDir dir("NOREBA_RESULT_DIR");
+    const CoreConfig cfg = skylakeConfig();
+    CoreStats big = syntheticStats();
+    for (uint64_t pc = 0; pc < 1000; ++pc)
+        big.branchStalls[0x500000 + 4 * pc] = BranchStall{pc, 2 * pc, 1};
+    CoreConfig other = cfg;
+    other.commitWidth = 2;
+    const CoreStats small = syntheticStats();
+
+    const std::string bigKey = resultKey("CRC32", cfg, shortTrace());
+    const std::string bigPath = resultPath("CRC32", cfg, shortTrace());
+    const std::string smallKey = resultKey("CRC32", other, shortTrace());
+    const std::string smallPath = resultPath("CRC32", other, shortTrace());
+    ASSERT_GT(saveResult(bigPath, bigKey, big), 32000u);
+    ASSERT_GT(saveResult(smallPath, smallKey, small), 0u);
+    for (int round = 0; round < 2; ++round) {
+        CoreStats loaded;
+        ASSERT_TRUE(loadResult(smallPath, smallKey, loaded));
+        EXPECT_TRUE(testutil::statsEqual(loaded, small));
+        ASSERT_TRUE(loadResult(bigPath, bigKey, loaded));
+        EXPECT_TRUE(testutil::statsEqual(loaded, big));
+    }
+    // A file cut short or grown past its recorded length still misses.
+    std::vector<uint8_t> bytes = readFile(bigPath);
+    bytes.push_back(0);
+    writeFile(bigPath, bytes);
+    CoreStats loaded;
+    EXPECT_FALSE(loadResult(bigPath, bigKey, loaded));
+    bytes.resize(bytes.size() - 2);
+    writeFile(bigPath, bytes);
+    EXPECT_FALSE(loadResult(bigPath, bigKey, loaded));
+}
 
 } // namespace

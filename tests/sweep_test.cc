@@ -2,13 +2,17 @@
  * @file
  * Tests for the parallel sweep engine: the thread pool, the shared
  * bundle cache, serial/parallel bit-identity across every commit mode,
- * the JSON emitter, the numBrCqs > 16 regression, and the
- * stripSetupRecords guard-index remap.
+ * the JSON emitter, the numBrCqs > 16 regression, the
+ * stripSetupRecords guard-index remap, SweepRunner's dispatch (empty,
+ * single-job and over-wide sweeps, order, in-sweep deduplication,
+ * non-std exceptions) and OnceMemo under contention.
  */
 
 #include <atomic>
 #include <cstdlib>
 #include <map>
+#include <string>
+#include <vector>
 #include <stdexcept>
 #include <thread>
 
@@ -489,6 +493,276 @@ TEST(StripSetupRecords, RoundTripsThroughPrepareTrace)
                         .isBranchSite());
         EXPECT_LT(static_cast<size_t>(r.guardIdx), i);
     }
+}
+
+// Dispatch: SweepRunner starts min(threads, jobs) workers that claim
+// job indices from one counter; each result lands at its own index.
+
+/** Twelve cheap, distinct jobs: two workloads, three modes, two widths. */
+std::vector<SweepJob>
+mixedJobs()
+{
+    std::vector<SweepJob> jobs;
+    for (const char *workload : {"CRC32", "sha"})
+        for (CommitMode mode : {CommitMode::InOrder, CommitMode::Noreba,
+                                CommitMode::SpeculativeBR})
+            for (int width : {2, 4}) {
+                CoreConfig cfg = skylakeConfig();
+                cfg.commitMode = mode;
+                cfg.commitWidth = width;
+                jobs.push_back(SweepJob{workload, cfg, shortTrace()});
+            }
+    return jobs;
+}
+
+/** A BundleCache whose builder throws the int 42 for workload "int". */
+BundleCache
+intThrowingCache()
+{
+    return BundleCache(
+        [](const std::string &workload, const TraceOptions &opts) {
+            if (workload == "int")
+                throw 42;
+            return prepareTrace(workload, opts);
+        });
+}
+
+TEST(SweepRunner, EmptySweepReturnsNoResults)
+{
+    BundleCache cache;
+    for (unsigned threads : {1u, 8u})
+        EXPECT_TRUE(SweepRunner(threads, &cache).run({}).empty())
+            << threads;
+}
+
+TEST(SweepRunner, OneJobAndMoreThreadsThanJobsMatchSerial)
+{
+    const std::vector<SweepJob> all = mixedJobs();
+    BundleCache cache;
+    for (size_t n : {1, 3}) {
+        const std::vector<SweepJob> jobs(all.begin(), all.begin() + n);
+        const auto serial = SweepRunner(1, &cache).run(jobs);
+        const auto wide = SweepRunner(8, &cache).run(jobs);
+        ASSERT_EQ(serial.size(), n);
+        ASSERT_EQ(wide.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+            EXPECT_TRUE(wide[i].ok) << n << " jobs, job " << i;
+            EXPECT_GT(wide[i].stats.cycles, 0u);
+            EXPECT_TRUE(testutil::statsEqual(serial[i].stats,
+                                             wide[i].stats))
+                << n << " jobs, job " << i;
+        }
+    }
+}
+
+TEST(SweepRunner, EveryThreadCountKeepsSubmissionOrderAndStats)
+{
+    unsetenv("NOREBA_RESULT_DIR");
+    const std::vector<SweepJob> jobs = mixedJobs();
+    BundleCache bundles;
+    ResultCache serialResults;
+    const auto serial =
+        SweepRunner(1, &bundles, &serialResults).run(jobs);
+    ASSERT_EQ(serial.size(), jobs.size());
+    for (unsigned threads : {2u, 3u, 8u}) {
+        // A fresh result cache per run, so every run simulates.
+        ResultCache results;
+        const auto parallel =
+            SweepRunner(threads, &bundles, &results).run(jobs);
+        EXPECT_EQ(results.stats().simBuilds, jobs.size()) << threads;
+        ASSERT_EQ(parallel.size(), jobs.size());
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            EXPECT_EQ(parallel[i].job.workload, jobs[i].workload);
+            EXPECT_EQ(serializeConfig(parallel[i].job.cfg),
+                      serializeConfig(jobs[i].cfg));
+            EXPECT_TRUE(testutil::statsEqual(serial[i].stats,
+                                             parallel[i].stats))
+                << threads << " threads, job " << i;
+        }
+    }
+}
+
+TEST(SweepRunner, DuplicateJobsInOneSweepSimulateOnce)
+{
+    unsetenv("NOREBA_RESULT_DIR");
+    const std::vector<SweepJob> distinct = mixedJobs();
+    // Four copies of three distinct jobs, interleaved, so duplicates
+    // run on different workers at the same time.
+    std::vector<SweepJob> jobs;
+    for (int copy = 0; copy < 4; ++copy)
+        for (size_t d = 0; d < 3; ++d)
+            jobs.push_back(distinct[d]);
+    BundleCache bundles;
+    ResultCache results;
+    const auto out = SweepRunner(8, &bundles, &results).run(jobs);
+    const SimCacheStats s = results.stats();
+    EXPECT_EQ(s.simBuilds, 3u);
+    EXPECT_EQ(s.memHits + s.sharedSims, jobs.size() - 3);
+    ASSERT_EQ(out.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_TRUE(testutil::statsEqual(out[i].stats, out[i % 3].stats))
+            << i;
+}
+
+// A job that throws something that is not a std::exception is still
+// its own job's failure: it must not escape into the dispatch loop.
+
+TEST(SweepRunner, NonStandardExceptionFailsOnlyItsJobUnderIsolate)
+{
+    BundleCache cache = intThrowingCache();
+    std::vector<SweepJob> jobs = mixedJobs();
+    jobs.insert(jobs.begin() + 5, SweepJob{"int", skylakeConfig(),
+                                           shortTrace()});
+    for (unsigned threads : {1u, 4u}) {
+        const auto results =
+            SweepRunner(threads, &cache).run(jobs, FailurePolicy::Isolate);
+        ASSERT_EQ(results.size(), jobs.size());
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            if (i == 5) {
+                EXPECT_FALSE(results[i].ok) << threads;
+                EXPECT_EQ(results[i].failure.site, "sweep.job");
+                EXPECT_FALSE(results[i].failure.what.empty());
+            } else {
+                EXPECT_TRUE(results[i].ok) << threads << " job " << i;
+                EXPECT_GT(results[i].stats.cycles, 0u);
+            }
+        }
+    }
+}
+
+TEST(SweepRunner, NonStandardExceptionPropagatesInSubmissionOrder)
+{
+    BundleCache cache = intThrowingCache();
+    CoreConfig illegal = skylakeConfig();
+    illegal.robEntries = 0;
+    const SweepJob ok{"CRC32", skylakeConfig(), shortTrace()};
+    const SweepJob throwsInt{"int", skylakeConfig(), shortTrace()};
+    const SweepJob throwsSimError{"CRC32", illegal, shortTrace()};
+    for (unsigned threads : {1u, 4u}) {
+        // The int comes first in submission order, so it is what
+        // propagates, whichever worker failed first.
+        try {
+            SweepRunner(threads, &cache)
+                .run({ok, throwsInt, ok, throwsSimError, ok});
+            FAIL() << "expected the int to propagate";
+        } catch (int v) {
+            EXPECT_EQ(v, 42);
+        }
+        // And the other way round.
+        try {
+            SweepRunner(threads, &cache)
+                .run({ok, throwsSimError, ok, throwsInt, ok});
+            FAIL() << "expected the SimError to propagate";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.site(), "config.validate");
+        }
+    }
+}
+
+// OnceMemo on its own: one producer per key, whatever the callers.
+
+TEST(OnceMemo, EightThreadsOnOneKeyProduceOnce)
+{
+    OnceMemo<int> memo;
+    std::atomic<int> produced{0};
+    std::atomic<bool> release{false};
+    constexpr int N = 8;
+    std::vector<int> got(N, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < N; ++t)
+        threads.emplace_back([&, t] {
+            got[t] = memo.get("key", [&] {
+                ++produced;
+                while (!release.load())
+                    std::this_thread::yield();
+                return 7;
+            });
+        });
+    // Hold the producer until every other caller has joined it.
+    while (memo.counts().joined != N - 1)
+        std::this_thread::yield();
+    release = true;
+    for (auto &t : threads)
+        t.join();
+
+    EXPECT_EQ(produced.load(), 1);
+    for (int v : got)
+        EXPECT_EQ(v, 7);
+    auto counts = memo.counts();
+    EXPECT_EQ(counts.resident + counts.joined, uint64_t{N - 1});
+    EXPECT_EQ(memo.size(), 1u);
+
+    // Once produced, the outcome is resident.
+    EXPECT_EQ(memo.get("key", [] { return 0; }), 7);
+    counts = memo.counts();
+    EXPECT_EQ(counts.resident, 1u);
+    EXPECT_EQ(counts.joined, uint64_t{N - 1});
+}
+
+TEST(OnceMemo, CountsAddUpUnderContention)
+{
+    OnceMemo<std::string> memo;
+    constexpr int N = 8, KEYS = 64;
+    std::vector<std::atomic<int>> produced(KEYS);
+    std::atomic<bool> wrong{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < N; ++t)
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < KEYS; ++i) {
+                const int k = (i + 7 * t) % KEYS;
+                const std::string key = "key-" + std::to_string(k);
+                if (memo.get(key, [&] {
+                        ++produced[k];
+                        return "value-" + std::to_string(k);
+                    }) != "value-" + std::to_string(k))
+                    wrong = true;
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+
+    EXPECT_FALSE(wrong.load());
+    for (int k = 0; k < KEYS; ++k)
+        EXPECT_EQ(produced[k].load(), 1) << k;
+    EXPECT_EQ(memo.size(), size_t{KEYS});
+    const auto counts = memo.counts();
+    EXPECT_EQ(counts.resident + counts.joined, uint64_t{(N - 1) * KEYS});
+}
+
+TEST(OnceMemo, FailedProducerReachesEveryCaller)
+{
+    OnceMemo<int> memo;
+    std::atomic<int> produced{0};
+    std::atomic<bool> release{false};
+    std::atomic<int> failures{0};
+    constexpr int N = 8;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < N; ++t)
+        threads.emplace_back([&] {
+            try {
+                memo.get("key", [&]() -> int {
+                    ++produced;
+                    while (!release.load())
+                        std::this_thread::yield();
+                    throw std::runtime_error("injected producer failure");
+                });
+            } catch (const std::runtime_error &e) {
+                if (std::string(e.what()) == "injected producer failure")
+                    ++failures;
+            }
+        });
+    while (memo.counts().joined != N - 1)
+        std::this_thread::yield();
+    release = true;
+    for (auto &t : threads)
+        t.join();
+
+    EXPECT_EQ(produced.load(), 1);
+    EXPECT_EQ(failures.load(), N);
+    // The failure is kept: a later caller gets it without producing.
+    EXPECT_THROW(memo.get("key", [&] { return ++produced; }),
+                 std::runtime_error);
+    EXPECT_EQ(produced.load(), 1);
 }
 
 } // namespace
