@@ -71,20 +71,6 @@ opcodeName(Opcode op)
     }
 }
 
-bool
-isCitOp(Opcode op)
-{
-    return op == Opcode::GET_CIT_ENTRY || op == Opcode::SET_CIT_ENTRY;
-}
-
-bool
-mayRaiseException(Opcode op)
-{
-    // RISC-V FP exceptions accrue in fcsr without trapping (Section 4.4),
-    // so only memory operations can raise.
-    return isMem(op);
-}
-
 int
 memAccessSize(Opcode op)
 {

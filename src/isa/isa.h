@@ -127,14 +127,6 @@ isSetup(Opcode op)
     return op == Opcode::SET_BRANCH_ID || op == Opcode::SET_DEPENDENCY;
 }
 
-bool isCitOp(Opcode op);   //!< getCITEntry / setCITEntry
-
-/**
- * True if the opcode can architecturally raise an exception: memory
- * operations (page faults / protection). On RISC-V, FP exceptions accrue
- * into fcsr and do not trap (Section 4.4), so FP ops are excluded.
- */
-bool mayRaiseException(Opcode op);
 /** @} */
 
 /** Functional-unit class for the opcode. */

@@ -83,11 +83,8 @@ class MemoryHierarchy
     /** Instruction fetch access. */
     int fetchAccess(uint64_t pc);
 
-    /** Prefetch into L2 and L1D without charging latency. */
+    /** Prefetch into the L2 without charging latency. */
     void prefetch(uint64_t addr);
-
-    /** True if the line is resident in L1D (for prefetch filtering). */
-    bool inL1D(uint64_t addr) const { return l1d_.contains(addr); }
 
     Cache &l1i() { return l1i_; }
     Cache &l1d() { return l1d_; }

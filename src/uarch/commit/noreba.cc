@@ -135,19 +135,14 @@ NorebaCommit::commitFromQueues(PipelineView &view)
 void
 NorebaCommit::steer(PipelineView &view)
 {
-    int budget = view.config().steerWidth;
-    bool stalled = false;
-    while (budget > 0 && !robPrime_.empty()) {
+    for (int budget = view.config().steerWidth;
+         budget > 0 && !robPrime_.empty(); --budget) {
         InFlight *p = robPrime_.front();
         const TraceRecord &rec = p->rec;
 
         // In-order page-table check before leaving the ROB'.
-        if (isMem(rec.op) && !view.tlbDone(p)) {
-            stalled = true;
-            steerStall_ = SteerStall::Tlb;
-            ++view.stats().steerStallTlb;
-            break;
-        }
+        if (isMem(rec.op) && !view.tlbDone(p))
+            return stallSteer(view, SteerStall::Tlb);
 
         int targetCq = -1; // -1 encodes the PR-CQ
         if (rec.guardIdx >= 0) {
@@ -156,54 +151,40 @@ NorebaCommit::steer(PipelineView &view)
             if (it != cqt_.end())
                 targetCq = it->second;
         }
+        const bool marked = p->isBranch && rec.markedBranch;
+        if (marked && cqt_.size() >= static_cast<size_t>(CQT_ENTRIES))
+            return stallSteer(view, SteerStall::Cqt);
+        // Table 1: an unresolved marked branch leaving the ROB' claims
+        // a Branch Commit Queue. Ordering among instances of one static
+        // branch is enforced by the commit condition
+        // (guardChainResolved / olderSitePcUnresolved), not by queue
+        // placement.
+        if (marked && !p->resolved)
+            targetCq = pickBrCq();
+        if (targetCq == -2 ||
+            queueOf(targetCq).size() >= capacityOf(targetCq))
+            return stallSteer(view, SteerStall::CqFull);
 
-        if (p->isBranch && rec.markedBranch) {
-            if (cqt_.size() >= static_cast<size_t>(CQT_ENTRIES)) {
-                stalled = true;
-                steerStall_ = SteerStall::Cqt;
-                ++view.stats().steerStallCqt;
-                break; // CQT full: the ROB' head waits
-            }
-            if (!p->resolved) {
-                // Table 1: an unresolved branch leaving the ROB'
-                // claims a Branch Commit Queue. Ordering among
-                // instances of one static branch is enforced by
-                // the commit condition (guardChainResolved /
-                // olderSitePcUnresolved), not by queue placement.
-                targetCq = pickBrCq();
-                if (targetCq == -2) {
-                    stalled = true;
-                    steerStall_ = SteerStall::CqFull;
-                    ++view.stats().steerStallCqFull;
-                    break; // all BR-CQs full
-                }
-            }
-            if (queueOf(targetCq).size() >= capacityOf(targetCq)) {
-                stalled = true;
-                steerStall_ = SteerStall::CqFull;
-                ++view.stats().steerStallCqFull;
-                break;
-            }
-            queueOf(targetCq).push_back(p);
+        queueOf(targetCq).push_back(p);
+        if (marked) {
             cqt_[p->idx] = targetCq;
             ++view.stats().cqtOps;
-        } else {
-            if (queueOf(targetCq).size() >= capacityOf(targetCq)) {
-                stalled = true;
-                steerStall_ = SteerStall::CqFull;
-                ++view.stats().steerStallCqFull;
-                break;
-            }
-            queueOf(targetCq).push_back(p);
         }
-
         p->steered = true;
         ++view.stats().cqOps;
         robPrime_.pop_front();
-        --budget;
     }
-    if (stalled)
-        ++view.stats().steerStallCycles;
+}
+
+void
+NorebaCommit::stallSteer(PipelineView &view, SteerStall why)
+{
+    steerStall_ = why;
+    CoreStats &s = view.stats();
+    ++(why == SteerStall::Tlb   ? s.steerStallTlb
+       : why == SteerStall::Cqt ? s.steerStallCqt
+                                : s.steerStallCqFull);
+    ++s.steerStallCycles;
 }
 
 int

@@ -171,6 +171,8 @@ class NorebaCommit final : public CommitPolicyDefaults
     bool headEligible(const PipelineView &view, InFlight *p) const;
     void commitFromQueues(PipelineView &view);
     void steer(PipelineView &view);
+    /** The ROB' head cannot leave this cycle: record why. */
+    void stallSteer(PipelineView &view, SteerStall why);
 
     /**
      * BR-CQ allocation: prefer an empty queue, then a queue whose head

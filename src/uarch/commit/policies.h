@@ -15,20 +15,59 @@
  *    resolved, without queue or table capacity limits;
  *  - ValidationBufferCommit: Petit et al.'s epoch-based retirement.
  *
- * Every policy walks the uncommitted frontier (PipelineView), which is
- * the master ROB minus already-retired entries, in program order; a
- * commit unlinks the visited node, so loops grab the successor first.
- * The policies are defined here, in a header, because only the core's
- * per-mode simulate loops (core.cc) instantiate them.
+ * Every policy retires through one frontier walk, retireFrontier: it
+ * visits the uncommitted frontier (PipelineView), the master ROB minus
+ * already-retired entries, oldest first, and a policy supplies only
+ * its barrier and a per-entry verdict. The policies are defined here,
+ * in a header, because only the core's per-mode simulate loops
+ * (core.cc) instantiate them.
  */
 
 #ifndef NOREBA_UARCH_COMMIT_POLICIES_H
 #define NOREBA_UARCH_COMMIT_POLICIES_H
 
+#include <algorithm>
+
 #include "uarch/commit/commit_policy.h"
 #include "uarch/pipeline_view.h"
 
 namespace noreba {
+
+/** What a policy's commit walk does with one frontier entry. */
+enum class Retire
+{
+    Commit, //!< retire it
+    Skip,   //!< leave it, look at the next younger entry
+    Stop,   //!< leave it and end this cycle's walk
+};
+
+/**
+ * Walk the uncommitted frontier oldest first, at most commitWidth
+ * retirements and only while the entry is older than @p barrier (no
+ * younger entry can retire past a C2/C5 barrier either). A commit
+ * unlinks the visited node, so the walk grabs the successor first.
+ */
+template <typename Verdict>
+void
+retireFrontier(PipelineView &view, TraceIdx barrier, Verdict &&verdict)
+{
+    int budget = view.config().commitWidth;
+    for (InFlight *p = view.uncommittedHead();
+         p && budget > 0 && p->idx < barrier;) {
+        InFlight *next = PipelineView::uncommittedNext(p);
+        switch (verdict(p)) {
+          case Retire::Commit:
+            view.commit(p);
+            --budget;
+            break;
+          case Retire::Skip:
+            break;
+          case Retire::Stop:
+            return;
+        }
+        p = next;
+    }
+}
 
 /** Conventional in-order commit. */
 class InOrderCommit final : public CommitPolicyDefaults
@@ -37,15 +76,10 @@ class InOrderCommit final : public CommitPolicyDefaults
     void
     commitCycle(PipelineView &view)
     {
-        int budget = view.config().commitWidth;
-        for (InFlight *p = view.uncommittedHead(); p;) {
-            InFlight *next = PipelineView::uncommittedNext(p);
-            if (budget == 0 || !view.commitEligibleBasic(p))
-                break;
-            view.commit(p);
-            --budget;
-            p = next;
-        }
+        retireFrontier(view, INT32_MAX, [&](const InFlight *p) {
+            return view.commitEligibleBasic(p) ? Retire::Commit
+                                               : Retire::Stop;
+        });
     }
 };
 
@@ -56,25 +90,16 @@ class NonSpecOoOCommit final : public CommitPolicyDefaults
     void
     commitCycle(PipelineView &view)
     {
-        int budget = view.config().commitWidth;
-        TraceIdx brBar = view.oldestUnresolved();
-        TraceIdx memBar = view.oldestUncheckedMem();
-        for (InFlight *p = view.uncommittedHead(); p;) {
-            InFlight *next = PipelineView::uncommittedNext(p);
-            if (budget == 0)
-                break;
-            // Conditions 2/4/5: no older unresolved branch, no older
-            // untranslated memory op (RISC-V FP does not trap). The
-            // barrier instruction itself cannot be eligible yet, so a
-            // >= break is exact.
-            if (p->idx >= brBar || p->idx >= memBar)
-                break;
-            if (view.commitEligibleBasic(p)) {
-                view.commit(p);
-                --budget;
-            }
-            p = next;
-        }
+        // Conditions 2/4/5: no older unresolved branch, no older
+        // untranslated memory op (RISC-V FP does not trap). The
+        // barrier instruction itself cannot be eligible yet, so
+        // stopping at it is exact.
+        TraceIdx barrier = std::min(view.oldestUnresolved(),
+                                    view.oldestUncheckedMem());
+        retireFrontier(view, barrier, [&](const InFlight *p) {
+            return view.commitEligibleBasic(p) ? Retire::Commit
+                                               : Retire::Skip;
+        });
     }
 };
 
@@ -89,30 +114,20 @@ class SpeculativeCommit final : public CommitPolicyDefaults
     void
     commitCycle(PipelineView &view)
     {
-        int budget = view.config().commitWidth;
         TraceIdx memBar =
             KeepMemCondition ? view.oldestUncheckedMem() : INT32_MAX;
-        for (InFlight *p = view.uncommittedHead(); p;) {
-            InFlight *next = PipelineView::uncommittedNext(p);
-            if (budget == 0)
-                break;
-            if (p->idx >= memBar)
-                break;
+        retireFrontier(view, memBar, [&](const InFlight *p) {
             // Oracle resource recovery: C1/C3 relaxed (footnote 1), C5
             // dropped entirely; only the memory condition (when kept)
             // and fences gate reclamation.
             if (!view.fenceAllows(p))
-                break;
+                return Retire::Stop;
             if ((isMem(p->rec.op) && !view.tlbDone(p)) ||
                 (p->rec.op == Opcode::FENCE &&
-                 !view.commitEligibleBasic(p))) {
-                p = next;
-                continue;
-            }
-            view.commit(p);
-            --budget;
-            p = next;
-        }
+                 !view.commitEligibleBasic(p)))
+                return Retire::Skip;
+            return Retire::Commit;
+        });
     }
 };
 
@@ -123,30 +138,21 @@ class IdealReconvCommit final : public CommitPolicyDefaults
     void
     commitCycle(PipelineView &view)
     {
-        int budget = view.config().commitWidth;
         TraceIdx memBar = view.oldestUncheckedMem();
-        for (InFlight *p = view.uncommittedHead(); p;) {
-            InFlight *next = PipelineView::uncommittedNext(p);
-            if (budget == 0)
-                break;
-            if (p->idx >= memBar)
-                break;
+        retireFrontier(view, memBar, [&](const InFlight *p) {
             if (!view.fenceAllows(p))
-                break;
+                return Retire::Stop;
             // Same commit conditions as Noreba (C1/C3 relaxed, guards
             // from the compiler), but with ideal reordering hardware.
+            // The guard chain, the costly test, goes last.
             bool skip =
                 (p->isBranch && !(p->resolved && p->completed)) ||
                 (isMem(p->rec.op) && !view.tlbDone(p)) ||
                 (p->rec.op == Opcode::FENCE &&
                  !view.commitEligibleBasic(p)) ||
                 !view.guardChainResolved(p);
-            if (!skip) {
-                view.commit(p);
-                --budget;
-            }
-            p = next;
-        }
+            return skip ? Retire::Skip : Retire::Commit;
+        });
     }
 
     StallCause
@@ -184,22 +190,13 @@ class ValidationBufferCommit final : public CommitPolicyDefaults
     void
     commitCycle(PipelineView &view)
     {
-        int budget = view.config().commitWidth;
-        TraceIdx epochBar = epochBarrier(view);
-        TraceIdx memBar = view.oldestUncheckedMem();
-        for (InFlight *p = view.uncommittedHead(); p;) {
-            InFlight *next = PipelineView::uncommittedNext(p);
-            if (budget == 0)
-                break;
-            // Past either barrier no younger entry can retire either.
-            if (p->idx >= memBar || p->idx >= epochBar)
-                break;
-            if (view.commitEligibleBasic(p)) {
-                view.commit(p);
-                --budget;
-            }
-            p = next;
-        }
+        // Past either barrier no younger entry can retire either.
+        TraceIdx barrier =
+            std::min(epochBarrier(view), view.oldestUncheckedMem());
+        retireFrontier(view, barrier, [&](const InFlight *p) {
+            return view.commitEligibleBasic(p) ? Retire::Commit
+                                               : Retire::Skip;
+        });
     }
 
     StallCause

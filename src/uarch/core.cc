@@ -142,7 +142,6 @@ Core::startTlbCheck(InFlight *p)
     int tlbLat = tlb_.access(p->rec.addrOrImm);
     p->tlbChecked = true;
     p->tlbDoneAt = cycle_ + static_cast<Cycle>(tlbLat);
-    index_.onTlbCheck(p, cycle_);
 }
 
 void
@@ -174,14 +173,11 @@ Core::commit(InFlight *p)
     index_.onCommit(p);
 
     ++stats_.robReads;
+    releaseResources(p);
     const TraceRecord &rec = p->rec;
-    if (recHasDest(rec))
-        --physUsed_;
-    if (isLoad(rec.op)) {
-        --lqUsed_;
+    if (isMem(rec.op))
         ++stats_.lsqOps;
-    } else if (isStore(rec.op)) {
-        ++stats_.lsqOps;
+    if (isStore(rec.op)) {
         // Retire the store into the memory system.
         mem_.access(rec.addrOrImm, true);
         ++stats_.dcacheAccesses;

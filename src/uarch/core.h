@@ -125,9 +125,11 @@ class Core
     InFlight *alloc();
 
     /** The instruction finished its address generation: start the
-     *  page-table check and index it for the C2 memory barrier. */
+     *  page-table check (it completes at p->tlbDoneAt). */
     void startTlbCheck(InFlight *p);
 
+    /** Give back the physical register and load-queue entry (at commit
+     *  or squash). */
     void releaseResources(InFlight *p);
     void rebuildRenameTable();
     void advanceCursor();

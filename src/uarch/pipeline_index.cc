@@ -35,7 +35,7 @@ PipelineIndex::onDispatch(InFlight *p)
         unresolvedByPc_[rec.pc].insert(p->idx);
     }
     if (isMem(rec.op))
-        uncheckedMem_.insert(p->idx);
+        uncheckedMem_.insert(p->idx, p);
     if (rec.op == Opcode::FENCE)
         fences_.insert(p->idx);
 }
@@ -51,30 +51,6 @@ PipelineIndex::onResolve(InFlight *p)
     if (it != unresolvedByPc_.end())
         it->second.erase(p->idx);
     unresolved_.erase(p->idx);
-}
-
-void
-PipelineIndex::onTlbCheck(InFlight *p, Cycle now)
-{
-    // Later queries this cycle drain with the same `now`, so draining
-    // here changes no answer; it only keeps the heap window-bounded
-    // under policies that never ask for oldestUncheckedMem.
-    drainTlbPending(now);
-    tlbPending_.push(TlbPending{p->tlbDoneAt, p, p->gen});
-}
-
-void
-PipelineIndex::drainTlbPending(Cycle now)
-{
-    while (!tlbPending_.empty() && tlbPending_.top().doneAt <= now) {
-        TlbPending e = tlbPending_.top();
-        tlbPending_.pop();
-        // The generation pins the incarnation: a squashed-and-recycled
-        // slot (or a freed zombie) must not evict its successor's
-        // entry.
-        if (e.p->gen == e.gen)
-            uncheckedMem_.erase(e.p->idx);
-    }
 }
 
 void
@@ -105,8 +81,6 @@ PipelineIndex::onSquash(TraceIdx after)
     });
     uncheckedMem_.truncateAfter(after);
     fences_.truncateAfter(after);
-    // tlbPending_ keeps stale entries; drainTlbPending's generation
-    // check discards them.
 }
 
 void
@@ -133,7 +107,7 @@ PipelineIndex::shadowVerify(const Ring<InFlight *> &rob, Cycle now,
     std::vector<TraceIdx> uncommittedIdx;
     std::vector<TraceIdx> naiveUnresolved;
     TraceIdx naiveMem = INT32_MAX;
-    std::set<TraceIdx> naiveUnchecked;
+    std::vector<TraceIdx> naiveUnchecked;
     std::set<TraceIdx> naiveFences;
     for (InFlight *p : rob) {
         if (p->committed)
@@ -145,7 +119,7 @@ PipelineIndex::shadowVerify(const Ring<InFlight *> &rob, Cycle now,
             !(p->tlbChecked && now >= p->tlbDoneAt)) {
             if (naiveMem == INT32_MAX)
                 naiveMem = p->idx;
-            naiveUnchecked.insert(p->idx);
+            naiveUnchecked.push_back(p->idx);
         }
         if (p->rec.op == Opcode::FENCE)
             naiveFences.insert(p->idx);
@@ -153,9 +127,18 @@ PipelineIndex::shadowVerify(const Ring<InFlight *> &rob, Cycle now,
     panic_if(oldestUncheckedMem(now) != naiveMem,
              "oldestUncheckedMem: index %d vs naive %d",
              oldestUncheckedMem(now), naiveMem);
-    panic_if(!sameIndices(uncheckedMem_, naiveUnchecked),
-             "unchecked-memory index diverged (%zu vs %zu entries)",
-             uncheckedMem_.size(), naiveUnchecked.size());
+    // The queue may still hold checked ops behind its head, so it is a
+    // superset of the naive set, made of live uncommitted memory ops.
+    for (TraceIdx idx : naiveUnchecked)
+        panic_if(!uncheckedMem_.find(idx),
+                 "unchecked memory op %d missing from the index", idx);
+    for (const auto &e : uncheckedMem_) {
+        const InFlight *p = e.payload;
+        panic_if(p->idx != e.idx || !p->inFrontier || !isMem(p->rec.op),
+                 "unchecked-memory entry %d is not a live uncommitted "
+                 "memory op (its slot holds %d)",
+                 e.idx, p->idx);
+    }
     panic_if(!sameIndices(fences_, naiveFences),
              "fence index diverged (%zu vs %zu entries)",
              fences_.size(), naiveFences.size());

@@ -1,12 +1,11 @@
 /**
  * @file
- * Incrementally maintained pipeline-state indices. Every per-cycle
- * query a commit policy issues — oldest unresolved branch, oldest
- * unchecked memory op, per-site unresolved instance counts, the
- * uncommitted frontier — used to be a linear scan of the master ROB;
- * this layer keeps each answer current at dispatch / resolve / TLB
- * completion / commit / squash time instead, so queries are O(1) or
- * O(log n). Each fact is kept once: a branch is unresolved exactly
+ * Incrementally maintained pipeline-state indices. A commit policy's
+ * per-cycle queries (oldest unresolved branch, oldest unchecked
+ * memory op, per-site unresolved instance counts, the uncommitted
+ * frontier) are kept current at dispatch / resolve / commit / squash
+ * time, so each is O(1) or O(log n) and none scans the master ROB.
+ * Each fact is kept once: a branch is unresolved exactly
  * while unresolved_ holds it, and the barriers and guard-chain walks
  * all read that one queue.
  *
@@ -15,25 +14,22 @@
  * and how squash recovery restores them — are documented in DESIGN.md
  * ("PipelineView and the pipeline-state indices"); shadowVerify()
  * re-derives every answer from the naive ROB scan and panics on any
- * divergence, which is how the shadow differential test
- * (tests/shadow_test.cc, CoreConfig::shadowChecks) pins the index to
- * the pre-index semantics bit for bit.
+ * divergence (tests/shadow_test.cc, CoreConfig::shadowChecks).
  *
  * Storage is window-bounded and allocation-free once warm: the ordered
  * sets are IndexQueues (sorted vectors with lazy erase and squash by
- * suffix truncation, uarch/index_queue.h), the frontier is an
- * intrusive list through the InFlight nodes, and the TLB-completion
- * heap is drained on every push, so it holds only the checks still in
- * flight.
+ * suffix truncation, uarch/index_queue.h), and the frontier is an
+ * intrusive list through the InFlight nodes. The memory barrier needs
+ * no completion-time heap: a TLB check, once done, stays done, so
+ * oldestUncheckedMem pops checked ops off its queue's head as it
+ * reaches them.
  */
 
 #ifndef NOREBA_UARCH_PIPELINE_INDEX_H
 #define NOREBA_UARCH_PIPELINE_INDEX_H
 
 #include <cstdint>
-#include <queue>
 #include <unordered_map>
-#include <vector>
 
 #include "common/intrusive_list.h"
 #include "common/ring.h"
@@ -54,11 +50,6 @@ class PipelineIndex
     /** A dispatched branch resolved in writeback. */
     void onResolve(InFlight *p);
 
-    /** The instruction started its page-table check at @p now (it
-     *  completes at p->tlbDoneAt). Drains the checks already done by
-     *  @p now first, so the pending heap holds only checks in flight. */
-    void onTlbCheck(InFlight *p, Cycle now);
-
     /** The instruction retired (before resources are released). */
     void onCommit(InFlight *p);
 
@@ -73,14 +64,19 @@ class PipelineIndex
 
     /**
      * Oldest uncommitted memory op whose TLB check has not completed
-     * by `now`, or INT32_MAX. Drains the pending-completion heap.
+     * by `now`, or INT32_MAX. Head entries whose check is done are
+     * popped on the way: `now` never moves back, so they stay done.
      */
     TraceIdx
     oldestUncheckedMem(Cycle now)
     {
-        drainTlbPending(now);
-        const auto *e = uncheckedMem_.oldest();
-        return e ? e->idx : INT32_MAX;
+        while (const auto *e = uncheckedMem_.oldest()) {
+            const InFlight *p = e->payload;
+            if (!p->tlbChecked || now < p->tlbDoneAt)
+                return e->idx;
+            uncheckedMem_.erase(e->idx);
+        }
+        return INT32_MAX;
     }
 
     /**
@@ -158,34 +154,20 @@ class PipelineIndex
                       const TraceView &trace);
 
   private:
-    void drainTlbPending(Cycle now);
-
     using Frontier =
         IntrusiveList<InFlight, &InFlight::frontPrev,
                       &InFlight::frontNext, &InFlight::inFrontier>;
-
-    /** A TLB check that completes at `doneAt` (lazy removal). */
-    struct TlbPending
-    {
-        Cycle doneAt;
-        InFlight *p;
-        uint64_t gen;
-        bool operator>(const TlbPending &o) const
-        {
-            return doneAt > o.doneAt;
-        }
-    };
 
     UnresolvedQueue unresolved_;
     /** Static site PC -> its unresolved dynamic instances. A bucket is
      *  kept when it empties, so a site allocates once per run. */
     std::unordered_map<uint64_t, IndexQueue<>> unresolvedByPc_;
-    /** Uncommitted memory ops not yet past their TLB check. */
-    IndexQueue<> uncheckedMem_;
-    /** Checks in flight, keyed by completion time. */
-    std::priority_queue<TlbPending, std::vector<TlbPending>,
-                        std::greater<TlbPending>>
-        tlbPending_;
+    /** Uncommitted memory ops with their instructions: every op whose
+     *  check is not done, plus checked ones not yet popped off the
+     *  head. A squash truncates the queue before the squashed slots
+     *  are freed and commit erases its entry, so a live payload never
+     *  dangles. */
+    IndexQueue<InFlight *> uncheckedMem_;
     IndexQueue<> fences_;
     Frontier frontier_;
     uint64_t resolveEpoch_ = 1;

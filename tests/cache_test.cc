@@ -83,7 +83,7 @@ TEST(Hierarchy, PrefetchLandsInL2NotL1)
 {
     MemoryHierarchy mem;
     mem.prefetch(0x7000000);
-    EXPECT_FALSE(mem.inL1D(0x7000000));
+    EXPECT_FALSE(mem.l1d().contains(0x7000000));
     EXPECT_EQ(mem.access(0x7000000, false), L2_CACHE.latency);
 }
 

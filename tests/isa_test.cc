@@ -42,19 +42,6 @@ TEST(Isa, SetupAndCitOps)
     EXPECT_TRUE(isSetup(Opcode::SET_BRANCH_ID));
     EXPECT_TRUE(isSetup(Opcode::SET_DEPENDENCY));
     EXPECT_FALSE(isSetup(Opcode::GET_CIT_ENTRY));
-    EXPECT_TRUE(isCitOp(Opcode::GET_CIT_ENTRY));
-    EXPECT_TRUE(isCitOp(Opcode::SET_CIT_ENTRY));
-}
-
-TEST(Isa, OnlyMemoryRaises)
-{
-    // RISC-V FP exceptions accrue in fcsr and never trap (Section 4.4).
-    EXPECT_TRUE(mayRaiseException(Opcode::LW));
-    EXPECT_TRUE(mayRaiseException(Opcode::SD));
-    EXPECT_FALSE(mayRaiseException(Opcode::FDIV));
-    EXPECT_FALSE(mayRaiseException(Opcode::FSQRT));
-    EXPECT_FALSE(mayRaiseException(Opcode::ADD));
-    EXPECT_FALSE(mayRaiseException(Opcode::BEQ));
 }
 
 TEST(Isa, FuClasses)
