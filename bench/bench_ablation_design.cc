@@ -17,7 +17,6 @@
 
 #include <cstdio>
 
-#include "common/stats.h"
 #include "common/table.h"
 #include "experiments.h"
 
@@ -87,39 +86,28 @@ registerAblationDesign()
                        "geomean speedup over InO-C on a representative "
                        "subset";
 
-    // One InO-C baseline per workload — the old standalone bench
-    // re-simulated it for every variant row — plus one job per
-    // (variant, workload) and (prior mode, workload).
+    // One InO-C baseline per workload, then one job per (variant,
+    // workload) and (prior mode, workload).
     spec.plan = [](ExperimentPlan &plan) {
-        for (const auto &name : subset()) {
-            CoreConfig ino = skylakeConfig();
-            ino.commitMode = CommitMode::InOrder;
-            plan.add(name, "InO-C", job(name, ino));
-        }
+        const std::vector<std::string> workloads = subset();
+        planColumns(
+            plan, workloads,
+            {{"InO-C", withMode(skylakeConfig(), CommitMode::InOrder)}});
         for (const Variant &v : VARIANTS) {
-            for (const auto &name : subset()) {
-                CoreConfig cfg = skylakeConfig();
-                cfg.commitMode = CommitMode::Noreba;
-                v.tweak(cfg);
-                plan.add(name, v.series, job(name, cfg));
-            }
+            CoreConfig cfg = withMode(skylakeConfig(), CommitMode::Noreba);
+            v.tweak(cfg);
+            planColumns(plan, workloads, {{v.series, cfg}});
         }
-        for (CommitMode mode : PRIOR_MODES) {
-            for (const auto &name : subset()) {
-                CoreConfig cfg = skylakeConfig();
-                cfg.commitMode = mode;
-                plan.add(name, commitModeName(mode), job(name, cfg));
-            }
-        }
+        for (CommitMode mode : PRIOR_MODES)
+            planColumns(plan, workloads,
+                        {{commitModeName(mode),
+                          withMode(skylakeConfig(), mode)}});
     };
 
     spec.report = [](const ExperimentResults &r) {
+        const std::vector<std::string> workloads = subset();
         auto geomeanFor = [&](const std::string &series) {
-            Geomean geo;
-            for (const auto &name : subset())
-                geo.sample(
-                    speedup(r.at(name, "InO-C"), r.at(name, series)));
-            return geo.value();
+            return geomeanSpeedup(r, workloads, "InO-C", series);
         };
 
         TextTable table;

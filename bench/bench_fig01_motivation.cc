@@ -14,9 +14,7 @@
  */
 
 #include <cstdio>
-#include <map>
 
-#include "common/stats.h"
 #include "common/table.h"
 #include "experiments.h"
 
@@ -26,12 +24,17 @@ using namespace noreba::benchutil;
 
 namespace {
 
-constexpr CommitMode MODES[] = {
-    CommitMode::InOrder,
-    CommitMode::NonSpecOoO,
-    CommitMode::SpeculativeBR,
-    CommitMode::SpeculativeFull,
-};
+/** InO-C, the baseline, then the three upper bounds. */
+std::vector<Column>
+columns()
+{
+    std::vector<Column> out;
+    for (CommitMode mode :
+         {CommitMode::InOrder, CommitMode::NonSpecOoO,
+          CommitMode::SpeculativeBR, CommitMode::SpeculativeFull})
+        out.push_back({commitModeName(mode), withMode(skylakeConfig(), mode)});
+    return out;
+}
 
 } // namespace
 
@@ -45,41 +48,16 @@ registerFig01Motivation()
                        "core, SPEC subset";
 
     spec.plan = [](ExperimentPlan &plan) {
-        for (const auto &name : specWorkloads()) {
-            for (CommitMode mode : MODES) {
-                CoreConfig cfg = skylakeConfig();
-                cfg.commitMode = mode;
-                plan.add(name, commitModeName(mode), job(name, cfg));
-            }
-        }
+        planColumns(plan, specWorkloads(), columns());
     };
 
     spec.report = [](const ExperimentResults &r) {
         const std::vector<std::string> workloads = specWorkloads();
+        const std::vector<double> geo =
+            printSpeedupTable(r, workloads, "InO-C", seriesOf(columns(), 1));
 
-        TextTable table;
-        table.setHeader({"benchmark", "NonSpeculative-OoO-C",
-                         "SpeculativeBR-OoO-C", "Speculative-OoO-C"});
-        std::map<CommitMode, Geomean> geo;
-
-        for (const auto &w : workloads) {
-            const CoreStats &ino = r.at(w, commitModeName(MODES[0]));
-            std::vector<std::string> row{w};
-            for (size_t m = 1; m < std::size(MODES); ++m) {
-                double sp =
-                    speedup(ino, r.at(w, commitModeName(MODES[m])));
-                geo[MODES[m]].sample(sp);
-                row.push_back(fmtDouble(sp, 3));
-            }
-            table.addRow(row);
-        }
-        table.addRow({"geomean", fmtDouble(geo[MODES[1]].value(), 3),
-                      fmtDouble(geo[MODES[2]].value(), 3),
-                      fmtDouble(geo[MODES[3]].value(), 3)});
-        std::printf("%s\n", table.render().c_str());
-
-        double br = geo[CommitMode::SpeculativeBR].value() - 1.0;
-        double full = geo[CommitMode::SpeculativeFull].value() - 1.0;
+        double br = geo[1] - 1.0;
+        double full = geo[2] - 1.0;
         std::printf("SpeculativeBR captures %.0f%% of the full "
                     "Speculative oracle's improvement (paper: 86%%)\n",
                     full > 0 ? 100.0 * br / full : 0.0);
@@ -89,7 +67,7 @@ registerFig01Motivation()
         anatomy.setHeader({"benchmark", "full-width", "empty", "branch",
                            "memory", "exec", "fence", "structural"});
         for (const auto &w : workloads) {
-            const CoreStats &s = r.at(w, commitModeName(MODES[0]));
+            const CoreStats &s = r.at(w, "InO-C");
             auto pct = [&](uint64_t v) {
                 return fmtDouble(
                     s.cycles ? 100.0 * static_cast<double>(v) /

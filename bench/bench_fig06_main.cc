@@ -8,8 +8,6 @@
 
 #include <cstdio>
 
-#include "common/stats.h"
-#include "common/table.h"
 #include "experiments.h"
 
 namespace noreba::bench {
@@ -19,26 +17,28 @@ using namespace noreba::benchutil;
 namespace {
 
 /**
- * Column configs. "Noreba (paper Tab.1)" disables the same-site
- * instance-ordering our safety checker shows the single-BranchID
- * marking needs; it models the paper's hardware exactly (see
- * EXPERIMENTS.md).
+ * The baseline and the five columns. "Noreba (paper Tab.1)" disables
+ * the same-site instance-ordering our safety checker shows the
+ * single-BranchID marking needs; it models the paper's hardware
+ * exactly (see EXPERIMENTS.md).
  */
-struct Column
+std::vector<Column>
+columns()
 {
-    const char *series;
-    CommitMode mode;
-    bool instanceOrder;
-};
-
-constexpr Column COLS[] = {
-    {"NonSpec-OoO-C", CommitMode::NonSpecOoO, true},
-    {"Noreba", CommitMode::Noreba, true},
-    {"Noreba (paper Tab.1)", CommitMode::Noreba, false},
-    {"IdealReconv-OoO-C", CommitMode::IdealReconv, true},
-    {"SpeculativeBR-OoO-C", CommitMode::SpeculativeBR, true},
-};
-constexpr int NCOLS = static_cast<int>(std::size(COLS));
+    auto skl = [](CommitMode mode, bool instanceOrder = true) {
+        CoreConfig cfg = withMode(skylakeConfig(), mode);
+        cfg.srob.enforceInstanceOrder = instanceOrder;
+        return cfg;
+    };
+    return {
+        {"InO-C", skl(CommitMode::InOrder)},
+        {"NonSpec-OoO-C", skl(CommitMode::NonSpecOoO)},
+        {"Noreba", skl(CommitMode::Noreba)},
+        {"Noreba (paper Tab.1)", skl(CommitMode::Noreba, false)},
+        {"IdealReconv-OoO-C", skl(CommitMode::IdealReconv)},
+        {"SpeculativeBR-OoO-C", skl(CommitMode::SpeculativeBR)},
+    };
+}
 
 } // namespace
 
@@ -51,61 +51,30 @@ registerFig06Main()
     spec.description = "Speedup over InO-C on the Skylake-like core, "
                        "with DCPT prefetching";
 
-    // One InO baseline plus the five columns per workload, all fanned
-    // out through the sweep engine.
     spec.plan = [](ExperimentPlan &plan) {
-        for (const auto &name : selectedWorkloads()) {
-            CoreConfig base = skylakeConfig();
-            base.commitMode = CommitMode::InOrder;
-            plan.add(name, "InO-C", job(name, base));
-            for (const Column &col : COLS) {
-                CoreConfig cfg = skylakeConfig();
-                cfg.commitMode = col.mode;
-                cfg.srob.enforceInstanceOrder = col.instanceOrder;
-                plan.add(name, col.series, job(name, cfg));
-            }
-        }
+        planColumns(plan, selectedWorkloads(), columns());
     };
 
     spec.report = [](const ExperimentResults &r) {
-        TextTable table;
-        table.setHeader({"benchmark", "NonSpec-OoO-C", "Noreba",
-                         "Noreba (paper Tab.1)", "IdealReconv-OoO-C",
-                         "SpeculativeBR-OoO-C"});
+        const std::vector<std::string> workloads = selectedWorkloads();
+        const std::vector<double> geo =
+            printSpeedupTable(r, workloads, "InO-C", seriesOf(columns(), 1));
 
-        Geomean geo[NCOLS];
-        double maxNoreba = 0.0, maxPaper = 0.0;
-        std::string maxName, maxPaperName;
-
-        for (const auto &name : selectedWorkloads()) {
-            const CoreStats &ino = r.at(name, "InO-C");
-            std::vector<std::string> row{name};
-            for (int c = 0; c < NCOLS; ++c) {
-                double sp = speedup(ino, r.at(name, COLS[c].series));
-                geo[c].sample(sp);
-                row.push_back(fmtDouble(sp, 3));
-                if (c == 1 && sp > maxNoreba) {
-                    maxNoreba = sp;
-                    maxName = name;
-                }
-                if (c == 2 && sp > maxPaper) {
-                    maxPaper = sp;
-                    maxPaperName = name;
-                }
+        // The best workload per Noreba column; ties keep the first.
+        auto best = [&](const std::string &col) {
+            std::pair<double, std::string> max{0.0, ""};
+            for (const auto &name : workloads) {
+                const double sp =
+                    speedup(r.at(name, "InO-C"), r.at(name, col));
+                if (sp > max.first)
+                    max = {sp, name};
             }
-            table.addRow(row);
-        }
+            return max;
+        };
+        const auto [maxNoreba, maxName] = best("Noreba");
+        const auto [maxPaper, maxPaperName] = best("Noreba (paper Tab.1)");
 
-        table.addRow({"geomean", fmtDouble(geo[0].value(), 3),
-                      fmtDouble(geo[1].value(), 3),
-                      fmtDouble(geo[2].value(), 3),
-                      fmtDouble(geo[3].value(), 3),
-                      fmtDouble(geo[4].value(), 3)});
-        std::printf("%s\n", table.render().c_str());
-
-        double noreba = geo[1].value();
-        double paperMode = geo[2].value();
-        double specbr = geo[4].value();
+        const double noreba = geo[1], paperMode = geo[2], specbr = geo[4];
         std::printf("Noreba geomean speedup over InO-C: %.3fx sound / "
                     "%.3fx paper-exact (paper: 1.22x)\n",
                     noreba, paperMode);

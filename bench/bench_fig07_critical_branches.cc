@@ -16,8 +16,6 @@
 
 namespace noreba::bench {
 
-using namespace noreba::benchutil;
-
 namespace {
 
 constexpr const char *WORKLOADS[] = {"mcf", "bzip2"};
@@ -72,12 +70,10 @@ registerFig07CriticalBranches()
                        "for the best case (mcf) and worst case (bzip2)";
 
     spec.plan = [](ExperimentPlan &plan) {
-        for (const char *name : WORKLOADS) {
-            CoreConfig cfg = skylakeConfig();
-            cfg.commitMode = CommitMode::InOrder;
-            cfg.attributeStalls = true;
-            plan.add(name, "InO-C", job(name, cfg));
-        }
+        CoreConfig cfg = withMode(skylakeConfig(), CommitMode::InOrder);
+        cfg.attributeStalls = true;
+        planColumns(plan, {std::begin(WORKLOADS), std::end(WORKLOADS)},
+                    {{"InO-C", cfg}});
     };
 
     spec.report = [](const ExperimentResults &r) {

@@ -25,11 +25,9 @@ registerFig08OooFraction()
                        "under Noreba, Skylake-like core";
 
     spec.plan = [](ExperimentPlan &plan) {
-        for (const auto &name : selectedWorkloads()) {
-            CoreConfig cfg = skylakeConfig();
-            cfg.commitMode = CommitMode::Noreba;
-            plan.add(name, "Noreba", job(name, cfg));
-        }
+        planColumns(
+            plan, selectedWorkloads(),
+            {{"Noreba", withMode(skylakeConfig(), CommitMode::Noreba)}});
     };
 
     spec.report = [](const ExperimentResults &r) {

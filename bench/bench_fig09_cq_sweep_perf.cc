@@ -12,26 +12,16 @@
 
 #include <cstdio>
 
-#include "common/stats.h"
 #include "common/table.h"
 #include "experiments.h"
 
 namespace noreba::bench {
-
-using namespace noreba::benchutil;
 
 namespace {
 
 constexpr int ROB_SIZES[] = {224, 128};
 constexpr int NUM_CQS[] = {1, 2, 4};
 constexpr int ENTRIES[] = {4, 8, 16, 32};
-
-std::vector<std::string>
-sweepWorkloads()
-{
-    return selectedWorkloadsOr(
-        {"mcf", "CRC32", "libquantum", "omnetpp", "bzip2", "astar"});
-}
 
 std::string
 idealSeries(int rob)
@@ -61,33 +51,28 @@ registerFig09CqSweepPerf()
     // every workload followed by every (numCqs x entries x workload)
     // Selective ROB point.
     spec.plan = [](ExperimentPlan &plan) {
-        const std::vector<std::string> workloads = sweepWorkloads();
+        const std::vector<std::string> workloads = cqSweepWorkloads();
         for (int rob : ROB_SIZES) {
-            for (const auto &name : workloads) {
-                CoreConfig cfg = skylakeConfig();
-                cfg.robEntries = rob;
-                cfg.commitMode = CommitMode::IdealReconv;
-                plan.add(name, idealSeries(rob), job(name, cfg));
-            }
+            CoreConfig cfg = skylakeConfig();
+            cfg.robEntries = rob;
+            planColumns(plan, workloads,
+                        {{idealSeries(rob),
+                          withMode(cfg, CommitMode::IdealReconv)}});
+            cfg.commitMode = CommitMode::Noreba;
             for (int nq : NUM_CQS) {
                 for (int ent : ENTRIES) {
-                    for (const auto &name : workloads) {
-                        CoreConfig cfg = skylakeConfig();
-                        cfg.robEntries = rob;
-                        cfg.commitMode = CommitMode::Noreba;
-                        cfg.srob.numBrCqs = nq;
-                        cfg.srob.brCqEntries = ent;
-                        cfg.srob.prCqEntries = ent;
-                        plan.add(name, pointSeries(rob, nq, ent),
-                                 job(name, cfg));
-                    }
+                    cfg.srob.numBrCqs = nq;
+                    cfg.srob.brCqEntries = ent;
+                    cfg.srob.prCqEntries = ent;
+                    planColumns(plan, workloads,
+                                {{pointSeries(rob, nq, ent), cfg}});
                 }
             }
         }
     };
 
     spec.report = [](const ExperimentResults &r) {
-        const std::vector<std::string> workloads = sweepWorkloads();
+        const std::vector<std::string> workloads = cqSweepWorkloads();
         for (int rob : ROB_SIZES) {
             std::printf("ROB' = %d entries\n", rob);
             TextTable table;
@@ -97,16 +82,10 @@ registerFig09CqSweepPerf()
                 std::vector<std::string> row{
                     std::to_string(nq) + " BR-CQ" + (nq > 1 ? "s" : "")};
                 for (int ent : ENTRIES) {
-                    Geomean geo;
-                    for (const auto &name : workloads) {
-                        const CoreStats &ideal =
-                            r.at(name, idealSeries(rob));
-                        const CoreStats &s =
-                            r.at(name, pointSeries(rob, nq, ent));
-                        geo.sample(static_cast<double>(ideal.cycles) /
-                                   static_cast<double>(s.cycles));
-                    }
-                    row.push_back(fmtDouble(geo.value(), 3));
+                    const double geo =
+                        geomeanSpeedup(r, workloads, idealSeries(rob),
+                                       pointSeries(rob, nq, ent));
+                    row.push_back(fmtDouble(geo, 3));
                 }
                 table.addRow(row);
             }

@@ -16,25 +16,15 @@
 
 namespace noreba::bench {
 
-using namespace noreba::benchutil;
-
 namespace {
 
 constexpr int NUM_CQS[] = {1, 2, 4, 8};
 constexpr int ENTRIES[] = {4, 8, 16, 32, 64};
 
-std::vector<std::string>
-sweepWorkloads()
-{
-    return selectedWorkloadsOr(
-        {"mcf", "CRC32", "libquantum", "omnetpp", "bzip2", "astar"});
-}
-
 CoreConfig
 pointConfig(int nq, int ent)
 {
-    CoreConfig cfg = skylakeConfig();
-    cfg.commitMode = CommitMode::Noreba;
+    CoreConfig cfg = withMode(skylakeConfig(), CommitMode::Noreba);
     cfg.srob.numBrCqs = nq;
     cfg.srob.brCqEntries = ent;
     cfg.srob.prCqEntries = ent;
@@ -58,22 +48,20 @@ registerFig10CqSweepPower()
     spec.description = "Total power of Selective ROB configurations, "
                        "normalized to the minimum (1 BR-CQ x 4 entries)";
 
-    // The old standalone bench simulated the (1, 4) minimum twice —
-    // once for the normalizer, once for its table cell. Each point is
-    // planned once here; the reducer reads the (1, 4) handles for both.
+    // Each point is planned once; the (1, 4) minimum's handles serve
+    // both the normalizer and its own table cell.
     spec.plan = [](ExperimentPlan &plan) {
         for (int nq : NUM_CQS)
             for (int ent : ENTRIES)
-                for (const auto &name : sweepWorkloads())
-                    plan.add(name, pointSeries(nq, ent),
-                             job(name, pointConfig(nq, ent)));
+                planColumns(plan, cqSweepWorkloads(),
+                            {{pointSeries(nq, ent), pointConfig(nq, ent)}});
     };
 
     spec.report = [](const ExperimentResults &r) {
         auto avgPower = [&](int nq, int ent) {
             Geomean geo;
             const CoreConfig cfg = pointConfig(nq, ent);
-            for (const auto &name : sweepWorkloads())
+            for (const auto &name : cqSweepWorkloads())
                 geo.sample(
                     computePower(cfg, r.at(name, pointSeries(nq, ent)))
                         .totalWatts());

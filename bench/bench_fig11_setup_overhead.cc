@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "common/stats.h"
 #include "common/table.h"
 #include "experiments.h"
 
@@ -28,8 +27,8 @@ registerFig11SetupOverhead()
 
     spec.plan = [](ExperimentPlan &plan) {
         for (const auto &name : selectedWorkloads()) {
-            CoreConfig cfg = skylakeConfig();
-            cfg.commitMode = CommitMode::Noreba;
+            const CoreConfig cfg =
+                withMode(skylakeConfig(), CommitMode::Noreba);
             plan.add(name, "setup", job(name, cfg));
             plan.add(name, "perfect",
                      job(name, cfg, /*annotate=*/true,
@@ -42,8 +41,8 @@ registerFig11SetupOverhead()
         table.setHeader({"benchmark", "setup insts", "fetch overhead",
                          "cycles (setup)", "cycles (perfect)",
                          "perf overhead"});
-        Geomean geo;
-        for (const auto &name : selectedWorkloads()) {
+        const std::vector<std::string> workloads = selectedWorkloads();
+        for (const auto &name : workloads) {
             const CoreStats &sWith = r.at(name, "setup");
             const CoreStats &sPerf = r.at(name, "perfect");
             // The setup-instruction counts come from the trace itself;
@@ -55,11 +54,7 @@ registerFig11SetupOverhead()
                 sum.dynInsts ? static_cast<double>(sum.setupInsts) /
                                    static_cast<double>(sum.dynInsts)
                              : 0.0;
-            double perf = static_cast<double>(sWith.cycles) /
-                              static_cast<double>(sPerf.cycles) -
-                          1.0;
-            geo.sample(static_cast<double>(sWith.cycles) /
-                       static_cast<double>(sPerf.cycles));
+            double perf = speedup(sWith, sPerf) - 1.0;
             table.addRow({name, std::to_string(sum.setupInsts),
                           fmtPercent(fetchOverhead),
                           std::to_string(sWith.cycles),
@@ -67,8 +62,10 @@ registerFig11SetupOverhead()
                           fmtPercent(perf)});
         }
         std::printf("%s\n", table.render().c_str());
+        const double geo =
+            geomeanSpeedup(r, workloads, "setup", "perfect");
         std::printf("geomean performance overhead: %s (paper: ~3%%)\n",
-                    fmtPercent(geo.value() - 1.0).c_str());
+                    fmtPercent(geo - 1.0).c_str());
     };
 
     registerExperiment(std::move(spec));

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "common/stats.h"
 #include "common/table.h"
 #include "experiments.h"
 
@@ -41,40 +40,28 @@ registerFig12CoreSizes()
     // runs double as the cross-core baseline.
     spec.plan = [](ExperimentPlan &plan) {
         for (const char *core : CORES) {
-            for (const auto &name : selectedWorkloads()) {
-                CoreConfig ino = configByName(core);
-                ino.commitMode = CommitMode::InOrder;
-                plan.add(name, series(core, "InO-C"), job(name, ino));
-
-                CoreConfig nor = configByName(core);
-                nor.commitMode = CommitMode::Noreba;
-                plan.add(name, series(core, "Noreba"), job(name, nor));
-            }
+            const CoreConfig cfg = configByName(core);
+            planColumns(plan, selectedWorkloads(),
+                        {{series(core, "InO-C"),
+                          withMode(cfg, CommitMode::InOrder)},
+                         {series(core, "Noreba"),
+                          withMode(cfg, CommitMode::Noreba)}});
         }
     };
 
     spec.report = [](const ExperimentResults &r) {
+        const std::vector<std::string> workloads = selectedWorkloads();
         TextTable table;
         table.setHeader({"core", "InO-C vs NHM InO-C",
                          "Noreba vs NHM InO-C", "Noreba vs own InO-C"});
+        auto geo = [&](const std::string &base, const std::string &s) {
+            return fmtDouble(geomeanSpeedup(r, workloads, base, s), 3);
+        };
         for (const char *core : CORES) {
-            Geomean inoGeo, norebaGeo, ratioGeo;
-            for (const auto &name : selectedWorkloads()) {
-                const CoreStats &nhm = r.at(name, "NHM/InO-C");
-                const CoreStats &sIno = r.at(name, series(core, "InO-C"));
-                const CoreStats &sNor =
-                    r.at(name, series(core, "Noreba"));
-
-                double nhmCycles = static_cast<double>(nhm.cycles);
-                inoGeo.sample(nhmCycles /
-                              static_cast<double>(sIno.cycles));
-                norebaGeo.sample(nhmCycles /
-                                 static_cast<double>(sNor.cycles));
-                ratioGeo.sample(speedup(sIno, sNor));
-            }
-            table.addRow({core, fmtDouble(inoGeo.value(), 3),
-                          fmtDouble(norebaGeo.value(), 3),
-                          fmtDouble(ratioGeo.value(), 3)});
+            const std::string ino = series(core, "InO-C");
+            const std::string nor = series(core, "Noreba");
+            table.addRow({core, geo("NHM/InO-C", ino),
+                          geo("NHM/InO-C", nor), geo(ino, nor)});
         }
         std::printf("%s\n", table.render().c_str());
         std::printf("Expected shape: both columns grow with core size; "

@@ -8,8 +8,6 @@
 
 #include <cstdio>
 
-#include "common/stats.h"
-#include "common/table.h"
 #include "experiments.h"
 
 namespace noreba::bench {
@@ -18,21 +16,23 @@ using namespace noreba::benchutil;
 
 namespace {
 
-struct Column
-{
-    const char *series;
-    CommitMode mode;
-    bool prefetcher;
-};
-
 /** Column order matches the figure; "InO-C/pf" doubles as the
- *  normalizer (the old standalone bench simulated it twice). */
-constexpr Column COLS[] = {
-    {"InO-C/no-pf", CommitMode::InOrder, false},
-    {"Noreba/no-pf", CommitMode::Noreba, false},
-    {"InO-C/pf", CommitMode::InOrder, true},
-    {"Noreba/pf", CommitMode::Noreba, true},
-};
+ *  normalizer. */
+std::vector<Column>
+columns()
+{
+    auto nhm = [](CommitMode mode, bool prefetcher) {
+        CoreConfig cfg = withMode(nehalemConfig(), mode);
+        cfg.prefetcher = prefetcher;
+        return cfg;
+    };
+    return {
+        {"InO-C/no-pf", nhm(CommitMode::InOrder, false)},
+        {"Noreba/no-pf", nhm(CommitMode::Noreba, false)},
+        {"InO-C/pf", nhm(CommitMode::InOrder, true)},
+        {"Noreba/pf", nhm(CommitMode::Noreba, true)},
+    };
+}
 
 } // namespace
 
@@ -47,37 +47,14 @@ registerFig13Prefetching()
                        "prefetch";
 
     spec.plan = [](ExperimentPlan &plan) {
-        for (const auto &name : selectedWorkloads()) {
-            for (const Column &col : COLS) {
-                CoreConfig cfg = nehalemConfig();
-                cfg.commitMode = col.mode;
-                cfg.prefetcher = col.prefetcher;
-                plan.add(name, col.series, job(name, cfg));
-            }
-        }
+        planColumns(plan, selectedWorkloads(), columns());
     };
 
     spec.report = [](const ExperimentResults &r) {
-        TextTable table;
-        table.setHeader({"benchmark", "InO-C no-pf", "Noreba no-pf",
-                         "InO-C + pf", "Noreba + pf"});
-        Geomean geo[std::size(COLS)];
-
-        for (const auto &name : selectedWorkloads()) {
-            const CoreStats &ref = r.at(name, "InO-C/pf");
-            std::vector<std::string> row{name};
-            for (size_t c = 0; c < std::size(COLS); ++c) {
-                double sp = speedup(ref, r.at(name, COLS[c].series));
-                geo[c].sample(sp);
-                row.push_back(fmtDouble(sp, 3));
-            }
-            table.addRow(row);
-        }
-        table.addRow({"geomean", fmtDouble(geo[0].value(), 3),
-                      fmtDouble(geo[1].value(), 3),
-                      fmtDouble(geo[2].value(), 3),
-                      fmtDouble(geo[3].value(), 3)});
-        std::printf("%s\n", table.render().c_str());
+        printSpeedupTable(r, selectedWorkloads(), "InO-C/pf",
+                          seriesOf(columns()),
+                          {"InO-C no-pf", "Noreba no-pf", "InO-C + pf",
+                           "Noreba + pf"});
         std::printf("Expected shape: Noreba+prefetch > InO-C+prefetch "
                     "> Noreba-alone > InO-C-alone (geomean)\n");
     };

@@ -14,8 +14,6 @@
 
 #include <cstdio>
 
-#include "common/stats.h"
-#include "common/table.h"
 #include "experiments.h"
 
 namespace noreba::bench {
@@ -24,18 +22,22 @@ using namespace noreba::benchutil;
 
 namespace {
 
-struct Column
+/** The InO-C baseline, then the three ECL / Noreba columns. */
+std::vector<Column>
+columns()
 {
-    const char *series;
-    CommitMode mode;
-    bool ecl;
-};
-
-constexpr Column COLS[] = {
-    {"InO-C/ECL", CommitMode::InOrder, true},
-    {"Noreba", CommitMode::Noreba, false},
-    {"Noreba/ECL", CommitMode::Noreba, true},
-};
+    auto skl = [](CommitMode mode, bool ecl) {
+        CoreConfig cfg = withMode(skylakeConfig(), mode);
+        cfg.earlyCommitLoads = ecl;
+        return cfg;
+    };
+    return {
+        {"InO-C", skl(CommitMode::InOrder, false)},
+        {"InO-C/ECL", skl(CommitMode::InOrder, true)},
+        {"Noreba", skl(CommitMode::Noreba, false)},
+        {"Noreba/ECL", skl(CommitMode::Noreba, true)},
+    };
+}
 
 } // namespace
 
@@ -49,39 +51,15 @@ registerFig14Ecl()
                        "Skylake-like core, normalized to plain InO-C";
 
     spec.plan = [](ExperimentPlan &plan) {
-        for (const auto &name : selectedWorkloads()) {
-            CoreConfig base = skylakeConfig();
-            base.commitMode = CommitMode::InOrder;
-            plan.add(name, "InO-C", job(name, base));
-            for (const Column &col : COLS) {
-                CoreConfig cfg = skylakeConfig();
-                cfg.commitMode = col.mode;
-                cfg.earlyCommitLoads = col.ecl;
-                plan.add(name, col.series, job(name, cfg));
-            }
-        }
+        planColumns(plan, selectedWorkloads(), columns());
     };
 
+    // The InO-C column is the baseline over itself: 1.000 throughout.
     spec.report = [](const ExperimentResults &r) {
-        TextTable table;
-        table.setHeader({"benchmark", "InO-C", "InO-C + ECL", "Noreba",
-                         "Noreba + ECL"});
-        Geomean geo[std::size(COLS)];
-
-        for (const auto &name : selectedWorkloads()) {
-            const CoreStats &ino = r.at(name, "InO-C");
-            std::vector<std::string> row{name, "1.000"};
-            for (size_t c = 0; c < std::size(COLS); ++c) {
-                double sp = speedup(ino, r.at(name, COLS[c].series));
-                geo[c].sample(sp);
-                row.push_back(fmtDouble(sp, 3));
-            }
-            table.addRow(row);
-        }
-        table.addRow({"geomean", "1.000", fmtDouble(geo[0].value(), 3),
-                      fmtDouble(geo[1].value(), 3),
-                      fmtDouble(geo[2].value(), 3)});
-        std::printf("%s\n", table.render().c_str());
+        printSpeedupTable(r, selectedWorkloads(), "InO-C",
+                          seriesOf(columns()),
+                          {"InO-C", "InO-C + ECL", "Noreba",
+                           "Noreba + ECL"});
         std::printf("Expected shape: InO-C+ECL modestly above InO-C; "
                     "Noreba well above both (ECL subsumed)\n");
     };

@@ -9,13 +9,28 @@
 
 #include <cstdio>
 
-#include "common/stats.h"
-#include "common/table.h"
 #include "experiments.h"
 
 namespace noreba::bench {
 
 using namespace noreba::benchutil;
+
+namespace {
+
+/** InO-C (width 4), the baseline; InO-C++ (width 8); Noreba (width 4). */
+std::vector<Column>
+columns()
+{
+    CoreConfig wide = withMode(skylakeConfig(), CommitMode::InOrder);
+    wide.commitWidth = 8;
+    return {
+        {"InO-C", withMode(skylakeConfig(), CommitMode::InOrder)},
+        {"InO-C++", wide},
+        {"Noreba", withMode(skylakeConfig(), CommitMode::Noreba)},
+    };
+}
+
+} // namespace
 
 void
 registerFig15CommitWidth()
@@ -28,40 +43,13 @@ registerFig15CommitWidth()
                        "core";
 
     spec.plan = [](ExperimentPlan &plan) {
-        for (const auto &name : selectedWorkloads()) {
-            CoreConfig base = skylakeConfig();
-            base.commitMode = CommitMode::InOrder;
-            plan.add(name, "InO-C", job(name, base));
-
-            CoreConfig wide = skylakeConfig();
-            wide.commitMode = CommitMode::InOrder;
-            wide.commitWidth = 8;
-            plan.add(name, "InO-C++", job(name, wide));
-
-            CoreConfig nor = skylakeConfig();
-            nor.commitMode = CommitMode::Noreba;
-            plan.add(name, "Noreba", job(name, nor));
-        }
+        planColumns(plan, selectedWorkloads(), columns());
     };
 
     spec.report = [](const ExperimentResults &r) {
-        TextTable table;
-        table.setHeader({"benchmark", "InO-C++ (width 8)",
-                         "Noreba (width 4)"});
-        Geomean geoWide, geoNoreba;
-
-        for (const auto &name : selectedWorkloads()) {
-            const CoreStats &ino = r.at(name, "InO-C");
-            double spWide = speedup(ino, r.at(name, "InO-C++"));
-            double spNor = speedup(ino, r.at(name, "Noreba"));
-            geoWide.sample(spWide);
-            geoNoreba.sample(spNor);
-            table.addRow(
-                {name, fmtDouble(spWide, 3), fmtDouble(spNor, 3)});
-        }
-        table.addRow({"geomean", fmtDouble(geoWide.value(), 3),
-                      fmtDouble(geoNoreba.value(), 3)});
-        std::printf("%s\n", table.render().c_str());
+        printSpeedupTable(r, selectedWorkloads(), "InO-C",
+                          seriesOf(columns(), 1),
+                          {"InO-C++ (width 8)", "Noreba (width 4)"});
         std::printf("Expected shape: doubling commit width barely "
                     "moves InO-C, while Noreba gains at the same "
                     "width\n");

@@ -18,6 +18,17 @@ namespace noreba::bench {
 
 using namespace noreba::benchutil;
 
+namespace {
+
+std::vector<Column>
+columns()
+{
+    return {{"InO-C", withMode(skylakeConfig(), CommitMode::InOrder)},
+            {"Noreba", withMode(skylakeConfig(), CommitMode::Noreba)}};
+}
+
+} // namespace
+
 void
 registerFig16PowerArea()
 {
@@ -29,85 +40,64 @@ registerFig16PowerArea()
                        "suite";
 
     spec.plan = [](ExperimentPlan &plan) {
-        for (const auto &name : selectedWorkloads()) {
-            CoreConfig ino = skylakeConfig();
-            ino.commitMode = CommitMode::InOrder;
-            plan.add(name, "InO-C", job(name, ino));
-            CoreConfig nor = skylakeConfig();
-            nor.commitMode = CommitMode::Noreba;
-            plan.add(name, "Noreba", job(name, nor));
-        }
+        planColumns(plan, selectedWorkloads(), columns());
     };
 
     spec.report = [](const ExperimentResults &r) {
-        // Accumulate per-structure watts across the suite (arithmetic
-        // mean of per-workload breakdowns, like McPAT batch reporting).
-        std::map<std::string, double> inoW, norW;
-        std::map<std::string, double> inoA, norA;
-        int n = 0;
-        CoreConfig inoCfg = skylakeConfig();
-        inoCfg.commitMode = CommitMode::InOrder;
-        CoreConfig norCfg = skylakeConfig();
-        norCfg.commitMode = CommitMode::Noreba;
-        for (const auto &name : selectedWorkloads()) {
-            PowerBreakdown pbIno =
-                computePower(inoCfg, r.at(name, "InO-C"));
-            PowerBreakdown pbNor =
-                computePower(norCfg, r.at(name, "Noreba"));
-            for (const auto &s : powerStructureNames()) {
-                inoW[s] +=
-                    pbIno.watts.count(s) ? pbIno.watts.at(s) : 0.0;
-                norW[s] +=
-                    pbNor.watts.count(s) ? pbNor.watts.at(s) : 0.0;
-                inoA[s] = pbIno.area.count(s) ? pbIno.area.at(s) : 0.0;
-                norA[s] = pbNor.area.count(s) ? pbNor.area.at(s) : 0.0;
+        // Per column: per-structure watts averaged over the suite
+        // (arithmetic mean of per-workload breakdowns, like McPAT batch
+        // reporting) and per-structure area, which activity does not
+        // change.
+        const std::vector<Column> cols = columns();
+        const std::vector<std::string> workloads = selectedWorkloads();
+        std::map<std::string, double> watts[2], area[2];
+        double totalW[2] = {}, totalA[2] = {};
+        for (int c = 0; c < 2; ++c) {
+            for (const auto &name : workloads) {
+                const PowerBreakdown pb =
+                    computePower(cols[c].cfg, r.at(name, cols[c].series));
+                for (const auto &s : powerStructureNames()) {
+                    watts[c][s] += pb.watts.count(s) ? pb.watts.at(s) : 0.0;
+                    area[c][s] = pb.area.count(s) ? pb.area.at(s) : 0.0;
+                }
             }
-            ++n;
-        }
-
-        double inoTotalW = 0, norTotalW = 0, inoTotalA = 0,
-               norTotalA = 0;
-        for (const auto &s : powerStructureNames()) {
-            inoW[s] /= n;
-            norW[s] /= n;
-            inoTotalW += inoW[s];
-            norTotalW += norW[s];
-            inoTotalA += inoA[s];
-            norTotalA += norA[s];
+            for (const auto &s : powerStructureNames()) {
+                watts[c][s] /= static_cast<double>(workloads.size());
+                totalW[c] += watts[c][s];
+                totalA[c] += area[c][s];
+            }
         }
 
         TextTable table;
         table.setHeader({"structure", "InO-C W", "NOREBA W",
                          "InO-C mm2", "NOREBA mm2"});
-        for (const auto &s : powerStructureNames()) {
-            table.addRow({s, fmtDouble(inoW[s], 3),
-                          fmtDouble(norW[s], 3), fmtDouble(inoA[s], 3),
-                          fmtDouble(norA[s], 3)});
-        }
-        table.addRow({"TOTAL", fmtDouble(inoTotalW, 3),
-                      fmtDouble(norTotalW, 3), fmtDouble(inoTotalA, 3),
-                      fmtDouble(norTotalA, 3)});
+        for (const auto &s : powerStructureNames())
+            table.addRow({s, fmtDouble(watts[0][s], 3),
+                          fmtDouble(watts[1][s], 3),
+                          fmtDouble(area[0][s], 3),
+                          fmtDouble(area[1][s], 3)});
+        table.addRow({"TOTAL", fmtDouble(totalW[0], 3),
+                      fmtDouble(totalW[1], 3), fmtDouble(totalA[0], 3),
+                      fmtDouble(totalA[1], 3)});
         std::printf("%s\n", table.render().c_str());
 
+        // What the new structures (CQT+BIT+DCT, CIT) draw under Noreba.
+        const double cqt = watts[1]["CQT+BIT+DCT"], cit = watts[1]["CIT"];
         std::printf("power overhead: %s (paper: ~4%%)\n",
-                    fmtPercent(norTotalW / inoTotalW - 1.0).c_str());
+                    fmtPercent(totalW[1] / totalW[0] - 1.0).c_str());
         std::printf("  of which the new structures (CQT+BIT+DCT, CIT, "
                     "commit queues): %s\n",
-                    fmtPercent((norW["CQT+BIT+DCT"] + norW["CIT"]) /
-                               inoTotalW)
-                        .c_str());
+                    fmtPercent((cqt + cit) / totalW[0]).c_str());
         std::printf("  the remainder (+%s) is higher per-cycle "
                     "activity from finishing the same work in fewer "
                     "cycles\n",
-                    fmtPercent(inoTotalW > 0
-                                   ? (norTotalW - inoTotalW -
-                                      norW["CQT+BIT+DCT"] -
-                                      norW["CIT"]) /
-                                         inoTotalW
-                                   : 0.0)
+                    fmtPercent(totalW[0] > 0 ? (totalW[1] - totalW[0] -
+                                                cqt - cit) /
+                                                   totalW[0]
+                                             : 0.0)
                         .c_str());
         std::printf("area overhead:  %s (paper: ~8%%)\n",
-                    fmtPercent(norTotalA / inoTotalA - 1.0).c_str());
+                    fmtPercent(totalA[1] / totalA[0] - 1.0).c_str());
     };
 
     registerExperiment(std::move(spec));

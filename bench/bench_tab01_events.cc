@@ -18,8 +18,6 @@
 
 namespace noreba::bench {
 
-using namespace noreba::benchutil;
-
 namespace {
 
 /** The paper's Figure 2 if-then-else (see examples/compiler_pass_demo). */
@@ -89,9 +87,9 @@ registerTab01Events()
                        "activity";
 
     spec.plan = [](ExperimentPlan &plan) {
-        CoreConfig cfg = skylakeConfig();
-        cfg.commitMode = CommitMode::Noreba;
-        plan.add("mcf", "Noreba", job("mcf", cfg));
+        planColumns(
+            plan, {"mcf"},
+            {{"Noreba", withMode(skylakeConfig(), CommitMode::Noreba)}});
     };
 
     spec.report = [](const ExperimentResults &r) {

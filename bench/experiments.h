@@ -18,6 +18,51 @@
 
 namespace noreba::bench {
 
+/** One column of a figure: its series handle and the config it runs. */
+struct Column
+{
+    std::string series;
+    CoreConfig cfg;
+};
+
+/**
+ * The Selective ROB sweeps' (Figures 9 and 10) default subset, one
+ * workload per behaviour class; NOREBA_WORKLOADS overrides it.
+ */
+std::vector<std::string> cqSweepWorkloads();
+
+/** The series handles of @p columns, from index @p first on. */
+std::vector<std::string> seriesOf(const std::vector<Column> &columns,
+                                  size_t first = 0);
+
+/** @p cfg with its commit mode set to @p mode. */
+CoreConfig withMode(CoreConfig cfg, CommitMode mode);
+
+/**
+ * Plan one job per (workload, column) under (workload, column.series),
+ * workload-major: every column of the first workload, then the next.
+ */
+void planColumns(ExperimentPlan &plan,
+                 const std::vector<std::string> &workloads,
+                 const std::vector<Column> &columns);
+
+/** Geomean over @p workloads of speedup(@p base, @p series). */
+double geomeanSpeedup(const ExperimentResults &r,
+                      const std::vector<std::string> &workloads,
+                      const std::string &base, const std::string &series);
+
+/**
+ * Print the speedup of each of @p series over @p base: one row per
+ * workload, then a geomean row, under "benchmark" and @p header (the
+ * series names when empty). Returns the geomeans, one per series.
+ */
+std::vector<double>
+printSpeedupTable(const ExperimentResults &r,
+                  const std::vector<std::string> &workloads,
+                  const std::string &base,
+                  const std::vector<std::string> &series,
+                  std::vector<std::string> header = {});
+
 void registerFig01Motivation();
 void registerTab01Events();
 void registerTab0203Configs();

@@ -102,47 +102,29 @@ runBranchDependencePass(Program &prog)
     // within one loop iteration, an RPO-earlier instruction executes
     // earlier on every path that runs both.
     //
+    DominatorTree pdom(fn, DominatorTree::Kind::PostDominators);
+    DominatorTree dom(fn, DominatorTree::Kind::Dominators);
+
     std::vector<int64_t> orderPos(gidx.total(), 0);
     {
         const int nblk = static_cast<int>(fn.numBlocks());
-        std::vector<int> state(nblk, 0);
-        std::vector<int> postorder;
-        std::vector<std::pair<int, size_t>> stack;
-        stack.emplace_back(fn.entry(), 0);
-        state[fn.entry()] = 1;
-        while (!stack.empty()) {
-            auto &[node, si] = stack.back();
-            const auto &succs = fn.block(node).succs;
-            if (si < succs.size()) {
-                int next = succs[si++];
-                if (state[next] == 0) {
-                    state[next] = 1;
-                    stack.emplace_back(next, 0);
-                }
-            } else {
-                postorder.push_back(node);
-                stack.pop_back();
-            }
-        }
-        std::vector<int> rpoRank(nblk, nblk); // unreachable: last
-        int rank = 0;
-        for (auto it = postorder.rbegin(); it != postorder.rend(); ++it)
-            rpoRank[*it] = rank++;
-        // Cumulative instruction positions in RPO block order.
+        // Cumulative instruction positions in RPO block order;
+        // unreachable blocks go last.
+        auto rank = [&](int bb) {
+            const int r = dom.rpoRank(bb);
+            return r < 0 ? nblk : r;
+        };
         std::vector<int> blocksByRank(nblk);
         for (int bb = 0; bb < nblk; ++bb)
             blocksByRank[bb] = bb;
         std::sort(blocksByRank.begin(), blocksByRank.end(),
-                  [&](int a, int c) { return rpoRank[a] < rpoRank[c]; });
+                  [&](int a, int c) { return rank(a) < rank(c); });
         int64_t pos = 0;
         for (int bb : blocksByRank) {
             for (size_t i = 0; i < fn.block(bb).insts.size(); ++i)
                 orderPos[gidx.at(bb, static_cast<int>(i))] = pos++;
         }
     }
-
-    DominatorTree pdom(fn, DominatorTree::Kind::PostDominators);
-    DominatorTree dom(fn, DominatorTree::Kind::Dominators);
 
     //
     // Step A: enumerate branch sites and their reconvergence points.

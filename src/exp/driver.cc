@@ -124,23 +124,6 @@ unknownExperiment(const std::string &name)
     return 2;
 }
 
-std::vector<std::string>
-splitCommas(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (size_t i = 0; i <= arg.size(); ++i) {
-        if (i == arg.size() || arg[i] == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur.push_back(arg[i]);
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 size_t
@@ -200,7 +183,7 @@ benchMain(int argc, char **argv)
         } else if (arg == "--run") {
             if (++i >= argc)
                 return usage(argv[0]);
-            for (const std::string &name : splitCommas(argv[i]))
+            for (const std::string &name : benchutil::splitCommas(argv[i]))
                 names.push_back(name);
         } else if (arg == "--json-dir") {
             if (++i >= argc)

@@ -8,6 +8,22 @@
 
 namespace noreba::benchutil {
 
+std::vector<std::string>
+splitCommas(const std::string &list)
+{
+    std::vector<std::string> out;
+    size_t start = 0;
+    while (start <= list.size()) {
+        size_t end = list.find(',', start);
+        if (end == std::string::npos)
+            end = list.size();
+        if (end > start)
+            out.push_back(list.substr(start, end - start));
+        start = end + 1;
+    }
+    return out;
+}
+
 uint64_t
 traceLen()
 {
@@ -28,19 +44,7 @@ selectedWorkloads()
     const char *env = std::getenv("NOREBA_WORKLOADS");
     if (!env)
         return workloadNames();
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char *c = env;; ++c) {
-        if (*c == ',' || *c == '\0') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-            if (*c == '\0')
-                break;
-        } else {
-            cur.push_back(*c);
-        }
-    }
+    const std::vector<std::string> out = splitCommas(env);
     // One pass over the registry builds the membership set; each name
     // is then an O(1) probe instead of a rescan of the registry.
     std::unordered_set<std::string> known;

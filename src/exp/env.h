@@ -30,6 +30,9 @@
 
 namespace noreba::benchutil {
 
+/** The non-empty fields of a comma-separated list, in order. */
+std::vector<std::string> splitCommas(const std::string &list);
+
 /** NOREBA_TRACE_LEN, defaulting to 250000; non-positive is fatal. */
 uint64_t traceLen();
 

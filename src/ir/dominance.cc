@@ -130,21 +130,11 @@ DominatorTree::DominatorTree(const Function &fn, Kind kind)
             idom_[b] = idom[b];
     }
 
-    // Depths (for nesting queries). Unreachable blocks stay at -1.
-    depth_.assign(g.n, -1);
-    for (int b = 0; b < g.n; ++b) {
-        if (idom[b] == -1)
-            continue; // unreachable in the walk graph
-        // Walk up to the root counting steps.
-        int d = 0;
-        int cur = b;
-        while (cur != g.root && idom[cur] != g.root && idom[cur] != -1) {
-            cur = idom[cur];
-            ++d;
-            panic_if(d > g.n + 1, "dominator tree cycle detected");
-        }
-        depth_[b] = d;
-    }
+    // The virtual root is first in the walk; blocks count from 0.
+    rpoRank_.assign(g.n, -1);
+    for (int b = 0; b < g.n; ++b)
+        if (rpoIndex[b] > 0)
+            rpoRank_[b] = rpoIndex[b] - 1;
 }
 
 bool

@@ -42,15 +42,19 @@ class DominatorTree
     /** True if block `a` (post)dominates block `b`. */
     bool dominates(int a, int b) const;
 
-    /** Depth of `bb` in the tree (root = 0, unreachable = -1). */
-    int depth(int bb) const { return depth_[bb]; }
+    /**
+     * Position of `bb` in the reverse postorder of the walk (the CFG
+     * from the entry, or the reverse CFG from the exits), counting
+     * from 0; -1 when the walk never reaches it.
+     */
+    int rpoRank(int bb) const { return rpoRank_[bb]; }
 
     Kind kind() const { return kind_; }
 
   private:
     Kind kind_;
-    std::vector<int> idom_;   //!< immediate dominator per block (-1 none)
-    std::vector<int> depth_;
+    std::vector<int> idom_;    //!< immediate dominator per block (-1 none)
+    std::vector<int> rpoRank_; //!< reverse-postorder position (-1 none)
 };
 
 /**

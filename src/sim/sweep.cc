@@ -267,8 +267,7 @@ JsonValue
 bundleCacheStatsToJson(const BundleCacheStats &s)
 {
     JsonValue out = JsonValue::object();
-    out.set("memHits", s.memHits)
-        .set("sharedBuilds", s.sharedBuilds)
+    out.set("memHits", s.memHits + s.sharedBuilds)
         .set("diskHits", s.diskHits)
         .set("builds", s.builds)
         .set("bytesMapped", s.bytesMapped)
@@ -280,8 +279,7 @@ JsonValue
 simCacheStatsToJson(const SimCacheStats &s)
 {
     JsonValue out = JsonValue::object();
-    out.set("memHits", s.memHits)
-        .set("sharedSims", s.sharedSims)
+    out.set("memHits", s.memHits + s.sharedSims)
         .set("diskHits", s.diskHits)
         .set("simBuilds", s.simBuilds)
         .set("stored", s.stored)

@@ -422,6 +422,12 @@ class SweepRunner
 /** One key per NOREBA_CORE_CONFIG_FIELDS entry, under its dotted name. */
 JsonValue configToJson(const CoreConfig &cfg);
 JsonValue statsToJson(const CoreStats &stats);
+/**
+ * The cache records' "memHits" counts joined getters too
+ * (sharedBuilds / sharedSims): whether a getter joins an in-flight
+ * producer or finds its kept outcome depends on thread timing, and
+ * the sum does not, so the record is the same at any NOREBA_JOBS.
+ */
 JsonValue bundleCacheStatsToJson(const BundleCacheStats &stats);
 JsonValue simCacheStatsToJson(const SimCacheStats &stats);
 JsonValue sweepResultToJson(const SweepResult &result);

@@ -159,15 +159,9 @@ TEST(Dominance, UnreachableBlockHasNoIdom)
 
     DominatorTree dom(prog.function(), DominatorTree::Kind::Dominators);
     EXPECT_EQ(dom.idom(1), -1);
-    EXPECT_EQ(dom.depth(1), -1);
-}
-
-TEST(Dominance, DepthIncreasesDownTheTree)
-{
-    Program prog = diamond();
-    DominatorTree dom(prog.function(), DominatorTree::Kind::Dominators);
-    EXPECT_EQ(dom.depth(0), 0);
-    EXPECT_GT(dom.depth(1), dom.depth(0));
+    EXPECT_EQ(dom.rpoRank(1), -1);
+    EXPECT_EQ(dom.rpoRank(entry), 0);
+    EXPECT_EQ(dom.rpoRank(exit), 1);
 }
 
 } // namespace

@@ -192,6 +192,16 @@ TEST(Env, SelectedWorkloadsHonoursSubsetAndListsAllUnknownNames)
     unsetenv("NOREBA_WORKLOADS");
 }
 
+TEST(Env, SplitCommasKeepsOrderAndDropsEmptyFields)
+{
+    using V = std::vector<std::string>;
+    EXPECT_EQ(benchutil::splitCommas("fig06_main,all"),
+              (V{"fig06_main", "all"}));
+    EXPECT_EQ(benchutil::splitCommas(",mcf,,CRC32,"), (V{"mcf", "CRC32"}));
+    EXPECT_TRUE(benchutil::splitCommas("").empty());
+    EXPECT_TRUE(benchutil::splitCommas(",,").empty());
+}
+
 TEST(Env, JobCarriesTraceLenAndEventTraceKnobs)
 {
     setenv("NOREBA_TRACE_LEN", "20000", 1);

@@ -16,6 +16,12 @@
  * A change that is meant to move results commits the replacement
  * files this test prints on a mismatch.
  *
+ * Golden.ReportDigests pins the printed tables: the same run hands each
+ * experiment's results (tab02_03 included, whose plan is empty) to its
+ * report with stdout captured, and golden/report_digests.txt holds one
+ * line per experiment (name, byte count, FNV-1a of the text). A
+ * mismatch prints the new text of every experiment that moved.
+ *
  * Golden.TraceDigests pins the prepared traces themselves, across
  * trees: golden/trace_digests.txt holds one line per registry program
  * (seed 42, annotated, 20000 instructions) with its record and static
@@ -93,6 +99,8 @@ struct Golden
 {
     std::vector<std::string> experiments;
     std::vector<std::string> records;
+    std::vector<std::string> reports;
+    std::map<std::string, std::string> reportText; //!< by experiment
 };
 
 /** The non-empty lines of @p path. */
@@ -107,6 +115,7 @@ readLines(const std::string &path)
     return out;
 }
 
+/** Registry results at GOLDEN_TRACE_LEN; see the file comment. */
 Golden
 computeGolden()
 {
@@ -132,12 +141,21 @@ computeGolden()
         ExperimentPlan plan;
         if (spec.plan)
             spec.plan(plan);
-        if (plan.planned().empty())
-            continue;
         std::vector<SweepJob> jobs;
         for (const PlannedJob &p : plan.planned())
             jobs.push_back(p.job);
         const std::vector<SweepResult> res = runner.run(jobs);
+        if (spec.report) {
+            testing::internal::CaptureStdout();
+            spec.report(ExperimentResults(plan.planned(), res));
+            const std::string text = testing::internal::GetCapturedStdout();
+            out.reports.push_back(spec.name + " " +
+                                  std::to_string(text.size()) + " " +
+                                  hex(fnv1a(text)));
+            out.reportText[spec.name] = text;
+        }
+        if (plan.planned().empty())
+            continue;
         uint64_t digest = fnv1a(nullptr, 0);
         for (size_t i = 0; i < res.size(); ++i) {
             digest = hashRecord(res[i], digest);
@@ -152,6 +170,14 @@ computeGolden()
                                   hex(digest));
     }
     return out;
+}
+
+/** computeGolden(), run once per process: registration is one-shot. */
+const Golden &
+golden()
+{
+    static const Golden g = computeGolden();
+    return g;
 }
 
 /** First token of a line: the experiment name. */
@@ -173,9 +199,10 @@ joined(const std::vector<std::string> &lines)
 TEST(Golden, StatsDigests)
 {
     const std::string dir = GOLDEN_DIR;
-    const Golden want{readLines(dir + "/stats_digests.txt"),
-                      readLines(dir + "/stats_records.txt")};
-    const Golden got = computeGolden();
+    Golden want;
+    want.experiments = readLines(dir + "/stats_digests.txt");
+    want.records = readLines(dir + "/stats_records.txt");
+    const Golden &got = golden();
     if (got.experiments == want.experiments && got.records == want.records)
         return;
 
@@ -219,6 +246,37 @@ TEST(Golden, StatsDigests)
                   << joined(got.experiments) << "\nand " << dir
                   << "/stats_records.txt with:\n"
                   << joined(got.records);
+}
+
+TEST(Golden, ReportDigests)
+{
+    const std::string path = std::string(GOLDEN_DIR) + "/report_digests.txt";
+    const std::vector<std::string> want = readLines(path);
+    const Golden &got = golden();
+    if (got.reports == want)
+        return;
+
+    std::map<std::string, std::string> wantLine;
+    for (const std::string &l : want)
+        wantLine[experimentOf(l)] = l;
+    std::ostringstream report;
+    for (const std::string &line : got.reports) {
+        const std::string name = experimentOf(line);
+        auto old = wantLine.find(name);
+        const bool known = old != wantLine.end();
+        if (!known || old->second != line)
+            report << "moved: " << line << "\n  golden: "
+                   << (known ? old->second : "absent") << "\n"
+                   << got.reportText.at(name) << "\n";
+        if (known)
+            wantLine.erase(old);
+    }
+    for (const auto &[name, line] : wantLine)
+        report << "gone: " << line << "\n";
+    ADD_FAILURE() << report.str()
+                  << "\nIf the change is meant to move the printed "
+                  << "tables, replace " << path << " with:\n"
+                  << joined(got.reports);
 }
 
 /** A byte vector's FNV-1a. */

@@ -152,6 +152,29 @@ TEST(BundleCache, ConcurrentWaitersCountAsSharedBuildsNotHits)
     EXPECT_EQ(cache.stats().sharedBuilds, N - 1);
 }
 
+TEST(SweepRunner, CacheRecordsCountJoinedGettersAsMemHits)
+{
+    // Joined-vs-kept is a thread-timing split; the JSON records carry
+    // only its sum, so BENCH_*.json is the same at every thread count.
+    BundleCacheStats early, late;
+    early.memHits = 3;
+    early.sharedBuilds = 4;
+    late.memHits = 7;
+    const std::string bundles = bundleCacheStatsToJson(early).dump();
+    EXPECT_EQ(bundles, bundleCacheStatsToJson(late).dump());
+    EXPECT_NE(bundles.find("\"memHits\":7,"), std::string::npos) << bundles;
+    EXPECT_EQ(bundles.find("shared"), std::string::npos) << bundles;
+
+    SimCacheStats joined, kept;
+    joined.memHits = 1;
+    joined.sharedSims = 5;
+    kept.memHits = 6;
+    const std::string sims = simCacheStatsToJson(joined).dump();
+    EXPECT_EQ(sims, simCacheStatsToJson(kept).dump());
+    EXPECT_NE(sims.find("\"memHits\":6,"), std::string::npos) << sims;
+    EXPECT_EQ(sims.find("shared"), std::string::npos) << sims;
+}
+
 TEST(Json, ScalarsAndEscaping)
 {
     EXPECT_EQ(JsonValue(uint64_t{42}).dump(), "42");
