@@ -1,0 +1,52 @@
+#include "common/page_alloc.h"
+
+#include <new>
+
+#include <sys/mman.h>
+
+namespace noreba {
+
+namespace {
+
+#ifdef __SANITIZE_ADDRESS__
+constexpr bool kMaps = false; // ASan checks only operator new's memory
+#else
+constexpr bool kMaps = true;
+#endif
+
+} // namespace
+
+bool
+pageMapped(size_t bytes)
+{
+    return kMaps && bytes >= PAGE_MAP_THRESHOLD;
+}
+
+void *
+pageAllocate(size_t bytes)
+{
+    if (!pageMapped(bytes))
+        return ::operator new(bytes);
+    // mmap and munmap round the length up to whole pages themselves.
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    // Advice only: a kernel without THP support refuses it harmlessly.
+    (void)::madvise(p, bytes, MADV_HUGEPAGE);
+    return p;
+}
+
+void
+pageFree(void *p, size_t bytes) noexcept
+{
+    if (!p)
+        return;
+    if (!pageMapped(bytes)) {
+        ::operator delete(p);
+        return;
+    }
+    ::munmap(p, bytes);
+}
+
+} // namespace noreba

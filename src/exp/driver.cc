@@ -23,16 +23,20 @@ namespace {
  * record as <dir>/BENCH_<name>.json: {"bench", "traceLen",
  * "traceCache", "simCache", "results": [...]} with one entry per job
  * in sweep order (see sweepResultToJson). "traceCache" and "simCache"
- * snapshot the global cache counters — a warm NOREBA_RESULT_DIR run
- * shows simBuilds == 0 (nothing simulated). Timing lives in perf/,
- * not here, so a record depends only on what was simulated.
+ * count what this experiment did in the global caches since the
+ * snapshots @p bundlesBefore and @p simsBefore, not the process's
+ * totals — a warm NOREBA_RESULT_DIR run shows simBuilds == 0 (nothing
+ * simulated). Timing lives in perf/, not here, so a record depends
+ * only on what was simulated.
  *
  * With NOREBA_EVENT_TRACE on and the first job successful, that job
  * is simulated again with an EventLog attached: TRACE_<name>.json.
  */
 void
 maybeWriteJson(const ExperimentSpec &spec,
-               const std::vector<SweepResult> &results)
+               const std::vector<SweepResult> &results,
+               const BundleCacheStats &bundlesBefore,
+               const SimCacheStats &simsBefore)
 {
     const char *dir = std::getenv("NOREBA_JSON_DIR");
     if (!dir || !*dir)
@@ -45,9 +49,10 @@ maybeWriteJson(const ExperimentSpec &spec,
     JsonValue doc = JsonValue::object();
     doc.set("bench", spec.name)
         .set("traceLen", benchutil::traceLen())
-        .set("traceCache",
-             bundleCacheStatsToJson(globalBundleCache().stats()))
-        .set("simCache", simCacheStatsToJson(globalResultCache().stats()))
+        .set("traceCache", bundleCacheStatsToJson(
+                               globalBundleCache().stats() - bundlesBefore))
+        .set("simCache", simCacheStatsToJson(globalResultCache().stats() -
+                                             simsBefore))
         .set("results", sweepToJson(results));
     // The extra keys appear only on runs that had failures, so a clean
     // run's JSON stays byte-identical to what it was before this
@@ -139,6 +144,8 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
     for (const PlannedJob &p : plan.planned())
         jobs.push_back(p.job);
 
+    const BundleCacheStats bundlesBefore = globalBundleCache().stats();
+    const SimCacheStats simsBefore = globalResultCache().stats();
     SweepRunner runner;
     const std::vector<SweepResult> results =
         runner.run(jobs, opts.keepGoing ? FailurePolicy::Isolate
@@ -160,7 +167,7 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
         spec.report(expResults);
     }
 
-    maybeWriteJson(spec, results);
+    maybeWriteJson(spec, results, bundlesBefore, simsBefore);
     return numFailed;
 }
 

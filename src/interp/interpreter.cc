@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/logging.h"
+#include "common/page_alloc.h"
 #include "isa/setup_encoding.h"
 
 namespace noreba {
@@ -16,20 +17,35 @@ namespace noreba {
 static_assert(std::endian::native == std::endian::little,
               "MemoryImage assumes a little-endian host");
 
-MemoryImage::Page &
+void
+MemoryImage::SlabFree::operator()(uint8_t *slab) const noexcept
+{
+    pageFree(slab, SLAB_BYTES);
+}
+
+uint8_t *
 MemoryImage::page(uint64_t addr) const
 {
     const uint64_t key = addr / PAGE_BYTES;
     if (lastPage_ && key == lastKey_)
-        return *lastPage_;
+        return lastPage_;
     auto it = pages_.find(key);
     if (it == pages_.end()) {
-        it = pages_.emplace(key, std::make_unique<Page>()).first;
-        it->second->fill(0);
+        if (slabUsed_ == SLAB_PAGES) {
+            Slab slab(static_cast<uint8_t *>(pageAllocate(SLAB_BYTES)));
+            // A fresh mapping is zero already; operator new's is not.
+            if (!pageMapped(SLAB_BYTES))
+                std::memset(slab.get(), 0, SLAB_BYTES);
+            slabs_.push_back(std::move(slab));
+            slabUsed_ = 0;
+        }
+        uint8_t *fresh = slabs_.back().get() + slabUsed_ * PAGE_BYTES;
+        it = pages_.emplace(key, fresh).first;
+        ++slabUsed_;
     }
     lastKey_ = key;
-    lastPage_ = it->second.get();
-    return *lastPage_;
+    lastPage_ = it->second;
+    return lastPage_;
 }
 
 uint8_t
@@ -50,8 +66,7 @@ MemoryImage::read(uint64_t addr, int bytes) const
     const uint64_t off = addr % PAGE_BYTES;
     uint64_t v = 0;
     if (off + static_cast<uint64_t>(bytes) <= PAGE_BYTES) {
-        std::memcpy(&v, page(addr).data() + off,
-                    static_cast<size_t>(bytes));
+        std::memcpy(&v, page(addr) + off, static_cast<size_t>(bytes));
         return v;
     }
     for (int i = 0; i < bytes; ++i)
@@ -64,8 +79,7 @@ MemoryImage::write(uint64_t addr, uint64_t value, int bytes)
 {
     const uint64_t off = addr % PAGE_BYTES;
     if (off + static_cast<uint64_t>(bytes) <= PAGE_BYTES) {
-        std::memcpy(page(addr).data() + off, &value,
-                    static_cast<size_t>(bytes));
+        std::memcpy(page(addr) + off, &value, static_cast<size_t>(bytes));
         return;
     }
     for (int i = 0; i < bytes; ++i)
@@ -79,7 +93,7 @@ MemoryImage::writeBytes(uint64_t addr, const uint8_t *data, size_t len)
         const uint64_t off = addr % PAGE_BYTES;
         const size_t chunk = static_cast<size_t>(
             std::min<uint64_t>(len, PAGE_BYTES - off));
-        std::memcpy(page(addr).data() + off, data, chunk);
+        std::memcpy(page(addr) + off, data, chunk);
         addr += chunk;
         data += chunk;
         len -= chunk;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "interp/trace.h"
 #include "ir/program.h"
@@ -21,14 +22,18 @@
 namespace noreba {
 
 /**
- * Sparse byte-addressed memory image (4 KiB pages). A one-entry
- * last-page cache serves the common run of accesses to one page;
- * values are copied whole and split only at a page boundary.
+ * Sparse byte-addressed memory image (4 KiB pages). Pages are carved
+ * in first-touch order from 2 MiB slabs of mapped memory, which start
+ * zeroed and leave the process with the image (common/page_alloc.h).
+ * A one-entry last-page cache serves the common run of accesses to one
+ * page; values are copied whole and split only at a page boundary.
  */
 class MemoryImage
 {
   public:
     static constexpr uint64_t PAGE_BYTES = 4096;
+    static constexpr size_t SLAB_PAGES = 512;
+    static constexpr size_t SLAB_BYTES = SLAB_PAGES * PAGE_BYTES;
 
     uint8_t read8(uint64_t addr) const;
     void write8(uint64_t addr, uint8_t value);
@@ -42,13 +47,21 @@ class MemoryImage
     size_t numPages() const { return pages_.size(); }
 
   private:
-    using Page = std::array<uint8_t, PAGE_BYTES>;
-    mutable std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;
-    mutable uint64_t lastKey_ = 0;
-    /** Points at a heap page that moves with pages_ on a move. */
-    mutable Page *lastPage_ = nullptr;
+    struct SlabFree
+    {
+        void operator()(uint8_t *slab) const noexcept;
+    };
+    using Slab = std::unique_ptr<uint8_t[], SlabFree>;
 
-    Page &page(uint64_t addr) const;
+    mutable std::unordered_map<uint64_t, uint8_t *> pages_;
+    mutable std::vector<Slab> slabs_;
+    /** Pages handed out from slabs_.back(). */
+    mutable size_t slabUsed_ = SLAB_PAGES;
+    mutable uint64_t lastKey_ = 0;
+    /** Points into a slab, which stays put when the image moves. */
+    mutable uint8_t *lastPage_ = nullptr;
+
+    uint8_t *page(uint64_t addr) const;
 };
 
 /** Interpreter run options. */

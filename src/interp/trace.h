@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/page_alloc.h"
 #include "isa/isa.h"
 
 namespace noreba {
@@ -216,7 +217,9 @@ struct DynamicTrace : TraceSummary
 {
     std::string name;
     std::vector<StaticInst> statics; //!< indexed by DynRecord::staticId()
-    std::vector<DynRecord> dyn;      //!< one per record, in trace order
+    /** One per record, in trace order; mapped pages once large, so a
+     *  freed trace's memory leaves the process (common/page_alloc.h). */
+    PageVector<DynRecord> dyn;
 
     size_t size() const { return dyn.size(); }
 

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/page_alloc.h"
 #include "ir/function.h"
 
 namespace noreba {
@@ -31,7 +32,7 @@ constexpr uint64_t HEAP_BASE = 0x100000;
 struct DataSegment
 {
     uint64_t base = 0;
-    std::vector<uint8_t> bytes;
+    PageVector<uint8_t> bytes; //!< mapped pages once large
 };
 
 /**

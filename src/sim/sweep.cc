@@ -263,6 +263,32 @@ statsToJson(const CoreStats &s)
     return out;
 }
 
+BundleCacheStats
+operator-(const BundleCacheStats &now, const BundleCacheStats &before)
+{
+    BundleCacheStats d;
+    d.memHits = now.memHits - before.memHits;
+    d.sharedBuilds = now.sharedBuilds - before.sharedBuilds;
+    d.diskHits = now.diskHits - before.diskHits;
+    d.builds = now.builds - before.builds;
+    d.bytesMapped = now.bytesMapped - before.bytesMapped;
+    d.bytesWritten = now.bytesWritten - before.bytesWritten;
+    return d;
+}
+
+SimCacheStats
+operator-(const SimCacheStats &now, const SimCacheStats &before)
+{
+    SimCacheStats d;
+    d.memHits = now.memHits - before.memHits;
+    d.sharedSims = now.sharedSims - before.sharedSims;
+    d.diskHits = now.diskHits - before.diskHits;
+    d.simBuilds = now.simBuilds - before.simBuilds;
+    d.stored = now.stored - before.stored;
+    d.bytesWritten = now.bytesWritten - before.bytesWritten;
+    return d;
+}
+
 JsonValue
 bundleCacheStatsToJson(const BundleCacheStats &s)
 {

@@ -418,6 +418,12 @@ class SweepRunner
     ResultCache *results_;
 };
 
+/** The counters accrued between two stats() snapshots of one cache. */
+BundleCacheStats operator-(const BundleCacheStats &now,
+                           const BundleCacheStats &before);
+SimCacheStats operator-(const SimCacheStats &now,
+                        const SimCacheStats &before);
+
 /** @name JSON records (BENCH_*.json emission) @{ */
 /** One key per NOREBA_CORE_CONFIG_FIELDS entry, under its dotted name. */
 JsonValue configToJson(const CoreConfig &cfg);

@@ -30,6 +30,21 @@
 
 namespace noreba {
 
+/**
+ * Shadow check (CoreConfig::shadowChecks): panic when the structure
+ * @p what holds more than its configured @p capacity entries.
+ */
+inline void
+shadowCheckCapacity(const PipelineView &view, const char *what,
+                    size_t used, int capacity)
+{
+    panic_if(used > static_cast<size_t>(capacity),
+             "shadow capacity: %s holds %zu entries, capacity %d "
+             "(cycle %llu)",
+             what, used, capacity,
+             static_cast<unsigned long long>(view.now()));
+}
+
 /** The per-cycle commit behaviour every policy starts from. */
 struct CommitPolicyDefaults
 {
@@ -50,6 +65,19 @@ struct CommitPolicyDefaults
         // Collapsing/conventional ROB: an entry is reclaimed the moment
         // it commits, so occupancy is the uncommitted in-flight count.
         return view.windowUsed() < view.config().robEntries;
+    }
+
+    /**
+     * Shadow check at the end of every cycle: no structure the policy
+     * sizes holds more than its capacity. The default checks the
+     * window windowHasSpace() charges.
+     */
+    void
+    shadowCheckCapacities(const PipelineView &view) const
+    {
+        shadowCheckCapacity(view, "ROB",
+                            static_cast<size_t>(view.windowUsed()),
+                            view.config().robEntries);
     }
 
     /**

@@ -31,6 +31,19 @@ NorebaCommit::onSquash(PipelineView &view, TraceIdx after)
     });
 }
 
+void
+NorebaCommit::shadowCheckCapacities(const PipelineView &view) const
+{
+    shadowCheckCapacity(view, "ROB'", robPrime_.size(),
+                        view.config().robEntries);
+    shadowCheckCapacity(view, "PR-CQ", prCq_.size(), srob_.prCqEntries);
+    for (const Ring<InFlight *> &q : brCqs_)
+        shadowCheckCapacity(view, "BR-CQ", q.size(), srob_.brCqEntries);
+    shadowCheckCapacity(view, "CQT", cqt_.size(), CQT_ENTRIES);
+    shadowCheckCapacity(view, "CIT", static_cast<size_t>(citLive_),
+                        srob_.citEntries);
+}
+
 bool
 NorebaCommit::headEligible(const PipelineView &view, InFlight *p) const
 {

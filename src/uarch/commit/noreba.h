@@ -70,6 +70,9 @@ class NorebaCommit final : public CommitPolicyDefaults
 
     void onSquash(PipelineView &view, TraceIdx after);
 
+    /** ROB', every commit queue, the CQT and the CIT. */
+    void shadowCheckCapacities(const PipelineView &view) const;
+
     StallCause
     classifyStall(const PipelineView &view, const InFlight *head) const
     {

@@ -593,6 +593,17 @@ Core::shadowSchedulerVerify() const
 }
 
 void
+Core::shadowCapacityVerify() const
+{
+    shadowCheckCapacity(view_, "IQ", iq_.size(), cfg_.iqEntries);
+    shadowCheckCapacity(view_, "LQ", static_cast<size_t>(lqUsed_),
+                        cfg_.lqEntries);
+    shadowCheckCapacity(view_, "SQ", sq_.size(), cfg_.sqEntries);
+    shadowCheckCapacity(view_, "PRF", static_cast<size_t>(physUsed_),
+                        cfg_.rfEntries);
+}
+
+void
 Core::issueStage()
 {
     std::fill(std::begin(fuUsed_), std::end(fuUsed_), 0);
@@ -887,6 +898,8 @@ Core::runWith(P policy)
         if (cfg_.shadowChecks) {
             index_.shadowVerify(rob_, cycle_, trace_);
             shadowSchedulerVerify();
+            shadowCapacityVerify();
+            policy.shadowCheckCapacities(view_);
         }
 
         if (cursor_ != lastCursor) {

@@ -158,6 +158,10 @@ class Core
      *  address-gen list from the naive IQ scan and panic on divergence
      *  (CoreConfig::shadowChecks). */
     void shadowSchedulerVerify() const;
+
+    /** Shadow check: IQ, LQ, SQ and PRF occupancy within CoreConfig
+     *  (CoreConfig::shadowChecks; the policy checks its own). */
+    void shadowCapacityVerify() const;
     /** @} */
 
     const CoreConfig cfg_;

@@ -298,6 +298,52 @@ TEST(Driver, KeepGoingRecordsFailuresAndSkipsReport)
     unsetenv("NOREBA_TRACE_LEN");
 }
 
+TEST(Driver, EachJsonBlockCountsOnlyItsOwnExperimentsCacheWork)
+{
+    setenv("NOREBA_TRACE_LEN", "20000", 1);
+    unsetenv("NOREBA_EVENT_TRACE");
+    unsetenv("NOREBA_RESULT_DIR");
+    TempDir dir("NOREBA_JSON_DIR");
+
+    ExperimentSpec first;
+    first.name = "exp_test_cache_first";
+    first.title = "Cache counters, first";
+    first.description = "two jobs";
+    first.plan = [](ExperimentPlan &plan) {
+        plan.add("CRC32", "InO-C", testJob("CRC32", CommitMode::InOrder));
+        plan.add("CRC32", "Noreba", testJob("CRC32", CommitMode::Noreba));
+    };
+    runExperiment(first);
+
+    // One job the first experiment ran, and one no other test runs.
+    ExperimentSpec second;
+    second.name = "exp_test_cache_second";
+    second.title = "Cache counters, second";
+    second.description = "one repeated job, one new";
+    second.plan = [](ExperimentPlan &plan) {
+        plan.add("CRC32", "InO-C", testJob("CRC32", CommitMode::InOrder));
+        SweepJob fresh = testJob("CRC32", CommitMode::ValidationBuffer);
+        fresh.cfg.robEntries -= 3;
+        plan.add("CRC32", "fresh", fresh);
+    };
+    runExperiment(second);
+
+    std::string err;
+    const JsonValue doc = JsonValue::parse(
+        slurp(dir.path + "/BENCH_exp_test_cache_second.json"), &err);
+    ASSERT_TRUE(doc.isObject()) << err;
+    const JsonValue *sim = doc.find("simCache");
+    ASSERT_NE(sim, nullptr);
+    EXPECT_EQ(sim->find("simBuilds")->asUint(), 1u);
+    EXPECT_EQ(sim->find("memHits")->asUint(), 1u);
+    EXPECT_EQ(sim->find("diskHits")->asUint(), 0u);
+    const JsonValue *traces = doc.find("traceCache");
+    ASSERT_NE(traces, nullptr);
+    // The one bundle was built by the first experiment.
+    EXPECT_EQ(traces->find("builds")->asUint(), 0u);
+    unsetenv("NOREBA_TRACE_LEN");
+}
+
 TEST(Registrants, AllFifteenPaperExperimentsRegisterUniquely)
 {
     // experimentRegistry() already holds whatever earlier tests added;

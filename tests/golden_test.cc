@@ -279,10 +279,10 @@ TEST(Golden, ReportDigests)
                   << joined(got.reports);
 }
 
-/** A byte vector's FNV-1a. */
-template <typename T>
+/** A vector's bytes' FNV-1a, whatever its allocator. */
+template <typename T, typename A>
 std::string
-digest(const std::vector<T> &v)
+digest(const std::vector<T, A> &v)
 {
     return hex(fnv1a(v.data(), v.size() * sizeof(T)));
 }

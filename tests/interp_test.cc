@@ -6,13 +6,20 @@
  */
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "common/page_alloc.h"
 #include "compiler/branch_dep.h"
 #include "interp/interpreter.h"
 #include "ir/builder.h"
@@ -378,6 +385,131 @@ TEST(MemoryImage, PageCopiesAndCachedPageAgreeWithByteAccess)
     EXPECT_EQ(mem.read(edge - 3, 8), 0x1122334455667788ull);
     EXPECT_EQ(mem.read8(edge - 3), 0x88);
     EXPECT_EQ(mem.read8(edge + 4), 0x11);
+}
+
+TEST(MemoryImage, UnwrittenBytesReadZeroAcrossASlabBoundary)
+{
+    // Pages come from 2 MiB slabs in first-touch order: touching pages
+    // 0..SLAB_PAGES+1 in address order puts the last two in a second
+    // slab, which must read zero wherever nothing was written.
+    constexpr uint64_t P = MemoryImage::PAGE_BYTES;
+    const uint64_t pages = MemoryImage::SLAB_PAGES + 2;
+    MemoryImage mem;
+    for (uint64_t k = 0; k < pages; ++k)
+        mem.write8(k * P + 100, 0xff);
+    ASSERT_EQ(mem.numPages(), pages);
+    for (uint64_t k = 1; k < pages; ++k) {
+        ASSERT_EQ(mem.read(k * P + 200, 8), 0u) << "page " << k;
+        ASSERT_EQ(mem.read(k * P - 4, 8), 0u) << "straddling page " << k;
+        ASSERT_EQ(mem.read8(k * P + 100), 0xff) << "page " << k;
+    }
+}
+
+TEST(MemoryImage, WriteBytesSpanningTwoSlabsReadsBack)
+{
+    // Fill all but one page of the first slab, so an unaligned copy
+    // over four pages starts in its last page and ends in the next.
+    constexpr uint64_t P = MemoryImage::PAGE_BYTES;
+    MemoryImage mem;
+    for (uint64_t k = 0; k + 1 < MemoryImage::SLAB_PAGES; ++k)
+        mem.read8(0x40000000 + k * P);
+    std::vector<uint8_t> bytes(2 * P + 300);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<uint8_t>(i * 13 + 1);
+    const uint64_t base = 0x100000 - 150;
+    mem.writeBytes(base, bytes.data(), bytes.size());
+    EXPECT_EQ(mem.numPages(), MemoryImage::SLAB_PAGES + 3);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        ASSERT_EQ(mem.read8(base + i), bytes[i]) << "byte " << i;
+    EXPECT_EQ(mem.read8(base - 1), 0);
+    EXPECT_EQ(mem.read8(base + bytes.size()), 0);
+}
+
+/** A synthetic record stream: eight sites, every flag pattern. */
+TraceRecord
+syntheticRecord(size_t i)
+{
+    TraceRecord rec;
+    rec.pc = CODE_BASE + (i % 8) * INST_BYTES;
+    rec.nextPc = rec.pc + INST_BYTES;
+    rec.op = i % 8 == 7 ? Opcode::BNE : Opcode::ADD;
+    rec.rd = T0;
+    rec.rs1 = T1;
+    rec.rs2 = T2;
+    rec.taken = i % 16 == 7;
+    rec.markedBranch = (i / 3) % 2;
+    rec.orderSensitive = (i / 5) % 2;
+    rec.orderStrict = (i / 7) % 2;
+    rec.guardIdx = static_cast<TraceIdx>(i) - 1;
+    rec.addrOrImm = 0x9e3779b97f4a7c15ull * i;
+    return rec;
+}
+
+DynamicTrace
+syntheticTrace(size_t records)
+{
+    DynamicTrace t;
+    uint32_t sites[8] = {};
+    for (size_t i = 0; i < records; ++i)
+        t.push(syntheticRecord(i), sites[i % 8]);
+    return t;
+}
+
+TEST(PageStorage, TracePushedPastTheMapThresholdRoundTrips)
+{
+    const size_t records = 3 * PAGE_MAP_THRESHOLD / sizeof(DynRecord);
+    const DynamicTrace t = syntheticTrace(records);
+    ASSERT_EQ(t.size(), records);
+    EXPECT_GE(t.dyn.capacity() * sizeof(DynRecord), PAGE_MAP_THRESHOLD);
+    for (size_t i = 0; i < records; ++i) {
+        const TraceRecord want = syntheticRecord(i);
+        const TraceRecord got = t[i];
+        ASSERT_EQ(got.pc, want.pc) << i;
+        ASSERT_EQ(got.nextPc, want.nextPc) << i;
+        ASSERT_EQ(got.op, want.op) << i;
+        ASSERT_EQ(got.taken, want.taken) << i;
+        ASSERT_EQ(got.markedBranch, want.markedBranch) << i;
+        ASSERT_EQ(got.orderSensitive, want.orderSensitive) << i;
+        ASSERT_EQ(got.orderStrict, want.orderStrict) << i;
+        ASSERT_EQ(got.guardIdx, want.guardIdx) << i;
+        ASSERT_EQ(got.addrOrImm, want.addrOrImm) << i;
+    }
+}
+
+/** Resident bytes of this process, from /proc/self/statm. */
+uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    uint64_t size = 0, resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(PageStorage, DestroyingATraceGivesItsPagesBack)
+{
+    constexpr size_t RECORDS = 250000;
+    if (!pageMapped(RECORDS * sizeof(DynRecord)))
+        GTEST_SKIP() << "operator new storage (AddressSanitizer holds "
+                        "freed memory in quarantine)";
+    // In a child process, so no other test's heap state can blur the
+    // resident-set delta.
+    EXPECT_EXIT(
+        {
+            auto t = std::make_unique<DynamicTrace>(syntheticTrace(RECORDS));
+            const uint64_t bytes = t->size() * sizeof(DynRecord);
+            const uint64_t before = residentBytes();
+            t.reset();
+            const uint64_t after = residentBytes();
+            const bool ok = before > after &&
+                            (before - after) * 10 >= bytes * 9;
+            std::fprintf(stderr, "resident %llu -> %llu for %llu bytes\n",
+                         static_cast<unsigned long long>(before),
+                         static_cast<unsigned long long>(after),
+                         static_cast<unsigned long long>(bytes));
+            std::exit(ok ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "resident");
 }
 
 TEST(Program, PokesLandInTheFirstSegmentThatHoldsThem)

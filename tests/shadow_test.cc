@@ -9,9 +9,11 @@
  * these tests drive it through all seven commit modes, the full
  * workload registry, randomized high-misprediction programs whose
  * squash storms stress the rollback paths, early-commit-load zombies,
- * and the delinquent loop. Every shadowed run must also produce
- * bit-identical CoreStats to its unshadowed twin (observation must not
- * perturb).
+ * and the delinquent loop. The same knob checks every Table-2
+ * structure's occupancy against its capacity each cycle; the
+ * CapacityShadow suite squeezes the Selective ROB until each of its
+ * limits binds. Every shadowed run must also produce bit-identical
+ * CoreStats to its unshadowed twin (observation must not perturb).
  */
 
 #include <initializer_list>
@@ -220,6 +222,35 @@ TEST(SchedulerShadow, SquashStormsAllModes)
 TEST(SchedulerShadow, EarlyCommitLoadZombies)
 {
     shadowEarlyCommitLoads(17, false);
+}
+
+/**
+ * The capacity checks only catch an overflow where a limit binds, so
+ * squeeze the Selective ROB on the delinquent loop until each of its
+ * limits stalls Noreba: narrow queues and a four-entry CIT bind the
+ * CIT, the commit queues and ROB'; many wide queues bind the
+ * eight-entry CQT. The tiny window's IQ, LQ, SQ and PRF limits bind
+ * under every mode in the suites above.
+ */
+TEST(CapacityShadow, NorebaStructuresFillButNeverOverflow)
+{
+    Prepared p = prepare(testutil::delinquentLoop(800), 40000);
+
+    CoreConfig narrow = tinyConfig();
+    narrow.srob.brCqEntries = 2;
+    narrow.srob.prCqEntries = 4;
+    narrow.srob.citEntries = 4;
+    CoreStats s = runShadowPair(p, CommitMode::Noreba, narrow, "narrow");
+    EXPECT_GT(s.citFullStalls, 0u);
+    EXPECT_GT(s.steerStallCqFull, 0u);
+    EXPECT_GT(s.windowFullCycles, 0u);
+
+    CoreConfig wide = skylakeConfig();
+    wide.srob.numBrCqs = 16;
+    wide.srob.brCqEntries = 32;
+    wide.srob.prCqEntries = 64;
+    s = runShadowPair(p, CommitMode::Noreba, wide, "wide");
+    EXPECT_GT(s.steerStallCqt, 0u);
 }
 
 } // namespace
