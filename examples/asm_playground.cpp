@@ -80,8 +80,12 @@ main(int argc, char **argv)
     }
 
     AssembleResult r = assemble(source, "playground");
-    if (!r.ok()) {
+    if (!r.error.empty()) {
         std::fprintf(stderr, "assembly error: %s\n", r.error.c_str());
+        return 1;
+    }
+    if (!r.ok()) {
+        std::fprintf(stderr, "%s", r.diagnostics.toText().c_str());
         return 1;
     }
 

@@ -16,10 +16,10 @@
 #include <cstdio>
 
 #include "analysis/annotation_checker.h"
-#include "analysis/verifier.h"
 #include "compiler/branch_dep.h"
 #include "ir/builder.h"
 #include "ir/dominance.h"
+#include "ir/verifier.h"
 
 using namespace noreba;
 

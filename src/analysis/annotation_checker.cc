@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "analysis/verifier.h"
 #include "isa/setup_encoding.h"
 
 namespace noreba {

@@ -54,7 +54,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/diagnostics.h"
+#include "ir/diagnostics.h"
 #include "ir/program.h"
 
 namespace noreba {

@@ -452,7 +452,7 @@ Interpreter::run(const InterpOptions &opts)
             break;
           case Opcode::GET_CIT_ENTRY:
             // Architecturally reads 0 outside of trap handling (the CIT
-            // is microarchitectural state; see uarch/commit/cit.h).
+            // is microarchitectural state; see uarch/commit/noreba.h).
             writeInt(inst.rd, 0);
             break;
           case Opcode::SET_CIT_ENTRY:

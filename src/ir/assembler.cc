@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "ir/verifier.h"
 #include "isa/setup_encoding.h"
 
 namespace noreba {
@@ -146,7 +147,10 @@ class Assembler
 
         AssembleResult result;
         result.program = std::move(prog_);
-        result.program.finalize();
+        result.diagnostics = Diagnostics(result.program.name());
+        result.program.function().computeCFG();
+        if (verifyStructure(result.program, result.diagnostics))
+            result.program.finalize();
         return result;
     }
 

@@ -40,17 +40,24 @@
 
 #include <string>
 
+#include "ir/diagnostics.h"
 #include "ir/program.h"
 
 namespace noreba {
 
-/** Thrown-free result: program plus error description ("" = success). */
+/**
+ * What assemble() hands back; it never throws or exits. A source
+ * that does not parse leaves `error` set; one that parses into a
+ * malformed program leaves verifyStructure()'s findings in
+ * `diagnostics`, with `program` holding the CFG but no layout.
+ */
 struct AssembleResult
 {
     Program program;
-    std::string error; //!< empty on success, else "line N: message"
+    std::string error;       //!< "line N: message"; empty once parsed
+    Diagnostics diagnostics; //!< structural findings of a parsed program
 
-    bool ok() const { return error.empty(); }
+    bool ok() const { return error.empty() && !diagnostics.errorCount(); }
 };
 
 /**

@@ -1,11 +1,7 @@
 #include "ir/function.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
-
-#include "common/logging.h"
-#include "isa/setup_encoding.h"
 
 namespace noreba {
 
@@ -20,107 +16,44 @@ Function::addBlock(std::string label)
     return blocks_.back().id;
 }
 
+std::vector<int>
+BasicBlock::impliedSuccs() const
+{
+    std::vector<int> out;
+    auto add = [&out](int tgt) {
+        if (tgt >= 0 &&
+            std::find(out.begin(), out.end(), tgt) == out.end())
+            out.push_back(tgt);
+    };
+    const Instruction *term = terminator();
+    if (term && term->op == Opcode::HALT) {
+        // no successors
+    } else if (term && isCondBranch(term->op)) {
+        add(term->target);
+        add(fallthrough);
+    } else if (term && term->op == Opcode::JAL) {
+        add(term->target);
+    } else if (term && term->op == Opcode::JALR) {
+        for (int tgt : indirectTargets)
+            add(tgt);
+    } else {
+        add(fallthrough);
+    }
+    return out;
+}
+
 void
 Function::computeCFG()
 {
     for (auto &bb : blocks_) {
-        bb.succs.clear();
+        bb.succs = bb.impliedSuccs();
         bb.preds.clear();
     }
-    for (auto &bb : blocks_) {
-        const Instruction *term = bb.terminator();
-        auto addSucc = [&](int tgt) {
-            if (tgt >= 0 &&
-                std::find(bb.succs.begin(), bb.succs.end(), tgt) ==
-                    bb.succs.end()) {
-                bb.succs.push_back(tgt);
-            }
-        };
-        if (term && term->op == Opcode::HALT) {
-            // no successors
-        } else if (term && isCondBranch(term->op)) {
-            addSucc(term->target);
-            addSucc(bb.fallthrough);
-        } else if (term && term->op == Opcode::JAL) {
-            addSucc(term->target);
-        } else if (term && term->op == Opcode::JALR) {
-            for (int tgt : bb.indirectTargets)
-                addSucc(tgt);
-        } else {
-            addSucc(bb.fallthrough);
-        }
-    }
+    // Out-of-range targets stay in succs for the verifier to report.
     for (auto &bb : blocks_)
         for (int s : bb.succs)
-            blocks_[s].preds.push_back(bb.id);
-}
-
-std::string
-Function::verify() const
-{
-    const int n = static_cast<int>(blocks_.size());
-    if (n == 0)
-        return "function has no blocks";
-    if (entry_ < 0 || entry_ >= n)
-        return "entry block out of range";
-
-    bool sawHalt = false;
-    for (const auto &bb : blocks_) {
-        // Control instructions may only terminate a block.
-        for (size_t i = 0; i + 1 < bb.insts.size(); ++i) {
-            const auto &inst = bb.insts[i];
-            if (isControl(inst.op) || inst.op == Opcode::HALT) {
-                return "block " + bb.label +
-                       ": control instruction not at block end";
-            }
-        }
-        const Instruction *term = bb.terminator();
-        if (term) {
-            if (isCondBranch(term->op)) {
-                if (term->target < 0 || term->target >= n)
-                    return "block " + bb.label + ": branch target invalid";
-                if (bb.fallthrough < 0 || bb.fallthrough >= n)
-                    return "block " + bb.label + ": missing fallthrough";
-            } else if (term->op == Opcode::JAL) {
-                if (term->target < 0 || term->target >= n)
-                    return "block " + bb.label + ": jump target invalid";
-            } else if (term->op == Opcode::JALR) {
-                if (bb.indirectTargets.empty())
-                    return "block " + bb.label + ": jalr with no targets";
-                for (int tgt : bb.indirectTargets)
-                    if (tgt < 0 || tgt >= n)
-                        return "block " + bb.label +
-                               ": indirect target invalid";
-            } else if (term->op == Opcode::HALT) {
-                sawHalt = true;
-            } else if (bb.fallthrough < 0 || bb.fallthrough >= n) {
-                return "block " + bb.label +
-                       ": no terminator and no fallthrough";
-            }
-        } else if (bb.fallthrough < 0 || bb.fallthrough >= n) {
-            return "block " + bb.label + ": empty block without fallthrough";
-        }
-        for (size_t i = 0; i < bb.insts.size(); ++i) {
-            const auto &inst = bb.insts[i];
-            // The pass and the interpreter index arrays by register.
-            for (Reg r : {inst.rd, inst.rs1, inst.rs2, inst.rs3})
-                if (r < REG_NONE || r >= NUM_ARCH_REGS)
-                    return "block " + bb.label + ": register " +
-                           std::to_string(r) + " out of range";
-            // setDependency regions must not extend past the block end.
-            if (inst.op == Opcode::SET_DEPENDENCY) {
-                int num = setDependencyNum(inst);
-                if (num <= 0)
-                    return "block " + bb.label + ": empty dependency region";
-                if (i + 1 + static_cast<size_t>(num) > bb.insts.size())
-                    return "block " + bb.label +
-                           ": dependency region crosses block boundary";
-            }
-        }
-    }
-    if (!sawHalt)
-        return "function has no HALT (program must terminate)";
-    return "";
+            if (s < static_cast<int>(blocks_.size()))
+                blocks_[s].preds.push_back(bb.id);
 }
 
 size_t

@@ -58,12 +58,16 @@ struct BasicBlock
     {
         return insts.empty() ? nullptr : &insts.back();
     }
+
+    /** Successor ids the terminator implies, without duplicates: the
+     *  edges computeCFG() caches in succs. */
+    std::vector<int> impliedSuccs() const;
 };
 
 /**
  * A function: an entry block plus a set of basic blocks laid out in id
- * order. The verifier enforces the structural invariants the analyses
- * rely on (terminators last, targets in range, reachable exit).
+ * order. verifyStructure() (ir/verifier.h) enforces the invariants
+ * the analyses rely on (terminators last, targets in range, a HALT).
  */
 class Function
 {
@@ -86,12 +90,6 @@ class Function
 
     /** (Re)compute successor/predecessor edges from terminators. */
     void computeCFG();
-
-    /**
-     * Check structural invariants; returns an empty string when valid,
-     * otherwise a description of the first violation.
-     */
-    std::string verify() const;
 
     /** Total static instruction count. */
     size_t numInsts() const;

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "ir/verifier.h"
 
 namespace noreba {
 
@@ -70,9 +71,10 @@ void
 Program::finalize()
 {
     fn_.computeCFG();
-    std::string err = fn_.verify();
-    fatal_if(!err.empty(), "program %s fails verification: %s",
-             name_.c_str(), err.c_str());
+    Diagnostics diag(name_);
+    fatal_if(!verifyStructure(*this, diag),
+             "program %s fails verification: %s", name_.c_str(),
+             diag.findings().front().toString().c_str());
     layout_ = Layout(fn_);
 }
 

@@ -95,7 +95,8 @@ class Program
     const std::vector<DataSegment> &dataSegments() const { return segs_; }
     /** @} */
 
-    /** Recompute CFG, verify, and build the layout. Call before use. */
+    /** Recompute the CFG, verifyStructure() (fatal() on its first
+     *  finding) and build the layout. Call before use. */
     void finalize();
 
     const Layout &layout() const { return layout_; }

@@ -27,11 +27,11 @@
 #include <gtest/gtest.h>
 
 #include "analysis/annotation_checker.h"
-#include "analysis/diagnostics.h"
-#include "analysis/verifier.h"
 #include "compiler/branch_dep.h"
 #include "ir/builder.h"
+#include "ir/diagnostics.h"
 #include "ir/dominance.h"
+#include "ir/verifier.h"
 #include "isa/setup_encoding.h"
 #include "workloads/workloads.h"
 

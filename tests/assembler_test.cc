@@ -178,6 +178,24 @@ TEST(Assembler, ErrorsCarryLabelAndSourceContext)
     EXPECT_NE(r3.error.find("nowhere"), std::string::npos) << r3.error;
 }
 
+TEST(Assembler, StructuralErrorComesBackAsFindings)
+{
+    // tests/no_halt.s: it parses, but no halt ends the loop. The
+    // verifier's findings come back instead of the process exiting.
+    AssembleResult r = assemble(R"(
+        entry:
+            li t0, 0
+        loop:
+            addi t0, t0, 1
+            jal loop
+    )", "no_halt");
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(r.error.empty()) << r.error;
+    EXPECT_TRUE(r.diagnostics.hasRule("cfg-no-exit"))
+        << r.diagnostics.toText();
+    EXPECT_EQ(r.diagnostics.unit(), "no_halt");
+}
+
 TEST(Assembler, RoundTripsThroughThePrinter)
 {
     AssembleResult first = assemble(R"(

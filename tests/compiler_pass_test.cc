@@ -11,6 +11,7 @@
 #include "compiler/branch_dep.h"
 #include "interp/interpreter.h"
 #include "ir/builder.h"
+#include "ir/verifier.h"
 #include "isa/setup_encoding.h"
 
 namespace noreba {
@@ -302,7 +303,8 @@ TEST(Pass, RegionsNeverCrossBlockBoundaries)
     Program prog = figure2();
     runBranchDependencePass(prog);
     // The verifier enforces this; re-check explicitly.
-    EXPECT_EQ(prog.function().verify(), "");
+    Diagnostics diag(prog.name());
+    EXPECT_TRUE(verifyStructure(prog, diag)) << diag.toText();
 }
 
 TEST(Pass, ReportMentionsKeyStats)

@@ -22,10 +22,10 @@
 #include <functional>
 
 #include "analysis/annotation_checker.h"
-#include "analysis/diagnostics.h"
-#include "analysis/verifier.h"
 #include "compiler/branch_dep.h"
 #include "dependence_oracle.h"
+#include "ir/diagnostics.h"
+#include "ir/verifier.h"
 
 namespace noreba {
 namespace {
@@ -202,7 +202,10 @@ TEST_P(FuzzPass, EndToEndInvariants)
     PassResult res = runBranchDependencePass(annotated);
 
     // 1. Structure survives.
-    ASSERT_EQ(annotated.function().verify(), "");
+    {
+        Diagnostics ds(annotated.name());
+        ASSERT_TRUE(verifyStructure(annotated, ds)) << ds.toText();
+    }
     EXPECT_GE(res.numMarkedBranches, 1);
 
     // 1b. The static verifier and the independent annotation checker

@@ -4,6 +4,7 @@
 
 #include "ir/builder.h"
 #include "ir/program.h"
+#include "ir/verifier.h"
 
 namespace noreba {
 namespace {
@@ -34,10 +35,34 @@ TEST(Ir, CfgEdges)
     EXPECT_EQ(fn.block(1).preds.size(), 2u); // entry + back edge
 }
 
+/** True if `diag` holds a `rule` finding whose message has `text`. */
+bool
+hasFinding(const Diagnostics &diag, const std::string &rule,
+           const std::string &text)
+{
+    for (const Finding &f : diag.findings())
+        if (f.rule == rule && f.message.find(text) != std::string::npos)
+            return true;
+    return false;
+}
+
+/** verifyStructure()'s findings on `prog` after a fresh computeCFG(). */
+Diagnostics
+structureOf(Program &prog)
+{
+    prog.function().computeCFG();
+    Diagnostics diag(prog.name());
+    verifyStructure(prog, diag);
+    return diag;
+}
+
 TEST(Ir, VerifierAcceptsValid)
 {
     Program prog = simpleLoop();
-    EXPECT_EQ(prog.function().verify(), "");
+    Diagnostics diag;
+    EXPECT_TRUE(verifyStructure(prog, diag)) << diag.toText();
+    EXPECT_TRUE(verifyProgram(prog, diag)) << diag.toText();
+    EXPECT_TRUE(diag.findings().empty()) << diag.toText();
 }
 
 TEST(Ir, VerifierRejectsControlMidBlock)
@@ -46,9 +71,9 @@ TEST(Ir, VerifierRejectsControlMidBlock)
     IRBuilder b(prog);
     int e = b.newBlock();
     b.at(e).jump(e).nop().halt();
-    prog.function().computeCFG();
-    EXPECT_NE(prog.function().verify().find("not at block end"),
-              std::string::npos);
+    Diagnostics diag = structureOf(prog);
+    EXPECT_TRUE(hasFinding(diag, "cfg-terminator", "not at block end"))
+        << diag.toText();
 }
 
 TEST(Ir, VerifierRejectsMissingFallthrough)
@@ -57,8 +82,9 @@ TEST(Ir, VerifierRejectsMissingFallthrough)
     IRBuilder b(prog);
     int e = b.newBlock();
     b.at(e).nop(); // no terminator, no fallthrough
-    prog.function().computeCFG();
-    EXPECT_NE(prog.function().verify(), "");
+    Diagnostics diag = structureOf(prog);
+    EXPECT_TRUE(hasFinding(diag, "cfg-terminator", "no fallthrough"))
+        << diag.toText();
 }
 
 TEST(Ir, VerifierRequiresHalt)
@@ -67,8 +93,8 @@ TEST(Ir, VerifierRequiresHalt)
     IRBuilder b(prog);
     int e = b.newBlock();
     b.at(e).jump(e); // infinite loop, no HALT anywhere
-    prog.function().computeCFG();
-    EXPECT_NE(prog.function().verify().find("HALT"), std::string::npos);
+    Diagnostics diag = structureOf(prog);
+    EXPECT_TRUE(hasFinding(diag, "cfg-no-exit", "HALT")) << diag.toText();
 }
 
 TEST(Ir, VerifierRejectsRegionCrossingBlock)
@@ -77,9 +103,9 @@ TEST(Ir, VerifierRejectsRegionCrossingBlock)
     IRBuilder b(prog);
     int e = b.newBlock();
     b.at(e).emit(makeSetDependency(5, 1)).nop().halt();
-    prog.function().computeCFG();
-    EXPECT_NE(prog.function().verify().find("crosses block"),
-              std::string::npos);
+    Diagnostics diag = structureOf(prog);
+    EXPECT_TRUE(hasFinding(diag, "setup-dep-extent", "past the block end"))
+        << diag.toText();
 }
 
 TEST(Ir, VerifierRejectsJalrWithoutTargets)
@@ -91,8 +117,23 @@ TEST(Ir, VerifierRejectsJalrWithoutTargets)
     j.op = Opcode::JALR;
     j.rs1 = T0;
     b.at(e).emit(j);
-    prog.function().computeCFG();
-    EXPECT_NE(prog.function().verify().find("jalr"), std::string::npos);
+    Diagnostics diag = structureOf(prog);
+    EXPECT_TRUE(hasFinding(diag, "cfg-terminator", "jalr"))
+        << diag.toText();
+}
+
+TEST(Ir, VerifierRejectsOutOfRangeTarget)
+{
+    // computeCFG() leaves the bad edge out of every preds list, so the
+    // verifier reports it instead of a write past the block array.
+    Program prog("bad");
+    IRBuilder b(prog);
+    int e = b.newBlock();
+    b.at(e).jump(7);
+    Diagnostics diag = structureOf(prog);
+    EXPECT_TRUE(hasFinding(diag, "cfg-terminator",
+                           "jump target 7 out of range"))
+        << diag.toText();
 }
 
 TEST(Ir, VerifierRejectsOutOfRangeRegister)
@@ -104,11 +145,91 @@ TEST(Ir, VerifierRejectsOutOfRangeRegister)
     IRBuilder b(prog);
     int e = b.newBlock();
     b.at(e).and_(T0, T1, 511).halt();
-    prog.function().computeCFG();
-    EXPECT_NE(prog.function().verify().find("register 511 out of range"),
-              std::string::npos);
+    Diagnostics diag = structureOf(prog);
+    EXPECT_TRUE(hasFinding(diag, "encode-register",
+                           "register field 511 out of range"))
+        << diag.toText();
     EXPECT_EXIT(prog.finalize(), ::testing::ExitedWithCode(1),
-                "register 511 out of range");
+                "encode-register");
+}
+
+TEST(Ir, VerifierRejectsEmptyFunction)
+{
+    Program prog("empty");
+    Diagnostics diag = structureOf(prog);
+    EXPECT_TRUE(hasFinding(diag, "cfg-entry", "out of range"))
+        << diag.toText();
+}
+
+// The rules below are report-only: verifyStructure() (so finalize())
+// accepts each program, and verifyProgram() names the fault.
+
+TEST(Ir, VerifierWarnsOnUnreachableBlock)
+{
+    Program prog("dead");
+    IRBuilder b(prog);
+    int e = b.newBlock();
+    int dead = b.newBlock("dead");
+    b.at(e).halt();
+    b.at(dead).halt();
+    prog.finalize();
+    Diagnostics diag;
+    EXPECT_TRUE(verifyProgram(prog, diag)) << diag.toText();
+    ASSERT_EQ(diag.findings().size(), 1u) << diag.toText();
+    EXPECT_EQ(diag.findings().front().rule, "cfg-unreachable");
+    EXPECT_EQ(diag.findings().front().loc.blockLabel, "dead");
+}
+
+TEST(Ir, VerifierWarnsOnBlockWithNoExitPath)
+{
+    Program prog("spin");
+    IRBuilder b(prog);
+    int e = b.newBlock();
+    int spin = b.newBlock("spin");
+    int done = b.newBlock("done");
+    b.at(e).beq(T0, T1, done, spin);
+    b.at(spin).jump(spin);
+    b.at(done).halt();
+    prog.finalize();
+    Diagnostics diag;
+    EXPECT_TRUE(verifyProgram(prog, diag)) << diag.toText();
+    ASSERT_EQ(diag.findings().size(), 1u) << diag.toText();
+    EXPECT_EQ(diag.findings().front().rule, "cfg-no-exit-path");
+    EXPECT_EQ(diag.findings().front().loc.blockLabel, "spin");
+}
+
+TEST(Ir, VerifierReportsOperandShape)
+{
+    Program prog("shape");
+    IRBuilder b(prog);
+    int e = b.newBlock();
+    Instruction st;
+    st.op = Opcode::SD;
+    st.rs1 = SP; // a base register but no data register
+    b.at(e).emit(st).halt();
+    prog.finalize();
+    Diagnostics diag;
+    EXPECT_FALSE(verifyProgram(prog, diag));
+    EXPECT_TRUE(hasFinding(diag, "encode-operands", "data register"))
+        << diag.toText();
+}
+
+TEST(Ir, VerifierReportsUnreachableHalt)
+{
+    // A HALT exists, so finalize() accepts the program (generated CFGs
+    // carry such blocks); only the full verifier says nothing can reach
+    // it.
+    Program prog("stuck");
+    IRBuilder b(prog);
+    int e = b.newBlock();
+    int exit = b.newBlock("exit");
+    b.at(e).jump(e);
+    b.at(exit).halt();
+    prog.finalize();
+    Diagnostics diag;
+    EXPECT_FALSE(verifyProgram(prog, diag));
+    EXPECT_TRUE(hasFinding(diag, "cfg-no-exit", "reachable"))
+        << diag.toText();
 }
 
 TEST(Ir, LayoutAssignsConsecutivePcs)

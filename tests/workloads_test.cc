@@ -9,6 +9,7 @@
 
 #include "compiler/branch_dep.h"
 #include "interp/interpreter.h"
+#include "ir/verifier.h"
 #include "workloads/workloads.h"
 
 namespace noreba {
@@ -21,7 +22,8 @@ class WorkloadSuite : public ::testing::TestWithParam<std::string>
 TEST_P(WorkloadSuite, BuildsAndVerifies)
 {
     Program prog = buildWorkload(GetParam());
-    EXPECT_EQ(prog.function().verify(), "");
+    Diagnostics diag(prog.name());
+    EXPECT_TRUE(verifyStructure(prog, diag)) << diag.toText();
     EXPECT_GT(prog.function().numInsts(), 10u);
     EXPECT_FALSE(prog.dataSegments().empty());
 }
@@ -30,7 +32,8 @@ TEST_P(WorkloadSuite, PassAnnotatesAndStillVerifies)
 {
     Program prog = buildWorkload(GetParam());
     PassResult res = runBranchDependencePass(prog);
-    EXPECT_EQ(prog.function().verify(), "");
+    Diagnostics diag(prog.name());
+    EXPECT_TRUE(verifyStructure(prog, diag)) << diag.toText();
     EXPECT_GE(res.numMarkedBranches, 1);
     EXPECT_GT(res.numSetupInsts, 0);
     EXPECT_GT(res.instsAfter, res.instsBefore);

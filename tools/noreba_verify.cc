@@ -2,15 +2,17 @@
  * @file
  * noreba-verify: static soundness checks over workloads.
  *
- * Runs the structural IR verifier and the independent annotation
- * checker (src/analysis) over registered workloads or an assembled
- * program, and reports findings as text and optionally JSON. Nothing
- * is executed or simulated.
+ * Runs the IR verifier (src/ir/verifier.h) and the independent
+ * annotation checker (src/analysis) over registered workloads or an
+ * assembled program, and reports findings as text and optionally
+ * JSON. Nothing is executed or simulated.
  *
  *   noreba-verify                    check every registered workload,
  *                                    unannotated and annotated
  *   noreba-verify mcf crc32          check selected workloads
  *   noreba-verify --asm file.s       check an assembly file as written
+ *                                    (a malformed CFG is reported as
+ *                                    its structural findings)
  *   noreba-verify --json out.json    also write machine-readable
  *                                    findings ("-" = stdout)
  *   noreba-verify --werror           treat warnings as errors
@@ -31,11 +33,11 @@
 #include <vector>
 
 #include "analysis/annotation_checker.h"
-#include "analysis/diagnostics.h"
-#include "analysis/verifier.h"
 #include "common/json.h"
 #include "compiler/branch_dep.h"
 #include "ir/assembler.h"
+#include "ir/diagnostics.h"
+#include "ir/verifier.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -48,27 +50,32 @@ struct RunRecord
     Diagnostics diag;
 };
 
+/** Print one run's findings unless quiet; hand the run back. */
+RunRecord
+report(RunRecord rec, bool quiet)
+{
+    if (!quiet) {
+        if (rec.diag.findings().empty())
+            std::cout << rec.diag.unit() << ": clean\n";
+        else
+            std::cout << rec.diag.toText();
+    }
+    return rec;
+}
+
 /** Verify one program; annotate it first when asked. */
 RunRecord
 lintProgram(Program &prog, bool annotate, bool quiet)
 {
-    RunRecord rec;
-    rec.annotated = annotate;
-    const std::string unit = prog.name() + (annotate ? "+pass" : "");
-    rec.diag = Diagnostics(unit);
+    RunRecord rec{annotate,
+                  Diagnostics(prog.name() + (annotate ? "+pass" : ""))};
     if (annotate)
         runBranchDependencePass(prog);
     verifyProgram(prog, rec.diag);
     CheckOptions opts;
     opts.requireAnnotations = annotate;
     checkAnnotations(prog, rec.diag, opts);
-    if (!quiet) {
-        if (rec.diag.findings().empty())
-            std::cout << unit << ": clean\n";
-        else
-            std::cout << rec.diag.toText();
-    }
-    return rec;
+    return report(std::move(rec), quiet);
 }
 
 bool
@@ -148,14 +155,17 @@ main(int argc, char **argv)
         std::ostringstream text;
         text << in.rdbuf();
         AssembleResult res = assemble(text.str(), asmFile);
-        if (!res.ok()) {
+        if (!res.error.empty()) {
             std::cerr << "noreba-verify: " << asmFile << ": "
                       << res.error << '\n';
             return 2;
         }
         // Assembly input is checked as written: annotations, when
-        // present, came from the file, so never re-run the pass.
-        runs.push_back(lintProgram(res.program, false, quiet));
+        // present, came from the file, so never re-run the pass. A
+        // malformed program is reported by its structural findings.
+        runs.push_back(res.ok()
+                           ? lintProgram(res.program, false, quiet)
+                           : report({false, res.diagnostics}, quiet));
     } else {
         std::vector<std::string> names =
             units.empty() ? workloadNames() : units;
