@@ -1,8 +1,10 @@
 #include "common/page_alloc.h"
 
+#include <cstdint>
 #include <new>
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 namespace noreba {
 
@@ -47,6 +49,23 @@ pageFree(void *p, size_t bytes) noexcept
         return;
     }
     ::munmap(p, bytes);
+}
+
+void
+pageTrim(void *p, size_t used, size_t bytes) noexcept
+{
+    if (!p || !pageMapped(bytes))
+        return;
+    static const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    const size_t from = (used + page - 1) / page * page;
+    const size_t to = (bytes + page - 1) / page * page;
+    if (from >= to)
+        return;
+    void *tail = static_cast<uint8_t *>(p) + from;
+    // Out of the huge-page advice first: khugepaged then cannot
+    // collapse the kept head's last huge page back to full size.
+    (void)::madvise(tail, to - from, MADV_NOHUGEPAGE);
+    (void)::madvise(tail, to - from, MADV_DONTNEED);
 }
 
 } // namespace noreba

@@ -14,6 +14,10 @@
  * 4 KiB first-touch faults would otherwise dominate the cost of filling
  * them.
  *
+ * A buffer filled up to a size it cannot know in advance reserves
+ * generously (untouched pages cost address space only) and then hands
+ * the part past its contents back with pageTrim(), in place.
+ *
  * Smaller requests, and every request in an AddressSanitizer build, go
  * to operator new, so ASan still checks the buffers.
  */
@@ -40,6 +44,15 @@ void *pageAllocate(size_t bytes);
 
 /** Free @p p, which pageAllocate(@p bytes) returned. */
 void pageFree(void *p, size_t bytes) noexcept;
+
+/**
+ * Give the pages of @p p, which pageAllocate(@p bytes) returned, that
+ * lie wholly past its first @p used bytes back to the kernel, huge page
+ * included. The block stays allocated: a later write past @p used
+ * faults in zeroed memory, and pageFree(@p p, @p bytes) still frees it
+ * whole. Does nothing to a block that is not mapped.
+ */
+void pageTrim(void *p, size_t used, size_t bytes) noexcept;
 
 /** A standard allocator over pageAllocate()/pageFree(). */
 template <typename T>
@@ -75,6 +88,14 @@ struct PageAllocator
 /** A vector whose large buffers are mapped pages. */
 template <typename T>
 using PageVector = std::vector<T, PageAllocator<T>>;
+
+/** pageTrim() the storage of @p v past its elements. */
+template <typename T>
+void
+pageTrimTail(PageVector<T> &v) noexcept
+{
+    pageTrim(v.data(), v.size() * sizeof(T), v.capacity() * sizeof(T));
+}
 
 } // namespace noreba
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -100,15 +101,49 @@ MemoryImage::writeBytes(uint64_t addr, const uint8_t *data, size_t len)
     }
 }
 
-Interpreter::Interpreter(const Program &prog)
-    : prog_(prog)
+MemoryImage::MemoryImage(std::vector<DataSegment> segs, bool disjoint)
 {
-    for (const auto &seg : prog.dataSegments())
-        mem_.writeBytes(seg.base, seg.bytes.data(), seg.bytes.size());
+    if (!disjoint) {
+        for (const DataSegment &seg : segs)
+            writeBytes(seg.base, seg.bytes.data(), seg.bytes.size());
+        return;
+    }
+    for (DataSegment &seg : segs) {
+        const uint64_t end = seg.base + seg.bytes.size();
+        // Whole pages [first, last); the partial pages around them are
+        // copied, and may be shared with a neighbouring segment.
+        const uint64_t first = (seg.base + PAGE_BYTES - 1) / PAGE_BYTES;
+        const uint64_t last = end / PAGE_BYTES;
+        if (first >= last) {
+            writeBytes(seg.base, seg.bytes.data(), seg.bytes.size());
+            continue;
+        }
+        uint8_t *const bytes = seg.bytes.data();
+        writeBytes(seg.base, bytes, first * PAGE_BYTES - seg.base);
+        for (uint64_t key = first; key < last; ++key)
+            pages_.emplace(key, bytes + (key * PAGE_BYTES - seg.base));
+        writeBytes(last * PAGE_BYTES, bytes + (last * PAGE_BYTES - seg.base),
+                   end - last * PAGE_BYTES);
+    }
+    adopted_ = std::move(segs);
+}
+
+Interpreter::Interpreter(Program prog)
+    : prog_(std::move(prog))
+{
+    const bool disjoint = prog_.segmentsDisjoint();
+    mem_ = MemoryImage(prog_.takeDataSegments(), disjoint);
     x_.fill(0);
     f_.fill(0.0);
     x_[REG_SP] = static_cast<int64_t>(STACK_TOP);
     x_[REG_FP] = static_cast<int64_t>(STACK_TOP);
+}
+
+size_t
+recordReservation(uint64_t maxDynInsts)
+{
+    return static_cast<size_t>(
+        std::min<uint64_t>(maxDynInsts, MAX_RECORD_RESERVATION / 2) * 2);
 }
 
 namespace {
@@ -146,6 +181,9 @@ Interpreter::run(const InterpOptions &opts)
 
     DynamicTrace trace;
     trace.name = prog_.name();
+    const size_t reserve = recordReservation(opts.maxDynInsts);
+    if (pageMapped(reserve * sizeof(DynRecord)))
+        trace.dyn.reserve(reserve);
 
     // Architectural BIT/DCT replay (Table 1). BIT maps compiler ID to
     // the trace index of the most recent instance of that branch; the
@@ -516,6 +554,7 @@ Interpreter::run(const InterpOptions &opts)
         idx = nextIdx;
     }
 
+    pageTrimTail(trace.dyn);
     return trace;
 }
 

@@ -1,6 +1,7 @@
 #include "ir/program.h"
 
 #include <cstring>
+#include <utility>
 
 #include "common/logging.h"
 #include "ir/verifier.h"
@@ -65,6 +66,14 @@ Program::addSegment(DataSegment seg)
         if (seg.base < s.base + s.bytes.size() && s.base < end)
             segsDisjoint_ = false;
     segs_.push_back(std::move(seg));
+}
+
+std::vector<DataSegment>
+Program::takeDataSegments()
+{
+    lastSeg_ = 0;
+    segsDisjoint_ = true;
+    return std::exchange(segs_, {});
 }
 
 void

@@ -93,6 +93,14 @@ class Program
     void pokeDouble(uint64_t addr, double value) { poke(addr, value); }
 
     const std::vector<DataSegment> &dataSegments() const { return segs_; }
+    /** No two data segments share a byte. */
+    bool segmentsDisjoint() const { return segsDisjoint_; }
+
+    /**
+     * Hand the data segments over, leaving the program none: an
+     * Interpreter adopts them as its memory image.
+     */
+    std::vector<DataSegment> takeDataSegments();
     /** @} */
 
     /** Recompute the CFG, verifyStructure() (fatal() on its first

@@ -1,5 +1,7 @@
 #include "sim/runner.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "interp/interpreter.h"
 #include "sim/trace_store.h"
@@ -72,11 +74,15 @@ prepareTrace(const std::string &workload, const TraceOptions &opts)
     if (opts.annotate)
         bundle.pass = runBranchDependencePass(prog);
 
-    Interpreter interp(prog);
-    InterpOptions io;
-    io.maxDynInsts = opts.maxDynInsts;
-    bundle.trace = interp.run(io);
-    bundle.checksum = interp.regChecksum();
+    {
+        // The interpreter adopts the program's data as its memory
+        // image; both go before the rest of the build.
+        Interpreter interp(std::move(prog));
+        InterpOptions io;
+        io.maxDynInsts = opts.maxDynInsts;
+        bundle.trace = interp.run(io);
+        bundle.checksum = interp.regChecksum();
+    }
 
     if (opts.stripSetups)
         bundle.trace = stripSetupRecords(bundle.trace);

@@ -27,7 +27,11 @@
  * (seed 42, annotated, 20000 instructions) with its record and static
  * counts and FNV-1a over the data segments, the static table, the
  * dynamic records, the misprediction verdicts and regChecksum(). A
- * mismatch names the program and the first section that differs.
+ * mismatch names the program and the first section that differs. The
+ * lines are built as a caller that keeps its program builds them (the
+ * interpreter copies it, and data= digests the program afterwards);
+ * each is built again through prepareTrace(), which moves the program
+ * into the interpreter as the stores and sweeps do, and must match.
  */
 
 #include <algorithm>
@@ -49,6 +53,7 @@
 #include "experiments.h"
 #include "interp/interpreter.h"
 #include "sim/result_store.h"
+#include "sim/runner.h"
 #include "sim/sweep.h"
 #include "uarch/branch_predictor.h"
 #include "workloads/workloads.h"
@@ -289,8 +294,22 @@ digest(const std::vector<T, A> &v)
 
 /**
  * "<name> records=N statics=N data=.. static_table=.. dyn=.. misp=..
- * regs=..": every byte the trace store would publish for @p name.
+ * regs=..": every byte the trace store would publish for @p name, with
+ * @p data the data segments' digest.
  */
+std::string
+traceDigestLine(const std::string &name, const std::string &data,
+                const DynamicTrace &trace, const std::vector<uint8_t> &misp,
+                uint64_t regs)
+{
+    return name + " records=" + std::to_string(trace.size()) +
+           " statics=" + std::to_string(trace.statics.size()) +
+           " data=" + data + " static_table=" + digest(trace.statics) +
+           " dyn=" + digest(trace.dyn) + " misp=" + digest(misp) +
+           " regs=" + hex(regs);
+}
+
+/** @p name's golden line, from a program the caller keeps. */
 std::string
 traceDigestLine(const std::string &name)
 {
@@ -307,13 +326,24 @@ traceDigestLine(const std::string &name)
         data = fnv1a(head, sizeof(head), data);
         data = fnv1a(seg.bytes.data(), seg.bytes.size(), data);
     }
-    const uint64_t regs = interp.regChecksum();
-    return name + " records=" + std::to_string(trace.size()) +
-           " statics=" + std::to_string(trace.statics.size()) +
-           " data=" + hex(data) + " static_table=" +
-           digest(trace.statics) + " dyn=" + digest(trace.dyn) +
-           " misp=" + digest(precomputeMispredictions(trace)) +
-           " regs=" + hex(regs);
+    return traceDigestLine(name, hex(data), trace,
+                           precomputeMispredictions(trace),
+                           interp.regChecksum());
+}
+
+/**
+ * @p name's golden line through prepareTrace(), which moves the program
+ * into the interpreter; @p data stands in for the digest of a program
+ * the bundle does not keep.
+ */
+std::string
+preparedDigestLine(const std::string &name, const std::string &data)
+{
+    TraceOptions opts;
+    opts.maxDynInsts = GOLDEN_TRACE_INSTS;
+    const TraceBundle bundle = prepareTrace(name, opts);
+    return traceDigestLine(name, data, bundle.trace, bundle.misp,
+                           bundle.checksum);
 }
 
 /** The space-separated tokens of @p line. */
@@ -332,8 +362,13 @@ TEST(Golden, TraceDigests)
     const std::string path = std::string(GOLDEN_DIR) + "/trace_digests.txt";
     const std::vector<std::string> want = readLines(path);
     std::vector<std::string> got;
-    for (const std::string &name : workloadNames())
+    for (const std::string &name : workloadNames()) {
         got.push_back(traceDigestLine(name));
+        // A bundle keeps no program: reuse the line's "data=" digest.
+        const std::string data = tokens(got.back()).at(3).substr(5);
+        EXPECT_EQ(preparedDigestLine(name, data), got.back())
+            << "prepareTrace() builds " << name << " differently";
+    }
     if (got == want)
         return;
 

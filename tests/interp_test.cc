@@ -5,6 +5,8 @@
  * Table 1.
  */
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -13,8 +15,11 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -24,6 +29,8 @@
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "isa/setup_encoding.h"
+#include "sim/runner.h"
+#include "workloads/workloads.h"
 
 namespace noreba {
 namespace {
@@ -345,6 +352,65 @@ TEST(Interp, ChecksumIsDeterministic)
     EXPECT_EQ(a.regChecksum(), c.regChecksum());
 }
 
+static_assert(!std::is_copy_constructible_v<Interpreter>,
+              "an interpreter's image points into its own storage");
+
+/** @p mem and @p want hold the same bytes over every one of @p segs. */
+void
+expectSegmentBytes(const MemoryImage &mem, const MemoryImage &want,
+                   const std::vector<DataSegment> &segs)
+{
+    for (const DataSegment &seg : segs)
+        for (uint64_t i = 0; i < seg.bytes.size(); i += 8) {
+            const int n = static_cast<int>(
+                std::min<uint64_t>(8, seg.bytes.size() - i));
+            ASSERT_EQ(mem.read(seg.base + i, n), want.read(seg.base + i, n))
+                << "segment at " << std::hex << seg.base << " byte " << i;
+        }
+}
+
+TEST(Interp, AdoptedImageMatchesACopiedOne)
+{
+    // Each program has three data segments, whose whole pages the
+    // image adopts and whose partial end pages it copies.
+    for (const char *name : {"astar", "lbm", "soplex", "CRC32"}) {
+        SCOPED_TRACE(name);
+        Program prog = buildWorkload(name);
+        runBranchDependencePass(prog);
+        ASSERT_EQ(prog.dataSegments().size(), 3u);
+        const std::vector<DataSegment> want = prog.dataSegments();
+        MemoryImage loaded;
+        for (const DataSegment &seg : want)
+            loaded.writeBytes(seg.base, seg.bytes.data(), seg.bytes.size());
+
+        Program spare = prog;
+        Interpreter copied(prog);
+        Interpreter moved(std::move(spare));
+        expectSegmentBytes(copied.memory(), loaded, want);
+        expectSegmentBytes(moved.memory(), loaded, want);
+
+        InterpOptions io;
+        io.maxDynInsts = 20000;
+        const DynamicTrace a = copied.run(io);
+        const DynamicTrace b = moved.run(io);
+        EXPECT_EQ(a.statics, b.statics);
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(std::memcmp(a.dyn.data(), b.dyn.data(),
+                              a.size() * sizeof(DynRecord)),
+                  0);
+        EXPECT_EQ(copied.regChecksum(), moved.regChecksum());
+        expectSegmentBytes(moved.memory(), copied.memory(), want);
+
+        // The copied-from program still holds what it was built with.
+        ASSERT_EQ(prog.dataSegments().size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(prog.dataSegments()[i].base, want[i].base);
+            EXPECT_TRUE(prog.dataSegments()[i].bytes == want[i].bytes)
+                << "segment " << i;
+        }
+    }
+}
+
 TEST(MemoryImage, SparsePagesReadBackZeroAndWrites)
 {
     MemoryImage mem;
@@ -423,6 +489,109 @@ TEST(MemoryImage, WriteBytesSpanningTwoSlabsReadsBack)
         ASSERT_EQ(mem.read8(base + i), bytes[i]) << "byte " << i;
     EXPECT_EQ(mem.read8(base - 1), 0);
     EXPECT_EQ(mem.read8(base + bytes.size()), 0);
+}
+
+/** @p segs copied into an empty image in order, as writeBytes() does. */
+MemoryImage
+copiedImage(const std::vector<DataSegment> &segs)
+{
+    MemoryImage mem;
+    for (const DataSegment &seg : segs)
+        mem.writeBytes(seg.base, seg.bytes.data(), seg.bytes.size());
+    return mem;
+}
+
+TEST(Interp, AMovedProgramsDataIsItsImage)
+{
+    // Stores to a whole page land in the segment's own bytes, which the
+    // interpreter took over with the program; a store to a partial end
+    // page goes to a copy.
+    constexpr uint64_t P = MemoryImage::PAGE_BYTES;
+    Program prog("adopted");
+    const uint64_t base = prog.allocGlobal(P + 40);
+    const uint64_t seg = prog.allocGlobal(3 * P);
+    ASSERT_NE(seg % P, 0u);
+    const uint64_t whole = (seg / P + 1) * P;
+    IRBuilder b(prog);
+    b.at(b.newBlock())
+        .li(S2, static_cast<int64_t>(seg))
+        .li(S3, static_cast<int64_t>(whole))
+        .li(T0, 0x5a)
+        .sb(T0, S2, 0, 1)
+        .sb(T0, S3, 8, 1)
+        .halt();
+    prog.finalize();
+    ASSERT_GE(prog.dataSegments().size(), 2u);
+    const uint8_t *const bytes = prog.dataSegments()[1].bytes.data();
+    ASSERT_EQ(prog.dataSegments()[1].base, seg);
+    ASSERT_NE(base, seg);
+
+    // The vector's buffer moves with the program, so `bytes` now
+    // points into storage the interpreter owns.
+    Interpreter interp(std::move(prog));
+    interp.run();
+    EXPECT_EQ(interp.memory().read8(seg), 0x5a);
+    EXPECT_EQ(interp.memory().read8(whole + 8), 0x5a);
+    EXPECT_EQ(bytes[whole + 8 - seg], 0x5a) << "whole page not adopted";
+    EXPECT_EQ(bytes[0], 0) << "partial page not copied";
+}
+
+TEST(MemoryImage, AdoptingMatchesCopyingAtEveryEdge)
+{
+    constexpr uint64_t P = MemoryImage::PAGE_BYTES;
+    Program prog("edges");
+    const uint64_t a = prog.allocGlobal(40);
+    const uint64_t b = prog.allocGlobal(100);
+    ASSERT_EQ(a / P, (b + 99) / P) << "a and b share one page";
+    const uint64_t c = prog.allocGlobal(3 * P + 200);
+    ASSERT_NE(c % P, 0u) << "c straddles page boundaries";
+    const uint64_t d = prog.allocGlobal(P); // two partial pages
+    prog.allocGlobal((d + 2 * P) / P * P - (d + P)); // pad to a page
+    const uint64_t e = prog.allocGlobal(2 * P); // whole pages only
+    ASSERT_EQ(e % P, 0u);
+    for (const DataSegment &seg : prog.dataSegments())
+        for (uint64_t i = 0; i < seg.bytes.size(); ++i) {
+            const uint8_t v = static_cast<uint8_t>(seg.base + i * 7 + 1);
+            prog.pokeBytes(seg.base + i, &v, 1);
+        }
+    // A poke across e's end makes a segment that overlaps it.
+    Program overlapped = prog;
+    const uint64_t poke[2] = {0x0102030405060708ull, 0x1112131415161718ull};
+    overlapped.pokeBytes(e + 2 * P - 4, poke, sizeof(poke));
+    ASSERT_EQ(overlapped.dataSegments().size(),
+              prog.dataSegments().size() + 1);
+    ASSERT_TRUE(prog.segmentsDisjoint());
+    ASSERT_FALSE(overlapped.segmentsDisjoint());
+
+    for (const Program *p : {&prog, &overlapped}) {
+        SCOPED_TRACE(p == &prog ? "disjoint" : "overlapping");
+        const std::vector<DataSegment> &segs = p->dataSegments();
+        MemoryImage adopted(segs, p->segmentsDisjoint());
+        MemoryImage copied = copiedImage(segs);
+        std::vector<uint64_t> edges;
+        for (const DataSegment &seg : segs) {
+            const uint64_t end = seg.base + seg.bytes.size();
+            edges.push_back(seg.base);
+            edges.push_back(end);
+            for (uint64_t x = (seg.base / P + 1) * P; x < end; x += P)
+                edges.push_back(x);
+        }
+        uint64_t v = 0x9e3779b97f4a7c15ull;
+        for (const uint64_t x : edges)
+            for (uint64_t at = x - 9; at <= x + 9; ++at)
+                for (const int bytes : {1, 2, 4, 8}) {
+                    ASSERT_EQ(adopted.read(at, bytes), copied.read(at, bytes))
+                        << "load " << bytes << " at " << std::hex << at;
+                    if ((at + bytes) % 3 == 0) {
+                        v = v * 6364136223846793005ull + 1;
+                        adopted.write(at, v, bytes);
+                        copied.write(at, v, bytes);
+                    }
+                }
+        for (uint64_t at = a - P; at < e + 3 * P; ++at)
+            ASSERT_EQ(adopted.read8(at), copied.read8(at))
+                << "after the stores, at " << std::hex << at;
+    }
 }
 
 /** A synthetic record stream: eight sites, every flag pattern. */
@@ -510,6 +679,103 @@ TEST(PageStorage, DestroyingATraceGivesItsPagesBack)
             std::exit(ok ? 0 : 1);
         },
         ::testing::ExitedWithCode(0), "resident");
+}
+
+/** Resident pages of [@p p, @p p + @p bytes), from mincore(). */
+size_t
+residentPages(const void *p, size_t bytes)
+{
+    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> in((bytes + page - 1) / page);
+    if (::mincore(const_cast<void *>(p), bytes, in.data()) != 0)
+        ADD_FAILURE() << "mincore: " << std::strerror(errno);
+    size_t n = 0;
+    for (const unsigned char c : in)
+        n += c & 1;
+    return n;
+}
+
+TEST(PageStorage, PreparedRecordsKeepNoTail)
+{
+    constexpr uint64_t INSTS = 250000;
+    if (!pageMapped(recordReservation(INSTS) * sizeof(DynRecord)))
+        GTEST_SKIP() << "operator new storage";
+    // gcc has the largest setup share of the registry; sha almost none.
+    for (const char *name : {"gcc", "sha"}) {
+        SCOPED_TRACE(name);
+        TraceOptions opts;
+        opts.maxDynInsts = INSTS;
+        const TraceBundle bundle = prepareTrace(name, opts);
+        const PageVector<DynRecord> &dyn = bundle.trace.dyn;
+        // Written in place: the reservation held every record.
+        EXPECT_EQ(dyn.capacity(), recordReservation(INSTS));
+        const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+        const size_t used =
+            (dyn.size() * sizeof(DynRecord) + page - 1) / page;
+        const size_t resident =
+            residentPages(dyn.data(), dyn.capacity() * sizeof(DynRecord));
+        EXPECT_GE(resident, used);
+        EXPECT_LE(resident, used + 1);
+    }
+}
+
+TEST(PageStorage, RecordsOutgrowingTheReservationBuildIdentically)
+{
+    // Three setups before every counted instruction: the trace holds
+    // four records per counted instruction, twice what a reservation
+    // allows for.
+    constexpr int TRIPS = 20000;
+    Program prog("setup_heavy");
+    IRBuilder b(prog);
+    const int e = b.newBlock(), loop = b.newBlock(), out = b.newBlock();
+    b.at(e).li(T0, 0).fallthrough(loop);
+    b.at(loop);
+    for (int i = 0; i < 3; ++i)
+        b.emit(makeSetDependency(1, 1));
+    b.addi(T0, T0, 1);
+    for (int i = 0; i < 3; ++i)
+        b.emit(makeSetDependency(1, 1));
+    b.slti(T1, T0, TRIPS);
+    for (int i = 0; i < 3; ++i)
+        b.emit(makeSetDependency(1, 1));
+    b.bne(T1, ZERO, loop, out);
+    b.at(out).halt();
+    prog.finalize();
+
+    InterpOptions tight, roomy;
+    tight.maxDynInsts = 3 * TRIPS + 10; // HALT comes first
+    roomy.maxDynInsts = 4 * tight.maxDynInsts;
+    Interpreter a(prog), c(prog);
+    const DynamicTrace outgrown = a.run(tight);
+    const DynamicTrace held = c.run(roomy);
+    EXPECT_GT(outgrown.size(), recordReservation(tight.maxDynInsts));
+    EXPECT_LE(held.size(), recordReservation(roomy.maxDynInsts));
+    EXPECT_FALSE(outgrown.truncated);
+    EXPECT_EQ(outgrown.dynInsts, held.dynInsts);
+    EXPECT_EQ(outgrown.setupInsts, held.setupInsts);
+    EXPECT_EQ(outgrown.statics, held.statics);
+    ASSERT_EQ(outgrown.size(), held.size());
+    EXPECT_EQ(std::memcmp(outgrown.dyn.data(), held.dyn.data(),
+                          held.size() * sizeof(DynRecord)),
+              0);
+    EXPECT_EQ(a.regChecksum(), c.regChecksum());
+}
+
+TEST(PageStorage, ACapAtTheTraceLimitReservesAFixedCeiling)
+{
+    Program prog("short");
+    IRBuilder b(prog);
+    b.at(b.newBlock()).li(T0, 1).addi(T0, T0, 1).halt();
+    prog.finalize();
+    InterpOptions io;
+    io.maxDynInsts = MAX_TRACE_RECORDS;
+    const DynamicTrace t = Interpreter(std::move(prog)).run(io);
+    EXPECT_EQ(t.size(), 3u);
+    EXPECT_FALSE(t.truncated);
+    // The cap's records would take 32 GiB; the reservation stays
+    // within MAX_RECORD_RESERVATION's 256 MiB of address space.
+    EXPECT_LE(t.dyn.capacity(), MAX_RECORD_RESERVATION);
+    EXPECT_LE(t.dyn.capacity() * sizeof(DynRecord), size_t{256} << 20);
 }
 
 TEST(Program, PokesLandInTheFirstSegmentThatHoldsThem)
