@@ -171,12 +171,6 @@ runExperiment(const ExperimentSpec &spec, const RunOptions &opts)
     return numFailed;
 }
 
-void
-runExperiment(const ExperimentSpec &spec)
-{
-    runExperiment(spec, RunOptions{});
-}
-
 int
 benchMain(int argc, char **argv)
 {

@@ -53,9 +53,6 @@ struct RunOptions
  */
 size_t runExperiment(const ExperimentSpec &spec, const RunOptions &opts);
 
-/** runExperiment with default options (tests, embedding callers). */
-void runExperiment(const ExperimentSpec &spec);
-
 /**
  * The noreba-bench CLI: --list, --run <name|all|comma-list>
  * (repeatable), --json-dir <dir> (sets NOREBA_JSON_DIR), --jobs <n>

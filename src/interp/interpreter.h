@@ -107,7 +107,7 @@ struct InterpOptions
  */
 size_t recordReservation(uint64_t maxDynInsts);
 
-/** recordReservation()'s ceiling: 256 MiB of records. */
+/** recordReservation()'s ceiling: 192 MiB of records. */
 constexpr size_t MAX_RECORD_RESERVATION = size_t{1} << 24;
 
 /**

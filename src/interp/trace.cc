@@ -1,5 +1,6 @@
 #include "interp/trace.h"
 
+#include <bit>
 #include <cstddef>
 #include <cstring>
 
@@ -11,13 +12,14 @@ namespace noreba {
 size_t
 DynamicTrace::StaticHash::operator()(const StaticInst &s) const
 {
-    uint64_t lo, hi; // op, memSize and the four registers (and pad)
+    uint64_t lo, hi; // op, memSize, the four registers, pad and addrHi
     static_assert(offsetof(StaticInst, op) == 16);
     std::memcpy(&lo, reinterpret_cast<const uint8_t *>(&s) + 16, 8);
     std::memcpy(&hi, reinterpret_cast<const uint8_t *>(&s) + 24, 8);
     uint64_t h = s.pc * 0x9e3779b97f4a7c15ull;
     h ^= s.nextPc * 0xc2b2ae3d27d4eb4full;
-    h ^= (lo ^ (hi << 17)) * 0x165667b19e3779f9ull;
+    // Rotated, not shifted, so every bit of addrHi (hi's top half) counts.
+    h ^= (lo ^ std::rotl(hi, 17)) * 0x165667b19e3779f9ull;
     return static_cast<size_t>(h ^ (h >> 29));
 }
 
@@ -33,6 +35,7 @@ DynamicTrace::intern(const TraceRecord &rec)
     s.rs1 = rec.rs1;
     s.rs2 = rec.rs2;
     s.rs3 = rec.rs3;
+    s.addrHi = static_cast<uint32_t>(rec.addrOrImm >> 32);
 
     // Index whatever was stored without push() (a copied table).
     if (indexed_ > statics.size()) {

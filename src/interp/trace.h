@@ -6,10 +6,11 @@
  * and are dropped at decode, as in the paper).
  *
  * A trace is stored in two parts. A small static table holds one
- * StaticInst per distinct (pc, nextPc, op, memSize, rd, rs1, rs2, rs3)
- * tuple; a 16-byte DynRecord per executed instruction holds the static
- * id, four flag bits, the guard and the address or immediate. Readers
- * see whole TraceRecords, composed on access by TraceView.
+ * StaticInst per distinct (pc, nextPc, op, memSize, rd, rs1, rs2, rs3,
+ * addrHi) tuple; a 12-byte DynRecord per executed instruction holds the
+ * static id, four flag bits, the guard and the low 32 bits of the
+ * address or immediate. Readers see whole TraceRecords, composed on
+ * access by TraceView.
  */
 
 #ifndef NOREBA_INTERP_TRACE_H
@@ -82,7 +83,10 @@ struct TraceRecord
 /**
  * The static half of a record: the fields every dynamic instance of
  * one static tuple repeats. A cond branch gets one entry per direction
- * and a JALR one per target, because nextPc is part of the tuple.
+ * and a JALR one per target, because nextPc is part of the tuple; a
+ * site whose address high half changes gets one per high half, because
+ * addrHi is part of it too. Setup immediates are fixed per site and
+ * every data address lies below STACK_TOP, so a registry site keeps one.
  */
 struct StaticInst
 {
@@ -95,7 +99,9 @@ struct StaticInst
     Reg rs2 = REG_NONE;
     Reg rs3 = REG_NONE;
     /** Explicit, always zero: the table is hashed and stored bytewise. */
-    uint8_t pad[6] = {};
+    uint8_t pad[2] = {};
+    /** The high 32 bits of the address or immediate. */
+    uint32_t addrHi = 0;
 
     bool operator==(const StaticInst &) const = default;
 };
@@ -113,16 +119,16 @@ constexpr int DYN_FLAG_BITS = 4;
 constexpr uint64_t MAX_STATIC_INSTS = uint64_t{1}
                                       << (32 - DYN_FLAG_BITS);
 
-/** The per-instance half of a record: 16 bytes. */
+/** The per-instance half of a record: 12 bytes. */
 struct DynRecord
 {
     uint32_t idFlags = 0; //!< staticId << DYN_FLAG_BITS | DYN_* flags
     TraceIdx guardIdx = TRACE_NONE;
-    uint64_t addrOrImm = 0;
+    uint32_t addrLo = 0;  //!< the low 32 bits of the address or immediate
 
     uint32_t staticId() const { return idFlags >> DYN_FLAG_BITS; }
 };
-static_assert(sizeof(DynRecord) == 16, "the dynamic record is 16 bytes");
+static_assert(sizeof(DynRecord) == 12, "the dynamic record is 12 bytes");
 
 /** Join the two halves of one record. */
 inline TraceRecord
@@ -131,7 +137,7 @@ composeRecord(const StaticInst &s, const DynRecord &d)
     TraceRecord r;
     r.pc = s.pc;
     r.nextPc = s.nextPc;
-    r.addrOrImm = d.addrOrImm;
+    r.addrOrImm = uint64_t{s.addrHi} << 32 | d.addrLo;
     r.op = s.op;
     r.memSize = s.memSize;
     r.taken = (d.idFlags & DYN_TAKEN) != 0;
@@ -242,18 +248,19 @@ struct DynamicTrace : TraceSummary
      * distinct tuples.
      *
      * @p siteId is the caller's cache of a static id plus one (0 =
-     * empty), kept per code site. If the entry it names has rec's pc
-     * and nextPc, push() reuses that id without building the tuple;
-     * otherwise it interns and refills the cache. Only the two PCs are
-     * checked, so every record's op and registers must follow from its
-     * pc, as they do in one program's trace.
+     * empty), kept per code site. If the entry it names has rec's pc,
+     * nextPc and address high half, push() reuses that id without
+     * building the tuple; otherwise it interns and refills the cache.
+     * Only those three are checked, so every record's op and registers
+     * must follow from its pc, as they do in one program's trace.
      */
     void
     push(const TraceRecord &rec, uint32_t &siteId)
     {
         uint32_t id = siteId - 1; // an empty cache wraps past every id
         if (id >= statics.size() || statics[id].pc != rec.pc ||
-            statics[id].nextPc != rec.nextPc) {
+            statics[id].nextPc != rec.nextPc ||
+            statics[id].addrHi != rec.addrOrImm >> 32) {
             id = intern(rec);
             siteId = id + 1;
         }
@@ -268,7 +275,7 @@ struct DynamicTrace : TraceSummary
         if (rec.orderStrict)
             d.idFlags |= DYN_ORDER_STRICT;
         d.guardIdx = rec.guardIdx;
-        d.addrOrImm = rec.addrOrImm;
+        d.addrLo = static_cast<uint32_t>(rec.addrOrImm);
         dyn.push_back(d);
     }
 

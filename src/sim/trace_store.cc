@@ -65,10 +65,11 @@ traceLayoutFingerprint()
         offsetof(StaticInst, rs1),
         offsetof(StaticInst, rs2),
         offsetof(StaticInst, rs3),
+        offsetof(StaticInst, addrHi),
         sizeof(DynRecord),
         offsetof(DynRecord, idFlags),
         offsetof(DynRecord, guardIdx),
-        offsetof(DynRecord, addrOrImm),
+        offsetof(DynRecord, addrLo),
         DYN_FLAG_BITS,
         DYN_TAKEN,
         DYN_MARKED_BRANCH,
@@ -364,7 +365,7 @@ saveTraceBundle(const std::string &path, const TraceBundle &bundle)
     m.nameBytes = name.size();
     m.staticsOff = pad8(sizeof(BundleMeta) + workload.size() + name.size());
     m.dynOff = m.staticsOff + staticBytes;
-    m.mispOff = m.dynOff + dynBytes;
+    m.mispOff = pad8(m.dynOff + dynBytes);
     m.passOff = pad8(m.mispOff + mispBytes);
     const TraceSummary &sum = view.summary();
     m.dynInsts = sum.dynInsts;
@@ -375,13 +376,15 @@ saveTraceBundle(const std::string &path, const TraceBundle &bundle)
     m.stores = sum.stores;
     m.truncated = sum.truncated ? 1 : 0;
 
-    // Misprediction bitmap, padded, then the pass blob.
-    std::vector<uint8_t> tail(m.passOff - m.mispOff, 0);
+    // Padding, the misprediction bitmap, padding, then the pass blob.
+    const size_t tailOff = m.dynOff + dynBytes;
+    std::vector<uint8_t> tail(m.passOff - tailOff, 0);
+    uint8_t *bitmap = tail.data() + (m.mispOff - tailOff);
     for (size_t i = 0; i < numRecords; ++i)
         if (misp[i])
-            tail[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+            bitmap[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
     serializePass(bundle.pass, tail);
-    m.passBytes = tail.size() - (m.passOff - m.mispOff);
+    m.passBytes = tail.size() - (m.passOff - tailOff);
 
     // Metadata and names, padded so the static table stays aligned.
     std::vector<uint8_t> head(m.staticsOff, 0);

@@ -12,10 +12,10 @@
  * this file serializes the payload:
  *
  *   BundleMeta | workload | trace name | pad8 | StaticInst[] |
- *   DynRecord[] | misprediction bitmap | pad8 | PassResult blob
+ *   DynRecord[] | pad8 | misprediction bitmap | pad8 | PassResult blob
  *
  * BundleMeta records each section's offset. The static table (32 B an
- * entry) and the dynamic records (16 B each) are their in-memory
+ * entry) and the dynamic records (12 B each) are their in-memory
  * layouts verbatim — fixed-width, trivially copyable,
  * layout-fingerprinted — so a mapped file serves them zero-copy
  * through a TraceView. open() checks that every section is 8-byte
@@ -43,7 +43,7 @@ namespace noreba {
 
 /** Bump on any change to the on-disk bundle payload layout or to the
  *  BlobStore envelope or file naming. */
-constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 5;
+constexpr uint32_t TRACE_STORE_FORMAT_VERSION = 6;
 
 /**
  * Fingerprint of the trace-producing semantics: bump whenever the

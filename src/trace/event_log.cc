@@ -3,20 +3,6 @@
 namespace noreba {
 
 const char *
-traceEventTypeName(TraceEventType type)
-{
-    switch (type) {
-      case TraceEventType::Fetch: return "fetch";
-      case TraceEventType::Dispatch: return "dispatch";
-      case TraceEventType::Issue: return "issue";
-      case TraceEventType::Commit: return "commit";
-      case TraceEventType::Squash: return "squash";
-      case TraceEventType::CommitStall: return "commit-stall";
-    }
-    return "unknown";
-}
-
-const char *
 stallCauseName(StallCause cause)
 {
     switch (cause) {

@@ -56,7 +56,6 @@ enum class StallCause : uint8_t
     NUM_CAUSES,
 };
 
-const char *traceEventTypeName(TraceEventType type);
 const char *stallCauseName(StallCause cause);
 
 /** One logged pipeline event. */

@@ -315,7 +315,7 @@ TEST(StoreNames, TraceFileNameIsPinned)
 {
     TempDir dir("NOREBA_TRACE_DIR");
     EXPECT_EQ(traceBundlePath("CRC32", shortTrace()),
-              dir.path + "/CRC32-3bb122819f46e2c0.v5.ntb");
+              dir.path + "/CRC32-722e923e0bc1a933.v6.ntb");
 }
 
 TEST(StoreNames, ResultFileUnderTheOldNameIsNeverRead)
@@ -351,7 +351,7 @@ TEST(StoreNames, TraceFileUnderTheOldNameIsNeverRead)
     const std::string path = traceBundlePath("CRC32", shortTrace());
     ASSERT_GT(saveTraceBundle(path, prepareTrace("CRC32", shortTrace())),
               0u);
-    const std::string old = replaceSuffix(path, ".v5.ntb", ".v4.ntb");
+    const std::string old = replaceSuffix(path, ".v6.ntb", ".v5.ntb");
     ASSERT_EQ(std::rename(path.c_str(), old.c_str()), 0);
     const std::vector<uint8_t> oldBytes = readFile(old);
 

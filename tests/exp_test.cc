@@ -146,7 +146,7 @@ TEST(Driver, RunExperimentExecutesPlanAndHandsResultsToReport)
         EXPECT_GT(r.at("CRC32", "Noreba").committedOoO, 0u);
         EXPECT_EQ(r.at("CRC32", "InO-C").committedOoO, 0u);
     };
-    runExperiment(spec);
+    runExperiment(spec, RunOptions{});
     EXPECT_EQ(reported, 1);
     unsetenv("NOREBA_TRACE_LEN");
 }
@@ -313,7 +313,7 @@ TEST(Driver, EachJsonBlockCountsOnlyItsOwnExperimentsCacheWork)
         plan.add("CRC32", "InO-C", testJob("CRC32", CommitMode::InOrder));
         plan.add("CRC32", "Noreba", testJob("CRC32", CommitMode::Noreba));
     };
-    runExperiment(first);
+    runExperiment(first, RunOptions{});
 
     // One job the first experiment ran, and one no other test runs.
     ExperimentSpec second;
@@ -326,7 +326,7 @@ TEST(Driver, EachJsonBlockCountsOnlyItsOwnExperimentsCacheWork)
         fresh.cfg.robEntries -= 3;
         plan.add("CRC32", "fresh", fresh);
     };
-    runExperiment(second);
+    runExperiment(second, RunOptions{});
 
     std::string err;
     const JsonValue doc = JsonValue::parse(
@@ -392,7 +392,7 @@ TEST(Registrants, Fig11ReportRunsOnOneWorkload)
     const ExperimentSpec *spec = findExperiment("fig11_setup_overhead");
     ASSERT_NE(spec, nullptr);
     testing::internal::CaptureStdout();
-    runExperiment(*spec);
+    runExperiment(*spec, RunOptions{});
     const std::string out = testing::internal::GetCapturedStdout();
     EXPECT_NE(out.find("CRC32"), std::string::npos) << out;
     EXPECT_NE(out.find("geomean performance overhead"), std::string::npos)

@@ -25,9 +25,12 @@
  * Golden.TraceDigests pins the prepared traces themselves, across
  * trees: golden/trace_digests.txt holds one line per registry program
  * (seed 42, annotated, 20000 instructions) with its record and static
- * counts and FNV-1a over the data segments, the static table, the
- * dynamic records, the misprediction verdicts and regChecksum(). A
- * mismatch names the program and the first section that differs. The
+ * counts and FNV-1a over the data segments, every field of every
+ * composed TraceRecord, the static table, the dynamic records, the
+ * misprediction verdicts and regChecksum(). composed= reads the trace
+ * as its consumers do, so a change to the stored format alone moves
+ * static_table= and dyn= and leaves it as it was. A mismatch names the
+ * program and the first section that differs. The
  * lines are built as a caller that keeps its program builds them (the
  * interpreter copies it, and data= digests the program afterwards);
  * each is built again through prepareTrace(), which moves the program
@@ -292,10 +295,38 @@ digest(const std::vector<T, A> &v)
     return hex(fnv1a(v.data(), v.size() * sizeof(T)));
 }
 
+/** FNV-1a over every field of every record, composed, in order. */
+std::string
+composedDigest(const DynamicTrace &trace)
+{
+    uint64_t h = fnv1a(nullptr, 0);
+    for (const TraceRecord &r : trace) {
+        const int64_t fields[] = {
+            static_cast<int64_t>(r.pc),
+            static_cast<int64_t>(r.nextPc),
+            static_cast<int64_t>(r.addrOrImm),
+            static_cast<int64_t>(r.op),
+            r.memSize,
+            r.taken,
+            r.markedBranch,
+            r.orderSensitive,
+            r.orderStrict,
+            r.rd,
+            r.rs1,
+            r.rs2,
+            r.rs3,
+            r.guardIdx,
+        };
+        h = fnv1a(fields, sizeof(fields), h);
+    }
+    return hex(h);
+}
+
 /**
- * "<name> records=N statics=N data=.. static_table=.. dyn=.. misp=..
- * regs=..": every byte the trace store would publish for @p name, with
- * @p data the data segments' digest.
+ * "<name> records=N statics=N data=.. composed=.. static_table=..
+ * dyn=.. misp=.. regs=..": the records as consumers read them and every
+ * byte the trace store would publish for @p name, with @p data the
+ * data segments' digest.
  */
 std::string
 traceDigestLine(const std::string &name, const std::string &data,
@@ -304,7 +335,8 @@ traceDigestLine(const std::string &name, const std::string &data,
 {
     return name + " records=" + std::to_string(trace.size()) +
            " statics=" + std::to_string(trace.statics.size()) +
-           " data=" + data + " static_table=" + digest(trace.statics) +
+           " data=" + data + " composed=" + composedDigest(trace) +
+           " static_table=" + digest(trace.statics) +
            " dyn=" + digest(trace.dyn) + " misp=" + digest(misp) +
            " regs=" + hex(regs);
 }

@@ -2,14 +2,17 @@
  * @file
  * Tests for the on-disk trace-bundle store and the two-tier bundle
  * cache: full serialize/deserialize round-trips over the workload
- * registry, the per-record file footprint, rejection of truncated /
- * bit-flipped / version-mismatched bundle files and of checksummed
- * payloads with bad static ids, guards or section alignment by the
- * mmap loader, atomic publish under concurrent same-key writers,
+ * registry, the per-record file footprint, a static entry per address
+ * high half, record sections that end off an 8-byte boundary,
+ * rejection of truncated / bit-flipped / version-mismatched bundle
+ * files and of checksummed payloads with bad static ids, guards, or
+ * misaligned or overlapping section offsets by the mmap loader,
+ * atomic publish under concurrent same-key writers,
  * mmap-vs-in-memory replay bit-identity across every commit mode, the
  * stored-key check that refuses a bundle filed under another key, and
- * the fail-fast guards on TraceIdx overflow and zero-cycle speedups. The envelope's fault paths are
- * covered for both stores in blob_store_test.cc.
+ * the fail-fast guards on TraceIdx overflow and zero-cycle speedups.
+ * The envelope's fault paths are covered for both stores in
+ * blob_store_test.cc.
  */
 
 #include <algorithm>
@@ -58,6 +61,23 @@ recordsEqual(const TraceRecord &a, const TraceRecord &b)
            a.orderStrict == b.orderStrict && a.rd == b.rd &&
            a.rs1 == b.rs1 && a.rs2 == b.rs2 && a.rs3 == b.rs3 &&
            a.guardIdx == b.guardIdx;
+}
+
+/** Instance @p i of one load site whose address high half steps
+ *  through 0, 1 and 2 every @p period instances. */
+TraceRecord
+highHalfRecord(size_t i, size_t period)
+{
+    TraceRecord rec;
+    rec.pc = 0x1000;
+    rec.nextPc = 0x1004;
+    rec.op = Opcode::LW;
+    rec.memSize = 4;
+    rec.rd = 5;
+    rec.rs1 = 6;
+    rec.addrOrImm = uint64_t{(i / period) % 3} << 32 | (0xfff00000u + 4 * i);
+    rec.guardIdx = static_cast<TraceIdx>(i) - 1;
+    return rec;
 }
 
 /** Save @p bundle under its own key, map it back, and compare every
@@ -152,23 +172,27 @@ TEST(TraceStore, RoundTripsEveryBundleField)
     }
 }
 
-TEST(TraceStore, BundleFileHoldsAtMost18BytesPerRecord)
+TEST(TraceStore, BundleFilesHoldAtMost12AndAHalfBytesPerRecord)
 {
-    // The static table, the 16-byte records, the misprediction bitmap,
-    // the pass blob and the envelope together: a wider record fails
-    // here, not only in the benchmark.
+    // The static table, the 12-byte records, the misprediction bitmap,
+    // the pass blob and the envelope together: a wider record, or a
+    // site that splits into a static entry per instance, fails here,
+    // not only in the benchmark.
     TempDir dir("NOREBA_TRACE_DIR");
     TraceOptions opts;
     opts.maxDynInsts = 60000;
-    const TraceBundle bundle = prepareTrace("mcf", opts);
-    const std::string path = traceBundlePath("mcf", opts);
-    const size_t bytes = saveTraceBundle(path, bundle);
-    ASSERT_GT(bytes, 0u);
-    EXPECT_EQ(readFile(path).size(), bytes);
-    const double perRecord = static_cast<double>(bytes) /
-                             static_cast<double>(bundle.view().size());
-    EXPECT_LE(perRecord, 18.0) << bytes << " bytes for "
-                               << bundle.view().size() << " records";
+    for (const std::string &workload : workloadNames()) {
+        const TraceBundle bundle = prepareTrace(workload, opts);
+        const std::string path = traceBundlePath(workload, opts);
+        const size_t bytes = saveTraceBundle(path, bundle);
+        ASSERT_GT(bytes, 0u) << workload;
+        EXPECT_EQ(readFile(path).size(), bytes) << workload;
+        const double perRecord = static_cast<double>(bytes) /
+                                 static_cast<double>(bundle.view().size());
+        EXPECT_LE(perRecord, 12.5)
+            << workload << ": " << bytes << " bytes for "
+            << bundle.view().size() << " records";
+    }
 }
 
 /**
@@ -196,6 +220,75 @@ payloadOf(const std::string &path, const std::string &key,
                           dyn + view.size() * sizeof(DynRecord));
     out.dynOff = static_cast<size_t>(at - out.bytes.begin());
     return out;
+}
+
+/**
+ * @p n records of one load site, built through push(), whose address
+ * high half steps through 0, 1 and 2 every @p period instances; each
+ * guarded by the record before, every third verdict a misprediction.
+ * The seed gives each record count a store key of its own.
+ */
+TraceBundle
+highHalfBundle(size_t n, size_t period)
+{
+    TraceBundle b;
+    b.workload = "CRC32";
+    b.opts = shortTrace();
+    b.opts.params.seed = n;
+    b.trace.name = "high-halves";
+    uint32_t site = 0;
+    for (size_t i = 0; i < n; ++i) {
+        b.trace.push(highHalfRecord(i, period), site);
+        b.misp.push_back(i % 3 == 0);
+    }
+    b.trace.dynInsts = n;
+    b.trace.loads = n;
+    return b;
+}
+
+TEST(TraceStore, EachAddressHighHalfGetsItsOwnStaticEntry)
+{
+    TempDir dir("NOREBA_TRACE_DIR");
+    constexpr size_t PERIOD = 5, RECORDS = 4 * 3 * PERIOD;
+    const TraceBundle bundle = highHalfBundle(RECORDS, PERIOD);
+
+    // One entry per high half; the site cache re-interns on each step
+    // and reuses the id between steps.
+    const DynamicTrace &t = bundle.trace;
+    ASSERT_EQ(t.statics.size(), 3u);
+    for (size_t s = 0; s < 3; ++s)
+        EXPECT_EQ(t.statics[s].addrHi, s);
+    for (size_t i = 0; i < RECORDS; ++i)
+        ASSERT_EQ(t.dyn[i].staticId(), (i / PERIOD) % 3) << i;
+
+    expectMappedViewMatches(bundle);
+    auto mapped =
+        MappedTraceBundle::open(traceBundlePath(bundle.workload, bundle.opts));
+    ASSERT_NE(mapped, nullptr);
+    const TraceView mem(t), disk = mapped->view();
+    for (size_t i = 0; i < RECORDS; ++i) {
+        const TraceRecord want = highHalfRecord(i, PERIOD);
+        ASSERT_TRUE(recordsEqual(mem[i], want)) << "record " << i;
+        ASSERT_TRUE(recordsEqual(disk[i], want)) << "record " << i;
+    }
+}
+
+TEST(TraceStore, RecordSectionsOffAnEightByteBoundaryRoundTrip)
+{
+    // An odd record count ends the 12-byte section 4 bytes past an
+    // 8-byte boundary; the bitmap after it is padded back.
+    TempDir dir("NOREBA_TRACE_DIR");
+    for (size_t n : {1, 2, 3, 7, 8, 9, 4097}) {
+        SCOPED_TRACE(n);
+        const TraceBundle bundle = highHalfBundle(n, 2);
+        expectMappedViewMatches(bundle);
+        const PayloadBytes p =
+            payloadOf(traceBundlePath(bundle.workload, bundle.opts),
+                      traceKey(bundle.workload, bundle.opts), bundle.view());
+        ASSERT_FALSE(p.bytes.empty());
+        EXPECT_EQ(p.dynOff % 8, 0u);
+        EXPECT_EQ((p.dynOff + n * sizeof(DynRecord)) % 8, n % 2 ? 4u : 0u);
+    }
 }
 
 TEST(TraceStore, ChecksummedPayloadWithBadIdsGuardsOrAlignmentMisses)
@@ -242,22 +335,35 @@ TEST(TraceStore, ChecksummedPayloadWithBadIdsGuardsOrAlignmentMisses)
     publish(bad);
     EXPECT_EQ(MappedTraceBundle::open(path), nullptr);
 
-    // The metadata's dynamic-section offset, moved off 8-byte alignment.
+    // The payload with the one metadata word that holds @p from set to
+    // @p to (found by content, ahead of the static table).
     const size_t staticsOff =
         good.dynOff - view.numStatics() * sizeof(StaticInst);
-    int found = 0;
-    bad = good.bytes;
-    for (size_t off = 0; off + 8 <= staticsOff; off += 8) {
-        uint64_t word;
-        std::memcpy(&word, bad.data() + off, 8);
-        if (word == good.dynOff) {
-            word += 4;
-            std::memcpy(bad.data() + off, &word, 8);
-            ++found;
+    auto withOffset = [&](uint64_t from, uint64_t to) {
+        std::vector<uint8_t> out = good.bytes;
+        int found = 0;
+        for (size_t off = 0; off + 8 <= staticsOff; off += 8) {
+            uint64_t word;
+            std::memcpy(&word, out.data() + off, 8);
+            if (word == from) {
+                std::memcpy(out.data() + off, &to, 8);
+                ++found;
+            }
         }
-    }
-    ASSERT_EQ(found, 1);
-    publish(bad);
+        EXPECT_EQ(found, 1) << "offset " << from;
+        return out;
+    };
+
+    // The dynamic-section offset, moved off 8-byte alignment.
+    publish(withOffset(good.dynOff, good.dynOff + 4));
+    EXPECT_EQ(MappedTraceBundle::open(path), nullptr);
+
+    // The bitmap's offset, moved off 8-byte alignment, and moved back
+    // over the end of the records.
+    const size_t mispOff = pad8(good.dynOff + view.size() * sizeof(DynRecord));
+    publish(withOffset(mispOff, mispOff + 4));
+    EXPECT_EQ(MappedTraceBundle::open(path), nullptr);
+    publish(withOffset(mispOff, mispOff - 8));
     EXPECT_EQ(MappedTraceBundle::open(path), nullptr);
 
     publish(good.bytes);

@@ -90,10 +90,6 @@ TEST(EventLog, ZeroCapacityClampsToOne)
 
 TEST(EventNames, CoverEveryEnumerator)
 {
-    EXPECT_STREQ(traceEventTypeName(TraceEventType::Fetch), "fetch");
-    EXPECT_STREQ(traceEventTypeName(TraceEventType::Commit), "commit");
-    EXPECT_STREQ(traceEventTypeName(TraceEventType::CommitStall),
-                 "commit-stall");
     EXPECT_STREQ(stallCauseName(StallCause::Empty), "empty-window");
     EXPECT_STREQ(stallCauseName(StallCause::HeadBranch), "head-branch");
     EXPECT_STREQ(stallCauseName(StallCause::Structural), "structural");
