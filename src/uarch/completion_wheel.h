@@ -11,9 +11,9 @@
  * younger one). Draining cycle c's bucket therefore yields the events
  * in exactly the order the heap popped them.
  *
- * The list nodes live in one arena with a free chain (like the core's
- * waiter nodes), so once the arena has grown to the most events ever
- * pending at once, pushes and drains never touch the allocator.
+ * The list nodes live in one arena with a free chain, so once the
+ * arena has grown to the most events ever pending at once, pushes and
+ * drains never touch the allocator.
  */
 
 #ifndef NOREBA_UARCH_COMPLETION_WHEEL_H

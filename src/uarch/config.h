@@ -124,11 +124,10 @@ struct CoreConfig
 
     /** @name Instrumentation @{ */
     bool attributeStalls = false; //!< per-branch ROB-stall stats (Fig 7)
-    /** Re-derive every PipelineIndex answer from a naive ROB scan and
-     *  the wakeup scheduler's ready queue and pending store address-gen
-     *  list from a naive IQ scan, each cycle, and panic on divergence;
-     *  also panic when ROB/ROB', IQ, LQ, SQ, PRF, a commit queue, the
-     *  CQT or the CIT holds more than its capacity (testing only). */
+    /** Re-derive every PipelineIndex answer from a naive ROB scan each
+     *  cycle and panic on divergence; also panic when ROB/ROB', IQ, LQ,
+     *  SQ, PRF, a commit queue, the CQT or the CIT holds more than its
+     *  capacity (testing only). */
     bool shadowChecks = false;
     /** @} */
 };

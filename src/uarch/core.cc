@@ -42,33 +42,7 @@ memOverlap(const TraceRecord &a, const TraceRecord &b)
  *  block fill plus store-forwarding stalls on every fetch. */
 const InFlight BLANK_INFLIGHT{};
 
-/** Insert into a dispatch-ordered vector, keeping it sorted by seq. */
-void
-insertBySeq(std::vector<InFlight *> &v, InFlight *p)
-{
-    auto it = std::lower_bound(v.begin(), v.end(), p,
-                               [](const InFlight *a, const InFlight *b) {
-                                   return a->seq < b->seq;
-                               });
-    v.insert(it, p);
-}
-
 } // namespace
-
-/** O(1) IQ removal: swap the last entry into the vacated slot. The IQ
- *  vector is unordered — issue order lives in the ready queue — so
- *  only the iqPos back-pointers need fixing up. */
-void
-Core::iqErase(InFlight *p)
-{
-    panic_if(p->iqPos < 0 || iq_[static_cast<size_t>(p->iqPos)] != p,
-             "IQ lost trace idx %d", p->idx);
-    InFlight *last = iq_.back();
-    iq_[static_cast<size_t>(p->iqPos)] = last;
-    last->iqPos = p->iqPos;
-    iq_.pop_back();
-    p->iqPos = -1;
-}
 
 Core::Core(const CoreConfig &cfg, TraceView trace,
            const std::vector<uint8_t> &misp)
@@ -107,8 +81,6 @@ Core::alloc()
     }
     InFlight *p = freeList_.back();
     freeList_.pop_back();
-    panic_if(p->waitHead >= 0, "recycling trace idx %d with parked waiters",
-             p->idx);
     uint64_t gen = p->gen;
     *p = BLANK_INFLIGHT;
     p->gen = gen + 1;
@@ -122,17 +94,7 @@ Core::free(InFlight *p)
              "freeing trace idx %d while still on the uncommitted "
              "frontier",
              p->idx);
-    panic_if(p->inReadyQ || p->inAddrPending,
-             "freeing trace idx %d while still scheduled for issue",
-             p->idx);
-    ++p->gen;
-    // Sources go ready not only by completion but by this gen bump
-    // (SrcRef::ready). The only live consumers of a squashed producer
-    // are committed-early zombies — everything uncommitted and younger
-    // is squashed with it (and freed first, so its waiter entries here
-    // are already stale). Deliver their wakeups now; a producer that
-    // completed has no waiters left.
-    wakeWaiters(p);
+    ++p->gen; // consumers' SrcRefs to this slot read ready from now on
     freeList_.push_back(p);
 }
 
@@ -267,37 +229,15 @@ Core::squashAfter(P &policy, InFlight *b)
 
     index_.onSquash(b->idx);
 
+    // Committed-early zombies stay in the IQ and still issue; sq_
+    // holds only uncommitted stores in ascending trace order, so the
+    // squashed entries are exactly its tail.
     auto isSquashed = [b](InFlight *p) { return p->idx > b->idx; };
-    for (size_t i = 0; i < iq_.size();) {
-        InFlight *p = iq_[i];
-        if (p->committed || !isSquashed(p)) {
-            ++i;
-            continue;
-        }
-        iqErase(p); // swap-pop: re-examine slot i
-    }
-    // Scheduler rollback by suffix: the ready queue and the pending
-    // address-gen list mirror the IQ (committed-early zombies stay and
-    // still issue); sq_ holds only uncommitted stores in ascending
-    // trace order, so the squashed entries are exactly its tail.
-    readyQ_.erase(std::remove_if(readyQ_.begin(), readyQ_.end(),
-                                 [&](InFlight *p) {
-                                     if (p->committed || !isSquashed(p))
-                                         return false;
-                                     p->inReadyQ = false;
-                                     return true;
-                                 }),
-                  readyQ_.end());
-    addrPending_.erase(std::remove_if(addrPending_.begin(),
-                                      addrPending_.end(),
-                                      [&](InFlight *p) {
-                                          if (p->committed ||
-                                              !isSquashed(p))
-                                              return false;
-                                          p->inAddrPending = false;
-                                          return true;
-                                      }),
-                       addrPending_.end());
+    iq_.erase(std::remove_if(iq_.begin(), iq_.end(),
+                             [&](InFlight *p) {
+                                 return !p->committed && isSquashed(p);
+                             }),
+              iq_.end());
     while (!sq_.empty() && isSquashed(sq_.back()))
         sq_.pop_back();
 
@@ -321,7 +261,6 @@ Core::writebackStage(P &policy)
         ++stats_.cdbBroadcasts;
         if (recHasDest(p->rec))
             ++stats_.rfWrites;
-        wakeWaiters(p);
         if (p->isBranch && !p->resolved) {
             // Branches resolve even if a speculative policy committed
             // them early: the pipeline flush on a misprediction is
@@ -470,129 +409,6 @@ Core::loadLatency(InFlight *p, bool &blocked)
 }
 
 void
-Core::registerSrcWaiters(InFlight *p)
-{
-    // Count the sources that are not ready at rename and park on each
-    // one's producer. Readiness is monotone for a live consumer (gen
-    // only moves by squash, completed never unsets), so each parked
-    // source is woken exactly once — when its producer writes back.
-    p->pendingSrcs = 0;
-    for (int i = 0; i < p->numSrcs; ++i) {
-        const InFlight::SrcRef &s = p->srcs[i];
-        if (s.ready())
-            continue;
-        ++p->pendingSrcs;
-        int32_t n = waiterFree_;
-        if (n >= 0) {
-            waiterFree_ = waiterNodes_[static_cast<size_t>(n)].next;
-        } else {
-            n = static_cast<int32_t>(waiterNodes_.size());
-            waiterNodes_.emplace_back();
-        }
-        waiterNodes_[static_cast<size_t>(n)] = WaiterNode{p, p->gen, -1};
-        if (s.p->waitTail >= 0)
-            waiterNodes_[static_cast<size_t>(s.p->waitTail)].next = n;
-        else
-            s.p->waitHead = n;
-        s.p->waitTail = n;
-    }
-    if (p->pendingSrcs == 0)
-        readyInsert(p);
-}
-
-void
-Core::wakeWaiters(InFlight *p)
-{
-    for (int32_t n = p->waitHead; n >= 0;) {
-        const WaiterNode w = waiterNodes_[static_cast<size_t>(n)];
-        waiterNodes_[static_cast<size_t>(n)].next = waiterFree_;
-        waiterFree_ = n;
-        n = w.next;
-        InFlight *c = w.p;
-        if (c->gen != w.gen)
-            continue; // consumer squashed since it parked here
-        if (--c->pendingSrcs == 0)
-            readyInsert(c);
-        // Store address generation waits only for the address operand,
-        // not the data — kick the TLB check as soon as it arrives.
-        if (!c->inAddrPending && !c->tlbChecked &&
-            isStore(c->rec.op) && c->addrReady())
-            addrPendingInsert(c);
-    }
-    p->waitHead = -1;
-    p->waitTail = -1;
-}
-
-void
-Core::readyInsert(InFlight *p)
-{
-    panic_if(p->inReadyQ || p->pendingSrcs != 0,
-             "bad ready-queue insert for trace idx %d", p->idx);
-    p->inReadyQ = true;
-    insertBySeq(readyQ_, p);
-}
-
-void
-Core::addrPendingInsert(InFlight *p)
-{
-    p->inAddrPending = true;
-    insertBySeq(addrPending_, p);
-}
-
-void
-Core::shadowSchedulerVerify() const
-{
-    // Re-derive the ready queue from the naive full-IQ scan the
-    // scheduler replaced: at end of cycle, the issuable IQ entries, in
-    // seq order, must be exactly the ready queue. (The live IQ vector
-    // is unordered — swap-pop removal — so scan a sorted copy, which
-    // is also what the historical age-ordered IQ looked like.)
-    std::vector<InFlight *> iqSorted = iq_;
-    std::sort(iqSorted.begin(), iqSorted.end(),
-              [](const InFlight *a, const InFlight *b) {
-                  return a->seq < b->seq;
-              });
-    size_t nReady = 0;
-    for (InFlight *p : iqSorted) {
-        if (!p->srcsReady())
-            continue;
-        panic_if(nReady >= readyQ_.size() || readyQ_[nReady] != p ||
-                     !p->inReadyQ,
-                 "shadow scheduler: IQ entry trace idx %d issuable but "
-                 "missing from the ready queue (cycle %llu)",
-                 p->idx, static_cast<unsigned long long>(cycle_));
-        ++nReady;
-    }
-    panic_if(nReady != readyQ_.size(),
-             "shadow scheduler: ready queue holds %zu entries, naive "
-             "scan found %zu (cycle %llu)",
-             readyQ_.size(), nReady,
-             static_cast<unsigned long long>(cycle_));
-
-    // The pending address-gen list must hold exactly the stores the
-    // historical pre-issue sweep would kick: address-ready, TLB check
-    // not yet started. (The list may also briefly hold entries whose
-    // check started this cycle only after the list drained — there are
-    // none at end of cycle, because draining clears it.)
-    size_t nPend = 0;
-    for (InFlight *p : iqSorted) {
-        if (!isStore(p->rec.op) || p->tlbChecked || !p->addrReady())
-            continue;
-        panic_if(nPend >= addrPending_.size() ||
-                     addrPending_[nPend] != p || !p->inAddrPending,
-                 "shadow scheduler: store trace idx %d address-ready "
-                 "but missing from the pending list (cycle %llu)",
-                 p->idx, static_cast<unsigned long long>(cycle_));
-        ++nPend;
-    }
-    panic_if(nPend != addrPending_.size(),
-             "shadow scheduler: addr-pending list holds %zu entries, "
-             "naive scan found %zu (cycle %llu)",
-             addrPending_.size(), nPend,
-             static_cast<unsigned long long>(cycle_));
-}
-
-void
 Core::shadowCapacityVerify() const
 {
     shadowCheckCapacity(view_, "IQ", iq_.size(), cfg_.iqEntries);
@@ -611,25 +427,28 @@ Core::issueStage()
 
     // Store address generation is decoupled from store data: the
     // page-table check (which gates NOREBA steering and the C2 memory
-    // barrier) needs only the address operand. Stores land on the
-    // pending list the moment that operand writes back (or at dispatch
-    // when it is already available), in dispatch order — the same
-    // stores, in the same order, the historical full-IQ sweep found.
-    for (InFlight *p : addrPending_) {
-        p->inAddrPending = false;
-        if (!p->tlbChecked)
+    // barrier) needs only the address operand, so every address-ready
+    // store starts it before the issue walk, oldest first. TLB access
+    // order decides CoreStats, and walking sq_ gives the stores of an
+    // oldest-first IQ sweep in the same order:
+    //  - a store leaves sq_ only by squash, or by a commit that every
+    //    policy allows only once its TLB check is done, so no store
+    //    still waiting for its check is in the IQ but not in sq_;
+    //  - sq_ is in trace order, which equals dispatch order for live
+    //    stores (a squash drops every uncommitted younger store, and
+    //    the refetched ones dispatch after the survivors).
+    for (InFlight *p : sq_)
+        if (!p->tlbChecked && p->addrReady())
             startTlbCheck(p);
-    }
-    addrPending_.clear();
 
-    // Pop ready entries in age order. Entries that stay — FU busy,
-    // issue width exhausted, or a load blocked on an incomplete older
-    // store's data — remain queued and retry next cycle.
+    // Oldest first: issue ready entries while width and FUs last.
+    // Entries that stay (sources not ready, FU busy, width exhausted,
+    // or a load blocked on an incomplete older store's data) keep
+    // their place and retry next cycle.
     size_t out = 0;
-    for (size_t i = 0; i < readyQ_.size(); ++i) {
-        InFlight *p = readyQ_[i];
+    for (InFlight *p : iq_) {
         bool keep = true;
-        if (budget > 0) {
+        if (budget > 0 && p->srcsReady()) {
             const TraceRecord &rec = p->rec;
             FuClass cls = fuClass(rec.op);
             if (fuAvailable(cls)) {
@@ -676,14 +495,10 @@ Core::issueStage()
                 }
             }
         }
-        if (keep) {
-            readyQ_[out++] = p;
-        } else {
-            p->inReadyQ = false;
-            iqErase(p);
-        }
+        if (keep)
+            iq_[out++] = p;
     }
-    readyQ_.resize(out);
+    iq_.resize(out);
 }
 
 template <typename P>
@@ -746,17 +561,12 @@ Core::dispatchStage(P &policy)
             p->completed = true; // NOP/HALT: nothing to execute
         } else {
             iq_.push_back(p);
-            p->iqPos = static_cast<int>(iq_.size()) - 1;
             ++stats_.iqWrites;
-            registerSrcWaiters(p);
         }
         if (isLoad(rec.op))
             ++lqUsed_;
-        else if (isStore(rec.op)) {
+        else if (isStore(rec.op))
             sq_.push_back(p);
-            if (p->addrReady())
-                addrPendingInsert(p);
-        }
 
         if (cfg_.attributeStalls) {
             if (p->isBranch)
@@ -897,7 +707,6 @@ Core::runWith(P policy)
 
         if (cfg_.shadowChecks) {
             index_.shadowVerify(rob_, cycle_, trace_);
-            shadowSchedulerVerify();
             shadowCapacityVerify();
             policy.shadowCheckCapacities(view_);
         }

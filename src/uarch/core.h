@@ -4,27 +4,22 @@
  * fetch (IFQ + predictor + L1I), decode (setup-instruction dropping and
  * CIT re-fetch filtering), rename/dispatch (ROB/IQ/LQ/SQ/PRF limits),
  * issue (FU pools, cache hierarchy + DCPT, store-to-load forwarding),
- * writeback (wakeup, branch resolution, misprediction squash) and a
+ * writeback (completion, branch resolution, misprediction squash) and a
  * commit stage run by one of seven commit policies (uarch/commit/).
  *
  * run() switches once on cfg.commitMode into runWith<P>, the simulate
  * loop instantiated for that policy's class; the stages that call the
  * policy take it as a template argument, so no policy call is virtual.
  *
- * Issue is wakeup-driven, not polling: every dispatched instruction
- * counts its unready sources and parks on each producer's waiter list;
- * the producer's writeback delivers the wakeups and the instruction
- * enters an age-ordered ready queue exactly when its last operand
- * arrives. issueStage pops ready entries instead of re-checking
- * srcsReady() on the whole IQ, and store address-gen TLB kickoffs come
- * off a pending list instead of a full-IQ sweep. A load finds its
- * forwarding store by walking the in-flight stores older than it.
- * Issue schedules each writeback on a timing wheel of per-cycle buckets
- * (uarch/completion_wheel.h); writeback drains the current cycle's
- * bucket in dispatch order.
- * CoreConfig::shadowChecks re-derives the ready queue and the pending
- * list from the naive IQ scan each cycle (and every PipelineIndex
- * answer from the naive ROB scan) and panics on divergence.
+ * Issue is a plain oldest-first pick: issueStage walks the IQ in
+ * dispatch order and issues up to ISSUE_WIDTH entries whose sources
+ * are ready, after starting the address-gen TLB check of every
+ * address-ready store. A load finds its forwarding store by walking
+ * the in-flight stores older than it. Issue schedules each writeback
+ * on a timing wheel of per-cycle buckets (uarch/completion_wheel.h);
+ * writeback drains the current cycle's bucket in dispatch order.
+ * CoreConfig::shadowChecks re-derives every PipelineIndex answer from
+ * the naive ROB scan each cycle and panics on divergence.
  *
  * Commit policies never touch the Core class: they consume a
  * PipelineView (uarch/pipeline_view.h), a narrow facade whose ordering
@@ -137,32 +132,9 @@ class Core
     bool fuAvailable(FuClass cls);
     void consumeFu(FuClass cls, int latency);
 
-    /** @name Wakeup-driven scheduler (see DESIGN.md §12) @{ */
-
-    /** O(1) removal from the unordered IQ vector (swap-pop). */
-    void iqErase(InFlight *p);
-
-    /** Park @p p on each unready producer; queue it if none. */
-    void registerSrcWaiters(InFlight *p);
-
-    /** Deliver @p p's completion to its registered consumers. */
-    void wakeWaiters(InFlight *p);
-
-    /** Enter the age-ordered ready queue. */
-    void readyInsert(InFlight *p);
-
-    /** The store became address-ready: queue its TLB kickoff. */
-    void addrPendingInsert(InFlight *p);
-
-    /** Differential check: recompute the ready queue and the pending
-     *  address-gen list from the naive IQ scan and panic on divergence
-     *  (CoreConfig::shadowChecks). */
-    void shadowSchedulerVerify() const;
-
     /** Shadow check: IQ, LQ, SQ and PRF occupancy within CoreConfig
      *  (CoreConfig::shadowChecks; the policy checks its own). */
     void shadowCapacityVerify() const;
-    /** @} */
 
     const CoreConfig cfg_;
     const TraceView trace_;
@@ -191,8 +163,8 @@ class Core
 
     /** @name Window @{ */
     Ring<InFlight *> rob_; //!< master order; may hold committed
-    /** Issue-queue residents, UNORDERED (O(1) swap-pop removal via
-     *  InFlight::iqPos); age order lives in readyQ_. */
+    /** Issue-queue residents in dispatch (seq) order; committed-early
+     *  zombies stay until they issue. */
     std::vector<InFlight *> iq_;
     /** In-flight (uncommitted) stores in ascending trace order; loads
      *  walk it for store-to-load forwarding. */
@@ -211,32 +183,6 @@ class Core
     /** Unpipelined dividers, one per class: busy until this cycle. */
     Cycle divBusyUntil_ = 0;
     Cycle fdivBusyUntil_ = 0;
-    /** @} */
-
-    /** @name Wakeup-driven scheduler @{ */
-
-    /** Issuable IQ entries (every source ready), in dispatch (seq)
-     *  order — exactly the entries the historical per-cycle IQ scan
-     *  would have issued from, discovered by wakeup instead. */
-    std::vector<InFlight *> readyQ_;
-
-    /** A consumer parked on a producer until it writes back. */
-    struct WaiterNode
-    {
-        InFlight *p = nullptr;
-        uint64_t gen = 0; //!< consumer incarnation (stale after squash)
-        int32_t next = -1;
-    };
-
-    /** Every producer's waiter chain (InFlight::waitHead) lives here;
-     *  drained nodes go on a free chain, so the arena is sized by the
-     *  most waiters ever parked at once. */
-    std::vector<WaiterNode> waiterNodes_;
-    int32_t waiterFree_ = -1;
-
-    /** Address-ready stores awaiting their decoupled address-gen TLB
-     *  kickoff, in dispatch order (replaces the full-IQ pre-scan). */
-    std::vector<InFlight *> addrPending_;
     /** @} */
 
     /** @name Commit tracking @{ */

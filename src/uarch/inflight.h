@@ -82,18 +82,6 @@ struct InFlight
     bool inRob = false; //!< currently in the master ROB deque
     /** @} */
 
-    /** @name Wakeup-scheduler bookkeeping (Core-internal) @{ */
-
-    /** Consumers to wake when this instruction completes: a FIFO
-     *  chain of nodes in the core's waiter arena (-1 = empty). */
-    int32_t waitHead = -1;
-    int32_t waitTail = -1;
-    int pendingSrcs = 0;   //!< not-yet-ready sources; 0 == issuable
-    int iqPos = -1;        //!< IQ vector slot (-1: not in the IQ)
-    bool inReadyQ = false; //!< member of the age-ordered ready queue
-    bool inAddrPending = false; //!< store awaiting its addr-gen TLB kick
-    /** @} */
-
     bool
     srcsReady() const
     {

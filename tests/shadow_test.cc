@@ -1,13 +1,11 @@
 /**
  * @file
- * Differential tests for the core's incremental bookkeeping: the
- * pipeline-state indices (uarch/pipeline_index.h) and the wakeup-driven
- * scheduler's ready queue and pending store address-gen list
- * (uarch/core.cc). CoreConfig::shadowChecks re-derives every index
- * answer from a naive scan of the master ROB and every scheduler answer
- * from a naive IQ scan each cycle, and panics on the first divergence;
- * these tests drive it through all seven commit modes, the full
- * workload registry, randomized high-misprediction programs whose
+ * Differential tests for the core's incremental bookkeeping, the
+ * pipeline-state indices (uarch/pipeline_index.h).
+ * CoreConfig::shadowChecks re-derives every index answer from a naive
+ * scan of the master ROB each cycle and panics on the first
+ * divergence; these tests drive it through all seven commit modes, the
+ * full workload registry, randomized high-misprediction programs whose
  * squash storms stress the rollback paths, early-commit-load zombies,
  * and the delinquent loop. The same knob checks every Table-2
  * structure's occupancy against its capacity each cycle; the
@@ -40,9 +38,9 @@ constexpr CommitMode ALL_MODES[] = {
  * A randomized squash-storm program: a loop with three ~50%-taken
  * data-dependent branches per iteration (hash-indexed loads from a
  * random table), a branch-guarded store, and a rare FENCE, so every
- * pipeline event the index and the scheduler track — dispatch, wakeup,
- * resolve, TLB check, commit, squash, free — fires constantly under
- * heavy misprediction.
+ * pipeline event the index and the issue walk see — dispatch,
+ * writeback, resolve, TLB check, commit, squash, free — fires
+ * constantly under heavy misprediction.
  */
 Program
 stormProgram(uint64_t seed, int64_t iters)
@@ -119,8 +117,12 @@ tinyConfig()
 
 /**
  * Both suites below run under the one shadowChecks knob, so every input
- * checks the pipeline index and the scheduler together. The suites keep
- * the inputs they were first written for: the PipelineIndexShadow set
+ * checks the pipeline index and the structure capacities together. The
+ * issue stage is a plain oldest-first IQ walk with no shadow of its
+ * own; the SchedulerShadow set, written for the wakeup scheduler that
+ * walk replaced, still drives it where the tiny window's IQ binds. The
+ * suites keep the inputs they were first written for: the
+ * PipelineIndexShadow set
  * (storm seeds 11/23, ECL seed 7 with stall attribution, the delinquent
  * loop) and the SchedulerShadow set (storm seeds 5/31, ECL seed 17).
  * The workload registry runs at Skylake size in one and in the tiny
