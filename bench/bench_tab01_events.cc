@@ -105,19 +105,20 @@ registerTab01Events()
         for (size_t i = 0; i < trace.size(); ++i) {
             const TraceRecord rec = trace[i];
             char buf[128];
+            const auto imm = static_cast<int64_t>(rec.addrOrImm);
             if (rec.op == Opcode::SET_BRANCH_ID) {
                 std::snprintf(buf, sizeof(buf),
-                              "BIT[%lld] = next branch's sequence number",
-                              static_cast<long long>(rec.addrOrImm));
+                              "BIT[%d] = next branch's sequence number",
+                              setBranchIdId(imm));
                 table.addRow({std::to_string(i), "setBranchId decoded",
                               buf});
             } else if (rec.op == Opcode::SET_DEPENDENCY) {
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "DCT = (ID %lld, BIT[ID]), counter = %lld",
-                    static_cast<long long>(
-                        static_cast<int64_t>(rec.addrOrImm) >> 32),
-                    static_cast<long long>(rec.addrOrImm & 0xffffffff));
+                std::snprintf(buf, sizeof(buf),
+                              "DCT = (ID %d, BIT[ID]), counter = %d%s%s",
+                              setDependencyId(imm), setDependencyNum(imm),
+                              setDependencySensitive(imm) ? ", sensitive"
+                                                          : "",
+                              setDependencyStrict(imm) ? ", strict" : "");
                 table.addRow({std::to_string(i), "setDependency decoded",
                               buf});
             } else if (rec.guardIdx >= 0) {

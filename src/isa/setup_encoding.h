@@ -3,7 +3,9 @@
  * Encoding helpers for the NOREBA setup instructions (Table 1).
  *
  * setBranchId ID        — imm = ID
- * setDependency NUM ID  — imm packs NUM (low 32 bits) and ID (high 32)
+ * setDependency NUM ID  — imm packs NUM (bits 0..31), ID (bits 32..47),
+ *                         the strict flag (bit 61) and the
+ *                         order-sensitive flag (bit 62)
  *
  * The compiler-defined branch ID is a small integer; the hardware's
  * BranchID field in the ROB is 3 bits (Section 4.1), so compiler IDs are
@@ -55,45 +57,84 @@ makeSetDependency(int num, int id, bool orderSensitive = true,
     return inst;
 }
 
-/** Extract the branch ID from a setBranchId instruction. */
+/**
+ * @name Decoding
+ * Each field has a form on the raw immediate (Instruction::imm, or a
+ * trace record's addrOrImm) and one on the instruction.
+ * @{
+ */
+
+/** The branch ID of a setBranchId immediate. */
 inline int
-setBranchIdId(const Instruction &inst)
+setBranchIdId(int64_t imm)
 {
-    return static_cast<int>(inst.imm);
+    return static_cast<int>(imm);
 }
 
-/** Extract NUM from a setDependency instruction. */
+/** NUM of a setDependency immediate. */
 inline int
-setDependencyNum(const Instruction &inst)
+setDependencyNum(int64_t imm)
 {
-    return static_cast<int>(inst.imm & 0xffffffff);
+    return static_cast<int>(imm & 0xffffffff);
 }
 
-/** Extract the branch ID from a setDependency instruction. */
+/** The branch ID of a setDependency immediate. */
 inline int
-setDependencyId(const Instruction &inst)
+setDependencyId(int64_t imm)
 {
-    return static_cast<int>((inst.imm >> 32) & 0xffff);
+    return static_cast<int>((imm >> 32) & 0xffff);
 }
 
-/** Extract the order-sensitive flag from a setDependency instruction. */
+/** The order-sensitive flag of a setDependency immediate. */
 inline bool
-setDependencySensitive(const Instruction &inst)
+setDependencySensitive(int64_t imm)
 {
-    return ((inst.imm >> 62) & 1) != 0;
+    return ((imm >> 62) & 1) != 0;
 }
 
 /**
- * Extract the strict flag: the covered instructions carry a dependence
- * the marking chain cannot express (e.g. on a conditionally-executed
- * branch whose BIT entry may be stale), so they may only retire when no
- * older branch is unresolved at all (full Condition 5).
+ * The strict flag of a setDependency immediate: the covered
+ * instructions carry a dependence the marking chain cannot express
+ * (e.g. on a conditionally-executed branch whose BIT entry may be
+ * stale), so they may only retire when no older branch is unresolved
+ * at all (full Condition 5).
  */
+inline bool
+setDependencyStrict(int64_t imm)
+{
+    return ((imm >> 61) & 1) != 0;
+}
+
+inline int
+setBranchIdId(const Instruction &inst)
+{
+    return setBranchIdId(inst.imm);
+}
+
+inline int
+setDependencyNum(const Instruction &inst)
+{
+    return setDependencyNum(inst.imm);
+}
+
+inline int
+setDependencyId(const Instruction &inst)
+{
+    return setDependencyId(inst.imm);
+}
+
+inline bool
+setDependencySensitive(const Instruction &inst)
+{
+    return setDependencySensitive(inst.imm);
+}
+
 inline bool
 setDependencyStrict(const Instruction &inst)
 {
-    return ((inst.imm >> 61) & 1) != 0;
+    return setDependencyStrict(inst.imm);
 }
+/** @} */
 
 } // namespace noreba
 

@@ -123,6 +123,22 @@ TEST(SetupEncoding, RoundTrip)
     EXPECT_EQ(setDependencyId(sd), 6);
 }
 
+/** A trace record carries only the raw immediate: its decoding must
+ *  keep the flag bits out of NUM and the branch ID. */
+TEST(SetupEncoding, RawImmediateDecodesLikeTheInstruction)
+{
+    for (bool sensitive : {false, true}) {
+        for (bool strict : {false, true}) {
+            Instruction sd = makeSetDependency(6, 1, sensitive, strict);
+            EXPECT_EQ(setDependencyNum(sd.imm), 6);
+            EXPECT_EQ(setDependencyId(sd.imm), 1);
+            EXPECT_EQ(setDependencySensitive(sd.imm), sensitive);
+            EXPECT_EQ(setDependencyStrict(sd.imm), strict);
+        }
+    }
+    EXPECT_EQ(setBranchIdId(makeSetBranchId(7).imm), 7);
+}
+
 TEST(SetupEncoding, ToStringMatchesPaperSyntax)
 {
     EXPECT_EQ(makeSetBranchId(1).toString(), "setBranchId 1");
