@@ -68,6 +68,10 @@ selectedWorkloads()
         fatal("NOREBA_WORKLOADS names unknown workload(s): %s (known: %s)",
               unknown.c_str(), all.c_str());
     }
+    // Zero workloads would print empty tables and zero geomeans and
+    // still exit 0.
+    if (out.empty())
+        fatal("NOREBA_WORKLOADS=\"%s\" names no workload", env);
     return out;
 }
 

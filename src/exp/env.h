@@ -5,7 +5,8 @@
  *   NOREBA_TRACE_LEN   dynamic instructions per workload (default
  *                      250000); must be a positive integer
  *   NOREBA_WORKLOADS   comma-separated subset of workload names; every
- *                      name must exist in workloadRegistry()
+ *                      name must exist in workloadRegistry(), and
+ *                      there must be at least one
  *   NOREBA_JOBS        sweep worker threads (default: hardware cores)
  *   NOREBA_JSON_DIR    when set, experiments also write a
  *                      machine-readable BENCH_<name>.json there
@@ -41,13 +42,14 @@ uint64_t traceLen();
  * are fatal here, before any trace is built, instead of surfacing as a
  * buildWorkload() failure deep into the sweep — and the error lists
  * *every* unknown name at once, so a long hand-typed list is fixed in
- * one round trip instead of one fatal() per retry.
+ * one round trip instead of one fatal() per retry. A value that names
+ * no workload at all (empty, or only commas) is fatal too.
  */
 std::vector<std::string> selectedWorkloads();
 
 /**
- * selectedWorkloads() when NOREBA_WORKLOADS is set (even to an empty
- * value), else `fallback`: the experiment's own default subset.
+ * selectedWorkloads() when NOREBA_WORKLOADS is set (an empty value
+ * is fatal), else `fallback`: the experiment's own default subset.
  */
 std::vector<std::string>
 selectedWorkloadsOr(std::vector<std::string> fallback);

@@ -98,7 +98,8 @@ class MemoryHierarchy
     Cache l3_;
 };
 
-/** Simple TLB: fully-associative-by-hash over 4 KiB pages. */
+/** Simple TLB over 4 KiB pages: direct-mapped, one entry per slot,
+ *  indexed by the virtual page number mod the entry count (1536). */
 class Tlb
 {
   public:

@@ -180,9 +180,13 @@ TEST(Env, SelectedWorkloadsHonoursSubsetAndListsAllUnknownNames)
     EXPECT_EQ(subset[1], "CRC32");
     EXPECT_EQ(benchutil::selectedWorkloadsOr({"astar"}), subset);
 
-    // Set but empty still overrides an experiment's default subset.
+    // Set but naming no workload is fatal, not an empty sweep.
     setenv("NOREBA_WORKLOADS", "", 1);
-    EXPECT_TRUE(benchutil::selectedWorkloadsOr({"astar"}).empty());
+    EXPECT_EXIT(benchutil::selectedWorkloadsOr({"astar"}),
+                ::testing::ExitedWithCode(1), "NOREBA_WORKLOADS");
+    setenv("NOREBA_WORKLOADS", ",,", 1);
+    EXPECT_EXIT(benchutil::selectedWorkloads(),
+                ::testing::ExitedWithCode(1), "NOREBA_WORKLOADS");
 
     // Every unknown name appears in one fatal message — a long
     // hand-typed list is fixed in one round trip.

@@ -16,10 +16,7 @@
  * --ignore takes a comma-separated list of counter names to exclude
  * from the comparison entirely (present-but-different and
  * present-on-one-side-only both). Use it to compare runs across
- * simulator versions whose counter sets differ, e.g. against JSON
- * written before the simulator-internal counters left CoreStats:
- *
- *   --ignore wakeups,readyQueueOccupancy,sqProbes,iqScansAvoided,iqWakeups
+ * simulator versions whose counter sets differ.
  */
 
 #include <cinttypes>
