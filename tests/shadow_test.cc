@@ -118,9 +118,8 @@ tinyConfig()
 /**
  * Both suites below run under the one shadowChecks knob, so every input
  * checks the pipeline index and the structure capacities together. The
- * issue stage is a plain oldest-first IQ walk with no shadow of its
- * own; the SchedulerShadow set, written for the wakeup scheduler that
- * walk replaced, still drives it where the tiny window's IQ binds. The
+ * issue stage's IQ walk is its own reference and has no shadow; the
+ * SchedulerShadow set drives it where the tiny window's IQ binds. The
  * suites keep the inputs they were first written for: the
  * PipelineIndexShadow set
  * (storm seeds 11/23, ECL seed 7 with stall attribution, the delinquent
